@@ -24,6 +24,7 @@ from .harmonic import (
     ScaledRational,
     ln_auto,
     ln_rational,
+    positive_ratio,
 )
 from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
 
@@ -51,22 +52,29 @@ def _plain_cell(value) -> str:
     return str(value)
 
 
-def _variant(name: str) -> LogVariant:
-    return LogVariant.FULL if name == "full" else LogVariant.TRUNCATED
+def _values(enum) -> list[str]:
+    return [member.value for member in enum]
+
+
+def _integer(raw: str, name: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _cmd_ln(args) -> None:
-    compensated = args.precision_mode == "compensated"
-    variant = _variant(args.variant)
+    variant = LogVariant(args.variant)
     if args.m == "auto":
-        m, value = ln_auto(args.p, args.q, args.threshold, variant, compensated)
+        threshold = args.threshold
+        if threshold is None:
+            raw = os.environ.get("HARMLOG_THRESHOLD", str(DEFAULT_THRESHOLD))
+            threshold = _integer(raw, "HARMLOG_THRESHOLD")
+        m, value = ln_auto(args.p, args.q, threshold, variant)
     else:
-        m = int(args.m)
-        if args.p == 0 or args.q == 0 or (args.p < 0) != (args.q < 0):
-            # Route fixed-m calls through the same validation as auto.
-            ln_auto(args.p, args.q, args.threshold, variant, compensated)
-        p, q = abs(args.p), abs(args.q)
-        value = ln_rational(ScaledRational(p=p, q=q, m=m), variant, compensated)
+        m = _integer(args.m, "--m")
+        p, q = positive_ratio(args.p, args.q)
+        value = ln_rational(ScaledRational(p=p, q=q, m=m), variant)
     reference = ln_value(args.p / args.q)
     _emit(
         {
@@ -83,12 +91,7 @@ def _cmd_ln(args) -> None:
 
 
 def _cmd_factorial(args) -> None:
-    method = {
-        "raw": FactorialMethod.RAW,
-        "corrected": FactorialMethod.CORRECTED,
-        "series": FactorialMethod.SERIES_EXACT,
-    }[args.method]
-    est = factorial_estimate(args.n, method)
+    est = factorial_estimate(args.n, FactorialMethod(args.method))
     ref_ln = factorial_exact_ln(args.n)
     record = {
         "n": args.n,
@@ -103,12 +106,7 @@ def _cmd_factorial(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
-    kind = {
-        "integral": consts.NrKind.INTEGRAL,
-        "series": consts.NrKind.DIRECT_SERIES,
-        "limit": consts.NrKind.EMPIRICAL_LIMIT,
-    }[args.nr]
-    v = consts.variant(kind, terms=args.n, n=args.n)
+    v = consts.variant(consts.NrKind(args.nr), terms=args.n, n=args.n)
     gamma = consts.euler_gamma(v)
     _emit(
         {
@@ -158,11 +156,11 @@ def _cmd_nbb(args) -> None:
 
 
 def _table_id(raw: str) -> tables.TableId:
-    for tid in tables.TableId:
-        if tid.value == raw:
-            return tid
-    raise DomainError(f"unknown table {raw!r}; use one of "
-                      f"{', '.join(t.value for t in tables.TableId if t.value != 'sweep')}")
+    try:
+        return tables.TableId(raw)
+    except ValueError:
+        names = ", ".join(_values(tables.TableId))
+        raise DomainError(f"unknown table {raw!r}; use one of {names}") from None
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -178,57 +176,42 @@ def _cmd_table(args) -> None:
 
 
 def _parse_grid(spec: str) -> list[int]:
-    """Grid spec: comma list '25,50,100' or range 'start:stop:step|double'."""
+    """Grid spec: comma list '25,50,100' or range 'start:stop:step|double'.
+
+    A range starts at 1 or above, so a doubling range always ends.
+    """
     try:
-        return _parse_grid_inner(spec)
-    except ValueError as exc:
-        if isinstance(exc, HarmlogError):
-            raise
-        raise DomainError(f"bad grid spec {spec!r}") from exc
-
-
-def _parse_grid_inner(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise DomainError(f"bad grid spec {spec!r}")
-        start, stop = int(parts[0]), int(parts[1])
-        values = []
-        current = start
-        if parts[2] == "double":
-            while current <= stop:
-                values.append(current)
-                current *= 2
-        else:
-            step = int(parts[2])
-            if step < 1:
-                raise DomainError(f"bad grid step in {spec!r}")
-            while current <= stop:
-                values.append(current)
-                current += step
-        if not values:
-            raise DomainError(f"empty grid {spec!r}")
-        return values
-    return [int(tok) for tok in spec.split(",")]
+        if ":" not in spec:
+            return [int(tok) for tok in spec.split(",")]
+        first, last, step = spec.split(":")
+        start, stop = int(first), int(last)
+        increment = None if step == "double" else int(step)
+    except ValueError:
+        raise DomainError(f"bad grid spec {spec!r}") from None
+    if start < 1:
+        raise DomainError(f"grid start must be >= 1 in {spec!r}")
+    if increment is not None:
+        if increment < 1:
+            raise DomainError(f"bad grid step in {spec!r}")
+        return list(range(start, stop + 1, increment))
+    values = []
+    while start <= stop:
+        values.append(start)
+        start *= 2
+    return values
 
 
 def _cmd_sweep(args) -> None:
     if args.op == "ln":
         report = tables.sweep_ln_rational(args.p, args.q, _parse_grid(args.m))
     elif args.op == "factorial":
-        method = {
-            "raw": FactorialMethod.RAW,
-            "corrected": FactorialMethod.CORRECTED,
-            "series": FactorialMethod.SERIES_EXACT,
-        }[args.method]
-        report = tables.sweep_factorial(_parse_grid(args.n), method)
+        report = tables.sweep_factorial(_parse_grid(args.n), FactorialMethod(args.method))
     else:
         report = tables.sweep_nr(_parse_grid(args.n))
     _write_out(report.serialize(args.format), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    threshold_default = int(os.environ.get("HARMLOG_THRESHOLD", DEFAULT_THRESHOLD))
     parser = argparse.ArgumentParser(
         prog="harmlog",
         description="Odd-harmonic-series approximations of ln, factorial and gamma.",
@@ -242,22 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--m", default="auto", help="multiplier, an integer or 'auto'")
-    p.add_argument("--variant", choices=("full", "truncated"), default="truncated")
-    p.add_argument("--threshold", type=int, default=threshold_default)
-    p.add_argument(
-        "--precision-mode", choices=("standard", "compensated"), default="compensated"
-    )
+    p.add_argument("--variant", choices=_values(LogVariant), default="truncated")
+    p.add_argument("--threshold", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_ln)
 
     p = sub.add_parser("factorial", help="estimate n!")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=("raw", "corrected", "series"), default="corrected")
+    p.add_argument("--method", choices=_values(FactorialMethod), default="corrected")
     add_format(p)
     p.set_defaults(func=_cmd_factorial)
 
     p = sub.add_parser("gamma", help="Euler-Mascheroni estimates")
-    p.add_argument("--nr", choices=("integral", "series", "limit"), default="integral")
+    p.add_argument("--nr", choices=_values(consts.NrKind), default="integral")
     p.add_argument("--n", type=int, default=None, help="terms (series) or n (limit)")
     add_format(p)
     p.set_defaults(func=_cmd_gamma)
@@ -288,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", default="25:400:double", help="multiplier grid for op ln")
     p.add_argument("--n", default="10,100,1000", help="size grid for factorial/nr")
-    p.add_argument("--method", choices=("raw", "corrected", "series"), default="corrected")
+    p.add_argument("--method", choices=_values(FactorialMethod), default="corrected")
     p.add_argument("--format", choices=("csv", "markdown", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

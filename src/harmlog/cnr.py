@@ -93,6 +93,11 @@ def approx_number_exp(x: float) -> float:
     return approx_number_scaled(x, 1)
 
 
+def approx_cnr_exp(x: float) -> float:
+    """CNR estimate e**(2/(2x-1-1/x**3)), i.e. the full form divided by x-1."""
+    return math.exp(2.0 / (2 * x - 1 - 1.0 / x**3))
+
+
 def approx_number_large(x: float) -> float:
     """(x - 1) * e**(2/(2x-1)); valid once 1/x**3 is negligible."""
     if 2.0 * x - 1.0 == 0:

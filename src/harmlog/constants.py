@@ -85,10 +85,9 @@ def euler_gamma(v: NrVariant) -> float:
     return 2.0 - 2.0 * LN2 - v.value
 
 
-def gamma_definition_check(p: int, compensated: bool = True) -> float:
+def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p."""
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
-    terms = (1.0 / x for x in range(p, 0, -1))
-    harmonic = math.fsum(terms) if compensated else sum(terms)
+    harmonic = math.fsum(1.0 / x for x in range(p, 0, -1))
     return harmonic - (0.0 if p == 1 else ln_value(p))

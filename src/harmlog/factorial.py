@@ -40,12 +40,11 @@ class FactorialEstimate:
     method: FactorialMethod
 
 
-def s_sum_exact(n: int, compensated: bool = True) -> float:
+def s_sum_exact(n: int) -> float:
     """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, smallest terms first."""
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {n}")
-    terms = (1.0 / (x**3 * (2 * x - 1)) for x in range(n, 1, -1))
-    return math.fsum(terms) if compensated else sum(terms)
+    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in range(n, 1, -1))
 
 
 def s_sum_closed(n: int) -> float:
@@ -62,13 +61,13 @@ def s_sum_closed(n: int) -> float:
     )
 
 
-def ln_factorial_series(n: int, compensated: bool = True) -> float:
+def ln_factorial_series(n: int) -> float:
     """(n + 1/2) ln n - (n - 1) - s_sum_exact(n); n = 1 gives 0."""
     if n < 1:
         raise DomainError(f"ln_factorial_series requires n >= 1, got {n}")
     if n == 1:
         return 0.0
-    return (n + 0.5) * ln_value(n) - (n - 1) - s_sum_exact(n, compensated)
+    return (n + 0.5) * ln_value(n) - (n - 1) - s_sum_exact(n)
 
 
 def factorial_raw(n: int) -> FactorialEstimate:

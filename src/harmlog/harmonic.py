@@ -38,47 +38,18 @@ class LogVariant(Enum):
     TRUNCATED = "truncated"  # harmonic terms only
 
 
-def _series_sum(terms, compensated: bool = True) -> float:
-    return math.fsum(terms) if compensated else sum(terms)
-
-
-def odd_harmonic_sum(a: int, b: int, compensated: bool = True) -> float:
+def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range."""
     if a < 1 or b < a - 1:
         raise DomainError(f"invalid odd-harmonic range [{a}, {b}]")
-    return _series_sum((1.0 / (2 * k - 1) for k in range(b, a - 1, -1)), compensated)
+    return math.fsum(1.0 / (2 * k - 1) for k in range(b, a - 1, -1))
 
 
-def correction_sum(a: int, b: int, compensated: bool = True) -> float:
+def correction_sum(a: int, b: int) -> float:
     """Sum of 1/(k**3 (2k-1)**2) for k = a..b; empty range is 0."""
     if a < 2 or b < a - 1:
         raise DomainError(f"invalid correction range [{a}, {b}]")
-    return _series_sum(
-        (1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(b, a - 1, -1)), compensated
-    )
-
-
-@dataclass(frozen=True)
-class OddHarmonicRange:
-    """An index range [a, b] with both of its series sums."""
-
-    a: int
-    b: int
-    harmonic_sum: float
-    correction_sum: float
-
-    @classmethod
-    def compute(cls, a: int, b: int) -> "OddHarmonicRange":
-        return cls(
-            a=a,
-            b=b,
-            harmonic_sum=odd_harmonic_sum(a, b),
-            correction_sum=correction_sum(a, b),
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return self.b == self.a - 1
+    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(b, a - 1, -1))
 
 
 @dataclass(frozen=True)
@@ -111,9 +82,7 @@ def _check_index(value: int) -> None:
         raise OverflowLimitError(f"scaled index {value} exceeds 63-bit cap")
 
 
-def ln_quotient(
-    x: int, y: int, variant: LogVariant = LogVariant.FULL, compensated: bool = True
-) -> float:
+def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) - ln(y) from the index window between y and x.
 
     For x > y the window is k = y+1..x (odd denominators 2y+1..2x-1);
@@ -124,19 +93,19 @@ def ln_quotient(
     if x == y:
         return 0.0
     if x < y:
-        return -ln_quotient(y, x, variant, compensated)
+        return -ln_quotient(y, x, variant)
     _check_index(x)
-    total = 2.0 * odd_harmonic_sum(y + 1, x, compensated)
+    total = 2.0 * odd_harmonic_sum(y + 1, x)
     if variant is LogVariant.FULL:
-        total += 2.0 * correction_sum(y + 1, x, compensated)
+        total += 2.0 * correction_sum(y + 1, x)
     return total
 
 
-def ln_integer(n: int, variant: LogVariant = LogVariant.FULL, compensated: bool = True) -> float:
+def ln_integer(n: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(n) for a positive integer; n = 1 gives exactly 0."""
     if n < 1:
         raise DomainError(f"ln_integer requires n >= 1, got {n}")
-    return ln_quotient(n, 1, variant, compensated)
+    return ln_quotient(n, 1, variant)
 
 
 def exp_form(n: int, variant: LogVariant = LogVariant.FULL) -> float:
@@ -144,9 +113,7 @@ def exp_form(n: int, variant: LogVariant = LogVariant.FULL) -> float:
     return math.exp(ln_integer(n, variant))
 
 
-def ln_product(
-    x: int, y: int, variant: LogVariant = LogVariant.FULL, compensated: bool = True
-) -> float:
+def ln_product(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) + ln(y) via the regrouped shared-prefix form.
 
     Equals ln_integer(x) + ln_integer(y) by term regrouping: the shared
@@ -155,21 +122,15 @@ def ln_product(
     if x < 1 or y < 1:
         raise DomainError(f"ln_product requires positive integers, got {x}, {y}")
     lo, hi = min(x, y), max(x, y)
-    total = 4.0 * odd_harmonic_sum(2, lo, compensated) + 2.0 * odd_harmonic_sum(
-        lo + 1, hi, compensated
-    )
+    total = 4.0 * odd_harmonic_sum(2, lo) + 2.0 * odd_harmonic_sum(lo + 1, hi)
     if variant is LogVariant.FULL:
-        total += 4.0 * correction_sum(2, lo, compensated) + 2.0 * correction_sum(
-            lo + 1, hi, compensated
-        )
+        total += 4.0 * correction_sum(2, lo) + 2.0 * correction_sum(lo + 1, hi)
     return total
 
 
-def ln_rational(
-    r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED, compensated: bool = True
-) -> float:
+def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -> float:
     """Estimate of ln(p/q) via the scaled window between mq and mp."""
-    return ln_quotient(r.scaled_p, r.scaled_q, variant, compensated)
+    return ln_quotient(r.scaled_p, r.scaled_q, variant)
 
 
 def select_multiplier(p: int, q: int, threshold: int = DEFAULT_THRESHOLD) -> int:
@@ -179,14 +140,8 @@ def select_multiplier(p: int, q: int, threshold: int = DEFAULT_THRESHOLD) -> int
     return threshold // min(p, q) + 1
 
 
-def ln_auto(
-    p: int,
-    q: int,
-    threshold: int = DEFAULT_THRESHOLD,
-    variant: LogVariant = LogVariant.TRUNCATED,
-    compensated: bool = True,
-) -> tuple[int, float]:
-    """Validate p/q, pick the smallest adequate multiplier, estimate ln(p/q).
+def positive_ratio(p: int, q: int) -> tuple[int, int]:
+    """Validate p/q as the argument of a real logarithm; return (|p|, |q|).
 
     Rejects p/q < 0 (NegativeInputError) and p = 0 or q = 0
     (ZeroOrInfiniteError).  A negative p and q pair is normalised, since
@@ -196,7 +151,16 @@ def ln_auto(
         raise ZeroOrInfiniteError("no logarithm in real quantities for 0 or infinity")
     if (p < 0) != (q < 0):
         raise NegativeInputError("no logarithm in real quantities for a negative number")
-    if p < 0:
-        p, q = -p, -q
+    return abs(p), abs(q)
+
+
+def ln_auto(
+    p: int,
+    q: int,
+    threshold: int = DEFAULT_THRESHOLD,
+    variant: LogVariant = LogVariant.TRUNCATED,
+) -> tuple[int, float]:
+    """Validate p/q, pick the smallest adequate multiplier, estimate ln(p/q)."""
+    p, q = positive_ratio(p, q)
     m = select_multiplier(p, q, threshold)
-    return m, ln_rational(ScaledRational(p=p, q=q, m=m), variant, compensated)
+    return m, ln_rational(ScaledRational(p=p, q=q, m=m), variant)

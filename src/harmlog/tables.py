@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import constants as consts
-from .cnr import approx_number_exp, approx_number_scaled
+from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
 from .errors import DomainError
 from .factorial import FactorialMethod, estimate as factorial_estimate
 from .harmonic import LogVariant, ScaledRational, ln_integer, ln_rational
@@ -36,7 +36,6 @@ class TableId(Enum):
     T2_5 = "2.5"
     T2_6 = "2.6"
     NR_GAMMA = "nr-gamma"
-    SWEEP = "sweep"
 
 
 @dataclass(frozen=True)
@@ -153,8 +152,9 @@ ERRATA: dict[tuple[str, str], str] = {
 }
 
 
-def _sig_tolerance(value: float, digits: int) -> float:
-    """One unit in the `digits`-th significant digit of value."""
+def _sig_tolerance(printed: str, digits: int) -> float:
+    """One unit in the `digits`-th significant digit of the printed value."""
+    value = float(printed)
     if value == 0:
         return 10.0 ** (1 - digits)
     return 10.0 ** (math.floor(math.log10(abs(value))) - digits + 1)
@@ -167,8 +167,32 @@ def _printed_tolerance(printed: str) -> float:
     return float(10 ** Decimal(printed.replace("e", "E")).as_tuple().exponent)
 
 
-def _match(calculated: float, printed: str, tol: float) -> bool:
-    return abs(calculated - float(printed)) <= tol
+def _erratum(table: str, *keys: str) -> str:
+    """The errata notes of one or more cells of a row, joined by '; '."""
+    return "; ".join(ERRATA[(table, key)] for key in keys if (table, key) in ERRATA)
+
+
+def _row(
+    inputs: dict,
+    calculated: float,
+    reference: float | None,
+    printed: str | None = None,
+    tol: float | None = None,
+    erratum: str = "",
+    *,
+    match: bool | None = None,
+    percent: float | None = None,
+) -> Row:
+    """A computed row, judged against its print when there is one.
+
+    match defaults to |calculated - printed| <= tol and percent to the
+    percent error against reference; a row without a print has no match.
+    """
+    if percent is None and reference is not None:
+        percent = percent_error(calculated, reference)
+    if match is None and printed is not None:
+        match = abs(calculated - float(printed)) <= tol
+    return Row(inputs, calculated, reference, percent, printed, match, erratum)
 
 
 # -- fixtures: the printed tables ------------------------------------------
@@ -259,235 +283,105 @@ _T2_6 = [
 # -- table builders --------------------------------------------------------
 
 
-def _gen_t2_1() -> TableReport:
-    rows = []
+def _t2_1():
     for x, printed, _ in _T2_1:
-        value = approx_number_exp(x)
-        rows.append(
-            Row(
-                inputs={"x": x},
-                calculated=value,
-                reference=x,
-                percent_error=percent_error(value, x),
-                printed=printed,
-                match=_match(value, printed, _sig_tolerance(float(printed), 9)),
-            )
-        )
-    return TableReport("2.1", ("x",), "%.10g", tuple(rows))
+        yield _row({"x": x}, approx_number_exp(x), x, printed, _sig_tolerance(printed, 9))
 
 
-def _gen_t2_2() -> TableReport:
-    rows = []
+def _t2_2():
     for x, printed_full, printed_scaled in _T2_2:
-        key = f"x={x:g} exp_full"
+        inputs = {"x": x, "formula": "exp_full"}
+        note = _erratum("2.2", f"x={x:g} exp_full")
         try:
             full = approx_number_exp(x)
-            rows.append(
-                Row(
-                    inputs={"x": x, "formula": "exp_full"},
-                    calculated=full,
-                    reference=x,
-                    percent_error=percent_error(full, x),
-                    printed=printed_full,
-                    match=_match(full, printed_full, 1e-5),
-                    erratum=ERRATA.get(("2.2", key), ""),
-                )
-            )
         except DomainError:
-            rows.append(
-                Row(
-                    inputs={"x": x, "formula": "exp_full"},
-                    calculated=None,
-                    reference=x,
-                    percent_error=None,
-                    printed=printed_full,
-                    match=False,
-                    erratum=ERRATA.get(("2.2", key), "singular"),
-                )
-            )
+            yield Row(inputs, None, x, None, printed_full, False, note or "singular")
+        else:
+            yield _row(inputs, full, x, printed_full, 1e-5, note)
         scaled = approx_number_scaled(x, 100)
-        rows.append(
-            Row(
-                inputs={"x": x, "formula": "exp_scaled_m100"},
-                calculated=scaled,
-                reference=x,
-                percent_error=percent_error(scaled, x),
-                printed=printed_scaled,
-                match=_match(scaled, printed_scaled, _sig_tolerance(float(printed_scaled), 8)),
-            )
-        )
-    return TableReport("2.2", ("x", "formula"), "%.10g", tuple(rows))
+        tol = _sig_tolerance(printed_scaled, 8)
+        yield _row({"x": x, "formula": "exp_scaled_m100"}, scaled, x, printed_scaled, tol)
 
 
-def _gen_t2_3() -> TableReport:
-    rows = []
+def _t2_3():
     for x, printed_cnr, printed_ln in _T2_3:
         if x == 1:
+            note = "CNR x/(x-1) is singular at x = 1"
             for quantity, printed in (("cnr", printed_cnr), ("ln_cnr", printed_ln)):
-                rows.append(
-                    Row(
-                        inputs={"x": x, "quantity": quantity},
-                        calculated=math.inf,
-                        reference=math.inf,
-                        percent_error=None,
-                        printed=printed,
-                        match=printed == "∞",
-                        erratum="CNR x/(x-1) is singular at x = 1",
-                    )
-                )
+                inputs = {"x": x, "quantity": quantity}
+                yield Row(inputs, math.inf, math.inf, None, printed, printed == "∞", note)
             continue
         cnr_ref = x / (x - 1)
-        cnr = approx_cnr_exp(x)
         ln_cnr = 2.0 / (2 * x - 1 - 1.0 / x**3)
-        ln_cnr_ref = ln_value(cnr_ref)
-        rows.append(
-            Row(
-                inputs={"x": x, "quantity": "cnr"},
-                calculated=cnr,
-                reference=cnr_ref,
-                percent_error=percent_error(cnr, cnr_ref),
-                printed=printed_cnr,
-                match=_match(cnr, printed_cnr, 1e-5),
-            )
-        )
-        rows.append(
-            Row(
-                inputs={"x": x, "quantity": "ln_cnr"},
-                calculated=ln_cnr,
-                reference=ln_cnr_ref,
-                percent_error=percent_error(ln_cnr, ln_cnr_ref),
-                printed=printed_ln,
-                match=_match(ln_cnr, printed_ln, 1e-5),
-            )
-        )
-    return TableReport("2.3", ("x", "quantity"), "%.7g", tuple(rows))
+        yield _row({"x": x, "quantity": "cnr"}, approx_cnr_exp(x), cnr_ref, printed_cnr, 1e-5)
+        yield _row({"x": x, "quantity": "ln_cnr"}, ln_cnr, ln_value(cnr_ref), printed_ln, 1e-5)
 
 
-def approx_cnr_exp(x: float) -> float:
-    """CNR estimate e**(2/(2x-1-1/x**3)), i.e. the full form divided by x-1."""
-    return math.exp(2.0 / (2 * x - 1 - 1.0 / x**3))
+def _t2_4():
+    for x, printed, _ in _T2_4:
+        note = _erratum("2.4", f"x={x} calculated", f"x={x} actual")
+        yield _row({"x": x}, ln_integer(x, LogVariant.FULL), ln_value(x), printed, 1e-5, note)
 
 
-def _gen_t2_4() -> TableReport:
-    rows = []
-    for x, printed_calc, printed_actual in _T2_4:
-        value = ln_integer(x, LogVariant.FULL)
-        reference = ln_value(x)
-        notes = [
-            ERRATA.get(("2.4", f"x={x} calculated"), ""),
-            ERRATA.get(("2.4", f"x={x} actual"), ""),
-        ]
-        rows.append(
-            Row(
-                inputs={"x": x},
-                calculated=value,
-                reference=reference,
-                percent_error=percent_error(value, reference),
-                printed=printed_calc,
-                match=_match(value, printed_calc, 1e-5),
-                erratum="; ".join(n for n in notes if n),
-            )
-        )
-    return TableReport("2.4", ("x",), "%.5f", tuple(rows))
-
-
-def _gen_t2_5() -> TableReport:
-    rows = []
+def _t2_5():
     for m, p, q, printed in _T2_5:
         value = ln_rational(ScaledRational(p=p, q=q, m=m), LogVariant.TRUNCATED)
-        reference = ln_value(p / q)
-        key = f"({m}){p}/({m}){q}"
-        rows.append(
-            Row(
-                inputs={"m": m, "p": p, "q": q},
-                calculated=value,
-                reference=reference,
-                percent_error=percent_error(value, reference),
-                printed=printed,
-                match=_match(value, printed, _sig_tolerance(float(printed), 8)),
-                erratum=ERRATA.get(("2.5", key), ""),
-            )
-        )
-    return TableReport("2.5", ("m", "p", "q"), "%.10g", tuple(rows))
+        tol = _sig_tolerance(printed, 8)
+        note = _erratum("2.5", f"({m}){p}/({m}){q}")
+        yield _row({"m": m, "p": p, "q": q}, value, ln_value(p / q), printed, tol, note)
 
 
-def _gen_t2_6() -> TableReport:
-    rows = []
-    for n, printed_calc, printed_actual in _T2_6:
+def _t2_6():
+    for n, printed, _ in _T2_6:
         est = factorial_estimate(n, FactorialMethod.CORRECTED)
         ref_ln = factorial_exact_ln(n)
-        notes = [
-            ERRATA.get(("2.6", f"n={n} calculated"), ""),
-            ERRATA.get(("2.6", f"n={n} actual"), ""),
-        ]
-        rows.append(
-            Row(
-                inputs={"n": n},
-                calculated=est.value,
-                reference=math.exp(ref_ln) if ref_ln < 700 else math.inf,
-                percent_error=percent_error_from_ln(est.ln_value, ref_ln),
-                printed=printed_calc,
-                match=_match_t2_6(est, printed_calc),
-                erratum="; ".join(note for note in notes if note),
-            )
+        yield _row(
+            {"n": n},
+            est.value,
+            math.exp(ref_ln) if ref_ln < 700 else math.inf,
+            printed,
+            erratum=_erratum("2.6", f"n={n} calculated", f"n={n} actual"),
+            match=_log_match(est.ln_value, printed),
+            percent=percent_error_from_ln(est.ln_value, ref_ln),
         )
-    return TableReport("2.6", ("n",), "%.9g", tuple(rows))
 
 
-def _match_t2_6(est, printed: str) -> bool:
+def _log_match(ln_value: float, printed: str) -> bool:
     # Compare in log space so 160! does not overflow the comparison.
     tol = _printed_tolerance(printed)
     target = float(printed)
-    return abs(math.exp(est.ln_value - math.log(target)) - 1.0) <= tol / target
+    return abs(math.exp(ln_value - math.log(target)) - 1.0) <= tol / target
 
 
-def _gen_nr_gamma(series_terms: int | None = None, limit_n: int | None = None) -> TableReport:
-    variants = [
-        consts.variant(consts.NrKind.INTEGRAL),
-        consts.variant(consts.NrKind.DIRECT_SERIES, terms=series_terms),
-        consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=limit_n),
-    ]
-    printed = {consts.NrKind.INTEGRAL: "0.5736309333"}
-    rows = []
-    for v in variants:
-        gamma = consts.euler_gamma(v)
-        parameter = v.terms if v.kind is consts.NrKind.DIRECT_SERIES else v.n
-        rows.append(
-            Row(
-                inputs={
-                    "variant": v.kind.value,
-                    "parameter": "" if parameter is None else parameter,
-                    "number_constant": "%.12g" % v.value,
-                },
-                calculated=gamma,
-                reference=consts.EULER_GAMMA_REFERENCE,
-                percent_error=percent_error(gamma, consts.EULER_GAMMA_REFERENCE),
-                printed=printed.get(v.kind),
-                match=(
-                    _match(gamma, printed[v.kind], 1e-9) if v.kind in printed else None
-                ),
-            )
-        )
-    return TableReport(
-        "nr-gamma", ("variant", "parameter", "number_constant"), "%.12g", tuple(rows)
-    )
+def _nr_gamma():
+    for kind in consts.NrKind:
+        v = consts.variant(kind)
+        parameter = v.terms if kind is consts.NrKind.DIRECT_SERIES else v.n
+        printed = "0.5736309333" if kind is consts.NrKind.INTEGRAL else None
+        inputs = {
+            "variant": kind.value,
+            "parameter": "" if parameter is None else parameter,
+            "number_constant": "%.12g" % v.value,
+        }
+        yield _row(inputs, consts.euler_gamma(v), consts.EULER_GAMMA_REFERENCE, printed, 1e-9)
 
 
-_GENERATORS = {
-    TableId.T2_1: _gen_t2_1,
-    TableId.T2_2: _gen_t2_2,
-    TableId.T2_3: _gen_t2_3,
-    TableId.T2_4: _gen_t2_4,
-    TableId.T2_5: _gen_t2_5,
-    TableId.T2_6: _gen_t2_6,
-    TableId.NR_GAMMA: _gen_nr_gamma,
+# Each table's row builder, input columns and printf spec for the
+# calculated column (mirroring the source's printed digits).
+_TABLES = {
+    TableId.T2_1: (_t2_1, ("x",), "%.10g"),
+    TableId.T2_2: (_t2_2, ("x", "formula"), "%.10g"),
+    TableId.T2_3: (_t2_3, ("x", "quantity"), "%.7g"),
+    TableId.T2_4: (_t2_4, ("x",), "%.5f"),
+    TableId.T2_5: (_t2_5, ("m", "p", "q"), "%.10g"),
+    TableId.T2_6: (_t2_6, ("n",), "%.9g"),
+    TableId.NR_GAMMA: (_nr_gamma, ("variant", "parameter", "number_constant"), "%.12g"),
 }
 
 
 def build(table_id: TableId) -> TableReport:
-    if table_id not in _GENERATORS:
-        raise DomainError(f"no generator for table {table_id}")
-    return _GENERATORS[table_id]()
+    builder, input_columns, calculated_format = _TABLES[table_id]
+    return TableReport(table_id.value, input_columns, calculated_format, tuple(builder()))
 
 
 def generate(table_id: TableId, fmt: str = "csv") -> str:
@@ -496,26 +390,23 @@ def generate(table_id: TableId, fmt: str = "csv") -> str:
 
 
 # -- sweeps ----------------------------------------------------------------
+# Sweeps have no print to match.  Their grids are non-empty lists of
+# positive integers; a value outside a formula's domain raises DomainError.
+
+
+def _check_grid(grid: list[int]) -> None:
+    if not grid:
+        raise DomainError("empty sweep grid")
 
 
 def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
-    if not multipliers:
-        raise DomainError("empty multiplier grid")
+    _check_grid(multipliers)
     reference = ln_value(p / q)
     rows = []
     for m in multipliers:
         value = ln_rational(ScaledRational(p=p, q=q, m=m), LogVariant.TRUNCATED)
-        rows.append(
-            Row(
-                inputs={"p": p, "q": q, "m": m},
-                calculated=value,
-                reference=reference,
-                percent_error=percent_error(value, reference),
-                printed=None,
-                match=None,
-            )
-        )
+        rows.append(_row({"p": p, "q": q, "m": m}, value, reference))
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 
@@ -523,44 +414,26 @@ def sweep_factorial(
     grid: list[int], method: FactorialMethod = FactorialMethod.CORRECTED
 ) -> TableReport:
     """Factorial percent error (log-space) across an n grid."""
-    if not grid:
-        raise DomainError("empty factorial grid")
+    _check_grid(grid)
     rows = []
     for n in grid:
-        est = factorial_estimate(n, method)
+        ln_est = factorial_estimate(n, method).ln_value
         ref_ln = factorial_exact_ln(n)
-        rows.append(
-            Row(
-                inputs={"n": n, "method": method.value},
-                calculated=est.ln_value,
-                reference=ref_ln,
-                percent_error=percent_error_from_ln(est.ln_value, ref_ln),
-                printed=None,
-                match=None,
-            )
-        )
+        percent = percent_error_from_ln(ln_est, ref_ln)
+        rows.append(_row({"n": n, "method": method.value}, ln_est, ref_ln, percent=percent))
     return TableReport("sweep", ("n", "method"), "%.17g", tuple(rows))
 
 
 def sweep_nr(grid: list[int]) -> TableReport:
     """All three Number Constant variants across a size grid."""
-    if not grid:
-        raise DomainError("empty grid")
-    rows = []
-    for n in grid:
+    _check_grid(grid)
+    rows = [
+        _row({"n": n, "variant": v.kind.value}, v.value, None)
+        for n in grid
         for v in (
             consts.variant(consts.NrKind.INTEGRAL),
             consts.variant(consts.NrKind.DIRECT_SERIES, terms=n),
             consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=max(n, 2)),
-        ):
-            rows.append(
-                Row(
-                    inputs={"n": n, "variant": v.kind.value},
-                    calculated=v.value,
-                    reference=None,
-                    percent_error=None,
-                    printed=None,
-                    match=None,
-                )
-            )
+        )
+    ]
     return TableReport("sweep", ("n", "variant"), "%.17g", tuple(rows))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from harmlog import cli
+from harmlog.errors import DomainError
 from harmlog.harmonic import ScaledRational, ln_rational
 from harmlog.tables import TableId, generate
 
@@ -55,6 +56,26 @@ class TestLnCommand:
         code, out, _ = run(capsys, "ln", "1", "2", "--format", "json")
         assert code == 0
         assert json.loads(out)["m"] == 101
+
+    def test_non_integer_multiplier_rejected(self, capsys):
+        assert_one_line_error(run(capsys, "ln", "1", "2", "--m", "abc"), "--m")
+
+    def test_non_integer_env_threshold_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("HARMLOG_THRESHOLD", "abc")
+        assert_one_line_error(run(capsys, "ln", "1", "2"), "HARMLOG_THRESHOLD")
+
+    def test_fixed_multiplier_validates_like_auto(self, capsys):
+        code, _, err = run(capsys, "ln", "3", "-2", "--m", "25")
+        assert code == 2
+        assert "no logarithm in real quantities" in err
+
+
+def assert_one_line_error(result, needle):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
 
 
 class TestFactorialCommand:
@@ -145,6 +166,11 @@ class TestTableCommand:
         assert code == 2
         assert "unknown table" in err
 
+    def test_sweep_is_not_a_table(self, capsys):
+        code, _, err = run(capsys, "table", "sweep")
+        assert code == 2
+        assert "unknown table" in err
+
 
 class TestSweepCommand:
     def test_ln_sweep_doubling_grid(self, capsys):
@@ -166,6 +192,20 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "ln", "--m", "whoops")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("spec", ["0:10:double", "-4:10:double", "0:10:2"])
+    def test_range_must_start_positive(self, spec):
+        # A doubling range from 0 or below would never pass its stop.
+        with pytest.raises(DomainError):
+            cli._parse_grid(spec)
+
+    def test_doubling_from_zero_exits_2(self, capsys):
+        assert_one_line_error(run(capsys, "sweep", "ln", "--m", "0:10:double"), "grid start")
+
+    def test_empty_range_rejected(self, capsys):
+        code, _, err = run(capsys, "sweep", "nr", "--n", "10:5:1")
+        assert code == 2
+        assert "empty" in err
 
 
 class TestUnknownFlags:

@@ -75,19 +75,8 @@ class TestCorrectionSum:
     def test_positive_for_nonempty(self):
         assert harmonic.correction_sum(7, 7) > 0.0
 
-
-class TestOddHarmonicRange:
-    def test_compute(self):
-        r = harmonic.OddHarmonicRange.compute(2, 10)
-        assert r.harmonic_sum == harmonic.odd_harmonic_sum(2, 10)
-        assert r.correction_sum == harmonic.correction_sum(2, 10)
-        assert not r.is_empty
-
-    def test_empty(self):
-        r = harmonic.OddHarmonicRange.compute(5, 4)
-        assert r.is_empty
-        assert r.harmonic_sum == 0.0
-        assert r.correction_sum == 0.0
+    def test_empty_range(self):
+        assert harmonic.correction_sum(5, 4) == 0.0
 
 
 class TestLnInteger:
@@ -241,3 +230,9 @@ class TestLnAuto:
     def test_both_negative_is_positive_ratio(self):
         m, value = harmonic.ln_auto(-1, -2)
         assert value == pytest.approx(math.log(0.5), abs=2e-5)
+
+
+class TestPositiveRatio:
+    def test_normalises_a_negative_pair(self):
+        assert harmonic.positive_ratio(-3, -4) == (3, 4)
+        assert harmonic.positive_ratio(3, 4) == (3, 4)
