@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ln, factorial, gamma, cnr, nbb, table, sweep.
-Exit codes: 0 success, 2 domain rejection, 3 overflow, 4 I/O error.
+Exit codes: 0 success, 2 domain rejection, 3 overflow or work limit, 4 I/O error.
 HARMLOG_THRESHOLD overrides the default auto-scaling threshold of 150.
 """
 
@@ -15,7 +15,7 @@ import sys
 
 from . import constants as consts
 from . import tables
-from .cnr import CnrMethod, CnrTag, evaluate, nbb_decompose
+from .cnr import DEFAULT_SCALE, CnrMethod, CnrTag, evaluate, nbb_decompose
 from .errors import DomainError, HarmlogError, OverflowLimitError
 from .factorial import FactorialMethod, estimate as factorial_estimate
 from .harmonic import (
@@ -84,7 +84,7 @@ def _cmd_ln(args) -> None:
             "variant": variant.value,
             "estimate": value,
             "oracle": reference,
-            "percent_error": percent_error(value, reference) if reference != 0 else 0.0,
+            "percent_error": percent_error(value, reference),
         },
         args.format,
     )
@@ -119,14 +119,17 @@ def _cmd_gamma(args) -> None:
     )
 
 
+_CNR_METHODS = {
+    "lemma11": CnrTag.LEMMA11,
+    "pow2": CnrTag.POW2,
+    "exp": CnrTag.EXP_FULL,
+    "scaled": CnrTag.EXP_SCALED,
+    "large": CnrTag.EXP_LARGE,
+}
+
+
 def _cmd_cnr(args) -> None:
-    tag = {
-        "lemma11": CnrTag.LEMMA11,
-        "pow2": CnrTag.POW2,
-        "exp": CnrTag.EXP_FULL,
-        "scaled": CnrTag.EXP_SCALED,
-        "large": CnrTag.EXP_LARGE,
-    }[args.method]
+    tag = _CNR_METHODS[args.method]
     method = CnrMethod(tag, args.m if tag is CnrTag.EXP_SCALED else None)
     result = evaluate(args.x, method)
     _emit(
@@ -244,10 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cnr", help="exponential-form approximations of a number")
     p.add_argument("x", type=float)
+    p.add_argument("--method", choices=list(_CNR_METHODS), default="exp")
     p.add_argument(
-        "--method", choices=("lemma11", "pow2", "exp", "scaled", "large"), default="exp"
+        "--m", type=int, default=DEFAULT_SCALE, help="multiplier for --method scaled"
     )
-    p.add_argument("--m", type=int, default=100, help="multiplier for --method scaled")
     add_format(p)
     p.set_defaults(func=_cmd_cnr)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, OverflowLimitError
 from .oracle import percent_error
 
 # Scaled-variant default; matches the multiplier used throughout the
@@ -79,17 +79,13 @@ def approx_number_scaled(x: float, m: int = DEFAULT_SCALE) -> float:
         raise DomainError("approx_number_scaled undefined at x = 0")
     mx = m * x
     denom = 2.0 * mx - 1.0 - 1.0 / mx**3
-    if denom == 0:
+    if denom == 0:  # also mx = 1, where the result would degenerate to 0
         raise DomainError(f"exponent denominator vanishes at x = {x}, m = {m}")
-    if mx == 1:
-        raise DomainError(f"result degenerates to 0 at x = 1/{m}")
     return (x - 1.0 / m) * math.exp(2.0 / denom)
 
 
 def approx_number_exp(x: float) -> float:
     """(x - 1) * e**(2/(2x - 1 - 1/x**3)); the m = 1 case of the scaled form."""
-    if x == 1:
-        raise DomainError("approx_number_exp degenerates to 0 at x = 1")
     return approx_number_scaled(x, 1)
 
 
@@ -109,26 +105,32 @@ def evaluate(x: float, method: CnrMethod) -> ApproxValue:
     """Run one approximation and package it with its signed percent error.
 
     The reference is x itself for the number forms and x/(x-1) for the
-    CNR form.
+    CNR form.  Every field of the result is finite: a non-finite x or a
+    division by zero raises DomainError, and a form or an error that
+    overflows binary64 raises OverflowLimitError.
     """
-    if method.tag is CnrTag.LEMMA11:
-        value, reference = approx_lemma11(x), x
-    elif method.tag is CnrTag.POW2:
-        if x == 1:
-            raise DomainError("CNR x/(x-1) is singular at x = 1")
-        value, reference = approx_cnr_pow2(x), x / (x - 1.0)
-    elif method.tag is CnrTag.EXP_FULL:
-        value, reference = approx_number_exp(x), x
-    elif method.tag is CnrTag.EXP_SCALED:
-        value, reference = approx_number_scaled(x, method.m), x
-    else:
-        value, reference = approx_number_large(x), x
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+    try:
+        if method.tag is CnrTag.LEMMA11:
+            value, reference = approx_lemma11(x), x
+        elif method.tag is CnrTag.POW2:
+            value, reference = approx_cnr_pow2(x), x / (x - 1.0)
+        elif method.tag is CnrTag.EXP_FULL:
+            value, reference = approx_number_exp(x), x
+        elif method.tag is CnrTag.EXP_SCALED:
+            value, reference = approx_number_scaled(x, method.m), x
+        else:
+            value, reference = approx_number_large(x), x
+        error = percent_error(value, reference)
+    except ZeroDivisionError:
+        raise DomainError(f"{method.tag.value} divides by zero at x = {x!r}") from None
+    except OverflowError:
+        error = math.inf
+    if not math.isfinite(error):
+        raise OverflowLimitError(f"{method.tag.value} overflows binary64 at x = {x!r}")
     return ApproxValue(
-        input=x,
-        method=method,
-        value=value,
-        reference=reference,
-        percent_error=percent_error(value, reference),
+        input=x, method=method, value=value, reference=reference, percent_error=error
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
-from .harmonic import correction_sum, odd_harmonic_sum
+from .harmonic import _window, correction_sum, odd_harmonic_sum
 from .oracle import LN2, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -89,5 +89,5 @@ def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p."""
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
-    harmonic = math.fsum(1.0 / x for x in range(p, 0, -1))
+    harmonic = math.fsum(1.0 / x for x in _window(1, p))
     return harmonic - (0.0 if p == 1 else ln_value(p))

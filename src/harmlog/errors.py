@@ -18,7 +18,7 @@ class ZeroOrInfiniteError(DomainError):
 
 
 class OverflowLimitError(HarmlogError):
-    """A scaled index would exceed the 63-bit safety cap."""
+    """A window index or term count is past its cap, or a value overflows binary64."""
 
 
 class OracleIntegrityError(HarmlogError):

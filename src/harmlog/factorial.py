@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
+from .harmonic import _window
 from .oracle import ln_value
 
 # Integral closed form of the tail sum, evaluated at its lower bound; the
@@ -44,7 +45,7 @@ def s_sum_exact(n: int) -> float:
     """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, smallest terms first."""
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {n}")
-    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in range(n, 1, -1))
+    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in _window(2, n))
 
 
 def s_sum_closed(n: int) -> float:
@@ -81,9 +82,7 @@ def factorial_raw(n: int) -> FactorialEstimate:
         - 2.0 * (1.0 / n + 1.0 / (4.0 * n * n))
         - 4.0 * math.log1p(-1.0 / (2.0 * n))
     )
-    return FactorialEstimate(
-        n=n, ln_value=ln_est, value=_safe_exp(ln_est), method=FactorialMethod.RAW
-    )
+    return _estimate(n, ln_est, FactorialMethod.RAW)
 
 
 def factorial_corrected(n: int) -> FactorialEstimate:
@@ -100,29 +99,21 @@ def factorial_corrected(n: int) -> FactorialEstimate:
         - 2.0 * (1.0 / n + 10.0 / (33.0 * n * n))
         - 4.0 * math.log1p(-200.0 / (387.0 * n))
     )
-    return FactorialEstimate(
-        n=n, ln_value=ln_est, value=_safe_exp(ln_est), method=FactorialMethod.CORRECTED
-    )
-
-
-def factorial_series(n: int) -> FactorialEstimate:
-    """FactorialEstimate wrapper around ln_factorial_series."""
-    ln_est = ln_factorial_series(n)
-    return FactorialEstimate(
-        n=n, ln_value=ln_est, value=_safe_exp(ln_est), method=FactorialMethod.SERIES_EXACT
-    )
+    return _estimate(n, ln_est, FactorialMethod.CORRECTED)
 
 
 def estimate(n: int, method: FactorialMethod) -> FactorialEstimate:
     if method is FactorialMethod.SERIES_EXACT:
-        return factorial_series(n)
+        return _estimate(n, ln_factorial_series(n), method)
     if method is FactorialMethod.RAW:
         return factorial_raw(n)
     return factorial_corrected(n)
 
 
-def _safe_exp(ln_est: float) -> float:
+def _estimate(n: int, ln_est: float, method: FactorialMethod) -> FactorialEstimate:
+    """The one place a FactorialEstimate is built; value is inf on overflow."""
     try:
-        return math.exp(ln_est)
+        value = math.exp(ln_est)
     except OverflowError:
-        return math.inf
+        value = math.inf
+    return FactorialEstimate(n=n, ln_value=ln_est, value=value, method=method)

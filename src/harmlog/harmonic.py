@@ -6,9 +6,10 @@ approximates ln(n).  Quotients shift the index window instead of
 differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
-Sums iterate from the largest index down (smallest terms first) and are
-accumulated with exact compensated summation, which makes the additivity
-and antisymmetry properties hold to a few ulp.
+Every sum iterates one checked index window, `_window`, from the largest
+index down (smallest terms first) and is accumulated with exact compensated
+summation, which makes the additivity and antisymmetry properties hold to a
+few ulp.
 """
 
 from __future__ import annotations
@@ -28,9 +29,13 @@ from .errors import (
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
 DEFAULT_THRESHOLD = 150
 
-# Scaled indices stay below 2**63 - 1; beyond that the sums are
-# uncomputable in reasonable time anyway.
+# Window indices stay below 2**63 - 1, so that the big-int denominator
+# k**3 (2k-1)**2 of a correction term still converts to a float.
 _INDEX_CAP = 2**63 - 1
+
+# Most terms one window may sum: under a minute at the slowest kernel's
+# ~360 ns per term.  The longest windows in use have 10**7 terms.
+MAX_TERMS = 10**8
 
 
 class LogVariant(Enum):
@@ -38,18 +43,32 @@ class LogVariant(Enum):
     TRUNCATED = "truncated"  # harmonic terms only
 
 
+def _window(a: int, b: int, first: int = 1) -> range:
+    """The indices b down to a of a series window, so the smallest term comes first.
+
+    b = a-1 encodes the empty window.  Raises DomainError for a < first or
+    b < a-1, and OverflowLimitError past the index cap or MAX_TERMS, before
+    any term is summed.
+    """
+    if a < first or b < a - 1:
+        raise DomainError(f"invalid series window [{a}, {b}]")
+    if b > _INDEX_CAP:
+        raise OverflowLimitError(f"window index {b} exceeds 63-bit cap")
+    if b - a + 1 > MAX_TERMS:
+        raise OverflowLimitError(
+            f"window [{a}, {b}] has {b - a + 1} terms, over the limit of {MAX_TERMS}"
+        )
+    return range(b, a - 1, -1)
+
+
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range."""
-    if a < 1 or b < a - 1:
-        raise DomainError(f"invalid odd-harmonic range [{a}, {b}]")
-    return math.fsum(1.0 / (2 * k - 1) for k in range(b, a - 1, -1))
+    return math.fsum(1.0 / (2 * k - 1) for k in _window(a, b))
 
 
 def correction_sum(a: int, b: int) -> float:
     """Sum of 1/(k**3 (2k-1)**2) for k = a..b; empty range is 0."""
-    if a < 2 or b < a - 1:
-        raise DomainError(f"invalid correction range [{a}, {b}]")
-    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(b, a - 1, -1))
+    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in _window(a, b, first=2))
 
 
 @dataclass(frozen=True)
@@ -65,8 +84,7 @@ class ScaledRational:
             raise DomainError(f"p and q must be positive, got {self.p}/{self.q}")
         if self.m < 1:
             raise DomainError(f"multiplier m must be >= 1, got {self.m}")
-        _check_index(self.m * self.p)
-        _check_index(self.m * self.q)
+        _window(self.m * min(self.p, self.q) + 1, self.m * max(self.p, self.q))
 
     @property
     def scaled_p(self) -> int:
@@ -75,11 +93,6 @@ class ScaledRational:
     @property
     def scaled_q(self) -> int:
         return self.m * self.q
-
-
-def _check_index(value: int) -> None:
-    if value > _INDEX_CAP:
-        raise OverflowLimitError(f"scaled index {value} exceeds 63-bit cap")
 
 
 def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
@@ -94,7 +107,6 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
         return 0.0
     if x < y:
         return -ln_quotient(y, x, variant)
-    _check_index(x)
     total = 2.0 * odd_harmonic_sum(y + 1, x)
     if variant is LogVariant.FULL:
         total += 2.0 * correction_sum(y + 1, x)
@@ -103,8 +115,6 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
 
 def ln_integer(n: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(n) for a positive integer; n = 1 gives exactly 0."""
-    if n < 1:
-        raise DomainError(f"ln_integer requires n >= 1, got {n}")
     return ln_quotient(n, 1, variant)
 
 

@@ -58,13 +58,13 @@ _LN2_SERIES = 2.0 * math.fsum((1.0 / 3.0) ** k / k for k in range(99, 0, -2))
 
 
 def ln_ref(x: float) -> ReferenceValue:
-    """Reference natural logarithm of a positive real.
+    """Reference natural logarithm of a positive finite real.
 
     Raises OracleIntegrityError if the platform log and the series path
     disagree beyond 1e-13 relative.
     """
-    if x <= 0:
-        raise DomainError(f"ln_ref requires x > 0, got {x}")
+    if not 0 < x < math.inf:  # also rejects nan
+        raise DomainError(f"ln_ref requires a finite x > 0, got {x}")
     platform = math.log(x)
     series = _artanh_series_ln(x)
     scale = max(abs(platform), 1.0)
@@ -88,8 +88,6 @@ def factorial_exact_ln(n: int) -> float:
     """ln(n!) from the exact big-integer factorial (lgamma above the cap)."""
     if n < 0:
         raise DomainError(f"factorial_exact_ln requires n >= 0, got {n}")
-    if n <= 1:
-        return 0.0
     if n <= _BIGINT_FACTORIAL_MAX:
         return math.log(math.factorial(n))
     return math.lgamma(n + 1)
@@ -98,6 +96,8 @@ def factorial_exact_ln(n: int) -> float:
 def percent_error(approx: float, reference: float) -> float:
     """Signed percentage error (approx - reference) / reference * 100."""
     if reference == 0:
+        if approx == 0:
+            return 0.0  # an exact zero is a 0 % error
         raise DomainError("percent_error undefined for reference = 0")
     return (approx - reference) / reference * 100.0
 

@@ -86,34 +86,25 @@ class TableReport:
             row.erratum,
         ]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow(self._cells(row))
-        return buf.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| " + " | ".join(self.columns) + " |",
-            "| " + " | ".join("---" for _ in self.columns) + " |",
-        ]
-        for row in self.rows:
-            lines.append("| " + " | ".join(self._cells(row)) + " |")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        objs = [dict(zip(self.columns, self._cells(row))) for row in self.rows]
-        return json.dumps(objs, indent=2) + "\n"
-
     def serialize(self, fmt: str) -> str:
         if fmt == "csv":
-            return self.to_csv()
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(self.columns)
+            for row in self.rows:
+                writer.writerow(self._cells(row))
+            return buf.getvalue()
         if fmt == "markdown":
-            return self.to_markdown()
+            lines = [
+                "| " + " | ".join(self.columns) + " |",
+                "| " + " | ".join("---" for _ in self.columns) + " |",
+            ]
+            for row in self.rows:
+                lines.append("| " + " | ".join(self._cells(row)) + " |")
+            return "\n".join(lines) + "\n"
         if fmt == "json":
-            return self.to_json()
+            objs = [dict(zip(self.columns, self._cells(row))) for row in self.rows]
+            return json.dumps(objs, indent=2) + "\n"
         raise DomainError(f"unknown format {fmt!r}")
 
 

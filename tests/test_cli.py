@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmlog import cli
 from harmlog.errors import DomainError
@@ -70,9 +74,9 @@ class TestLnCommand:
         assert "no logarithm in real quantities" in err
 
 
-def assert_one_line_error(result, needle):
+def assert_one_line_error(result, needle, exit_code=2):
     code, out, err = result
-    assert code == 2
+    assert code == exit_code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
@@ -206,6 +210,70 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "nr", "--n", "10:5:1")
         assert code == 2
         assert "empty" in err
+
+    def test_equal_ratio_is_a_zero_error(self, capsys):
+        # ln(3/3) is exactly 0 on both sides, which is a 0 % error.
+        code, out, _ = run(capsys, "sweep", "ln", "--p", "3", "--q", "3", "--m", "5")
+        assert code == 0
+        assert out.splitlines()[1] == "3,3,5,0,0,0,,,"
+
+
+class TestWorkLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ln", "1", "2", "--m", "1000000000"],
+            ["ln", "1000000000", "1"],
+            ["gamma", "--nr", "series", "--n", "1000000000000"],
+            ["gamma", "--nr", "limit", "--n", "1000000000000"],
+            ["factorial", "1000000000000", "--method", "series"],
+            ["sweep", "nr", "--n", "1000000000000"],
+        ],
+    )
+    def test_long_window_exits_3_before_summing(self, capsys, argv):
+        assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
+
+    def test_index_cap_exits_3(self, capsys):
+        # One term, but k**3 (2k-1)**2 of a 70-digit k does not fit a float.
+        p = 10**69 + 1
+        argv = ["ln", str(p), str(p - 1), "--m", "1", "--variant", "full"]
+        assert_one_line_error(run(capsys, *argv), "63-bit cap", exit_code=3)
+
+
+class TestCnrContract:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.floats(),
+        method=st.sampled_from(["lemma11", "pow2", "exp", "scaled", "large"]),
+        m=st.integers(min_value=-5, max_value=10**6),
+    )
+    def test_finite_answer_or_one_error_line(self, x, method, m):
+        argv = ["cnr", "--method", method, "--m", str(m), "--format", "json", "--", repr(x)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            record = json.loads(out.getvalue())
+            assert all(math.isfinite(v) for v in record.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize(
+        "argv, code, needle",
+        [
+            (["cnr", "nan"], 2, "finite"),
+            (["cnr", "inf", "--method", "scaled"], 2, "finite"),
+            (["cnr", "1e-200"], 2, "divides by zero"),
+            (["cnr", "1", "--method", "pow2"], 2, "divides by zero"),
+            (["cnr", "1.0000001", "--method", "lemma11"], 3, "overflows"),
+            (["cnr", "1.7976931348623157e308"], 3, "overflows"),
+            (["cnr", "--method", "pow2", "--", "2.2250738585072014e-308"], 3, "overflows"),
+        ],
+    )
+    def test_known_inputs(self, capsys, argv, code, needle):
+        assert_one_line_error(run(capsys, *argv), needle, exit_code=code)
 
 
 class TestUnknownFlags:

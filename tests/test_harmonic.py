@@ -206,6 +206,11 @@ class TestLnRational:
         with pytest.raises(OverflowLimitError):
             ScaledRational(p=2**40, q=1, m=2**40)
 
+    def test_work_limit_at_construction(self):
+        # Window [m+1, 4m] has 3 * 10**8 terms, over harmonic.MAX_TERMS.
+        with pytest.raises(OverflowLimitError):
+            ScaledRational(p=4, q=1, m=10**8)
+
 
 class TestLnAuto:
     def test_smallest_multiplier(self):

@@ -23,7 +23,7 @@ def test_ln_ref_thirty_exposes_table_typo():
 
 
 def test_ln_ref_rejects_nonpositive():
-    for x in (0.0, -1.0):
+    for x in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             oracle.ln_ref(x)
 
@@ -74,6 +74,12 @@ def test_percent_error_convention():
 def test_percent_error_rejects_zero_reference():
     with pytest.raises(DomainError):
         oracle.percent_error(1.0, 0.0)
+
+
+def test_percent_error_exact_zero_is_zero():
+    assert oracle.percent_error(0.0, 0.0) == 0.0
+    with pytest.raises(DomainError):
+        oracle.percent_error(-1e-300, 0.0)
 
 
 def test_percent_error_from_ln_matches_linear():

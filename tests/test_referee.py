@@ -1,0 +1,65 @@
+"""High-precision referee: 50-digit decimal sums and logarithms.
+
+The binary64 kernels are checked against `decimal` at 50 significant
+digits, whose own rounding error (at most one half-unit in the 50th digit
+per operation, a few thousand operations) is far below one binary64 ulp.
+"""
+
+import math
+import random
+from decimal import Decimal, localcontext
+
+import pytest
+
+from harmlog import harmonic, oracle
+
+_PREC = 50
+
+
+def _ulps(got: float, exact: Decimal) -> Decimal:
+    """|got - exact| in units of the last place of got."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        return abs(Decimal(got) - exact) / Decimal(math.ulp(got))
+
+
+def _decimal_sum(denominator, a: int, b: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        return sum(Decimal(1) / Decimal(denominator(k)) for k in range(a, b + 1))
+
+
+def _windows(seed: int, first: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(40):
+        a = rng.randint(first, 3000)
+        windows.append((a, a + rng.randint(1, 3000) - 1))
+    return windows
+
+
+@pytest.mark.parametrize("a, b", _windows(seed=1, first=1))
+def test_odd_harmonic_sum_within_one_ulp(a, b):
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
+
+
+@pytest.mark.parametrize("a, b", _windows(seed=2, first=2))
+def test_correction_sum_within_one_ulp(a, b):
+    # Each term's big-int denominator is rounded once to a float, so the
+    # sum is not always correctly rounded; one ulp still holds.
+    exact = _decimal_sum(lambda k: k**3 * (2 * k - 1) ** 2, a, b)
+    assert _ulps(harmonic.correction_sum(a, b), exact) <= 1
+
+
+_LN_GRID = [10.0 ** (-300 + 600 * i / 399) for i in range(400)]
+
+
+def test_ln_ref_within_one_ulp_and_its_bound():
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for x in _LN_GRID:
+            ref = oracle.ln_ref(x)
+            exact = Decimal(x).ln()
+            assert _ulps(ref.value, exact) <= 1, x
+            assert abs(Decimal(ref.value) - exact) <= Decimal(ref.guaranteed_abs_error), x
