@@ -32,6 +32,12 @@ _EXIT_DOMAIN = 2
 _EXIT_OVERFLOW = 3
 _EXIT_IO = 4
 
+# Most points a stepped grid spec may expand to.  Each point is at least one
+# series sum and one printed row; without a limit, '1:10**9:1' builds a list
+# of 10**9 ints (tens of GB) before any sum runs.  Doubling grids stay far
+# below it.
+_MAX_GRID_POINTS = 10**4
+
 
 def _emit(record: dict, fmt: str) -> None:
     """Print one result record; plain mirrors display precision, json is exact."""
@@ -196,6 +202,11 @@ def _parse_grid(spec: str) -> list[int]:
     if increment is not None:
         if increment < 1:
             raise DomainError(f"bad grid step in {spec!r}")
+        points = max(0, (stop - start) // increment + 1)
+        if points > _MAX_GRID_POINTS:
+            raise OverflowLimitError(
+                f"grid spec {spec!r} has {points} points, over the limit of {_MAX_GRID_POINTS}"
+            )
         return list(range(start, stop + 1, increment))
     values = []
     while start <= stop:

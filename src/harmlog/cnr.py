@@ -22,6 +22,11 @@ from .oracle import percent_error
 # reference tables for arguments near 1.
 DEFAULT_SCALE = 100
 
+# Most blocks nbb_decompose may build.  Time and memory grow linearly in n:
+# 10**6 blocks take ~2 s to build, and `harmlog nbb`, which also multiplies
+# and prints them, ~4 s and ~210 MB in all (measured on a 2-vCPU x86-64 VM).
+NBB_MAX_BLOCKS = 10**6
+
 
 class CnrTag(Enum):
     LEMMA11 = "lemma11"
@@ -135,7 +140,14 @@ def evaluate(x: float, method: CnrMethod) -> ApproxValue:
 
 
 def nbb_decompose(n: int) -> list[Fraction]:
-    """The n-1 building blocks (2/1), (3/2), ..., (n/(n-1)) of an integer."""
+    """The n-1 building blocks (2/1), (3/2), ..., (n/(n-1)) of an integer.
+
+    Raises OverflowLimitError past NBB_MAX_BLOCKS blocks, before building any.
+    """
     if n < 2:
         raise DomainError(f"nbb_decompose requires n >= 2, got {n}")
+    if n - 1 > NBB_MAX_BLOCKS:
+        raise OverflowLimitError(
+            f"nbb {n} has {n - 1} blocks, over the limit of {NBB_MAX_BLOCKS}"
+        )
     return [Fraction(k, k - 1) for k in range(2, n + 1)]

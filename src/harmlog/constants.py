@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
+from operator import truediv
 
 from .errors import DomainError
 from .harmonic import _window, correction_sum, odd_harmonic_sum
@@ -89,5 +91,5 @@ def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p."""
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
-    harmonic = math.fsum(1.0 / x for x in _window(1, p))
+    harmonic = math.fsum(map(truediv, repeat(1.0), _window(1, p)))
     return harmonic - (0.0 if p == 1 else ln_value(p))

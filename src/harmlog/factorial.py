@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
-from .harmonic import _window
+from .errors import DomainError, OverflowLimitError
+from .harmonic import _decaying_sum
 from .oracle import ln_value
 
 # Integral closed form of the tail sum, evaluated at its lower bound; the
@@ -42,10 +42,10 @@ class FactorialEstimate:
 
 
 def s_sum_exact(n: int) -> float:
-    """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, smallest terms first."""
+    """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, correctly rounded."""
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {n}")
-    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in _window(2, n))
+    return _decaying_sum(2, n, 3, 1)
 
 
 def s_sum_closed(n: int) -> float:
@@ -62,10 +62,19 @@ def s_sum_closed(n: int) -> float:
     )
 
 
+def _check_n(n: int, least: int, name: str) -> None:
+    """DomainError for n < least; OverflowLimitError if n is past binary64's range."""
+    if n < least:
+        raise DomainError(f"{name} requires n >= {least}, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise OverflowLimitError(f"{name}: n of {n.bit_length()} bits is past binary64") from None
+
+
 def ln_factorial_series(n: int) -> float:
     """(n + 1/2) ln n - (n - 1) - s_sum_exact(n); n = 1 gives 0."""
-    if n < 1:
-        raise DomainError(f"ln_factorial_series requires n >= 1, got {n}")
+    _check_n(n, 1, "ln_factorial_series")
     if n == 1:
         return 0.0
     return (n + 0.5) * ln_value(n) - (n - 1) - s_sum_exact(n)
@@ -73,8 +82,7 @@ def ln_factorial_series(n: int) -> float:
 
 def factorial_raw(n: int) -> FactorialEstimate:
     """Raw closed-form factorial: the series form with the tail's integral."""
-    if n < 2:
-        raise DomainError(f"factorial_raw requires n >= 2, got {n}")
+    _check_n(n, 2, "factorial_raw")
     ln_est = (
         RAW_CONST
         + 0.5 * math.log(n)
@@ -91,8 +99,7 @@ def factorial_corrected(n: int) -> FactorialEstimate:
     ln n! ~ (1.83788 + ln n)/2 + n(ln n - 1) - 2(1/n + 10/(33 n**2))
             - 4 ln(1 - 200/(387 n)).
     """
-    if n < 2:
-        raise DomainError(f"factorial_corrected requires n >= 2, got {n}")
+    _check_n(n, 2, "factorial_corrected")
     ln_est = (
         0.5 * (1.83788 + math.log(n))
         + n * (math.log(n) - 1.0)
@@ -111,7 +118,12 @@ def estimate(n: int, method: FactorialMethod) -> FactorialEstimate:
 
 
 def _estimate(n: int, ln_est: float, method: FactorialMethod) -> FactorialEstimate:
-    """The one place a FactorialEstimate is built; value is inf on overflow."""
+    """The one place a FactorialEstimate is built; value is inf on overflow.
+
+    ln_est itself must be finite: past n ~ 2.5e305, ln n! overflows binary64.
+    """
+    if not math.isfinite(ln_est):
+        raise OverflowLimitError(f"ln n! overflows binary64 at n of {n.bit_length()} bits")
     try:
         value = math.exp(ln_est)
     except OverflowError:

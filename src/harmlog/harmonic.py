@@ -6,17 +6,27 @@ approximates ln(n).  Quotients shift the index window instead of
 differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
-Every sum iterates one checked index window, `_window`, from the largest
-index down (smallest terms first) and is accumulated with exact compensated
-summation, which makes the additivity and antisymmetry properties hold to a
-few ulp.
+Every sum runs over one checked index window, `_window`, and is the correctly
+rounded value of the exact sum of its float terms (`math.fsum`, Shewchuk's
+algorithm), so the order of the terms does not change it.  The odd series
+sums every term in a C-level loop.  The fast-decaying series (the correction
+sum and the factorial's tail sum, `_decaying_sum`) sum a head exactly and
+enclose the rest by a proven Hurwitz-zeta bound; when both ends of the
+enclosure round the sum to the same float, that float is the sum of every
+term, and otherwise every term is summed.  Either way the result is
+bit-identical to summing every term.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cache
+from itertools import chain, islice, repeat
+from operator import mul, neg, truediv
 
 from .errors import (
     DomainError,
@@ -33,8 +43,9 @@ DEFAULT_THRESHOLD = 150
 # k**3 (2k-1)**2 of a correction term still converts to a float.
 _INDEX_CAP = 2**63 - 1
 
-# Most terms one window may sum: under a minute at the slowest kernel's
-# ~360 ns per term.  The longest windows in use have 10**7 terms.
+# Most terms one window may sum: about 30 s at the slowest kernel's ~310 ns
+# per term (a correction window too short for the tail shortcut; the odd
+# series takes ~70 ns per term).  The longest windows in use have 10**7 terms.
 MAX_TERMS = 10**8
 
 
@@ -44,7 +55,7 @@ class LogVariant(Enum):
 
 
 def _window(a: int, b: int, first: int = 1) -> range:
-    """The indices b down to a of a series window, so the smallest term comes first.
+    """The indices b down to a of a series window.
 
     b = a-1 encodes the empty window.  Raises DomainError for a < first or
     b < a-1, and OverflowLimitError past the index cap or MAX_TERMS, before
@@ -61,14 +72,175 @@ def _window(a: int, b: int, first: int = 1) -> range:
     return range(b, a - 1, -1)
 
 
+def _odd(ks: range) -> range:
+    """The odd denominators 2k-1 for k in ks, in the same order."""
+    return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
+
+
+def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
+    """1.0 / (k**power (2k-1)**odd_power) for k in ks, in a C-level loop.
+
+    The big-int denominator is rounded to a float once and divided once, as
+    in `1.0 / int`.
+    """
+    denominators = map(mul, map(pow, ks, repeat(power)), map(pow, _odd(ks), repeat(odd_power)))
+    return map(truediv, repeat(1.0), denominators)
+
+
+# -- fast-decaying sums ------------------------------------------------------
+# For t(k) = 1/(k**p (2k-1)**r) with r in {1, 2} and s0 = p + r,
+#     t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j k**-(s0+j),
+#     w_j = C(r+j-1, j) / 2**(j+r),
+# so the tail T(m) = sum_{k>=m} t(k) = sum_j w_j zeta(s0+j, m) (Hurwitz zeta).
+# `_decaying_sum` sums a head [a, h] exactly and puts the rest [h+1, b] in
+# [tail - delta, tail + delta], tail = That(h+1) - That(b+1), where That is T
+# with j < _J_TERMS and each zeta from Euler-Maclaurin with _EM_TERMS
+# Bernoulli terms (DLMF 2.10.1 with n -> infinity, f(x) = x**-s):
+#     zeta(s, m) = x**(s-1)/(s-1) + x**s/2
+#                  + sum_{i<=P} B_2i/(2i)! (s)_{2i-1} x**(s+2i-1) + R_P,
+# x = 1/m and (s)_n the rising factorial.  So That(m) = x**(s0-1) sum_n a_n x**n
+# (`_tail_polynomials`), evaluated in binary64 by Horner's rule.
+#
+# delta covers every gap between the tail and R, the exact sum of the float
+# terms fl(t(k)) for k = h+1..b that summing every term would add:
+# 1. Per-term rounding.  fl(t(k)) rounds the big-int denominator to a float
+#    and then its reciprocal, two roundings, so |fl(t(k)) - t(k)| <=
+#    2u/(1-u) t(k) with u = 2**-53 (no term is subnormal: k < 2**63 keeps
+#    t(k) above 2**-320).  Summed: |R - R*| <= 2u/(1-u) R*, R* = sum t(k).
+# 2. Truncation of the j-series.  With v = 1/(2k) <= 1/(2h+2), the omitted
+#    part of (1 - v)**-r is v**J of it for r = 1 and (J+1-Jv) v**J <= (J+1) v**J
+#    of it for r = 2, so the truncated window sum is short of R* by at most
+#    (J+1) (2h+2)**-J R*.
+# 3. The Euler-Maclaurin remainder.  DLMF 2.10.2 writes R_P as an integral of
+#    (B_2(P+1) - B~_2(P+1)(x)) f^(2P+2)(x) / (2P+2)!, and |B~_2n(x)| <= |B_2n|
+#    (DLMF 24.9.1), so |R_P| <= 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1} x**(s+2P+1)
+#    (f^(2P+2) > 0 integrates to |f^(2P+1)(m)|).  Weighted by w_j, these are
+#    the coefficients e_n of a second polynomial.
+# 4. The float error of That(m).  x = 1.0/m is two roundings off 1/m; a_n is
+#    rounded once; Horner's rule gives a_n x**n a factor (1 + theta_{2n+1})
+#    (Higham, Accuracy and Stability, eq. 5.3); x**(s0-1) takes s0-2 products
+#    and the final product one more.  So the term of degree n is off by at
+#    most gamma_K |a_n| x**(s0-1+n), K = 3 s0 + 4n + 1, gamma_K = Ku/(1-Ku)
+#    (Higham lemma 3.1), and err(m) = x**(s0-1) sum_n (gamma_K |a_n| + e_n) x**n
+#    bounds items 3 and 4 at m.
+# 5. The subtraction That(h+1) - That(b+1) rounds once: at most u That(h+1).
+# With R* <= T(h+1) and T(h+1) within 1e-12 of That(h+1) once h+1 >= 67,
+#     |R - tail| <= 1.001 ((3u + (J+1) (2h+2)**-J) That(h+1) + err(h+1) + err(b+1)),
+# where the factor 1.001 also covers the rounding of the coefficients of
+# err, of its Horner evaluation at the rounded x and of delta's own few
+# operations (each well under 1e-12 relative).  The ends tail -+ delta
+# round once more, so they are moved one float outward with math.nextafter.
+# fsum is correctly rounded, hence monotone: when fsum(head + [lo]) equals
+# fsum(head + [hi]), it equals the sum of every term.
+_EM_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
+_J_TERMS = 10  # j = 0..9; item 2 is then below 1e-20 of the tail at h+1 >= 67
+_BERNOULLI = {  # B_2i
+    1: Fraction(1, 6),
+    2: Fraction(-1, 30),
+    3: Fraction(1, 42),
+    4: Fraction(-1, 30),
+    5: Fraction(5, 66),
+    6: Fraction(-691, 2730),
+}
+_U = 2.0**-53
+# Terms a head holds in memory at a time; `_exact_parts` folds each chunk
+# into a few floats, so a head of any length takes little memory.
+_CHUNK = 1 << 14
+
+
+@cache
+def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
+    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above)."""
+    s0, r, p = power + odd_power, odd_power, _EM_TERMS
+    size = _J_TERMS + 2 * p + 2
+    a = [Fraction(0)] * size
+    e = [Fraction(0)] * size
+    for j in range(_J_TERMS):
+        w = Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
+        s = s0 + j
+        a[j] += w / (s - 1)
+        a[j + 1] += w / 2
+        for i in range(1, p + 1):
+            rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
+            a[j + 2 * i] += w * _BERNOULLI[i] / math.factorial(2 * i) * rising
+        rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
+        e[j + 2 * p + 2] += 2 * w * abs(_BERNOULLI[p + 1]) / math.factorial(2 * p + 2) * rising
+    u = Fraction(_U)
+    err = []
+    for n, (a_n, e_n) in enumerate(zip(a, e)):
+        k = 3 * s0 + 4 * n + 1  # roundings in the term of degree n (item 4)
+        err.append(k * u / (1 - k * u) * abs(a_n) + e_n)
+    return tuple(zip(map(float, reversed(a)), map(float, reversed(err))))
+
+
+def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
+    """That(m) and err(m), its proven error bound (items 3 and 4 above)."""
+    x = 1.0 / m
+    value = error = 0.0
+    for coefficient, bound in _tail_polynomials(power, odd_power):
+        value = value * x + coefficient
+        error = error * x + bound
+    scale = math.prod(repeat(x, power + odd_power - 1))
+    return value * scale, error * scale
+
+
+def _tail_enclosure(first: int, last: int, power: int, odd_power: int) -> tuple[float, float]:
+    """Floats lo <= hi around the exact sum of the float terms for k = first..last.
+
+    Proven for first >= 67 (see above).
+    """
+    t_first, err_first = _tail(first, power, odd_power)
+    t_last, err_last = _tail(last + 1, power, odd_power)
+    tail = t_first - t_last
+    truncation = (_J_TERMS + 1) * (2.0 * first) ** -_J_TERMS
+    delta = 1.001 * ((3.0 * _U + truncation) * t_first + err_first + err_last)
+    return math.nextafter(tail - delta, -math.inf), math.nextafter(tail + delta, math.inf)
+
+
+def _exact_parts(terms: Iterator[float]) -> list[float]:
+    """A few floats whose exact sum is the exact sum of terms.
+
+    fsum rounds the exact sum correctly, so each part leaves a residual
+    2**-53 times smaller that is still a sum of floats, hence a multiple of
+    the smallest ulp among them: it reaches exactly zero after a few parts.
+    """
+    parts: list[float] = []
+    while chunk := list(islice(terms, _CHUNK)):
+        values, parts = parts + chunk, []
+        while part := math.fsum(chain(values, map(neg, parts))):
+            parts.append(part)
+    return parts
+
+
+def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
+    """Sum of 1/(k**power (2k-1)**odd_power) for k = a..b; b = a-1 is empty.
+
+    Bit-identical to math.fsum over every term.  The head [a, h] ends at
+    h = max(a + 64, 8a), so the tail starts at h + 1 >= 67 and, for a
+    window far longer than its head, is a share of about (a/h)**(s0-1) of
+    the sum: small enough that its enclosure rarely straddles a rounding
+    boundary.  Windows up to 2h are summed term by term.
+    """
+    window = _window(a, b, first=2)
+    h = max(a + 64, 8 * a)
+    if b <= 2 * h:
+        return math.fsum(_terms(window, power, odd_power))
+    head = _exact_parts(_terms(range(h, a - 1, -1), power, odd_power))
+    lo, hi = _tail_enclosure(h + 1, b, power, odd_power)
+    low = math.fsum(head + [lo])
+    if low == math.fsum(head + [hi]):
+        return low
+    return math.fsum(chain(head, _terms(range(b, h, -1), power, odd_power)))
+
+
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range."""
-    return math.fsum(1.0 / (2 * k - 1) for k in _window(a, b))
+    return math.fsum(map(truediv, repeat(1.0), _odd(_window(a, b))))
 
 
 def correction_sum(a: int, b: int) -> float:
     """Sum of 1/(k**3 (2k-1)**2) for k = a..b; empty range is 0."""
-    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in _window(a, b, first=2))
+    return _decaying_sum(a, b, 3, 2)
 
 
 @dataclass(frozen=True)

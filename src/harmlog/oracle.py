@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, OracleIntegrityError
+from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 
 # ln agreement demanded between math.log and the series path.
 _LN_AGREEMENT_REL = 1e-13
@@ -63,6 +63,10 @@ def ln_ref(x: float) -> ReferenceValue:
     Raises OracleIntegrityError if the platform log and the series path
     disagree beyond 1e-13 relative.
     """
+    try:
+        x = float(x)  # what math.log and frexp would do to an int anyway
+    except OverflowError:
+        raise OverflowLimitError("ln_ref: x is past the binary64 range") from None
     if not 0 < x < math.inf:  # also rejects nan
         raise DomainError(f"ln_ref requires a finite x > 0, got {x}")
     platform = math.log(x)
@@ -85,12 +89,19 @@ LN2 = ln_value(2.0)
 
 @lru_cache(maxsize=None)
 def factorial_exact_ln(n: int) -> float:
-    """ln(n!) from the exact big-integer factorial (lgamma above the cap)."""
+    """ln(n!) from the exact big-integer factorial (lgamma above the cap).
+
+    Past n ~ 2.5e305, ln n! overflows binary64: OverflowLimitError.
+    """
     if n < 0:
         raise DomainError(f"factorial_exact_ln requires n >= 0, got {n}")
     if n <= _BIGINT_FACTORIAL_MAX:
         return math.log(math.factorial(n))
-    return math.lgamma(n + 1)
+    try:
+        return math.lgamma(n + 1)
+    except OverflowError:
+        bits = n.bit_length()
+        raise OverflowLimitError(f"ln n! overflows binary64 at n of {bits} bits") from None
 
 
 def percent_error(approx: float, reference: float) -> float:

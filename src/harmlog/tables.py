@@ -393,11 +393,14 @@ def _check_grid(grid: list[int]) -> None:
 def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
     _check_grid(multipliers)
+    # Every window is checked before p / q is taken, which overflows past
+    # the index cap.
+    rationals = [ScaledRational(p=p, q=q, m=m) for m in multipliers]
     reference = ln_value(p / q)
     rows = []
-    for m in multipliers:
-        value = ln_rational(ScaledRational(p=p, q=q, m=m), LogVariant.TRUNCATED)
-        rows.append(_row({"p": p, "q": q, "m": m}, value, reference))
+    for r in rationals:
+        value = ln_rational(r, LogVariant.TRUNCATED)
+        rows.append(_row({"p": p, "q": q, "m": r.m}, value, reference))
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 

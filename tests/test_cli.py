@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,6 +234,32 @@ class TestWorkLimit:
     def test_long_window_exits_3_before_summing(self, capsys, argv):
         assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
 
+    def test_nbb_exits_3_before_building(self, capsys):
+        start = time.perf_counter()
+        result = run(capsys, "nbb", "100000000")
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(result, "over the limit", exit_code=3)
+
+    def test_stepped_grid_exits_3_before_expanding(self, capsys):
+        argv = ["sweep", "ln", "--m", f"1:{10**21}:1"]
+        assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["factorial", str(10**400), "--method", "raw"], "past binary64"),
+            (["factorial", str(10**400), "--method", "corrected"], "past binary64"),
+            (["factorial", str(10**400), "--method", "series"], "past binary64"),
+            (["factorial", str(10**306), "--method", "raw"], "overflows binary64"),
+            (["sweep", "factorial", "--n", str(10**400)], "past binary64"),
+            (["sweep", "factorial", "--n", str(10**306)], "overflows binary64"),
+            (["gamma", "--nr", "limit", "--n", str(10**400)], "past the binary64 range"),
+            (["sweep", "ln", "--p", str(10**400), "--m", "1"], "63-bit cap"),
+        ],
+    )
+    def test_huge_n_exits_3(self, capsys, argv, needle):
+        assert_one_line_error(run(capsys, *argv), needle, exit_code=3)
+
     def test_index_cap_exits_3(self, capsys):
         # One term, but k**3 (2k-1)**2 of a 70-digit k does not fit a float.
         p = 10**69 + 1
@@ -274,6 +301,88 @@ class TestCnrContract:
     )
     def test_known_inputs(self, capsys, argv, code, needle):
         assert_one_line_error(run(capsys, *argv), needle, exit_code=code)
+
+
+def _finite_floats(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(_finite_floats, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_floats, value))
+    return True
+
+
+# Small integers, plus huge ones that must hit an exit-3 limit at once.
+_INTS = st.one_of(
+    st.integers(min_value=-3, max_value=60),
+    st.sampled_from([10**9, 10**30, 10**306, 10**400, -(10**400)]),
+)
+_INT_ARG = _INTS.map(str)
+_GRID = st.one_of(
+    st.lists(_INTS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs))),
+    st.builds(
+        "{}:{}:{}".format,
+        st.integers(-2, 40),
+        st.integers(-2, 120),
+        st.one_of(st.integers(-1, 20), st.just("double")),
+    ),
+    st.builds("{}:{}:{}".format, st.integers(-2, 40), st.just(10**30), st.integers(-1, 20)),
+    st.sampled_from(["abc", "1:2", "", "3,x"]),
+)
+_ARGV = st.one_of(
+    st.builds(
+        lambda p, q, m, variant, threshold: ["ln", p, q, "--variant", variant] + m + threshold,
+        _INT_ARG,
+        _INT_ARG,
+        st.one_of(st.just([]), _INT_ARG.map(lambda m: ["--m", m])),
+        st.sampled_from(["truncated", "full"]),
+        st.one_of(st.just([]), _INT_ARG.map(lambda t: ["--threshold", t])),
+    ),
+    st.builds(
+        lambda n, method: ["factorial", n, "--method", method],
+        _INT_ARG,
+        st.sampled_from(["series", "raw", "corrected"]),
+    ),
+    st.builds(
+        lambda nr, n: ["gamma", "--nr", nr, "--n", n],
+        st.sampled_from(["integral", "series", "limit"]),
+        _INT_ARG,
+    ),
+    st.builds(lambda n: ["nbb", n], _INT_ARG),
+    st.builds(
+        lambda p, q, grid: ["sweep", "ln", "--p", p, "--q", q, "--m", grid],
+        _INT_ARG,
+        _INT_ARG,
+        _GRID,
+    ),
+    st.builds(
+        lambda op, grid, method: ["sweep", op, "--n", grid, "--method", method],
+        st.sampled_from(["factorial", "nr"]),
+        _GRID,
+        st.sampled_from(["series", "raw", "corrected"]),
+    ),
+)
+
+
+class TestCliContract:
+    @settings(max_examples=250, deadline=None)
+    @given(argv=_ARGV)
+    def test_exit_code_and_finite_json(self, argv):
+        # Every argv ends in a documented exit code with no traceback, and
+        # every float of a successful JSON answer is finite.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv + ["--format", "json"])
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert out.getvalue() == ""
+            assert "Traceback" not in err.getvalue()
+        else:
+            assert _finite_floats(json.loads(out.getvalue()))
 
 
 class TestUnknownFlags:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlog import harmonic
+from harmlog import factorial, harmonic
 from harmlog.errors import (
     DomainError,
     NegativeInputError,
@@ -77,6 +77,77 @@ class TestCorrectionSum:
 
     def test_empty_range(self):
         assert harmonic.correction_sum(5, 4) == 0.0
+
+
+def plain_correction(a: int, b: int) -> float:
+    """Every term of C(a, b), summed by math.fsum."""
+    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(a, b + 1))
+
+
+def plain_s_sum(n: int) -> float:
+    """Every term of the factorial's tail sum, summed by math.fsum."""
+    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in range(2, n + 1))
+
+
+_CAP = 2**63 - 1
+
+
+class TestDecayingSum:
+    """The tail shortcut of correction_sum and s_sum_exact changes no bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        a_exp=st.floats(min_value=0.31, max_value=4.0),
+        width_exp=st.floats(min_value=0.0, max_value=6.0),
+    )
+    def test_correction_sum_is_the_plain_sum(self, a_exp, width_exp):
+        a = round(10**a_exp)
+        b = a + round(10**width_exp) - 1
+        assert harmonic.correction_sum(a, b) == plain_correction(a, b)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_exp=st.floats(min_value=0.31, max_value=6.0))
+    def test_s_sum_exact_is_the_plain_sum(self, n_exp):
+        n = round(10**n_exp)
+        assert factorial.s_sum_exact(n) == plain_s_sum(n)
+
+    @pytest.mark.parametrize(
+        "a, b", [(_CAP - 3000, _CAP), (_CAP, _CAP), (2**62, 2**62 + 5000), (2**53 - 7, 2**53 + 7)]
+    )
+    def test_near_the_index_cap(self, a, b):
+        assert harmonic.correction_sum(a, b) == plain_correction(a, b)
+
+    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
+    @pytest.mark.parametrize(
+        "first, last",
+        [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)],
+    )
+    def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, power, odd_power, first, last):
+        terms = harmonic._terms(range(first, last + 1), power, odd_power)
+        exact = sum(map(Fraction, terms))
+        lo, hi = harmonic._tail_enclosure(first, last, power, odd_power)
+        assert lo <= exact <= hi
+
+    def test_falls_back_when_the_enclosure_straddles_a_rounding_boundary(self, monkeypatch):
+        a, b = 2, 5000
+        proven = harmonic._tail_enclosure
+
+        def wide(first, last, power, odd_power):
+            lo, hi = proven(first, last, power, odd_power)
+            return lo / 2, hi * 2
+
+        monkeypatch.setattr(harmonic, "_tail_enclosure", wide)
+        head = harmonic._exact_parts(harmonic._terms(range(66, 1, -1), 3, 2))
+        lo, hi = wide(67, b, 3, 2)
+        assert math.fsum(head + [lo]) != math.fsum(head + [hi])
+        assert harmonic._decaying_sum(a, b, 3, 2) == plain_correction(a, b)
+
+    def test_exact_parts_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(harmonic, "_CHUNK", 7)
+        terms = [1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(2, 100)] + [1e10, 3.0, -1e10]
+        parts = harmonic._exact_parts(iter(terms))
+        assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
+        assert len(parts) < 5
 
 
 class TestLnInteger:
