@@ -88,7 +88,11 @@ def euler_gamma(v: NrVariant) -> float:
 
 
 def gamma_definition_check(p: int) -> float:
-    """Definition-based gamma: harmonic number H_p minus ln p."""
+    """Definition-based gamma: harmonic number H_p minus ln p.
+
+    H_p is summed term by term, with no O(1) shortcut: every asymptotic form
+    of H_p contains gamma, the value this check exists to estimate.
+    """
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
     harmonic = math.fsum(map(truediv, repeat(1.0), _window(1, p)))

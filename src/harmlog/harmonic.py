@@ -6,15 +6,19 @@ approximates ln(n).  Quotients shift the index window instead of
 differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
-Every sum runs over one checked index window, `_window`, and is the correctly
-rounded value of the exact sum of its float terms (`math.fsum`, Shewchuk's
-algorithm), so the order of the terms does not change it.  The odd series
-sums every term in a C-level loop.  The fast-decaying series (the correction
-sum and the factorial's tail sum, `_decaying_sum`) sum a head exactly and
-enclose the rest by a proven Hurwitz-zeta bound; when both ends of the
-enclosure round the sum to the same float, that float is the sum of every
-term, and otherwise every term is summed.  Either way the result is
-bit-identical to summing every term.
+Every sum runs over one checked index window, `_window`.  An odd window of
+up to 10**6 terms (`_DIRECT_MAX_TERMS`, above every window the tables, sweeps
+and CLI goldens use) is the correctly rounded value of the exact sum of its
+float terms (`math.fsum`, Shewchuk's algorithm, in a C-level loop), so the
+order of the terms does not change it.  A longer odd window is the same
+finite sum, not a different approximation, evaluated in O(1) within 1 ulp:
+its first 40 float terms plus the rest from the digamma function's
+asymptotic series (`_ln_ratio`, `_psi_series`).  The fast-decaying series
+(the correction sum and the factorial's tail sum, `_decaying_sum`) sum a
+head exactly and enclose the rest by a proven Hurwitz-zeta bound; when both
+ends of the enclosure round the sum to the same float, that float is the sum
+of every term, and otherwise every term is summed.  Either way that result
+is bit-identical to summing every term.
 """
 
 from __future__ import annotations
@@ -43,9 +47,11 @@ DEFAULT_THRESHOLD = 150
 # k**3 (2k-1)**2 of a correction term still converts to a float.
 _INDEX_CAP = 2**63 - 1
 
-# Most terms one window may sum: about 30 s at the slowest kernel's ~310 ns
-# per term (a correction window too short for the tail shortcut; the odd
-# series takes ~70 ns per term).  The longest windows in use have 10**7 terms.
+# Most terms one window may span, checked for every window whatever its
+# kernel: about 30 s at the slowest kernel's ~310 ns per term (a correction
+# window too short for the tail shortcut).  An odd window past 10**6 terms
+# now sums ~40 terms one by one, but the limit still applies to it.  The
+# longest windows in use have 10**7 terms.
 MAX_TERMS = 10**8
 
 
@@ -233,9 +239,123 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     return math.fsum(chain(head, _terms(range(b, h, -1), power, odd_power)))
 
 
+# -- long odd windows --------------------------------------------------------
+# psi(x+1) - psi(x) = 1/x for the digamma function psi, so for a <= c <= b
+#     S(a, b) = S(a, c-1) + (psi(b + 1/2) - psi(c - 1/2)) / 2,
+# and DLMF 5.11.2 gives, for real x > 0,
+#     psi(x) = ln x - 1/(2x) - sum_{k=1..K} B_2k / (2k x**2k) + R_K(x).
+# A window of more than _DIRECT_MAX_TERMS terms sums its first _HEAD_TERMS
+# float terms, S(a, c-1) with c = a + _HEAD_TERMS, exactly as a short window
+# does, and takes the rest as
+#     S(c, b) = ln((2b+1)/(2c-1))/2 + 1/(4c-2) - 1/(4b+2) + P(2c-1) - P(2b+1)
+#               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
+#     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
+# from the window's own integers: no gamma, no ln 2, no other constant.
+# Every window the tables, sweeps and CLI goldens sum has at most
+# _DIRECT_MAX_TERMS terms (nr-gamma's [2, 10**6] is the longest).
+#
+# Error bound, with u = 2**-53 and x = c - 1/2 >= _HEAD_TERMS + 1/2:
+# 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
+#    - 2 int_0^inf t dt / ((t**2 + x**2)(e**(2 pi t) - 1)).  Expanding
+#    1/(t**2 + x**2) to K terms and using int_0^inf t**(2n-1) dt /
+#    (e**(2 pi t) - 1) = |B_2n|/(4n) (DLMF 24.7.2) gives the sum above and a
+#    remainder of one sign for every x, at most the first omitted term
+#    |B_2(K+1)| / ((2K+2) x**(2K+2)).  Both remainders share that sign, so
+#    their difference is at most the one at c - 1/2: with K = 5 and the head
+#    alone giving S > 20/x, under |B_12| / (480 x**11) < 2**-69 of S.
+# 2. The logarithm.  _ln_ratio returns hi + lo within 2**-80 of
+#    ln((2b+1)/(2c-1)), relative to it (see there); halving them is exact.
+# 3. 1/(4c-2) and 1/(4b+2) are int quotients, correctly rounded: together
+#    off by at most u/(2c-1) <= u/40 of S.  P(d) is below 1/(24 x**2) <=
+#    S/(480 x), and its float evaluation (a rounded 2/d, its square, five
+#    rounded coefficients, Horner's rule) is off by under 20u of it.
+# 4. fsum rounds the exact sum of the head's float terms and the six tail
+#    floats correctly, so a long window is off from the head's float terms
+#    plus the exact tail by at most half an ulp plus under u/32 of S: under
+#    0.54 ulp.  The exact tail differs from its float terms by at most u of
+#    it, and in practice by far less, since their roundings mostly cancel;
+#    tests/test_referee.py checks 1 ulp against a 50-digit sum and
+#    tests/test_harmonic.py 2 ulp against the fsum of every float term.
+_DIRECT_MAX_TERMS = 10**6  # >= _HEAD_TERMS, so that b >= c
+_HEAD_TERMS = 40  # >= 40, so that items 1 and 3 hold
+_PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
+# Fraction bits of the fixed-point exp in _ln_ratio.
+_LN_BITS = 200
+
+
+@cache
+def _psi_coefficients() -> tuple[float, ...]:
+    """B_2k/(4k) for k = _PSI_TERMS down to 1."""
+    return tuple(float(_BERNOULLI[k] / (4 * k)) for k in range(_PSI_TERMS, 0, -1))
+
+
+def _psi_series(d: int) -> float:
+    """P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k, by Horner's rule in (2/d)**2."""
+    x = 2 / d
+    y = x * x
+    value = 0.0
+    for coefficient in _psi_coefficients():
+        value = value * y + coefficient
+    return value * y
+
+
+def _ln_ratio(n: int, d: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-80 of ln(n/d), relative, for n > d.
+
+    hi is log1p of the correctly rounded (n-d)/d, a few ulp off.  With
+    E = exp(hi), ln(n/d) = hi + log1p(eps) for eps = n/(d E) - 1, and
+    |log1p(eps) - eps| <= eps**2 < 2**-90 hi**2 while log1p is within 100
+    ulp, so lo = eps.  E comes from integers with w = _LN_BITS + s fraction
+    bits: hi / 2**s < 2**-8 is exact there (hi > 2**-65, so its denominator
+    is below 2**118), its Taylor series is summed until a term floors to 0
+    (at most 21 terms, each floored twice) and the result squared s <= 14
+    times (hi < 45), so E is within 2**(s+7-w) = 2**-193 of exp(hi),
+    relative to it.  That and the rounding of eps keep the bound.
+    """
+    hi = math.log1p((n - d) / d)
+    num, den = hi.as_integer_ratio()
+    s = max(0, math.frexp(hi)[1] + 8)
+    w = _LN_BITS + s
+    t = (num << w) // (den << s)
+    term = expm1 = t
+    j = 1
+    while term:
+        j += 1
+        term = (term * t >> w) // j
+        expm1 += term
+    e = (1 << w) + expm1
+    for _ in range(s):
+        e = e * e >> w
+    return hi, ((n << w) - d * e) / (d * e)
+
+
+def _direct_terms(terms: int) -> int:
+    """How many terms odd_harmonic_sum sums one by one in a window of `terms`."""
+    return terms if terms <= _DIRECT_MAX_TERMS else _HEAD_TERMS
+
+
 def odd_harmonic_sum(a: int, b: int) -> float:
-    """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range."""
-    return math.fsum(map(truediv, repeat(1.0), _odd(_window(a, b))))
+    """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
+
+    A window of up to _DIRECT_MAX_TERMS terms is the correctly rounded sum of
+    its float terms.  A longer one is the same finite sum evaluated in O(1)
+    from the digamma function, within 1 ulp (see above).
+    """
+    window = _window(a, b)
+    if len(window) <= _DIRECT_MAX_TERMS:
+        return math.fsum(map(truediv, repeat(1.0), _odd(window)))
+    c = a + _HEAD_TERMS
+    head = map(truediv, repeat(1.0), _odd(range(c - 1, a - 1, -1)))
+    hi, lo = _ln_ratio(2 * b + 1, 2 * c - 1)
+    tail = (
+        hi / 2,
+        lo / 2,
+        1 / (4 * c - 2),
+        -1 / (4 * b + 2),
+        _psi_series(2 * c - 1),
+        -_psi_series(2 * b + 1),
+    )
+    return math.fsum(chain(head, tail))
 
 
 def correction_sum(a: int, b: int) -> float:

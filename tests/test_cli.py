@@ -245,6 +245,27 @@ class TestWorkLimit:
         assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "ln", "--p", "2", "--q", "1", "--m", "990001:1000000:1"],
+            ["sweep", "nr", "--n", "990001:1000000:1"],
+        ],
+    )
+    def test_sweep_total_work_exits_3_before_summing(self, capsys, argv):
+        # 10**4 windows of up to 10**6 terms each: ~10**10 terms in all.
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(result, "over the limit", exit_code=3)
+
+    def test_sweep_of_long_windows_runs(self, capsys):
+        # 10**4 windows of ~10**8 terms each, past the direct-sum crossover.
+        argv = ["sweep", "ln", "--p", "2", "--q", "1", "--m", "99990001:100000000:1"]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)) == 10**4
+
+    @pytest.mark.parametrize(
         "argv, needle",
         [
             (["factorial", str(10**400), "--method", "raw"], "past binary64"),

@@ -150,6 +150,26 @@ class TestDecayingSum:
         assert len(parts) < 5
 
 
+def plain_odd(a: int, b: int) -> float:
+    """Every term of S(a, b), summed by math.fsum."""
+    return math.fsum(1.0 / (2 * k - 1) for k in range(a, b + 1))
+
+
+class TestLongOddWindows:
+    """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
+
+    def test_the_longest_direct_window_is_the_plain_sum(self):
+        b = harmonic._DIRECT_MAX_TERMS + 1
+        assert harmonic.odd_harmonic_sum(2, b) == plain_odd(2, b)
+
+    @pytest.mark.parametrize("a", [2, 1009, 2**40 + 3])
+    def test_just_past_the_crossover_within_2_ulp_of_the_plain_sum(self, a):
+        b = a + harmonic._DIRECT_MAX_TERMS + 16
+        assert harmonic._direct_terms(b - a + 1) == harmonic._HEAD_TERMS
+        value = harmonic.odd_harmonic_sum(a, b)
+        assert abs(value - plain_odd(a, b)) <= 2 * math.ulp(value)
+
+
 class TestLnInteger:
     def test_one_is_zero(self):
         assert harmonic.ln_integer(1) == 0.0
