@@ -3,6 +3,9 @@
 Subcommands: ln, factorial, gamma, cnr, nbb, table, sweep.
 Exit codes: 0 success, 2 domain rejection, 3 overflow or work limit, 4 I/O error.
 HARMLOG_THRESHOLD overrides the default auto-scaling threshold of 150.
+
+Each handler imports the modules only it uses, so that a process runs
+`ln` without loading the tables, factorial, constants or cnr modules.
 """
 
 from __future__ import annotations
@@ -13,11 +16,7 @@ import math
 import os
 import sys
 
-from . import constants as consts
-from . import tables
-from .cnr import DEFAULT_SCALE, CnrMethod, CnrTag, evaluate, nbb_decompose
 from .errors import DomainError, HarmlogError, OverflowLimitError
-from .factorial import FactorialMethod, estimate as factorial_estimate
 from .harmonic import (
     DEFAULT_THRESHOLD,
     LogVariant,
@@ -26,7 +25,7 @@ from .harmonic import (
     ln_rational,
     positive_ratio,
 )
-from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
+from .oracle import ln_value, percent_error
 
 _EXIT_DOMAIN = 2
 _EXIT_OVERFLOW = 3
@@ -37,6 +36,19 @@ _EXIT_IO = 4
 # of 10**9 ints (tens of GB) before any sum runs.  Doubling grids stay far
 # below it.
 _MAX_GRID_POINTS = 10**4
+
+# Choices of the enums of modules the parser does not import, in member
+# order (tests/test_cli.py checks them against the enums).
+_FACTORIAL_METHODS = ("series", "raw", "corrected")  # factorial.FactorialMethod
+_NR_KINDS = ("integral", "series", "limit")  # constants.NrKind
+# --method of cnr -> name of its cnr.CnrTag member.
+_CNR_METHODS = {
+    "lemma11": "LEMMA11",
+    "pow2": "POW2",
+    "exp": "EXP_FULL",
+    "scaled": "EXP_SCALED",
+    "large": "EXP_LARGE",
+}
 
 
 def _emit(record: dict, fmt: str) -> None:
@@ -97,6 +109,9 @@ def _cmd_ln(args) -> None:
 
 
 def _cmd_factorial(args) -> None:
+    from .factorial import FactorialMethod, estimate as factorial_estimate
+    from .oracle import factorial_exact_ln, percent_error_from_ln
+
     est = factorial_estimate(args.n, FactorialMethod(args.method))
     ref_ln = factorial_exact_ln(args.n)
     record = {
@@ -112,6 +127,8 @@ def _cmd_factorial(args) -> None:
 
 
 def _cmd_gamma(args) -> None:
+    from . import constants as consts
+
     v = consts.variant(consts.NrKind(args.nr), terms=args.n, n=args.n)
     gamma = consts.euler_gamma(v)
     _emit(
@@ -125,18 +142,12 @@ def _cmd_gamma(args) -> None:
     )
 
 
-_CNR_METHODS = {
-    "lemma11": CnrTag.LEMMA11,
-    "pow2": CnrTag.POW2,
-    "exp": CnrTag.EXP_FULL,
-    "scaled": CnrTag.EXP_SCALED,
-    "large": CnrTag.EXP_LARGE,
-}
-
-
 def _cmd_cnr(args) -> None:
-    tag = _CNR_METHODS[args.method]
-    method = CnrMethod(tag, args.m if tag is CnrTag.EXP_SCALED else None)
+    from .cnr import DEFAULT_SCALE, CnrMethod, CnrTag, evaluate
+
+    tag = CnrTag[_CNR_METHODS[args.method]]
+    m = DEFAULT_SCALE if args.m is None else args.m
+    method = CnrMethod(tag, m if tag is CnrTag.EXP_SCALED else None)
     result = evaluate(args.x, method)
     _emit(
         {
@@ -151,6 +162,8 @@ def _cmd_cnr(args) -> None:
 
 
 def _cmd_nbb(args) -> None:
+    from .cnr import nbb_decompose
+
     blocks = nbb_decompose(args.n)
     product = math.prod(blocks)
     _emit(
@@ -164,14 +177,6 @@ def _cmd_nbb(args) -> None:
     )
 
 
-def _table_id(raw: str) -> tables.TableId:
-    try:
-        return tables.TableId(raw)
-    except ValueError:
-        names = ", ".join(_values(tables.TableId))
-        raise DomainError(f"unknown table {raw!r}; use one of {names}") from None
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -181,7 +186,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_table(args) -> None:
-    _write_out(tables.generate(_table_id(args.table), args.format), args.out)
+    from . import tables
+
+    try:
+        table_id = tables.TableId(args.table)
+    except ValueError:
+        names = ", ".join(_values(tables.TableId))
+        raise DomainError(f"unknown table {args.table!r}; use one of {names}") from None
+    _write_out(tables.generate(table_id, args.format), args.out)
 
 
 def _parse_grid(spec: str) -> list[int]:
@@ -216,6 +228,9 @@ def _parse_grid(spec: str) -> list[int]:
 
 
 def _cmd_sweep(args) -> None:
+    from . import tables
+    from .factorial import FactorialMethod
+
     if args.op == "ln":
         report = tables.sweep_ln_rational(args.p, args.q, _parse_grid(args.m))
     elif args.op == "factorial":
@@ -246,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorial", help="estimate n!")
     p.add_argument("n", type=int)
-    p.add_argument("--method", choices=_values(FactorialMethod), default="corrected")
+    p.add_argument("--method", choices=_FACTORIAL_METHODS, default="corrected")
     add_format(p)
     p.set_defaults(func=_cmd_factorial)
 
     p = sub.add_parser("gamma", help="Euler-Mascheroni estimates")
-    p.add_argument("--nr", choices=_values(consts.NrKind), default="integral")
+    p.add_argument("--nr", choices=_NR_KINDS, default="integral")
     p.add_argument("--n", type=int, default=None, help="terms (series) or n (limit)")
     add_format(p)
     p.set_defaults(func=_cmd_gamma)
@@ -259,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnr", help="exponential-form approximations of a number")
     p.add_argument("x", type=float)
     p.add_argument("--method", choices=list(_CNR_METHODS), default="exp")
-    p.add_argument(
-        "--m", type=int, default=DEFAULT_SCALE, help="multiplier for --method scaled"
-    )
+    p.add_argument("--m", type=int, default=None, help="multiplier for --method scaled")
     add_format(p)
     p.set_defaults(func=_cmd_cnr)
 
@@ -282,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--m", default="25:400:double", help="multiplier grid for op ln")
     p.add_argument("--n", default="10,100,1000", help="size grid for factorial/nr")
-    p.add_argument("--method", choices=_values(FactorialMethod), default="corrected")
+    p.add_argument("--method", choices=_FACTORIAL_METHODS, default="corrected")
     p.add_argument("--format", choices=("csv", "markdown", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .errors import DomainError, OverflowLimitError
 from .oracle import percent_error
@@ -144,6 +143,8 @@ def nbb_decompose(n: int) -> list[Fraction]:
 
     Raises OverflowLimitError past NBB_MAX_BLOCKS blocks, before building any.
     """
+    from fractions import Fraction  # only nbb needs it; it loads `decimal`
+
     if n < 2:
         raise DomainError(f"nbb_decompose requires n >= 2, got {n}")
     if n - 1 > NBB_MAX_BLOCKS:

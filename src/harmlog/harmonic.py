@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
 from itertools import chain, islice, repeat
 from operator import mul, neg, truediv
 
+from ._frozen import Frozen
 from .errors import (
     DomainError,
     NegativeInputError,
@@ -140,13 +139,15 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # fsum(head + [hi]), it equals the sum of every term.
 _EM_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
 _J_TERMS = 10  # j = 0..9; item 2 is then below 1e-20 of the tail at h+1 >= 67
-_BERNOULLI = {  # B_2i
-    1: Fraction(1, 6),
-    2: Fraction(-1, 30),
-    3: Fraction(1, 42),
-    4: Fraction(-1, 30),
-    5: Fraction(5, 66),
-    6: Fraction(-691, 2730),
+# B_2i as (numerator, denominator), so that `fractions` is imported only
+# where a tail enclosure first needs its coefficients.
+_BERNOULLI = {
+    1: (1, 6),
+    2: (-1, 30),
+    3: (1, 42),
+    4: (-1, 30),
+    5: (5, 66),
+    6: (-691, 2730),
 }
 _U = 2.0**-53
 # Terms a head holds in memory at a time; `_exact_parts` folds each chunk
@@ -157,6 +158,9 @@ _CHUNK = 1 << 14
 @cache
 def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
     """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above)."""
+    from fractions import Fraction
+
+    bernoulli = {i: Fraction(*ratio) for i, ratio in _BERNOULLI.items()}
     s0, r, p = power + odd_power, odd_power, _EM_TERMS
     size = _J_TERMS + 2 * p + 2
     a = [Fraction(0)] * size
@@ -168,9 +172,9 @@ def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], 
         a[j + 1] += w / 2
         for i in range(1, p + 1):
             rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
-            a[j + 2 * i] += w * _BERNOULLI[i] / math.factorial(2 * i) * rising
+            a[j + 2 * i] += w * bernoulli[i] / math.factorial(2 * i) * rising
         rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
-        e[j + 2 * p + 2] += 2 * w * abs(_BERNOULLI[p + 1]) / math.factorial(2 * p + 2) * rising
+        e[j + 2 * p + 2] += 2 * w * abs(bernoulli[p + 1]) / math.factorial(2 * p + 2) * rising
     u = Fraction(_U)
     err = []
     for n, (a_n, e_n) in enumerate(zip(a, e)):
@@ -285,8 +289,13 @@ _LN_BITS = 200
 
 @cache
 def _psi_coefficients() -> tuple[float, ...]:
-    """B_2k/(4k) for k = _PSI_TERMS down to 1."""
-    return tuple(float(_BERNOULLI[k] / (4 * k)) for k in range(_PSI_TERMS, 0, -1))
+    """B_2k/(4k) for k = _PSI_TERMS down to 1, each correctly rounded.
+
+    An int quotient is correctly rounded, as float(Fraction) is.
+    """
+    return tuple(
+        _BERNOULLI[k][0] / (4 * k * _BERNOULLI[k][1]) for k in range(_PSI_TERMS, 0, -1)
+    )
 
 
 def _psi_series(d: int) -> float:
@@ -363,20 +372,20 @@ def correction_sum(a: int, b: int) -> float:
     return _decaying_sum(a, b, 3, 2)
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(Frozen):
     """A positive rational p/q with multiplier m, kept unreduced as mp/mq."""
 
-    p: int
-    q: int
-    m: int
+    __slots__ = ("p", "q", "m")
 
-    def __post_init__(self) -> None:
-        if self.p < 1 or self.q < 1:
-            raise DomainError(f"p and q must be positive, got {self.p}/{self.q}")
-        if self.m < 1:
-            raise DomainError(f"multiplier m must be >= 1, got {self.m}")
-        _window(self.m * min(self.p, self.q) + 1, self.m * max(self.p, self.q))
+    def __init__(self, p: int, q: int, m: int) -> None:
+        if p < 1 or q < 1:
+            raise DomainError(f"p and q must be positive, got {p}/{q}")
+        if m < 1:
+            raise DomainError(f"multiplier m must be >= 1, got {m}")
+        _window(m * min(p, q) + 1, m * max(p, q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "m", m)
 
     @property
     def scaled_p(self) -> int:

@@ -10,9 +10,9 @@ arithmetic, compared in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 
 # ln agreement demanded between math.log and the series path.
@@ -21,16 +21,16 @@ _LN_AGREEMENT_REL = 1e-13
 _BIGINT_FACTORIAL_MAX = 20_000
 
 
-@dataclass(frozen=True)
-class ReferenceValue:
+class ReferenceValue(Frozen):
     """A reference value with a documented absolute error bound."""
 
-    value: float
-    guaranteed_abs_error: float
+    __slots__ = ("value", "guaranteed_abs_error")
 
-    def __post_init__(self) -> None:
-        if self.guaranteed_abs_error < 0:
+    def __init__(self, value: float, guaranteed_abs_error: float) -> None:
+        if guaranteed_abs_error < 0:
             raise DomainError("guaranteed_abs_error must be >= 0")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "guaranteed_abs_error", guaranteed_abs_error)
 
 
 def _artanh_series_ln(x: float) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlog import cli
+from harmlog import cli, cnr
+from harmlog.constants import NrKind
 from harmlog.errors import DomainError
-from harmlog.harmonic import ScaledRational, ln_rational
+from harmlog.factorial import FactorialMethod
+from harmlog.harmonic import LogVariant, ScaledRational, ln_rational
 from harmlog.tables import TableId, generate
 
 
@@ -411,3 +414,52 @@ class TestUnknownFlags:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["ln", "1", "2", "--bogus"])
         assert excinfo.value.code == 2
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+class TestParserChoices:
+    """The parser spells out the choices of enums it does not import."""
+
+    @pytest.mark.parametrize(
+        "command,dest,enum",
+        [
+            ("factorial", "method", FactorialMethod),
+            ("sweep", "method", FactorialMethod),
+            ("gamma", "nr", NrKind),
+            ("ln", "variant", LogVariant),
+        ],
+    )
+    def test_choices_are_the_enum_values_in_order(self, command, dest, enum):
+        action = next(a for a in _subparser(command)._actions if a.dest == dest)
+        assert list(action.choices) == [member.value for member in enum]
+
+    def test_cnr_scaled_default_multiplier(self, capsys):
+        default = run(capsys, "cnr", "3.5", "--method", "scaled", "--format", "json")
+        explicit = run(
+            capsys, "cnr", "3.5", "--method", "scaled", "--m", str(cnr.DEFAULT_SCALE),
+            "--format", "json",
+        )
+        assert default == explicit
+        assert default[0] == 0
+
+    def test_invalid_choice_text(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["factorial", "5", "--method", "bogus"])
+        assert excinfo.value.code == 2
+        usage, error = capsys.readouterr().err.rsplit("harmlog factorial: error: ", 1)
+        assert usage == (
+            "usage: harmlog factorial [-h] [--method {series,raw,corrected}]\n"
+            "                         [--format {plain,json,csv}]\n"
+            "                         n\n"
+        )
+        # argparse's own wording for a choice list of the enum values
+        reference = argparse.ArgumentParser(prog="harmlog factorial")
+        reference.add_argument("--method", choices=[m.value for m in FactorialMethod])
+        with pytest.raises(SystemExit):
+            reference.parse_args(["--method", "bogus"])
+        assert error == capsys.readouterr().err.rsplit("harmlog factorial: error: ", 1)[1]

@@ -332,3 +332,53 @@ class TestPositiveRatio:
     def test_normalises_a_negative_pair(self):
         assert harmonic.positive_ratio(-3, -4) == (3, 4)
         assert harmonic.positive_ratio(3, 4) == (3, 4)
+
+
+class TestScaledRationalValue:
+    """ScaledRational keeps the behaviour of the frozen dataclass it was."""
+
+    def test_repr(self):
+        assert repr(ScaledRational(p=4, q=1, m=100)) == "ScaledRational(p=4, q=1, m=100)"
+
+    def test_positional_and_keyword_construction_agree(self):
+        r = ScaledRational(3, 4, 40)
+        assert (r.p, r.q, r.m) == (3, 4, 40)
+        assert r == ScaledRational(p=3, q=4, m=40)
+        assert hash(r) == hash(ScaledRational(p=3, q=4, m=40))
+        assert (r.scaled_p, r.scaled_q) == (120, 160)
+
+    def test_compares_by_fields_only(self):
+        assert ScaledRational(1, 2, 3) != ScaledRational(1, 2, 4)
+        assert ScaledRational(1, 2, 3) != (1, 2, 3)
+        assert len({ScaledRational(1, 2, 3), ScaledRational(1, 2, 3)}) == 1
+
+    def test_immutable(self):
+        r = ScaledRational(1, 2, 3)
+        with pytest.raises(AttributeError):
+            r.m = 4
+        with pytest.raises(AttributeError):
+            del r.p
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert r.m == 3
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((0, 2, 10), "p and q must be positive, got 0/2"),
+            ((2, -1, 10), "p and q must be positive, got 2/-1"),
+            ((1, 2, 0), "multiplier m must be >= 1, got 0"),
+        ],
+    )
+    def test_domain_messages(self, args, message):
+        with pytest.raises(DomainError) as excinfo:
+            ScaledRational(*args)
+        assert str(excinfo.value) == message
+
+    def test_copy_and_pickle_round_trip(self):
+        import copy
+        import pickle
+
+        r = ScaledRational(3, 4, 40)
+        assert copy.copy(r) == r
+        assert pickle.loads(pickle.dumps(r)) == r

@@ -87,3 +87,29 @@ def test_percent_error_from_ln_matches_linear():
     assert oracle.percent_error_from_ln(math.log(a), math.log(r)) == pytest.approx(
         oracle.percent_error(a, r), rel=1e-12
     )
+
+
+class TestReferenceValue:
+    """ReferenceValue keeps the behaviour of the frozen dataclass it was."""
+
+    def test_repr(self):
+        assert repr(oracle.ln_ref(2.0)) == (
+            "ReferenceValue(value=0.6931471805599453, guaranteed_abs_error=1e-13)"
+        )
+
+    def test_equality_and_hash(self):
+        a = oracle.ReferenceValue(1.5, 0.25)
+        b = oracle.ReferenceValue(value=1.5, guaranteed_abs_error=0.25)
+        assert a == b and hash(a) == hash(b)
+        assert a != oracle.ReferenceValue(1.5, 0.5)
+        assert a != (1.5, 0.25)
+
+    def test_immutable(self):
+        ref = oracle.ln_ref(2.0)
+        with pytest.raises(AttributeError):
+            ref.value = 0.0
+        assert ref.value == oracle.ln_value(2.0)
+
+    def test_negative_error_bound_rejected(self):
+        with pytest.raises(DomainError, match=r"^guaranteed_abs_error must be >= 0$"):
+            oracle.ReferenceValue(1.0, -1e-3)
