@@ -91,9 +91,11 @@ def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p.
 
     H_p is summed term by term, with no O(1) shortcut: every asymptotic form
-    of H_p contains gamma, the value this check exists to estimate.
+    of H_p contains gamma, the value this check exists to estimate.  Each
+    term is the correctly rounded int quotient 1/k, the same float as 1.0/k
+    for k < 2**53 (MAX_TERMS keeps p below that), and faster.
     """
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
-    harmonic = math.fsum(map(truediv, repeat(1.0), _window(1, p)))
+    harmonic = math.fsum(map(truediv, repeat(1), _window(1, p)))
     return harmonic - (0.0 if p == 1 else ln_value(p))

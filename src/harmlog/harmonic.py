@@ -7,18 +7,17 @@ differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
 Every sum runs over one checked index window, `_window`.  An odd window of
-up to 10**6 terms (`_DIRECT_MAX_TERMS`, above every window the tables, sweeps
-and CLI goldens use) is the correctly rounded value of the exact sum of its
-float terms (`math.fsum`, Shewchuk's algorithm, in a C-level loop), so the
-order of the terms does not change it.  A longer odd window is the same
-finite sum, not a different approximation, evaluated in O(1) within 1 ulp:
-its first 40 float terms plus the rest from the digamma function's
-asymptotic series (`_ln_ratio`, `_psi_series`).  The fast-decaying series
-(the correction sum and the factorial's tail sum, `_decaying_sum`) sum a
-head exactly and enclose the rest by a proven Hurwitz-zeta bound; when both
-ends of the enclosure round the sum to the same float, that float is the sum
-of every term, and otherwise every term is summed.  Either way that result
-is bit-identical to summing every term.
+up to 256 terms (`_DIRECT_MAX_TERMS`) is the correctly rounded value of the
+exact sum of its float terms (`math.fsum`, Shewchuk's algorithm, in a
+C-level loop), so the order of the terms does not change it.  A longer odd
+window is the same finite sum, not a different approximation, evaluated in
+O(1) within 1 ulp: its first 40 float terms plus the rest from the digamma
+function's asymptotic series (`_ln_ratio`, `_psi_series`).  The
+fast-decaying series (the correction sum and the factorial's tail sum,
+`_decaying_sum`) sum a head exactly and enclose the rest by a proven
+Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
+same float, that float is the sum of every term, and otherwise every term is
+summed.  Either way that result is bit-identical to summing every term.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ _INDEX_CAP = 2**63 - 1
 
 # Most terms one window may span, checked for every window whatever its
 # kernel: about 30 s at the slowest kernel's ~310 ns per term (a correction
-# window too short for the tail shortcut).  An odd window past 10**6 terms
-# now sums ~40 terms one by one, but the limit still applies to it.  The
-# longest windows in use have 10**7 terms.
+# window too short for the tail shortcut).  An odd window sums at most 256
+# terms one by one, but the limit still applies to it.  The longest windows
+# in use have 10**7 terms.
 MAX_TERMS = 10**8
 
 
@@ -255,8 +254,6 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
 #     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
 # from the window's own integers: no gamma, no ln 2, no other constant.
-# Every window the tables, sweeps and CLI goldens sum has at most
-# _DIRECT_MAX_TERMS terms (nr-gamma's [2, 10**6] is the longest).
 #
 # Error bound, with u = 2**-53 and x = c - 1/2 >= _HEAD_TERMS + 1/2:
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
@@ -280,7 +277,12 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #    it, and in practice by far less, since their roundings mostly cancel;
 #    tests/test_referee.py checks 1 ulp against a 50-digit sum and
 #    tests/test_harmonic.py 2 ulp against the fsum of every float term.
-_DIRECT_MAX_TERMS = 10**6  # >= _HEAD_TERMS, so that b >= c
+# The crossover is near the measured break-even: the O(1) path takes 14-21 us,
+# as long as 110-220 float terms summed one by one at 94-165 ns each (CPython
+# 3.11, x86-64 Xeon; the wider the index, the slower a term).  It is
+# >= _HEAD_TERMS, so that b >= c.  Every tests/golden/ file is the same with
+# it at 256 as with every window of up to 10**6 terms summed term by term.
+_DIRECT_MAX_TERMS = 256
 _HEAD_TERMS = 40  # >= 40, so that items 1 and 3 hold
 _PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
 # Fraction bits of the fixed-point exp in _ln_ratio.
@@ -336,11 +338,6 @@ def _ln_ratio(n: int, d: int) -> tuple[float, float]:
     for _ in range(s):
         e = e * e >> w
     return hi, ((n << w) - d * e) / (d * e)
-
-
-def _direct_terms(terms: int) -> int:
-    """How many terms odd_harmonic_sum sums one by one in a window of `terms`."""
-    return terms if terms <= _DIRECT_MAX_TERMS else _HEAD_TERMS
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:

@@ -22,9 +22,9 @@ from enum import Enum
 
 from . import constants as consts
 from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
-from .errors import DomainError, OverflowLimitError
+from .errors import DomainError
 from .factorial import FactorialMethod, estimate as factorial_estimate
-from .harmonic import MAX_TERMS, LogVariant, ScaledRational, _direct_terms, ln_integer, ln_rational
+from .harmonic import LogVariant, ScaledRational, ln_integer, ln_rational
 from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
 
 
@@ -390,28 +390,12 @@ def _check_grid(grid: list[int]) -> None:
         raise DomainError("empty sweep grid")
 
 
-def _check_work(window_terms: list[int]) -> None:
-    """Refuse a sweep whose odd sums would sum over MAX_TERMS terms one by one.
-
-    Each window is at most MAX_TERMS long, but a grid of 10**4 windows of
-    10**6 terms would still run for minutes.  Only the odd sums count: the
-    correction sums of sweep_nr start at k = 2, so they sum a head of at
-    most 132 terms.
-    """
-    total = sum(map(_direct_terms, window_terms))
-    if total > MAX_TERMS:
-        raise OverflowLimitError(
-            f"sweep sums {total} terms one by one, over the limit of {MAX_TERMS}"
-        )
-
-
 def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
     _check_grid(multipliers)
     # Every window is checked before p / q is taken, which overflows past
     # the index cap.
     rationals = [ScaledRational(p=p, q=q, m=m) for m in multipliers]
-    _check_work([r.m * abs(p - q) for r in rationals])
     reference = ln_value(p / q)
     rows = []
     for r in rationals:
@@ -437,7 +421,6 @@ def sweep_factorial(
 def sweep_nr(grid: list[int]) -> TableReport:
     """All three Number Constant variants across a size grid."""
     _check_grid(grid)
-    _check_work([max(n, 2) - 1 for n in grid])
     rows = [
         _row({"n": n, "variant": v.kind.value}, v.value, None)
         for n in grid

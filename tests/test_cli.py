@@ -248,18 +248,27 @@ class TestWorkLimit:
         assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, rows",
         [
-            ["sweep", "ln", "--p", "2", "--q", "1", "--m", "990001:1000000:1"],
-            ["sweep", "nr", "--n", "990001:1000000:1"],
+            (["sweep", "ln", "--p", "2", "--q", "1", "--m", "990001:1000000:1"], 10**4),
+            (["sweep", "nr", "--n", "990001:1000000:1"], 3 * 10**4),
         ],
     )
-    def test_sweep_total_work_exits_3_before_summing(self, capsys, argv):
-        # 10**4 windows of up to 10**6 terms each: ~10**10 terms in all.
+    def test_sweep_of_million_term_windows_runs(self, capsys, argv, rows):
+        # 10**4 windows of up to 10**6 terms each, ~10**10 terms in all: each
+        # odd window past 256 terms is summed in O(1).
         start = time.perf_counter()
-        result = run(capsys, *argv)
-        assert time.perf_counter() - start < 1.0
-        assert_one_line_error(result, "over the limit", exit_code=3)
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert time.perf_counter() - start < 10.0
+        assert (code, err) == (0, "")
+        records = json.loads(out)
+        assert len(records) == rows
+        if argv[1] == "ln":
+            for record in records:
+                # The paper's truncation bound for ln(mp/mq) from mq+1..mp.
+                mp, mq = 2 * int(record["m"]), int(record["m"])
+                bound = 1.01 / 24 * (1 / mq**2 - 1 / mp**2) + 1e-13
+                assert abs(float(record["calculated"]) - math.log(2)) <= bound
 
     def test_sweep_of_long_windows_runs(self, capsys):
         # 10**4 windows of ~10**8 terms each, past the direct-sum crossover.

@@ -106,6 +106,11 @@ class TestGammaDefinitionCheck:
             0.577215664901, abs=1e-6
         )
 
+    @pytest.mark.parametrize("p", [1, 2, 10**5])
+    def test_bit_identical_to_float_reciprocals(self, p):
+        harmonic = math.fsum(1.0 / k for k in range(1, p + 1))
+        assert consts.gamma_definition_check(p) == harmonic - ln_value(p)
+
     def test_monotone_decreasing(self):
         grid = [1, 2, 5, 10, 100, 1000, 10**4]
         values = [consts.gamma_definition_check(p) for p in grid]

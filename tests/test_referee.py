@@ -44,14 +44,19 @@ def test_odd_harmonic_sum_within_one_ulp(a, b):
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
 
 
+def _start(rng: random.Random, width: int) -> int:
+    """A window start that is small, middle or near the 2**63 index cap."""
+    small, middle = rng.randint(1, 100), round(10 ** rng.uniform(2, 15))
+    return rng.choice([small, middle, rng.randint(2**62, 2**63 - width)])
+
+
 def _long_windows(seed: int) -> list[tuple[int, int]]:
     """Windows of 51 to 10**5 terms, from a = 2 to the 2**63 index cap."""
     rng = random.Random(seed)
     windows = [(2, 10**5 + 1), (2**62, 2**62 + 10**5 - 1), (2**63 - 10**5, 2**63 - 1)]
     for _ in range(40):
         width = round(10 ** rng.uniform(math.log10(51), 5))
-        small, middle = rng.randint(1, 100), round(10 ** rng.uniform(2, 15))
-        a = rng.choice([small, middle, rng.randint(2**62, 2**63 - width)])
+        a = _start(rng, width)
         windows.append((a, a + width - 1))
     return windows
 
@@ -61,7 +66,26 @@ def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(monkeypatch, a, b):
     # With the crossover lowered, windows short enough for a decimal sum
     # take the O(1) digamma path.
     monkeypatch.setattr(harmonic, "_DIRECT_MAX_TERMS", 50)
-    assert harmonic._direct_terms(b - a + 1) == harmonic._HEAD_TERMS
+    assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
+
+
+def _crossover_windows(seed: int) -> list[tuple[int, int]]:
+    """Windows of 257 to 3,000 terms, from a = 1 to the 2**63 index cap."""
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(40):
+        width = rng.randint(257, 3000)
+        a = _start(rng, width)
+        windows.append((a, a + width - 1))
+    return windows
+
+
+@pytest.mark.parametrize("a, b", _crossover_windows(seed=4))
+def test_odd_harmonic_sum_just_past_the_crossover_within_one_ulp(a, b):
+    # At the shipped crossover: these windows take the O(1) digamma path.
+    assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
 
