@@ -68,55 +68,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "ApproxValue",
-    "CnrMethod",
-    "CnrTag",
-    "DomainError",
-    "FactorialEstimate",
-    "FactorialMethod",
-    "HarmlogError",
-    "LogVariant",
-    "NegativeInputError",
-    "NrKind",
-    "NrVariant",
-    "OracleIntegrityError",
-    "OverflowLimitError",
-    "ReferenceValue",
-    "ScaledRational",
-    "TableId",
-    "TableReport",
-    "ZeroOrInfiniteError",
-    "approx_cnr_pow2",
-    "approx_lemma11",
-    "approx_number_exp",
-    "approx_number_large",
-    "approx_number_scaled",
-    "correction_sum",
-    "euler_gamma",
-    "exp_form",
-    "factorial_corrected",
-    "factorial_exact_ln",
-    "factorial_raw",
-    "gamma_definition_check",
-    "generate",
-    "ln_auto",
-    "ln_factorial_series",
-    "ln_integer",
-    "ln_product",
-    "ln_quotient",
-    "ln_rational",
-    "ln_ref",
-    "ln_value",
-    "nbb_decompose",
-    "nr_direct_series",
-    "nr_empirical_limit",
-    "nr_integral",
-    "odd_harmonic_sum",
-    "percent_error",
-    "s_sum_closed",
-    "s_sum_exact",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 

@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import truediv
 
 from .errors import DomainError
-from .harmonic import _window, correction_sum, odd_harmonic_sum
+from .harmonic import _check_work, correction_sum, odd_harmonic_sum
 from .oracle import LN2, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -91,11 +91,14 @@ def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p.
 
     H_p is summed term by term, with no O(1) shortcut: every asymptotic form
-    of H_p contains gamma, the value this check exists to estimate.  Each
-    term is the correctly rounded int quotient 1/k, the same float as 1.0/k
-    for k < 2**53 (MAX_TERMS keeps p below that), and faster.
+    of H_p contains gamma, the value this check exists to estimate.  So p
+    counts against the work limit: past MAX_TERMS it raises
+    OverflowLimitError before any term is added.  Each term is the correctly
+    rounded int quotient 1/k, the same float as 1.0/k for k < 2**53 (the
+    limit keeps p below that), and faster.
     """
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
-    harmonic = math.fsum(map(truediv, repeat(1), _window(1, p)))
+    _check_work(1, p)
+    harmonic = math.fsum(map(truediv, repeat(1), range(p, 0, -1)))
     return harmonic - (0.0 if p == 1 else ln_value(p))

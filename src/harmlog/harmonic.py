@@ -6,7 +6,8 @@ approximates ln(n).  Quotients shift the index window instead of
 differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
-Every sum runs over one checked index window, `_window`.  An odd window of
+Every sum runs over one checked index window, `_window`, and only terms
+summed one by one count against the work limit, `MAX_TERMS`.  An odd window of
 up to 256 terms (`_DIRECT_MAX_TERMS`) is the correctly rounded value of the
 exact sum of its float terms (`math.fsum`, Shewchuk's algorithm, in a
 C-level loop), so the order of the terms does not change it.  A longer odd
@@ -16,8 +17,9 @@ function's asymptotic series (`_ln_ratio`, `_psi_series`).  The
 fast-decaying series (the correction sum and the factorial's tail sum,
 `_decaying_sum`) sum a head exactly and enclose the rest by a proven
 Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
-same float, that float is the sum of every term, and otherwise every term is
-summed.  Either way that result is bit-identical to summing every term.
+same float, that float is the sum of every term, and otherwise the head
+grows eightfold and the enclosure is tried again.  Either way the result is
+bit-identical to summing every term.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ DEFAULT_THRESHOLD = 150
 # k**3 (2k-1)**2 of a correction term still converts to a float.
 _INDEX_CAP = 2**63 - 1
 
-# Most terms one window may span, checked for every window whatever its
-# kernel: about 30 s at the slowest kernel's ~310 ns per term (a correction
-# window too short for the tail shortcut).  An odd window sums at most 256
-# terms one by one, but the limit still applies to it.  The longest windows
-# in use have 10**7 terms.
+# Most terms one sum may add one by one: 30-60 s at the slowest kernel's
+# 310-560 ns per term (a correction window too short for the tail enclosure,
+# CPython 3.11 on x86-64 Xeon VMs).
+# Only `_check_work` compares against it, before any term is added; a
+# window's length alone is not limited, since the odd sum past 256 terms and
+# the fast-decaying sums past their head take O(1).
 MAX_TERMS = 10**8
 
 
@@ -62,18 +65,22 @@ def _window(a: int, b: int, first: int = 1) -> range:
     """The indices b down to a of a series window.
 
     b = a-1 encodes the empty window.  Raises DomainError for a < first or
-    b < a-1, and OverflowLimitError past the index cap or MAX_TERMS, before
-    any term is summed.
+    b < a-1, and OverflowLimitError past the index cap.
     """
     if a < first or b < a - 1:
         raise DomainError(f"invalid series window [{a}, {b}]")
     if b > _INDEX_CAP:
         raise OverflowLimitError(f"window index {b} exceeds 63-bit cap")
+    return range(b, a - 1, -1)
+
+
+def _check_work(a: int, b: int) -> None:
+    """OverflowLimitError if summing the terms a..b one by one passes MAX_TERMS."""
     if b - a + 1 > MAX_TERMS:
         raise OverflowLimitError(
-            f"window [{a}, {b}] has {b - a + 1} terms, over the limit of {MAX_TERMS}"
+            f"summing [{a}, {b}] term by term adds {b - a + 1} terms, "
+            f"over the limit of {MAX_TERMS}"
         )
-    return range(b, a - 1, -1)
 
 
 def _odd(ks: range) -> range:
@@ -224,22 +231,28 @@ def _exact_parts(terms: Iterator[float]) -> list[float]:
 def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     """Sum of 1/(k**power (2k-1)**odd_power) for k = a..b; b = a-1 is empty.
 
-    Bit-identical to math.fsum over every term.  The head [a, h] ends at
+    Bit-identical to math.fsum over every term.  The head [a, h] first ends at
     h = max(a + 64, 8a), so the tail starts at h + 1 >= 67 and, for a
     window far longer than its head, is a share of about (a/h)**(s0-1) of
     the sum: small enough that its enclosure rarely straddles a rounding
-    boundary.  Windows up to 2h are summed term by term.
+    boundary.  When it does, the head grows to 8h and the tail shrinks by a
+    factor of about 8**(s0-1).  Once the window ends by 2h, the head and
+    the rest of the window are summed term by term.
     """
-    window = _window(a, b, first=2)
-    h = max(a + 64, 8 * a)
-    if b <= 2 * h:
-        return math.fsum(_terms(window, power, odd_power))
-    head = _exact_parts(_terms(range(h, a - 1, -1), power, odd_power))
-    lo, hi = _tail_enclosure(h + 1, b, power, odd_power)
-    low = math.fsum(head + [lo])
-    if low == math.fsum(head + [hi]):
-        return low
-    return math.fsum(chain(head, _terms(range(b, h, -1), power, odd_power)))
+    _window(a, b, first=2)
+    head: list[float] = []
+    summed, h = a - 1, max(a + 64, 8 * a)
+    while b > 2 * h:
+        _check_work(a, h)
+        head = _exact_parts(chain(head, _terms(range(h, summed, -1), power, odd_power)))
+        summed = h
+        lo, hi = _tail_enclosure(h + 1, b, power, odd_power)
+        low = math.fsum(head + [lo])
+        if low == math.fsum(head + [hi]):
+            return low
+        h *= 8
+    _check_work(a, b)
+    return math.fsum(chain(head, _terms(range(b, summed, -1), power, odd_power)))
 
 
 # -- long odd windows --------------------------------------------------------
@@ -282,6 +295,14 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 # 3.11, x86-64 Xeon; the wider the index, the slower a term).  It is
 # >= _HEAD_TERMS, so that b >= c.  Every tests/golden/ file is the same with
 # it at 256 as with every window of up to 10**6 terms summed term by term.
+#
+# Once 2k-1 passes 2**53, a direct term is rounded twice: 2k-1 to a float,
+# then 1.0 divided by it.  Each rounding is a factor 1 + d with |d| <= u/(1+u),
+# so a term is within 2u of 1/(2k-1), the exact sum of the float terms is
+# within 2u S of S, and fsum adds half an ulp of its result R.  As ulp(R) > u R,
+# R is within 2 S/R + 1/2 ulp of S: about 2.5 ulp.  Neighbouring terms share
+# the rounding of their denominators, so it does not cancel, and such windows
+# do pass 1 ulp; tests/test_referee.py checks 2.5 ulp there.
 _DIRECT_MAX_TERMS = 256
 _HEAD_TERMS = 40  # >= 40, so that items 1 and 3 hold
 _PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder

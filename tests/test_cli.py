@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -222,20 +223,102 @@ class TestSweepCommand:
         assert out.splitlines()[1] == "3,3,5,0,0,0,,,"
 
 
+# 50-digit closed forms, for answers to windows of 10**9 terms and more.
+with localcontext() as _ctx:
+    _ctx.prec = 50
+    _LN2 = Decimal(2).ln()
+    _PI = Decimal("3.14159265358979323846264338327950288419716939937510")
+    _ZETA3 = Decimal("1.20205690315959428539973816151144999076498629234049")
+    _GAMMA = Decimal("0.57721566490153286060651209008240243104215933593992")
+    # Twice the correction series sum_{k>=2} 1/(k**3 (2k-1)**2), by partial
+    # fractions; the empirical limit ln n - 2 S(2, n) -> 2 - 2 ln 2 - gamma;
+    # the factorial's tail sum_{x>=2} 1/(x**3 (2x-1)).
+    NR_SERIES = 2 * (-1 - 24 * _LN2 + 5 * _PI**2 / 3 + _ZETA3)
+    NR_LIMIT = 2 - 2 * _LN2 - _GAMMA
+    S_TAIL = 8 * _LN2 - 1 - _ZETA3 - _PI**2 / 3
+    NR_INTEGRAL = -24 * _LN2 + Decimal("16.67560703904")
+_U = 2.0**-53
+_BIG = 10**12
+
+
+def within(value: float, exact: Decimal, bound: float) -> bool:
+    return abs(Decimal(value) - exact) <= Decimal(bound)
+
+
+def truncated_ln_ok(record: dict) -> bool:
+    # The paper's truncation bound for ln(mp/mq) from the window between them.
+    m, p, q = int(record["m"]), int(record["p"]), int(record["q"])
+    lo, hi = m * min(p, q), m * max(p, q)
+    bound = 1.01 / 24 * (1 / lo**2 - 1 / hi**2) + 1e-13
+    return abs(record["estimate"] - math.log(p / q)) <= bound
+
+
+def series_ok(value: float) -> bool:
+    # Each float term is within 2u of its term and fsum rounds once; the
+    # terms past 10**12 add under 10**-48.
+    return within(value, NR_SERIES, 4 * _U * value)
+
+
+# ln n and 2 S(2, n) are each within an ulp of ~27.6, the differences round
+# twice more, and the empirical limit is off its limit by O(1/n**2).
+_LIMIT_BOUND = 4 * math.ulp(math.log(_BIG))
+
+
+def nr_sweep_ok(records: list) -> bool:
+    values = {r["variant"]: float(r["calculated"]) for r in records}
+    # -24 ln 2 and 16.67560703904 each round at the scale of 16.
+    return (
+        within(values["integral"], NR_INTEGRAL, 4 * math.ulp(16.0))
+        and series_ok(values["series"])
+        and within(values["limit"], NR_LIMIT, _LIMIT_BOUND)
+    )
+
+
+def factorial_ok(record: dict) -> bool:
+    # (n + 1/2) ln n - (n - 1) - s_sum_exact(n): an ulp of ln n times n is
+    # an ulp of the result, and three operations round half an ulp each.
+    n, value = record["n"], record["ln_estimate"]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = (n + Decimal("0.5")) * Decimal(n).ln() - (n - 1) - S_TAIL
+    return within(value, exact, 4 * math.ulp(value))
+
+
 class TestWorkLimit:
     @pytest.mark.parametrize(
-        "argv",
+        "argv, answer_ok",
         [
-            ["ln", "1", "2", "--m", "1000000000"],
-            ["ln", "1000000000", "1"],
-            ["gamma", "--nr", "series", "--n", "1000000000000"],
-            ["gamma", "--nr", "limit", "--n", "1000000000000"],
-            ["factorial", "1000000000000", "--method", "series"],
-            ["sweep", "nr", "--n", "1000000000000"],
+            (["ln", "1", "2", "--m", "1000000000"], truncated_ln_ok),
+            (["ln", "1000000000", "1"], truncated_ln_ok),
+            (
+                ["gamma", "--nr", "series", "--n", str(_BIG)],
+                lambda record: series_ok(record["number_constant"]),
+            ),
+            (
+                ["gamma", "--nr", "limit", "--n", str(_BIG)],
+                lambda record: within(record["gamma"], _GAMMA, _LIMIT_BOUND),
+            ),
+            (["factorial", str(_BIG), "--method", "series"], factorial_ok),
+            (["sweep", "nr", "--n", str(_BIG)], nr_sweep_ok),
         ],
+        ids=[f"argv{i}" for i in range(6)],
     )
-    def test_long_window_exits_3_before_summing(self, capsys, argv):
-        assert_one_line_error(run(capsys, *argv), "over the limit", exit_code=3)
+    def test_long_window_exits_3_before_summing(self, capsys, argv, answer_ok):
+        # Windows of 10**9 terms and more do not exit 3: none of them sums
+        # more than a few hundred terms one by one, so each is answered.
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert answer_ok(json.loads(out))
+
+    def test_sum_past_the_limit_exits_3_before_summing(self, capsys):
+        # The window [10**9 + 1, 2 * 10**9] ends before 16a, so its 10**9
+        # correction terms would all be summed one by one.
+        start = time.perf_counter()
+        result = run(capsys, "ln", "1", "2", "--m", "1000000000", "--variant", "full")
+        assert time.perf_counter() - start < 1.0
+        assert_one_line_error(result, "over the limit", exit_code=3)
 
     def test_nbb_exits_3_before_building(self, capsys):
         start = time.perf_counter()

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from harmlog import constants as consts
-from harmlog.errors import DomainError
+from harmlog.errors import DomainError, OverflowLimitError
 from harmlog.harmonic import correction_sum, odd_harmonic_sum
 from harmlog.oracle import LN2, ln_value
 
@@ -115,3 +115,8 @@ class TestGammaDefinitionCheck:
         grid = [1, 2, 5, 10, 100, 1000, 10**4]
         values = [consts.gamma_definition_check(p) for p in grid]
         assert values == sorted(values, reverse=True)
+
+    def test_past_the_work_limit(self):
+        # H_p has no O(1) form here, so p terms would be summed one by one.
+        with pytest.raises(OverflowLimitError, match="over the limit"):
+            consts.gamma_definition_check(10**8 + 1)

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,22 @@ class TestDecayingSum:
         lo, hi = wide(67, b, 3, 2)
         assert math.fsum(head + [lo]) != math.fsum(head + [hi])
         assert harmonic._decaying_sum(a, b, 3, 2) == plain_correction(a, b)
+
+    @pytest.mark.parametrize(
+        "a, b", [(5015, 364619768921238531), (9069, 4536968482200627615)]
+    )
+    def test_a_straddling_enclosure_grows_the_head(self, a, b):
+        # At h = 8a the enclosure straddles a rounding boundary; one growth
+        # of the head settles it, where summing the window would never end.
+        h = 8 * a
+        head = harmonic._exact_parts(harmonic._terms(range(h, a - 1, -1), 3, 2))
+        lo, hi = harmonic._tail_enclosure(h + 1, b, 3, 2)
+        low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
+        assert low != high
+        start = time.perf_counter()
+        value = harmonic.correction_sum(a, b)
+        assert time.perf_counter() - start < 1.0
+        assert low <= value <= high
 
     def test_exact_parts_across_chunks(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_CHUNK", 7)
@@ -298,9 +315,15 @@ class TestLnRational:
             ScaledRational(p=2**40, q=1, m=2**40)
 
     def test_work_limit_at_construction(self):
-        # Window [m+1, 4m] has 3 * 10**8 terms, over harmonic.MAX_TERMS.
-        with pytest.raises(OverflowLimitError):
-            ScaledRational(p=4, q=1, m=10**8)
+        # Window [m+1, 4m] has 3 * 10**8 terms: it constructs, and its odd
+        # sum takes O(1), but its correction sum would add every term.
+        r = ScaledRational(p=4, q=1, m=10**8)
+        bound = 1.01 / 24 * (1 / r.scaled_q**2 - 1 / r.scaled_p**2) + 1e-13
+        assert abs(harmonic.ln_rational(r) - math.log(4)) <= bound
+        start = time.perf_counter()
+        with pytest.raises(OverflowLimitError, match="over the limit"):
+            harmonic.ln_rational(r, LogVariant.FULL)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLnAuto:

@@ -46,7 +46,62 @@ def imported_by(statements: str) -> set[str]:
     return set(fresh(code))
 
 
+# The public contract: harmlog.__all__, name for name and in this order.
+PUBLIC_NAMES = [
+    "ApproxValue",
+    "CnrMethod",
+    "CnrTag",
+    "DomainError",
+    "FactorialEstimate",
+    "FactorialMethod",
+    "HarmlogError",
+    "LogVariant",
+    "NegativeInputError",
+    "NrKind",
+    "NrVariant",
+    "OracleIntegrityError",
+    "OverflowLimitError",
+    "ReferenceValue",
+    "ScaledRational",
+    "TableId",
+    "TableReport",
+    "ZeroOrInfiniteError",
+    "approx_cnr_pow2",
+    "approx_lemma11",
+    "approx_number_exp",
+    "approx_number_large",
+    "approx_number_scaled",
+    "correction_sum",
+    "euler_gamma",
+    "exp_form",
+    "factorial_corrected",
+    "factorial_exact_ln",
+    "factorial_raw",
+    "gamma_definition_check",
+    "generate",
+    "ln_auto",
+    "ln_factorial_series",
+    "ln_integer",
+    "ln_product",
+    "ln_quotient",
+    "ln_rational",
+    "ln_ref",
+    "ln_value",
+    "nbb_decompose",
+    "nr_direct_series",
+    "nr_empirical_limit",
+    "nr_integral",
+    "odd_harmonic_sum",
+    "percent_error",
+    "s_sum_closed",
+    "s_sum_exact",
+]
+
+
 class TestPublicNames:
+    def test_all_is_the_public_contract(self):
+        assert harmlog.__all__ == PUBLIC_NAMES
+
     @pytest.mark.parametrize("name", harmlog.__all__)
     def test_name_is_its_home_module_object(self, name):
         obj = getattr(harmlog, name)

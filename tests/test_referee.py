@@ -44,6 +44,17 @@ def test_odd_harmonic_sum_within_one_ulp(a, b):
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
 
 
+def test_odd_harmonic_sum_past_2_53_within_its_bound():
+    # Past 2**53 each term's denominator is rounded to a float before its
+    # reciprocal, so a direct window is within 2.5 ulp (see harmonic), not 1.
+    rng = random.Random(12)
+    for _ in range(200):
+        a = rng.randint(2**53, 2**63 - 40)
+        b = a + rng.randint(1, 40) - 1
+        exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+        assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 2.5 + 1e-9, (a, b)
+
+
 def _start(rng: random.Random, width: int) -> int:
     """A window start that is small, middle or near the 2**63 index cap."""
     small, middle = rng.randint(1, 100), round(10 ** rng.uniform(2, 15))
