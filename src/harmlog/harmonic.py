@@ -145,8 +145,8 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # fsum(head + [hi]), it equals the sum of every term.
 _EM_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
 _J_TERMS = 10  # j = 0..9; item 2 is then below 1e-20 of the tail at h+1 >= 67
-# B_2i as (numerator, denominator), so that `fractions` is imported only
-# where a tail enclosure first needs its coefficients.
+# B_2i as (numerator, denominator); the coefficients built from them are
+# integer numerators over one common denominator.
 _BERNOULLI = {
     1: (1, 6),
     2: (-1, 30),
@@ -163,30 +163,41 @@ _CHUNK = 1 << 14
 
 @cache
 def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
-    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above)."""
-    from fractions import Fraction
+    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above).
 
-    bernoulli = {i: Fraction(*ratio) for i, ratio in _BERNOULLI.items()}
+    Each coefficient is an integer numerator over one common denominator
+    `den`, which every term's own denominator divides, so each // below is
+    exact; it is rounded once by int true division, correctly, as
+    float(Fraction) is.
+    """
     s0, r, p = power + odd_power, odd_power, _EM_TERMS
+    # The denominator of B_2i/(2i)!, for i = 1..P+1.
+    bernoulli_den = {i: _BERNOULLI[i][1] * math.factorial(2 * i) for i in range(1, p + 2)}
+    den = (
+        2 ** (_J_TERMS + r + 1)
+        * math.lcm(*range(s0 - 1, s0 + _J_TERMS - 1))
+        * math.lcm(*bernoulli_den.values())
+    )
     size = _J_TERMS + 2 * p + 2
-    a = [Fraction(0)] * size
-    e = [Fraction(0)] * size
+    a = [0] * size
+    e = [0] * size
     for j in range(_J_TERMS):
-        w = Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
+        w = math.comb(r + j - 1, j) * den >> (j + r)  # w_j den
         s = s0 + j
-        a[j] += w / (s - 1)
-        a[j + 1] += w / 2
+        a[j] += w // (s - 1)
+        a[j + 1] += w // 2
         for i in range(1, p + 1):
             rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
-            a[j + 2 * i] += w * bernoulli[i] / math.factorial(2 * i) * rising
+            a[j + 2 * i] += w * _BERNOULLI[i][0] * rising // bernoulli_den[i]
         rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
-        e[j + 2 * p + 2] += 2 * w * abs(bernoulli[p + 1]) / math.factorial(2 * p + 2) * rising
-    u = Fraction(_U)
+        e[j + 2 * p + 2] += 2 * w * abs(_BERNOULLI[p + 1][0]) * rising // bernoulli_den[p + 1]
+    # gamma_K = K u/(1 - K u) = K/(2**53 - K), with K the roundings in the
+    # term of degree n (item 4).
     err = []
     for n, (a_n, e_n) in enumerate(zip(a, e)):
-        k = 3 * s0 + 4 * n + 1  # roundings in the term of degree n (item 4)
-        err.append(k * u / (1 - k * u) * abs(a_n) + e_n)
-    return tuple(zip(map(float, reversed(a)), map(float, reversed(err))))
+        k = 3 * s0 + 4 * n + 1
+        err.append((k * abs(a_n) + (2**53 - k) * e_n) / ((2**53 - k) * den))
+    return tuple(zip([a_n / den for a_n in reversed(a)], reversed(err)))
 
 
 def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
@@ -266,7 +277,7 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #     S(c, b) = ln((2b+1)/(2c-1))/2 + 1/(4c-2) - 1/(4b+2) + P(2c-1) - P(2b+1)
 #               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
 #     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
-# from the window's own integers: no gamma, no ln 2, no other constant.
+# from the window's own integers: no gamma and no float constant.
 #
 # Error bound, with u = 2**-53 and x = c - 1/2 >= _HEAD_TERMS + 1/2:
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
@@ -277,8 +288,10 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #    |B_2(K+1)| / ((2K+2) x**(2K+2)).  Both remainders share that sign, so
 #    their difference is at most the one at c - 1/2: with K = 5 and the head
 #    alone giving S > 20/x, under |B_12| / (480 x**11) < 2**-69 of S.
-# 2. The logarithm.  _ln_ratio returns hi + lo within 2**-80 of
-#    ln((2b+1)/(2c-1)), relative to it (see there); halving them is exact.
+# 2. The logarithm.  _ln_ratio returns hi + lo within 2**-75 of
+#    ln((2b+1)/(2c-1)), relative to it, from integer arithmetic alone (see
+#    there); halving them is exact.  ln((2b+1)/(2c-1))/2, the integral of
+#    1/(2x-1) over [c, b+1], is below S(c, b) < S, so this is under 2**-75 S.
 # 3. 1/(4c-2) and 1/(4b+2) are int quotients, correctly rounded: together
 #    off by at most u/(2c-1) <= u/40 of S.  P(d) is below 1/(24 x**2) <=
 #    S/(480 x), and its float evaluation (a rounded 2/d, its square, five
@@ -290,9 +303,9 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #    it, and in practice by far less, since their roundings mostly cancel;
 #    tests/test_referee.py checks 1 ulp against a 50-digit sum and
 #    tests/test_harmonic.py 2 ulp against the fsum of every float term.
-# The crossover is near the measured break-even: the O(1) path takes 14-21 us,
-# as long as 110-220 float terms summed one by one at 94-165 ns each (CPython
-# 3.11, x86-64 Xeon; the wider the index, the slower a term).  It is
+# The crossover is above the measured break-even: the O(1) path takes 13-17
+# us, as long as 70-150 float terms summed one by one at 96-230 ns each
+# (CPython 3.11, x86-64 Xeon; the wider the index, the slower a term).  It is
 # >= _HEAD_TERMS, so that b >= c.  Every tests/golden/ file is the same with
 # it at 256 as with every window of up to 10**6 terms summed term by term.
 #
@@ -306,8 +319,6 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 _DIRECT_MAX_TERMS = 256
 _HEAD_TERMS = 40  # >= 40, so that items 1 and 3 hold
 _PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
-# Fraction bits of the fixed-point exp in _ln_ratio.
-_LN_BITS = 200
 
 
 @cache
@@ -331,34 +342,63 @@ def _psi_series(d: int) -> float:
     return value * y
 
 
-def _ln_ratio(n: int, d: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-80 of ln(n/d), relative, for n > d.
+def _atanh_sum(t: int, s: int, bits: int) -> int:
+    """2**bits sum_{j>=0} z**2j/(2j+1) for z = t/s, never above it.
 
-    hi is log1p of the correctly rounded (n-d)/d, a few ulp off.  With
-    E = exp(hi), ln(n/d) = hi + log1p(eps) for eps = n/(d E) - 1, and
-    |log1p(eps) - eps| <= eps**2 < 2**-90 hi**2 while log1p is within 100
-    ulp, so lo = eps.  E comes from integers with w = _LN_BITS + s fraction
-    bits: hi / 2**s < 2**-8 is exact there (hi > 2**-65, so its denominator
-    is below 2**118), its Taylor series is summed until a term floors to 0
-    (at most 21 terms, each floored twice) and the result squared s <= 14
-    times (hi < 45), so E is within 2**(s+7-w) = 2**-193 of exp(hi),
-    relative to it.  That and the rounding of eps keep the bound.
+    atanh(z) is z times this sum.  It is summed in fixed point with `bits`
+    fraction bits: z**2 is floored, each power of it floored after its
+    product and each term after its division, until a term floors to 0.
+    For z**2 <= 1/9, each power is under e = 2/(1 - z**2) below its exact
+    value (under 1 from z**2, 1 from the floor, e z**2 carried), so each
+    term kept, j >= 1, is under 1 + e/(2j+1) below its own, and the terms
+    omitted add under 0.14.
     """
-    hi = math.log1p((n - d) / d)
-    num, den = hi.as_integer_ratio()
-    s = max(0, math.frexp(hi)[1] + 8)
-    w = _LN_BITS + s
-    t = (num << w) // (den << s)
-    term = expm1 = t
-    j = 1
+    y = (t * t << bits) // (s * s)
+    power = total = 1 << bits
+    j = term = 1
     while term:
-        j += 1
-        term = (term * t >> w) // j
-        expm1 += term
-    e = (1 << w) + expm1
-    for _ in range(s):
-        e = e * e >> w
-    return hi, ((n << w) - d * e) / (d * e)
+        j += 2
+        power = power * y >> bits
+        term = power // j
+        total += term
+    return total
+
+
+# Fraction bits of the fixed point in _ln_ratio.
+_ATANH_BITS = 80
+# ln 2 = 2 atanh(1/3) in fixed point, from 16 more bits: at most 30 terms
+# kept put the sum under 34 units of 2**-96 low, so this is under 1.001
+# units of 2**-80 low.
+_LN2 = (2 * _atanh_sum(1, 3, _ATANH_BITS + 16) // 3) >> 16
+
+
+def _ln_ratio(n: int, d: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative, for n > d.
+
+    Integer arithmetic only.  k is the integer with 4**k <= 2 (n/d)**2 <
+    4**(k+1), so that N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and
+    ln(n/d) = k ln 2 + 2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 <
+    0.172, z**2 < 1/33.  With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W)
+    keeps at most 15 terms past the first (2**W z**30 < 14, so the 15th
+    floors to 0), so it is under 15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14
+    < 18 below 2**W times the exact sum, and _LN2 is under 1.001 below
+    2**W ln 2.  Then
+        P/Q = (2 (N-D) A + k _LN2 (N+D)) / ((N+D) 2**W)
+    is off from ln(n/d) by under (36 |z| + 1.001 k) 2**-W: for k = 0
+    under 18 2**-W of ln(n/d) >= 2 |z|, and for k >= 1, where ln(n/d) >=
+    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  hi is P/Q and lo the rest
+    P/Q - hi, each rounded once as an int quotient, so lo's rounding adds
+    under 2**-106 of hi.
+    """
+    # floor(log2(2 (n/d)**2)) is that of its integer part, halved to k.
+    k = ((2 * n * n // (d * d)).bit_length() - 1) >> 1
+    d <<= k
+    t, s = n - d, n + d
+    p = 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s
+    q = s << _ATANH_BITS
+    hi = p / q
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (p * hi_den - hi_num * q) / (q * hi_den)
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:

@@ -167,6 +167,41 @@ class TestDecayingSum:
         assert len(parts) < 5
 
 
+def fraction_tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
+    """The coefficients of `harmonic._tail_polynomials`, derived in `Fraction`."""
+    bernoulli = {i: Fraction(*ratio) for i, ratio in harmonic._BERNOULLI.items()}
+    s0, r, p = power + odd_power, odd_power, harmonic._EM_TERMS
+    size = harmonic._J_TERMS + 2 * p + 2
+    a = [Fraction(0)] * size
+    e = [Fraction(0)] * size
+    for j in range(harmonic._J_TERMS):
+        w = Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
+        s = s0 + j
+        a[j] += w / (s - 1)
+        a[j + 1] += w / 2
+        for i in range(1, p + 1):
+            rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
+            a[j + 2 * i] += w * bernoulli[i] / math.factorial(2 * i) * rising
+        rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
+        e[j + 2 * p + 2] += 2 * w * abs(bernoulli[p + 1]) / math.factorial(2 * p + 2) * rising
+    u = Fraction(harmonic._U)
+    err = []
+    for n, (a_n, e_n) in enumerate(zip(a, e)):
+        k = 3 * s0 + 4 * n + 1  # roundings in the term of degree n
+        err.append(k * u / (1 - k * u) * abs(a_n) + e_n)
+    return tuple(zip(map(float, reversed(a)), map(float, reversed(err))))
+
+
+class TestTailPolynomials:
+    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
+    def test_equal_to_the_fraction_derivation(self, power, odd_power):
+        got = harmonic._tail_polynomials(power, odd_power)
+        expected = fraction_tail_polynomials(power, odd_power)
+        assert [tuple(map(float.hex, pair)) for pair in got] == [
+            tuple(map(float.hex, pair)) for pair in expected
+        ]
+
+
 def plain_odd(a: int, b: int) -> float:
     """Every term of S(a, b), summed by math.fsum."""
     return math.fsum(1.0 / (2 * k - 1) for k in range(a, b + 1))

@@ -152,6 +152,15 @@ class TestImportFootprint:
         assert "harmlog.harmonic" in new and "harmlog.oracle" in new
         assert not new & set(NOT_FOR_LN)
 
+    def test_series_kernels_import_neither_fractions_nor_decimal(self):
+        new = imported_by(
+            "from harmlog import cli\n"
+            'cli.main(["factorial", "500", "--method", "series"])\n'
+            'cli.main(["gamma", "--nr", "series"])\n'
+        )
+        assert "harmlog.factorial" in new and "harmlog.constants" in new
+        assert not new & {"fractions", "decimal"}
+
     def test_table_imports_tables(self):
         new = imported_by('from harmlog import cli\ncli.main(["table", "2.1"])\n')
         assert "harmlog.tables" in new

@@ -109,6 +109,35 @@ def test_correction_sum_within_one_ulp(a, b):
     assert _ulps(harmonic.correction_sum(a, b), exact) <= 1
 
 
+def _ln_ratio_cases(seed: int) -> list[tuple[int, int]]:
+    """n > d: n - d in {1, 2} near 2**62 and at the index cap, ratios on
+    either side of each reduction boundary sqrt(2) 2**k, and ratios up to 2**63."""
+    rng = random.Random(seed)
+    cases = [(2**64 - 1, 2**64 - 2), (2**64 - 1, 2**64 - 3), (2**64 - 1, 1)]
+    for base in (2**62, 2**63, 2**64 - 2**20):
+        for _ in range(20):
+            d = base + rng.randint(-(2**19), 2**19)
+            cases += [(d + 1, d), (d + 2, d)]
+    for k in range(63):
+        d = rng.randint(2, 2**40)
+        below = math.isqrt(2 * d * d << 2 * k)  # sqrt(2) 2**k d, floored
+        cases += [(below, d), (below + 1, d)]
+    for _ in range(100):
+        d = rng.randint(1, 2**rng.randint(1, 62))
+        cases.append((rng.randint(d + 1, d << 63), d))
+    return [(n, d) for n, d in cases if n > d]
+
+
+def test_ln_ratio_within_its_bound():
+    # _ln_ratio's docstring proves hi + lo within 2**-75 of ln(n/d), relative.
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for n, d in _ln_ratio_cases(seed=13):
+            hi, lo = harmonic._ln_ratio(n, d)
+            exact = (Decimal(n) / Decimal(d)).ln()
+            assert abs(Decimal(hi) + Decimal(lo) - exact) <= exact * Decimal(2) ** -75, (n, d)
+
+
 _LN_GRID = [10.0 ** (-300 + 600 * i / 399) for i in range(400)]
 
 
