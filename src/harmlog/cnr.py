@@ -27,6 +27,23 @@ DEFAULT_SCALE = 100
 NBB_MAX_BLOCKS = 10**6
 
 
+class _Fractions:
+    """The `fractions` module, imported on first attribute access.
+
+    Only nbb_decompose needs it, and it loads `decimal`, so importing this
+    module does not; typing.get_type_hints still resolves the annotation
+    `list[fractions.Fraction]`.
+    """
+
+    def __getattr__(self, name: str):
+        import fractions
+
+        return getattr(fractions, name)
+
+
+fractions = _Fractions()
+
+
 class CnrTag(Enum):
     LEMMA11 = "lemma11"
     POW2 = "pow2"
@@ -138,13 +155,12 @@ def evaluate(x: float, method: CnrMethod) -> ApproxValue:
     )
 
 
-def nbb_decompose(n: int) -> list[Fraction]:
+def nbb_decompose(n: int) -> list[fractions.Fraction]:
     """The n-1 building blocks (2/1), (3/2), ..., (n/(n-1)) of an integer.
 
     Raises OverflowLimitError past NBB_MAX_BLOCKS blocks, before building any.
     """
-    from fractions import Fraction  # only nbb needs it; it loads `decimal`
-
+    Fraction = fractions.Fraction
     if n < 2:
         raise DomainError(f"nbb_decompose requires n >= 2, got {n}")
     if n - 1 > NBB_MAX_BLOCKS:

@@ -121,12 +121,17 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # 2. Truncation of the j-series.  With v = 1/(2k) <= 1/(2h+2), the omitted
 #    part of (1 - v)**-r is v**J of it for r = 1 and (J+1-Jv) v**J <= (J+1) v**J
 #    of it for r = 2, so the truncated window sum is short of R* by at most
-#    (J+1) (2h+2)**-J R*.
+#    (J+1) (2h+2)**-J R*: with J = 12, under 6e-18 R* once h+1 >= 17.
 # 3. The Euler-Maclaurin remainder.  DLMF 2.10.2 writes R_P as an integral of
 #    (B_2(P+1) - B~_2(P+1)(x)) f^(2P+2)(x) / (2P+2)!, and |B~_2n(x)| <= |B_2n|
 #    (DLMF 24.9.1), so |R_P| <= 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1} x**(s+2P+1)
 #    (f^(2P+2) > 0 integrates to |f^(2P+1)(m)|).  Weighted by w_j, these are
-#    the coefficients e_n of a second polynomial.
+#    the coefficients e_n of a second polynomial.  With P = 7 its value
+#    x**(s0-1) sum_n e_n x**n is under 4e-16 of That(m) at m = 17 (3.1e-16
+#    for the correction sum, 4.6e-17 for the factorial's tail, evaluated in
+#    Fraction arithmetic) and under 1e-18 of it from m = 25: e_n is 0 below
+#    degree 2P+2 = 16, so against That(m)'s leading term x**(s0-1)/(s0-1)
+#    it falls as x**16.
 # 4. The float error of That(m).  x = 1.0/m is two roundings off 1/m; a_n is
 #    rounded once; Horner's rule gives a_n x**n a factor (1 + theta_{2n+1})
 #    (Higham, Accuracy and Stability, eq. 5.3); x**(s0-1) takes s0-2 products
@@ -135,7 +140,9 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 #    (Higham lemma 3.1), and err(m) = x**(s0-1) sum_n (gamma_K |a_n| + e_n) x**n
 #    bounds items 3 and 4 at m.
 # 5. The subtraction That(h+1) - That(b+1) rounds once: at most u That(h+1).
-# With R* <= T(h+1) and T(h+1) within 1e-12 of That(h+1) once h+1 >= 67,
+# T(h+1) - That(h+1) is the j-series truncation of item 2 plus the remainders
+# of item 3, so T(h+1) is within 6e-18 + 4e-16 < 1e-12 of That(h+1) once
+# h+1 >= 17, and with R* <= T(h+1),
 #     |R - tail| <= 1.001 ((3u + (J+1) (2h+2)**-J) That(h+1) + err(h+1) + err(b+1)),
 # where the factor 1.001 also covers the rounding of the coefficients of
 # err, of its Horner evaluation at the rounded x and of delta's own few
@@ -143,8 +150,8 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # round once more, so they are moved one float outward with math.nextafter.
 # fsum is correctly rounded, hence monotone: when fsum(head + [lo]) equals
 # fsum(head + [hi]), it equals the sum of every term.
-_EM_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
-_J_TERMS = 10  # j = 0..9; item 2 is then below 1e-20 of the tail at h+1 >= 67
+_EM_TERMS = 7  # Bernoulli numbers B2..B14 kept; B16 bounds the remainder
+_J_TERMS = 12  # j = 0..11; item 2 is then below 6e-18 of the tail at h+1 >= 17
 # B_2i as (numerator, denominator); the coefficients built from them are
 # integer numerators over one common denominator.
 _BERNOULLI = {
@@ -154,6 +161,8 @@ _BERNOULLI = {
     4: (-1, 30),
     5: (5, 66),
     6: (-691, 2730),
+    7: (7, 6),
+    8: (-3617, 510),
 }
 _U = 2.0**-53
 # Terms a head holds in memory at a time; `_exact_parts` folds each chunk
@@ -214,7 +223,7 @@ def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
 def _tail_enclosure(first: int, last: int, power: int, odd_power: int) -> tuple[float, float]:
     """Floats lo <= hi around the exact sum of the float terms for k = first..last.
 
-    Proven for first >= 67 (see above).
+    Proven for first >= 17 (see above).
     """
     t_first, err_first = _tail(first, power, odd_power)
     t_last, err_last = _tail(last + 1, power, odd_power)
@@ -243,16 +252,16 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     """Sum of 1/(k**power (2k-1)**odd_power) for k = a..b; b = a-1 is empty.
 
     Bit-identical to math.fsum over every term.  The head [a, h] first ends at
-    h = max(a + 64, 8a), so the tail starts at h + 1 >= 67 and, for a
-    window far longer than its head, is a share of about (a/h)**(s0-1) of
-    the sum: small enough that its enclosure rarely straddles a rounding
-    boundary.  When it does, the head grows to 8h and the tail shrinks by a
-    factor of about 8**(s0-1).  Once the window ends by 2h, the head and
-    the rest of the window are summed term by term.
+    h = 8a, so the tail starts at h + 1 >= 17 and, for a window far longer
+    than its head, is a share of about 8**-(s0-1) of the sum: small enough
+    that its enclosure rarely straddles a rounding boundary.  When it does,
+    the head grows to 8h and the tail shrinks by a factor of about
+    8**(s0-1).  Once the window ends by 2h, the head and the rest of the
+    window are summed term by term.
     """
     _window(a, b, first=2)
     head: list[float] = []
-    summed, h = a - 1, max(a + 64, 8 * a)
+    summed, h = a - 1, 8 * a
     while b > 2 * h:
         _check_work(a, h)
         head = _exact_parts(chain(head, _terms(range(h, summed, -1), power, odd_power)))

@@ -121,7 +121,9 @@ class TestDecayingSum:
     @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
     @pytest.mark.parametrize(
         "first, last",
-        [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)],
+        [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)]
+        # The first tail of a head [a, 8a] for a = 2, 3, 5 and 9.
+        + [(first, last) for first in (17, 25, 41, 73) for last in (first + 40, 4000)],
     )
     def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, power, odd_power, first, last):
         terms = harmonic._terms(range(first, last + 1), power, odd_power)
@@ -138,8 +140,8 @@ class TestDecayingSum:
             return lo / 2, hi * 2
 
         monkeypatch.setattr(harmonic, "_tail_enclosure", wide)
-        head = harmonic._exact_parts(harmonic._terms(range(66, 1, -1), 3, 2))
-        lo, hi = wide(67, b, 3, 2)
+        head = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), 3, 2))
+        lo, hi = wide(17, b, 3, 2)
         assert math.fsum(head + [lo]) != math.fsum(head + [hi])
         assert harmonic._decaying_sum(a, b, 3, 2) == plain_correction(a, b)
 
@@ -158,6 +160,29 @@ class TestDecayingSum:
         value = harmonic.correction_sum(a, b)
         assert time.perf_counter() - start < 1.0
         assert low <= value <= high
+
+    @pytest.mark.parametrize("a", range(2, 10))
+    def test_windows_past_the_first_head_of_a_small_start(self, a):
+        # b from 2h + 1, h = 8a, up to 2 max(a + 64, 8a): the windows that an
+        # earlier, longer first head [a, max(a + 64, 8a)] summed term by term.
+        for b in range(16 * a + 1, 2 * max(a + 64, 8 * a) + 1):
+            assert harmonic.correction_sum(a, b) == plain_correction(a, b)
+            assert harmonic._decaying_sum(a, b, 3, 1) == math.fsum(
+                1.0 / (k**3 * (2 * k - 1)) for k in range(a, b + 1)
+            )
+
+    def test_the_first_head_ends_at_8a(self, monkeypatch):
+        counted = []
+        terms = harmonic._terms
+
+        def counting(ks, power, odd_power):
+            for term in terms(ks, power, odd_power):
+                counted.append(term)
+                yield term
+
+        monkeypatch.setattr(harmonic, "_terms", counting)
+        harmonic._decaying_sum(2, 10**6, 3, 2)
+        assert len(counted) == 15
 
     def test_exact_parts_across_chunks(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_CHUNK", 7)

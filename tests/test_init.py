@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,15 @@ class TestPublicNames:
         )
         assert missing == []
 
+    @pytest.mark.parametrize("name", harmlog.__all__)
+    def test_type_hints_resolve(self, name):
+        typing.get_type_hints(getattr(harmlog, name))
+
+    def test_nbb_return_hint_is_a_list_of_fractions(self):
+        from fractions import Fraction
+
+        assert typing.get_type_hints(harmlog.nbb_decompose)["return"] == list[Fraction]
+
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="module 'harmlog' has no attribute 'bogus'"):
             harmlog.bogus  # noqa: B018
@@ -159,6 +169,11 @@ class TestImportFootprint:
             'cli.main(["gamma", "--nr", "series"])\n'
         )
         assert "harmlog.factorial" in new and "harmlog.constants" in new
+        assert not new & {"fractions", "decimal"}
+
+    def test_cnr_imports_neither_fractions_nor_decimal(self):
+        new = imported_by("import harmlog.cnr")
+        assert "harmlog.cnr" in new
         assert not new & {"fractions", "decimal"}
 
     def test_table_imports_tables(self):
