@@ -7,18 +7,19 @@ differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
 Every sum runs over one checked index window, `_window`, and only terms
-summed one by one count against the work limit, `MAX_TERMS`.  An odd window of
-up to 256 terms (`_DIRECT_MAX_TERMS`) is the correctly rounded value of the
-exact sum of its float terms (`math.fsum`, Shewchuk's algorithm, in a
-C-level loop), so the order of the terms does not change it.  A longer odd
-window is the same finite sum, not a different approximation, evaluated in
-O(1) within 1 ulp: its first 40 float terms plus the rest from the digamma
-function's asymptotic series (`_ln_ratio`, `_psi_series`).  The
+summed one by one count against the work limit, `MAX_TERMS`.  An odd window
+with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
+correctly rounded value of the exact sum of its float terms (`math.fsum`,
+Shewchuk's algorithm, in a C-level loop), so the order of the terms does
+not change it.  A longer odd window is the same finite sum, not a different
+approximation, evaluated within 1 ulp: from k = max(a, 41) on in O(1) from
+the digamma function's asymptotic series (`_ln_ratio`, `_psi_series`), plus
+the float terms up to k = 40 of a window that starts there.  The
 fast-decaying series (the correction sum and the factorial's tail sum,
 `_decaying_sum`) sum a head exactly and enclose the rest by a proven
 Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
 same float, that float is the sum of every term, and otherwise the head
-grows eightfold and the enclosure is tried again.  Either way the result is
+doubles and the enclosure is tried again.  Either way the result is
 bit-identical to summing every term.
 """
 
@@ -51,7 +52,7 @@ _INDEX_CAP = 2**63 - 1
 # 310-560 ns per term (a correction window too short for the tail enclosure,
 # CPython 3.11 on x86-64 Xeon VMs).
 # Only `_check_work` compares against it, before any term is added; a
-# window's length alone is not limited, since the odd sum past 256 terms and
+# window's length alone is not limited, since the odd sum past 48 terms and
 # the fast-decaying sums past their head take O(1).
 MAX_TERMS = 10**8
 
@@ -255,8 +256,10 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     h = 8a, so the tail starts at h + 1 >= 17 and, for a window far longer
     than its head, is a share of about 8**-(s0-1) of the sum: small enough
     that its enclosure rarely straddles a rounding boundary.  When it does,
-    the head grows to 8h and the tail shrinks by a factor of about
-    8**(s0-1).  Once the window ends by 2h, the head and the rest of the
+    the head doubles, which adds only h terms and shrinks the tail by a
+    factor of about 2**(s0-1); a growth of 8h cost more on average, timed
+    over the straddling windows of the factorial's tail (a = 2, b up to
+    10**18).  Once the window ends by 2h, the head and the rest of the
     window are summed term by term.
     """
     _window(a, b, first=2)
@@ -270,7 +273,7 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
         low = math.fsum(head + [lo])
         if low == math.fsum(head + [hi]):
             return low
-        h *= 8
+        h *= 2
     _check_work(a, b)
     return math.fsum(chain(head, _terms(range(b, summed, -1), power, odd_power)))
 
@@ -280,53 +283,70 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #     S(a, b) = S(a, c-1) + (psi(b + 1/2) - psi(c - 1/2)) / 2,
 # and DLMF 5.11.2 gives, for real x > 0,
 #     psi(x) = ln x - 1/(2x) - sum_{k=1..K} B_2k / (2k x**2k) + R_K(x).
-# A window of more than _DIRECT_MAX_TERMS terms sums its first _HEAD_TERMS
-# float terms, S(a, c-1) with c = a + _HEAD_TERMS, exactly as a short window
-# does, and takes the rest as
+# A window with more than _DIRECT_MAX_TERMS terms from c = max(a,
+# _LOWEST_TAIL_START) on takes that part as
 #     S(c, b) = ln((2b+1)/(2c-1))/2 + 1/(4c-2) - 1/(4b+2) + P(2c-1) - P(2b+1)
 #               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
 #     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
-# from the window's own integers: no gamma and no float constant.
+# from the window's own integers: no gamma and no float constant.  A window
+# from a >= 41 adds no term one by one; one from a <= 40 adds its float terms
+# S(a, 40), at most 40 of them, exactly as a short window does.  The
+# crossover counts only the terms from c on, since only those are saved.
 #
-# Error bound, with u = 2**-53 and x = c - 1/2 >= _HEAD_TERMS + 1/2:
+# Error bound, with u = 2**-53, x = c - 1/2 >= 40.5 and n > 40 the window's
+# terms.  Each term of S = S(a, b) is above 1/(2b+1), and 2b+1 = 2a-1 + 2n
+# <= 2(x+n), so S > n/(2(x+n)).
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
 #    - 2 int_0^inf t dt / ((t**2 + x**2)(e**(2 pi t) - 1)).  Expanding
 #    1/(t**2 + x**2) to K terms and using int_0^inf t**(2n-1) dt /
 #    (e**(2 pi t) - 1) = |B_2n|/(4n) (DLMF 24.7.2) gives the sum above and a
 #    remainder of one sign for every x, at most the first omitted term
 #    |B_2(K+1)| / ((2K+2) x**(2K+2)).  Both remainders share that sign, so
-#    their difference is at most the one at c - 1/2: with K = 5 and the head
-#    alone giving S > 20/x, under |B_12| / (480 x**11) < 2**-69 of S.
+#    their difference is at most the one at c - 1/2: with K = 5, halved, under
+#    |B_12| / (24 x**12) < |B_12|/12 (1/(n x**11) + 1/x**12) S < 2**-68 S.
 # 2. The logarithm.  _ln_ratio returns hi + lo within 2**-75 of
 #    ln((2b+1)/(2c-1)), relative to it, from integer arithmetic alone (see
 #    there); halving them is exact.  ln((2b+1)/(2c-1))/2, the integral of
-#    1/(2x-1) over [c, b+1], is below S(c, b) < S, so this is under 2**-75 S.
+#    1/(2x-1) over [c, b+1], is below S(c, b) <= S, so this is under 2**-75 S.
 # 3. 1/(4c-2) and 1/(4b+2) are int quotients, correctly rounded: together
-#    off by at most u/(2c-1) <= u/40 of S.  P(d) is below 1/(24 x**2) <=
-#    S/(480 x), and its float evaluation (a rounded 2/d, its square, five
-#    rounded coefficients, Horner's rule) is off by under 20u of it.
-# 4. fsum rounds the exact sum of the head's float terms and the six tail
-#    floats correctly, so a long window is off from the head's float terms
-#    plus the exact tail by at most half an ulp plus under u/32 of S: under
-#    0.54 ulp.  The exact tail differs from its float terms by at most u of
-#    it, and in practice by far less, since their roundings mostly cancel;
-#    tests/test_referee.py checks 1 ulp against a 50-digit sum and
-#    tests/test_harmonic.py 2 ulp against the fsum of every float term.
-# The crossover is above the measured break-even: the O(1) path takes 13-17
-# us, as long as 70-150 float terms summed one by one at 96-230 ns each
-# (CPython 3.11, x86-64 Xeon; the wider the index, the slower a term).  It is
-# >= _HEAD_TERMS, so that b >= c.  Every tests/golden/ file is the same with
-# it at 256 as with every window of up to 10**6 terms summed term by term.
+#    off by under u/(2x) < u (1/n + 1/x) S < u S/20.  P(d) is positive and
+#    below its first term 1/(6 d**2), so P(2c-1) and P(2b+1) are below
+#    1/(24 x**2), and the float evaluation of each (a rounded 2/d, its
+#    square, five rounded coefficients, Horner's rule) is off by under 20u
+#    of it: together under 5u/(3 x**2) < (10u/3) (1/(n x) + 1/x**2) S
+#    < u S/240.
+# 4. So the six tail floats sum to S(c, b) within under 0.055 u S.  fsum
+#    rounds the exact sum of them and of the float terms S(a, 40) correctly,
+#    to R within half an ulp of it, and u R < ulp(R).  From a >= 41 there are
+#    no such terms: R is within 0.5 + 0.055 (1 + 2u) < 0.56 ulp of S.  From
+#    a <= 40, each 1.0/(2k-1) with k <= 40 is correctly rounded, and for
+#    every such a their errors from k = a to 40 sum to under 0.12 u S(a, 89)
+#    <= 0.12 u S, as b >= 89 (summed exactly; tests/test_harmonic.py checks
+#    it), so R is within 0.68 ulp of S.  tests/test_referee.py checks both
+#    bounds against a 50-digit sum, and tests/test_harmonic.py 2 ulp against
+#    the fsum of every float term.
+# The crossover is the measured break-even of this path.  Timed over 400
+# windows of 41 to 128 terms, log-uniform in a from 41 to 2**62 (CPython
+# 3.11, x86-64 Xeon, least of 15 runs of 50), the O(1) path took 4.2-13 us
+# (median 7.1) and a direct term 77-222 ns (the wider the index, the
+# slower); the two cost the same at 49-56 terms (median ratio 0.99), and the
+# 400 windows took least with the crossover at 48: 2.88 ms, against 2.89 at
+# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  It is at least
+# _LOWEST_TAIL_START - 1, so that n > 40.  Every tests/golden/ file is the
+# same with it at 48 as with every window of up to 10**6 terms summed term
+# by term.
 #
-# Once 2k-1 passes 2**53, a direct term is rounded twice: 2k-1 to a float,
-# then 1.0 divided by it.  Each rounding is a factor 1 + d with |d| <= u/(1+u),
-# so a term is within 2u of 1/(2k-1), the exact sum of the float terms is
-# within 2u S of S, and fsum adds half an ulp of its result R.  As ulp(R) > u R,
-# R is within 2 S/R + 1/2 ulp of S: about 2.5 ulp.  Neighbouring terms share
-# the rounding of their denominators, so it does not cancel, and such windows
-# do pass 1 ulp; tests/test_referee.py checks 2.5 ulp there.
-_DIRECT_MAX_TERMS = 256
-_HEAD_TERMS = 40  # >= 40, so that items 1 and 3 hold
+# A direct window whose 2k-1 passes 2**53, of at most 48 terms, has each
+# term rounded twice: 2k-1 to a float, then 1.0 divided by it.  Each rounding
+# is a factor 1 + d with |d| <= u/(1+u), so a term is within 2u of 1/(2k-1),
+# the exact sum of the float terms is within 2u S of S, and fsum adds half an
+# ulp of its result R.  As ulp(R) > u R, R is within 2 S/R + 1/2 ulp of S:
+# about 2.5 ulp.  Neighbouring terms share the rounding of their
+# denominators, so it does not cancel, and such windows do pass 1 ulp;
+# tests/test_referee.py checks 2.5 ulp there.  The O(1) path's floats are
+# int quotients, rounded once, so past 2**53 its bound above still holds.
+_DIRECT_MAX_TERMS = 48
+_LOWEST_TAIL_START = 41  # so that x >= 40.5 in items 1, 3 and 4
 _PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
 
 
@@ -413,25 +433,28 @@ def _ln_ratio(n: int, d: int) -> tuple[float, float]:
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
 
-    A window of up to _DIRECT_MAX_TERMS terms is the correctly rounded sum of
-    its float terms.  A longer one is the same finite sum evaluated in O(1)
-    from the digamma function, within 1 ulp (see above).
+    A window with up to _DIRECT_MAX_TERMS terms from k = c = max(a, 41) on
+    is the correctly rounded sum of its float terms.  A longer one is the
+    same finite sum, within 1 ulp (see above): from c on, six floats from the
+    digamma function in O(1), plus the float terms below c of a window that
+    starts there.
     """
     window = _window(a, b)
-    if len(window) <= _DIRECT_MAX_TERMS:
+    c = max(a, _LOWEST_TAIL_START)
+    if b - c < _DIRECT_MAX_TERMS:
         return math.fsum(map(truediv, repeat(1.0), _odd(window)))
-    c = a + _HEAD_TERMS
-    head = map(truediv, repeat(1.0), _odd(range(c - 1, a - 1, -1)))
     hi, lo = _ln_ratio(2 * b + 1, 2 * c - 1)
-    tail = (
+    terms = [
         hi / 2,
         lo / 2,
         1 / (4 * c - 2),
         -1 / (4 * b + 2),
         _psi_series(2 * c - 1),
         -_psi_series(2 * b + 1),
-    )
-    return math.fsum(chain(head, tail))
+    ]
+    if a < c:
+        terms += map(truediv, repeat(1.0), _odd(range(c - 1, a - 1, -1)))
+    return math.fsum(terms)
 
 
 def correction_sum(a: int, b: int) -> float:

@@ -339,7 +339,8 @@ class TestWorkLimit:
     )
     def test_sweep_of_million_term_windows_runs(self, capsys, argv, rows):
         # 10**4 windows of up to 10**6 terms each, ~10**10 terms in all: each
-        # odd window past 256 terms is summed in O(1).
+        # odd window with more than 48 terms from k = 41 on is summed in
+        # O(1), plus its terms below k = 41 one by one.
         start = time.perf_counter()
         code, out, err = run(capsys, *argv, "--format", "json")
         assert time.perf_counter() - start < 10.0

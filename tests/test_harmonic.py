@@ -122,8 +122,9 @@ class TestDecayingSum:
     @pytest.mark.parametrize(
         "first, last",
         [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)]
-        # The first tail of a head [a, 8a] for a = 2, 3, 5 and 9.
-        + [(first, last) for first in (17, 25, 41, 73) for last in (first + 40, 4000)],
+        # The first tail of a head [a, 8a] for a = 2, 3, 5 and 9, and the
+        # tails after the head [2, 16] doubled once, twice and three times.
+        + [(first, last) for first in (17, 25, 41, 73, 33, 65, 129) for last in (first + 40, 4000)],
     )
     def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, power, odd_power, first, last):
         terms = harmonic._terms(range(first, last + 1), power, odd_power)
@@ -161,6 +162,25 @@ class TestDecayingSum:
         assert time.perf_counter() - start < 1.0
         assert low <= value <= high
 
+    @pytest.mark.parametrize(
+        "b, straddles",
+        [(674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1185, 2), (1558, 2)]
+        + [(1645, 2), (2188, 3), (2193, 2), (2762, 2), (3508, 2), (3557, 3), (3782, 2)],
+    )
+    def test_windows_that_straddle_more_than_once(self, b, straddles):
+        # The factorial's tail from a = 2: the enclosures after the heads
+        # [2, 16], [2, 32] (and [2, 64]) straddle before one settles or the
+        # window ends within twice the head.
+        plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
+        for h in (16, 32, 64)[:straddles]:
+            head = harmonic._exact_parts(harmonic._terms(range(h, 1, -1), 3, 1))
+            lo, hi = harmonic._tail_enclosure(h + 1, b, 3, 1)
+            low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
+            assert low != high
+            assert low <= plain <= high
+        assert harmonic._decaying_sum(2, b, 3, 1) == plain
+        assert factorial.s_sum_exact(b) == plain
+
     @pytest.mark.parametrize("a", range(2, 10))
     def test_windows_past_the_first_head_of_a_small_start(self, a):
         # b from 2h + 1, h = 8a, up to 2 max(a + 64, 8a): the windows that an
@@ -171,7 +191,8 @@ class TestDecayingSum:
                 1.0 / (k**3 * (2 * k - 1)) for k in range(a, b + 1)
             )
 
-    def test_the_first_head_ends_at_8a(self, monkeypatch):
+    @staticmethod
+    def terms_summed(monkeypatch, a, b, power, odd_power):
         counted = []
         terms = harmonic._terms
 
@@ -181,8 +202,17 @@ class TestDecayingSum:
                 yield term
 
         monkeypatch.setattr(harmonic, "_terms", counting)
-        harmonic._decaying_sum(2, 10**6, 3, 2)
-        assert len(counted) == 15
+        harmonic._decaying_sum(a, b, power, odd_power)
+        return len(counted)
+
+    def test_the_first_head_ends_at_8a(self, monkeypatch):
+        assert self.terms_summed(monkeypatch, 2, 10**6, 3, 2) == 15
+
+    def test_a_straddle_doubles_the_head(self, monkeypatch):
+        # The enclosures after [2, 16] and [2, 32] straddle, the one after
+        # [2, 64] settles: 63 terms, where growing the head eightfold sums
+        # [2, 128].
+        assert self.terms_summed(monkeypatch, 2, 674, 3, 1) == 63
 
     def test_exact_parts_across_chunks(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_CHUNK", 7)
@@ -236,15 +266,64 @@ class TestLongOddWindows:
     """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
 
     def test_the_longest_direct_window_is_the_plain_sum(self):
-        b = harmonic._DIRECT_MAX_TERMS + 1
+        # From a = 2: the 39 terms below k = 41 and _DIRECT_MAX_TERMS from it.
+        b = harmonic._LOWEST_TAIL_START - 1 + harmonic._DIRECT_MAX_TERMS
         assert harmonic.odd_harmonic_sum(2, b) == plain_odd(2, b)
 
-    @pytest.mark.parametrize("a", [2, 1009, 2**40 + 3])
+    @pytest.mark.parametrize("a", [2, 41, 1009, 2**40 + 3, 2**62 - 10**4])
     def test_just_past_the_crossover_within_2_ulp_of_the_plain_sum(self, a):
-        b = a + harmonic._DIRECT_MAX_TERMS + 16
-        assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
+        c = max(a, harmonic._LOWEST_TAIL_START)
+        b = c + harmonic._DIRECT_MAX_TERMS + 16
+        assert b - c + 1 > harmonic._DIRECT_MAX_TERMS
         value = harmonic.odd_harmonic_sum(a, b)
         assert abs(value - plain_odd(a, b)) <= 2 * math.ulp(value)
+
+    def test_every_long_window_reaches_past_the_tail_start(self):
+        # A window past the crossover has b >= c + _DIRECT_MAX_TERMS and
+        # n > _DIRECT_MAX_TERMS >= 40 terms, as the long-window proof uses.
+        assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
+
+    @pytest.mark.parametrize("a, summed", [(1, 46), (40, 7), (41, 6), (10**6, 6), (2**62, 6)])
+    def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
+        # The six tail floats, plus the float terms S(a, 40) from a <= 40.
+        counted = []
+        fsum = math.fsum
+
+        def counting(values):
+            values = list(values)
+            counted.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(math, "fsum", counting)
+        c = max(a, harmonic._LOWEST_TAIL_START)
+        harmonic.odd_harmonic_sum(a, c + harmonic._DIRECT_MAX_TERMS)
+        assert counted == [summed]
+
+    def test_rounding_of_the_float_terms_below_the_tail_start(self):
+        # Item 4 of the long-window proof: from every a <= 40, the rounding
+        # errors of 1.0/(2k-1) for k = a..40 sum to under 0.12 u of the
+        # shortest long window's S(a, 40 + _DIRECT_MAX_TERMS + 1).
+        u = Fraction(harmonic._U)
+        first = harmonic._LOWEST_TAIL_START
+        last = first + harmonic._DIRECT_MAX_TERMS
+        assert last == 89
+        error = {k: Fraction(1.0 / (2 * k - 1)) - Fraction(1, 2 * k - 1) for k in range(1, first)}
+        for a in range(1, first):
+            shortest = sum(Fraction(1, 2 * k - 1) for k in range(a, last + 1))
+            assert abs(sum(error[k] for k in range(a, first))) < Fraction(12, 100) * u * shortest
+
+    def test_tail_floats_within_0_055_u(self):
+        # Items 1 and 3 of the long-window proof at their worst, x = 40.5 and
+        # n = 41 terms, with item 2: the six tail floats are off by under
+        # 0.055 u S.
+        u, x, n = Fraction(harmonic._U), Fraction(81, 2), 41
+        b12 = Fraction(*harmonic._BERNOULLI[6])
+        truncation = abs(b12) / 12 * (1 / (n * x**11) + 1 / x**12)
+        assert x == harmonic._LOWEST_TAIL_START - Fraction(1, 2)
+        assert truncation < Fraction(1, 2**68)
+        assert u * (Fraction(1, n) + 1 / x) < u / 20
+        assert Fraction(10, 3) * u * (1 / (n * x) + 1 / x**2) < u / 240
+        assert Fraction(1, 2**68) + Fraction(1, 2**75) + u / 20 + u / 240 < Fraction(55, 1000) * u
 
 
 class TestLnInteger:

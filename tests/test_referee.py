@@ -72,33 +72,94 @@ def _long_windows(seed: int) -> list[tuple[int, int]]:
     return windows
 
 
+def _past_the_crossover(a: int, b: int) -> bool:
+    """Whether odd_harmonic_sum(a, b) takes the O(1) digamma path."""
+    return b - max(a, harmonic._LOWEST_TAIL_START) + 1 > harmonic._DIRECT_MAX_TERMS
+
+
+def _proven_ulps(a: int) -> float:
+    """The O(1) path's proven bound (item 4 of harmonic's long-window proof):
+    0.56 ulp from a >= 41, 0.68 ulp from a <= 40."""
+    return 0.56 if a >= harmonic._LOWEST_TAIL_START else 0.68
+
+
 @pytest.mark.parametrize("a, b", _long_windows(seed=3))
-def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(monkeypatch, a, b):
-    # With the crossover lowered, windows short enough for a decimal sum
-    # take the O(1) digamma path.
-    monkeypatch.setattr(harmonic, "_DIRECT_MAX_TERMS", 50)
-    assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
+def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(a, b):
+    # At the shipped crossover every one of these windows takes the O(1)
+    # digamma path.
+    assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
 
 
-def _crossover_windows(seed: int) -> list[tuple[int, int]]:
-    """Windows of 257 to 3,000 terms, from a = 1 to the 2**63 index cap."""
+def _crossover_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
+    """Windows of `shortest` to 3,000 terms, from a = 1 to the 2**63 index cap."""
     rng = random.Random(seed)
     windows = []
     for _ in range(40):
-        width = rng.randint(257, 3000)
+        width = rng.randint(shortest, 3000)
         a = _start(rng, width)
         windows.append((a, a + width - 1))
     return windows
 
 
-@pytest.mark.parametrize("a, b", _crossover_windows(seed=4))
+# Drawn past an earlier crossover of 256 terms; they stay as 40 more O(1)
+# windows.
+@pytest.mark.parametrize("a, b", _crossover_windows(seed=4, shortest=257))
 def test_odd_harmonic_sum_just_past_the_crossover_within_one_ulp(a, b):
-    # At the shipped crossover: these windows take the O(1) digamma path.
-    assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
+    assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+
+
+@pytest.mark.parametrize(
+    "a, b", _crossover_windows(seed=7, shortest=harmonic._DIRECT_MAX_TERMS + 1)
+)
+def test_odd_harmonic_sum_past_the_shipped_crossover_within_the_proven_bound(a, b):
+    # From one term past the shipped crossover: these windows take the O(1)
+    # digamma path.
+    assert _past_the_crossover(a, b)
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+
+
+def _head_free_windows(seed: int) -> list[tuple[int, int]]:
+    """From a = 41 to 100, 1 to 64 terms longer than the crossover: windows
+    with no float term summed one by one."""
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(60):
+        a = rng.randint(harmonic._LOWEST_TAIL_START, 100)
+        windows.append((a, a + harmonic._DIRECT_MAX_TERMS + rng.randint(1, 64) - 1))
+    return windows
+
+
+@pytest.mark.parametrize("a, b", _head_free_windows(seed=5))
+def test_head_free_windows_just_past_the_crossover_within_0_56_ulp(a, b):
+    assert a >= harmonic._LOWEST_TAIL_START
+    assert _past_the_crossover(a, b)
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+
+
+def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
+    """From a = 1 to 40, with 1 to 16 terms more from k = 41 on than the
+    crossover: the float terms S(a, 40) plus the shortest O(1) tails."""
+    rng = random.Random(seed)
+    first = harmonic._LOWEST_TAIL_START
+    windows = []
+    for _ in range(60):
+        a = rng.randint(1, first - 1)
+        windows.append((a, first + harmonic._DIRECT_MAX_TERMS + rng.randint(1, 16) - 1))
+    return windows
+
+
+@pytest.mark.parametrize("a, b", _head_and_short_tail_windows(seed=6))
+def test_head_and_short_tail_windows_within_0_68_ulp(a, b):
+    assert a < harmonic._LOWEST_TAIL_START
+    assert _past_the_crossover(a, b)
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
 
 
 @pytest.mark.parametrize("a, b", _windows(seed=2, first=2))
