@@ -13,14 +13,14 @@ correctly rounded value of the exact sum of its float terms (`math.fsum`,
 Shewchuk's algorithm, in a C-level loop), so the order of the terms does
 not change it.  A longer odd window is the same finite sum, not a different
 approximation, evaluated within 1 ulp: from k = max(a, 41) on in O(1) from
-the digamma function's asymptotic series (`_ln_ratio`, `_psi_series`), plus
-the float terms up to k = 40 of a window that starts there.  The
-fast-decaying series (the correction sum and the factorial's tail sum,
-`_decaying_sum`) sum a head exactly and enclose the rest by a proven
-Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
-same float, that float is the sum of every term, and otherwise the head
-doubles and the enclosure is tried again.  Either way the result is
-bit-identical to summing every term.
+the digamma function's asymptotic series (`_psi_series`, with the integer
+logarithm `oracle._ln_ratio`), plus the float terms up to k = 40 of a window
+that starts there.  The fast-decaying series (the correction sum and the
+factorial's tail sum, `_decaying_sum`) sum a head exactly and enclose the
+rest by a proven Hurwitz-zeta bound; when both ends of the enclosure round
+the sum to the same float, that float is the sum of every term, and
+otherwise the head doubles and the enclosure is tried again.  Either way the
+result is bit-identical to summing every term.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .errors import (
     OverflowLimitError,
     ZeroOrInfiniteError,
 )
+from .oracle import _ln_ratio
 
 # Auto-scaling pushes both m*p and m*q above this; per-mille-level percent
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
@@ -304,7 +305,7 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #    |B_2(K+1)| / ((2K+2) x**(2K+2)).  Both remainders share that sign, so
 #    their difference is at most the one at c - 1/2: with K = 5, halved, under
 #    |B_12| / (24 x**12) < |B_12|/12 (1/(n x**11) + 1/x**12) S < 2**-68 S.
-# 2. The logarithm.  _ln_ratio returns hi + lo within 2**-75 of
+# 2. The logarithm.  oracle._ln_ratio returns hi + lo within 2**-75 of
 #    ln((2b+1)/(2c-1)), relative to it, from integer arithmetic alone (see
 #    there); halving them is exact.  ln((2b+1)/(2c-1))/2, the integral of
 #    1/(2x-1) over [c, b+1], is below S(c, b) <= S, so this is under 2**-75 S.
@@ -369,65 +370,6 @@ def _psi_series(d: int) -> float:
     for coefficient in _psi_coefficients():
         value = value * y + coefficient
     return value * y
-
-
-def _atanh_sum(t: int, s: int, bits: int) -> int:
-    """2**bits sum_{j>=0} z**2j/(2j+1) for z = t/s, never above it.
-
-    atanh(z) is z times this sum.  It is summed in fixed point with `bits`
-    fraction bits: z**2 is floored, each power of it floored after its
-    product and each term after its division, until a term floors to 0.
-    For z**2 <= 1/9, each power is under e = 2/(1 - z**2) below its exact
-    value (under 1 from z**2, 1 from the floor, e z**2 carried), so each
-    term kept, j >= 1, is under 1 + e/(2j+1) below its own, and the terms
-    omitted add under 0.14.
-    """
-    y = (t * t << bits) // (s * s)
-    power = total = 1 << bits
-    j = term = 1
-    while term:
-        j += 2
-        power = power * y >> bits
-        term = power // j
-        total += term
-    return total
-
-
-# Fraction bits of the fixed point in _ln_ratio.
-_ATANH_BITS = 80
-# ln 2 = 2 atanh(1/3) in fixed point, from 16 more bits: at most 30 terms
-# kept put the sum under 34 units of 2**-96 low, so this is under 1.001
-# units of 2**-80 low.
-_LN2 = (2 * _atanh_sum(1, 3, _ATANH_BITS + 16) // 3) >> 16
-
-
-def _ln_ratio(n: int, d: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative, for n > d.
-
-    Integer arithmetic only.  k is the integer with 4**k <= 2 (n/d)**2 <
-    4**(k+1), so that N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and
-    ln(n/d) = k ln 2 + 2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 <
-    0.172, z**2 < 1/33.  With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W)
-    keeps at most 15 terms past the first (2**W z**30 < 14, so the 15th
-    floors to 0), so it is under 15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14
-    < 18 below 2**W times the exact sum, and _LN2 is under 1.001 below
-    2**W ln 2.  Then
-        P/Q = (2 (N-D) A + k _LN2 (N+D)) / ((N+D) 2**W)
-    is off from ln(n/d) by under (36 |z| + 1.001 k) 2**-W: for k = 0
-    under 18 2**-W of ln(n/d) >= 2 |z|, and for k >= 1, where ln(n/d) >=
-    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  hi is P/Q and lo the rest
-    P/Q - hi, each rounded once as an int quotient, so lo's rounding adds
-    under 2**-106 of hi.
-    """
-    # floor(log2(2 (n/d)**2)) is that of its integer part, halved to k.
-    k = ((2 * n * n // (d * d)).bit_length() - 1) >> 1
-    d <<= k
-    t, s = n - d, n + d
-    p = 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s
-    q = s << _ATANH_BITS
-    hi = p / q
-    hi_num, hi_den = hi.as_integer_ratio()
-    return hi, (p * hi_den - hi_num * q) / (q * hi_den)
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:

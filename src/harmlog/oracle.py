@@ -1,10 +1,13 @@
-"""Independent reference values: logarithms, exact factorials, error metric.
+"""Independent reference values: logarithms, factorials, error metric.
 
-The reference logarithm is the platform ``math.log`` cross-validated on every
-call against an artanh-type series (with binary range reduction), so agreement
-between the library's harmonic-series estimates and the oracle is evidence
-rather than circularity.  Factorial references use exact big-integer
-arithmetic, compared in log space.
+The reference logarithm is the platform ``math.log``, checked on every call
+against `_ln_ratio`, an integer atanh series with binary range reduction
+proven within 2**-75 of ln(n/d).  The reference value is math.log's own, so
+agreement between the library's harmonic-series estimates and the oracle is
+evidence rather than circularity; `harmonic`'s O(1) odd windows take their
+logarithm from the same `_ln_ratio`.  ln n! is the log of the exact
+big-integer factorial up to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma`
+above it, with no proven bound.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import lru_cache
 from ._frozen import Frozen
 from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 
-# ln agreement demanded between math.log and the series path.
+# ln agreement demanded between math.log and _ln_ratio.
 _LN_AGREEMENT_REL = 1e-13
 # Crossover above which the big-integer factorial is no longer worth building.
 _BIGINT_FACTORIAL_MAX = 20_000
@@ -33,55 +36,106 @@ class ReferenceValue(Frozen):
         object.__setattr__(self, "guaranteed_abs_error", guaranteed_abs_error)
 
 
-def _artanh_series_ln(x: float) -> float:
-    """ln(x) via 2*artanh((x-1)/(x+1)) with frexp range reduction.
+def _atanh_sum(t: int, s: int, bits: int) -> int:
+    """2**bits sum_{j>=0} z**2j/(2j+1) for z = t/s, never above it.
 
-    After reduction the series argument t lies in (-1/3, 0], so the terms
-    shrink at least geometrically with ratio 1/9 and the tail is below 1e-14
-    after the loop's stopping test.
+    atanh(z) is z times this sum.  It is summed in fixed point with `bits`
+    fraction bits: z**2 is floored, each power of it floored after its
+    product and each term after its division, until a term floors to 0.
+    For z**2 <= 1/9, each power is under e = 2/(1 - z**2) below its exact
+    value (under 1 from z**2, 1 from the floor, e z**2 carried), so each
+    term kept, j >= 1, is under 1 + e/(2j+1) below its own, and the terms
+    omitted add under 0.14.
     """
-    mantissa, exponent = math.frexp(x)  # x = mantissa * 2**exponent, mantissa in [0.5, 1)
-    t = (mantissa - 1.0) / (mantissa + 1.0)
-    t2 = t * t
-    term = t
-    total = 0.0
-    k = 1
-    while abs(term) > 1e-18:
-        total += term / k
-        term *= t2
-        k += 2
-    return 2.0 * total + exponent * _LN2_SERIES
+    y = (t * t << bits) // (s * s)
+    power = total = 1 << bits
+    j = term = 1
+    while term:
+        j += 2
+        power = power * y >> bits
+        term = power // j
+        total += term
+    return total
 
 
-# ln(2) = 2*artanh(1/3), summed once at import with exact fsum.
-_LN2_SERIES = 2.0 * math.fsum((1.0 / 3.0) ** k / k for k in range(99, 0, -2))
+# Fraction bits of the fixed point in _ln_ratio.
+_ATANH_BITS = 80
+# ln 2 = 2 atanh(1/3) in fixed point, from 16 more bits: at most 30 terms
+# kept put the sum under 34 units of 2**-96 low, so this is under 1.001
+# units of 2**-80 low.
+_LN2 = (2 * _atanh_sum(1, 3, _ATANH_BITS + 16) // 3) >> 16
 
 
-def ln_ref(x: float) -> ReferenceValue:
-    """Reference natural logarithm of a positive finite real.
+def _ln_ratio(n: int, d: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
 
-    Raises OracleIntegrityError if the platform log and the series path
-    disagree beyond 1e-13 relative.
+    For n < d it is -hi, -lo of _ln_ratio(d, n), so antisymmetry is exact.
+    For n >= d, integer arithmetic only.  k is the integer with 4**k <=
+    2 (n/d)**2 < 4**(k+1), so that N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and
+    ln(n/d) = k ln 2 + 2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 <
+    0.172, z**2 < 1/33.  With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W)
+    keeps at most 15 terms past the first (2**W z**30 < 14, so the 15th
+    floors to 0), so it is under 15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14
+    < 18 below 2**W times the exact sum, and _LN2 is under 1.001 below
+    2**W ln 2.  Then
+        P/Q = (2 (N-D) A + k _LN2 (N+D)) / ((N+D) 2**W)
+    is off from ln(n/d) by under (36 |z| + 1.001 k) 2**-W: for k = 0
+    under 18 2**-W of ln(n/d) >= 2 |z|, and for k >= 1, where ln(n/d) >=
+    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  hi is P/Q and lo the rest
+    P/Q - hi, each rounded once as an int quotient, so lo's rounding adds
+    under 2**-106 of hi.  For n = d, P = 0: hi and lo are 0.0.
+    """
+    if n < d:
+        hi, lo = _ln_ratio(d, n)
+        return -hi, -lo
+    # floor(log2(2 (n/d)**2)) is that of its integer part, halved to k.
+    k = ((2 * n * n // (d * d)).bit_length() - 1) >> 1
+    d <<= k
+    t, s = n - d, n + d
+    p = 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s
+    q = s << _ATANH_BITS
+    hi = p / q
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (p * hi_den - hi_num * q) / (q * hi_den)
+
+
+def _ln_tolerance(ln_x: float) -> float:
+    """The agreement demanded of math.log: relative above |ln x| = 1, absolute below."""
+    return _LN_AGREEMENT_REL * max(abs(ln_x), 1.0)
+
+
+def ln_value(x: float) -> float:
+    """ln x of a positive finite real: math.log, checked on every call.
+
+    Raises OracleIntegrityError if math.log(x) and hi of
+    _ln_ratio(*x.as_integer_ratio()) differ by more than 1e-13 max(|ln x|, 1).
     """
     try:
-        x = float(x)  # what math.log and frexp would do to an int anyway
+        x = float(x)  # what math.log would do to an int anyway
     except OverflowError:
         raise OverflowLimitError("ln_ref: x is past the binary64 range") from None
     if not 0 < x < math.inf:  # also rejects nan
         raise DomainError(f"ln_ref requires a finite x > 0, got {x}")
     platform = math.log(x)
-    series = _artanh_series_ln(x)
-    scale = max(abs(platform), 1.0)
-    if abs(platform - series) > _LN_AGREEMENT_REL * scale:
+    series = _ln_ratio(*x.as_integer_ratio())[0]
+    if abs(platform - series) > _ln_tolerance(platform):
         raise OracleIntegrityError(
             f"log paths disagree at x={x}: platform={platform!r}, series={series!r}"
         )
-    return ReferenceValue(value=platform, guaranteed_abs_error=_LN_AGREEMENT_REL * scale)
+    return platform
 
 
-def ln_value(x: float) -> float:
-    """Shorthand for ``ln_ref(x).value``."""
-    return ln_ref(x).value
+def ln_ref(x: float) -> ReferenceValue:
+    """ln_value(x) with its tolerance, 1e-13 max(|ln x|, 1), as guaranteed_abs_error.
+
+    The tolerance is relative above |ln x| = 1 and absolute below it.  A
+    check that passes proves math.log(x) within guaranteed_abs_error
+    (1 + 2**-52) + 2**-52 |ln x| of ln x, under 1.003 guaranteed_abs_error:
+    the difference to hi is rounded once, hi is within half an ulp of hi + lo,
+    and hi + lo within 2**-75 |ln x| of ln x.
+    """
+    value = ln_value(x)
+    return ReferenceValue(value=value, guaranteed_abs_error=_ln_tolerance(value))
 
 
 LN2 = ln_value(2.0)

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from harmlog import oracle
-from harmlog.errors import DomainError
+from harmlog import cli, oracle
+from harmlog.errors import DomainError, OracleIntegrityError
 
 
 def test_ln_ref_trivial():
@@ -26,6 +26,24 @@ def test_ln_ref_rejects_nonpositive():
     for x in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             oracle.ln_ref(x)
+
+
+def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys):
+    true_ln_ratio = oracle._ln_ratio
+
+    def skewed(n, d):
+        hi, lo = true_ln_ratio(n, d)
+        return hi * (1 + 1e-12), lo
+
+    monkeypatch.setattr(oracle, "_ln_ratio", skewed)
+    for check in (oracle.ln_ref, oracle.ln_value):
+        with pytest.raises(OracleIntegrityError, match="log paths disagree at x=2.0"):
+            check(2.0)
+    assert cli.main(["ln", "1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: log paths disagree")
+    assert captured.err.count("\n") == 1
 
 
 def test_ln_ref_additivity_grid():

@@ -7,6 +7,7 @@ per operation, a few thousand operations) is far below one binary64 ulp.
 
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 
 import pytest
@@ -190,16 +191,26 @@ def _ln_ratio_cases(seed: int) -> list[tuple[int, int]]:
 
 
 def test_ln_ratio_within_its_bound():
-    # _ln_ratio's docstring proves hi + lo within 2**-75 of ln(n/d), relative.
+    # _ln_ratio's docstring proves hi + lo within 2**-75 of ln(n/d), relative;
+    # swapping n and d negates both floats exactly.
     with localcontext() as ctx:
         ctx.prec = _PREC
         for n, d in _ln_ratio_cases(seed=13):
-            hi, lo = harmonic._ln_ratio(n, d)
+            hi, lo = oracle._ln_ratio(n, d)
             exact = (Decimal(n) / Decimal(d)).ln()
             assert abs(Decimal(hi) + Decimal(lo) - exact) <= exact * Decimal(2) ** -75, (n, d)
+            assert oracle._ln_ratio(d, n) == (-hi, -lo), (n, d)
+            assert oracle._ln_ratio(n, n) == (0.0, 0.0), n
 
 
-_LN_GRID = [10.0 ** (-300 + 600 * i / 399) for i in range(400)]
+# From the least subnormal to the largest float, and the neighbours of 1.
+_LN_GRID = [10.0 ** (-300 + 600 * i / 399) for i in range(400)] + [
+    5e-324,
+    2.0**-1022,
+    sys.float_info.max,
+    math.nextafter(1.0, 0.0),
+    math.nextafter(1.0, 2.0),
+]
 
 
 def test_ln_ref_within_one_ulp_and_its_bound():
