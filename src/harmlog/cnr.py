@@ -11,9 +11,9 @@ multiplier m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
 from .oracle import percent_error
 
@@ -52,30 +52,34 @@ class CnrTag(Enum):
     EXP_LARGE = "exp_large"
 
 
-@dataclass(frozen=True)
-class CnrMethod:
+class CnrMethod(Frozen):
     """Which exponential form produced a value; m only applies to EXP_SCALED."""
 
-    tag: CnrTag
-    m: int | None = None
+    __slots__ = ("tag", "m")
 
-    def __post_init__(self) -> None:
-        if self.tag is CnrTag.EXP_SCALED:
-            if self.m is None or self.m < 1:
+    def __init__(self, tag: CnrTag, m: int | None = None) -> None:
+        if tag is CnrTag.EXP_SCALED:
+            if m is None or m < 1:
                 raise DomainError("EXP_SCALED requires an integer m >= 1")
-        elif self.m is not None:
-            raise DomainError(f"{self.tag.value} does not take a multiplier")
+        elif m is not None:
+            raise DomainError(f"{tag.value} does not take a multiplier")
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "m", m)
 
 
-@dataclass(frozen=True)
-class ApproxValue:
+class ApproxValue(Frozen):
     """An approximation bundled with its method and signed percentage error."""
 
-    input: float
-    method: CnrMethod
-    value: float
-    reference: float
-    percent_error: float
+    __slots__ = ("input", "method", "value", "reference", "percent_error")
+
+    def __init__(
+        self, input: float, method: CnrMethod, value: float, reference: float, percent_error: float
+    ) -> None:
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "percent_error", percent_error)
 
 
 def approx_lemma11(x: float) -> float:

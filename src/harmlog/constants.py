@@ -16,11 +16,11 @@ limit reproduces the true gamma = 0.577215664901...
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import truediv
 
+from ._frozen import Frozen
 from .errors import DomainError
 from .harmonic import _check_work, correction_sum, odd_harmonic_sum
 from .oracle import LN2, ln_value
@@ -42,14 +42,18 @@ class NrKind(Enum):
     EMPIRICAL_LIMIT = "limit"
 
 
-@dataclass(frozen=True)
-class NrVariant:
+class NrVariant(Frozen):
     """One computed incarnation of the Number Constant."""
 
-    kind: NrKind
-    value: float
-    terms: int | None = None  # DIRECT_SERIES only
-    n: int | None = None  # EMPIRICAL_LIMIT only
+    __slots__ = ("kind", "value", "terms", "n")
+
+    def __init__(
+        self, kind: NrKind, value: float, terms: int | None = None, n: int | None = None
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "terms", terms)  # DIRECT_SERIES only
+        object.__setattr__(self, "n", n)  # EMPIRICAL_LIMIT only
 
 
 def nr_integral() -> float:

@@ -12,9 +12,9 @@ Three methods:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
 from .harmonic import _decaying_sum
 from .oracle import ln_value
@@ -31,14 +31,16 @@ class FactorialMethod(Enum):
     CORRECTED = "corrected"
 
 
-@dataclass(frozen=True)
-class FactorialEstimate:
+class FactorialEstimate(Frozen):
     """ln_value is authoritative; value overflows to +inf for large n."""
 
-    n: int
-    ln_value: float
-    value: float
-    method: FactorialMethod
+    __slots__ = ("n", "ln_value", "value", "method")
+
+    def __init__(self, n: int, ln_value: float, value: float, method: FactorialMethod) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ln_value", ln_value)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
 
 
 def s_sum_exact(n: int) -> float:

@@ -1,11 +1,11 @@
 """Independent reference values: logarithms, factorials, error metric.
 
 The reference logarithm is the platform ``math.log``, checked on every call
-against `_ln_ratio`, an integer atanh series with binary range reduction
+against `_ln_fraction`, an integer atanh series with binary range reduction
 proven within 2**-75 of ln(n/d).  The reference value is math.log's own, so
 agreement between the library's harmonic-series estimates and the oracle is
 evidence rather than circularity; `harmonic`'s O(1) odd windows take their
-logarithm from the same `_ln_ratio`.  ln n! is the log of the exact
+logarithm from the same kernel, as `_ln_ratio`.  ln n! is the log of the exact
 big-integer factorial up to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma`
 above it, with no proven bound.
 """
@@ -58,7 +58,7 @@ def _atanh_sum(t: int, s: int, bits: int) -> int:
     return total
 
 
-# Fraction bits of the fixed point in _ln_ratio.
+# Fraction bits of the fixed point in _ln_fraction.
 _ATANH_BITS = 80
 # ln 2 = 2 atanh(1/3) in fixed point, from 16 more bits: at most 30 terms
 # kept put the sum under 34 units of 2**-96 low, so this is under 1.001
@@ -66,34 +66,39 @@ _ATANH_BITS = 80
 _LN2 = (2 * _atanh_sum(1, 3, _ATANH_BITS + 16) // 3) >> 16
 
 
-def _ln_ratio(n: int, d: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
+def _ln_fraction(n: int, d: int) -> tuple[int, int]:
+    """Integers P and Q > 0 with P/Q within 2**-75 of ln(n/d), relative.
 
-    For n < d it is -hi, -lo of _ln_ratio(d, n), so antisymmetry is exact.
-    For n >= d, integer arithmetic only.  k is the integer with 4**k <=
-    2 (n/d)**2 < 4**(k+1), so that N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and
-    ln(n/d) = k ln 2 + 2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 <
-    0.172, z**2 < 1/33.  With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W)
-    keeps at most 15 terms past the first (2**W z**30 < 14, so the 15th
-    floors to 0), so it is under 15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14
-    < 18 below 2**W times the exact sum, and _LN2 is under 1.001 below
-    2**W ln 2.  Then
+    For n < d it is -P, Q of _ln_fraction(d, n), so antisymmetry is exact.
+    For n >= d, k is the integer with 4**k <= 2 (n/d)**2 < 4**(k+1), so that
+    N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and ln(n/d) = k ln 2 +
+    2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 < 0.172, z**2 < 1/33.
+    With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W) keeps at most 15 terms
+    past the first (2**W z**30 < 14, so the 15th floors to 0), so it is under
+    15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14 < 18 below 2**W times the exact
+    sum, and _LN2 is under 1.001 below 2**W ln 2.  Then
         P/Q = (2 (N-D) A + k _LN2 (N+D)) / ((N+D) 2**W)
     is off from ln(n/d) by under (36 |z| + 1.001 k) 2**-W: for k = 0
     under 18 2**-W of ln(n/d) >= 2 |z|, and for k >= 1, where ln(n/d) >=
-    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  hi is P/Q and lo the rest
-    P/Q - hi, each rounded once as an int quotient, so lo's rounding adds
-    under 2**-106 of hi.  For n = d, P = 0: hi and lo are 0.0.
+    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  For n = d, P = 0.
     """
     if n < d:
-        hi, lo = _ln_ratio(d, n)
-        return -hi, -lo
+        p, q = _ln_fraction(d, n)
+        return -p, q
     # floor(log2(2 (n/d)**2)) is that of its integer part, halved to k.
     k = ((2 * n * n // (d * d)).bit_length() - 1) >> 1
     d <<= k
     t, s = n - d, n + d
-    p = 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s
-    q = s << _ATANH_BITS
+    return 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s, s << _ATANH_BITS
+
+
+def _ln_ratio(n: int, d: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
+
+    hi is P/Q of _ln_fraction and lo the rest P/Q - hi, each rounded once as
+    an int quotient, so lo's rounding adds under 2**-106 of hi.
+    """
+    p, q = _ln_fraction(n, d)
     hi = p / q
     hi_num, hi_den = hi.as_integer_ratio()
     return hi, (p * hi_den - hi_num * q) / (q * hi_den)
@@ -107,8 +112,8 @@ def _ln_tolerance(ln_x: float) -> float:
 def ln_value(x: float) -> float:
     """ln x of a positive finite real: math.log, checked on every call.
 
-    Raises OracleIntegrityError if math.log(x) and hi of
-    _ln_ratio(*x.as_integer_ratio()) differ by more than 1e-13 max(|ln x|, 1).
+    Raises OracleIntegrityError if math.log(x) and P/Q of
+    _ln_fraction(*x.as_integer_ratio()) differ by more than 1e-13 max(|ln x|, 1).
     """
     try:
         x = float(x)  # what math.log would do to an int anyway
@@ -117,7 +122,8 @@ def ln_value(x: float) -> float:
     if not 0 < x < math.inf:  # also rejects nan
         raise DomainError(f"ln_ref requires a finite x > 0, got {x}")
     platform = math.log(x)
-    series = _ln_ratio(*x.as_integer_ratio())[0]
+    p, q = _ln_fraction(*x.as_integer_ratio())
+    series = p / q
     if abs(platform - series) > _ln_tolerance(platform):
         raise OracleIntegrityError(
             f"log paths disagree at x={x}: platform={platform!r}, series={series!r}"
@@ -131,8 +137,8 @@ def ln_ref(x: float) -> ReferenceValue:
     The tolerance is relative above |ln x| = 1 and absolute below it.  A
     check that passes proves math.log(x) within guaranteed_abs_error
     (1 + 2**-52) + 2**-52 |ln x| of ln x, under 1.003 guaranteed_abs_error:
-    the difference to hi is rounded once, hi is within half an ulp of hi + lo,
-    and hi + lo within 2**-75 |ln x| of ln x.
+    the difference to the float P/Q is rounded once, that float is within half
+    an ulp of P/Q, and P/Q within 2**-75 |ln x| of ln x.
     """
     value = ln_value(x)
     return ReferenceValue(value=value, guaranteed_abs_error=_ln_tolerance(value))

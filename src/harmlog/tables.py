@@ -17,10 +17,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 from . import constants as consts
+from ._frozen import Frozen
 from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
 from .errors import DomainError
 from .factorial import FactorialMethod, estimate as factorial_estimate
@@ -38,23 +38,35 @@ class TableId(Enum):
     NR_GAMMA = "nr-gamma"
 
 
-@dataclass(frozen=True)
-class Row:
-    inputs: dict
-    calculated: float | None
-    reference: float | None
-    percent_error: float | None
-    printed: str | None
-    match: bool | None
-    erratum: str = ""
+class Row(Frozen):
+    __slots__ = (
+        "inputs", "calculated", "reference", "percent_error", "printed", "match", "erratum"
+    )
+
+    def __init__(
+        self, inputs: dict, calculated: float | None, reference: float | None,
+        percent_error: float | None, printed: str | None, match: bool | None, erratum: str = ""
+    ) -> None:
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "calculated", calculated)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "percent_error", percent_error)
+        object.__setattr__(self, "printed", printed)
+        object.__setattr__(self, "match", match)
+        object.__setattr__(self, "erratum", erratum)
 
 
-@dataclass(frozen=True)
-class TableReport:
-    table_id: str
-    input_columns: tuple[str, ...]
-    calculated_format: str  # printf spec mirroring the source's digits
-    rows: tuple[Row, ...] = field(default_factory=tuple)
+class TableReport(Frozen):
+    __slots__ = ("table_id", "input_columns", "calculated_format", "rows")
+
+    def __init__(
+        self, table_id: str, input_columns: tuple[str, ...], calculated_format: str,
+        rows: tuple[Row, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "table_id", table_id)
+        object.__setattr__(self, "input_columns", input_columns)
+        object.__setattr__(self, "calculated_format", calculated_format)
+        object.__setattr__(self, "rows", rows)
 
     # -- serialization ----------------------------------------------------
 
@@ -145,10 +157,7 @@ ERRATA: dict[tuple[str, str], str] = {
 
 def _sig_tolerance(printed: str, digits: int) -> float:
     """One unit in the `digits`-th significant digit of the printed value."""
-    value = float(printed)
-    if value == 0:
-        return 10.0 ** (1 - digits)
-    return 10.0 ** (math.floor(math.log10(abs(value))) - digits + 1)
+    return 10.0 ** (math.floor(math.log10(abs(float(printed)))) - digits + 1)
 
 
 def _printed_tolerance(printed: str) -> float:

@@ -153,6 +153,27 @@ class TestCnrAndNbb:
         assert record["count"] == 4
 
 
+class TestRecordFormats:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ln", "3", "7"],
+            ["factorial", "60", "--method", "raw"],
+            ["cnr", "1.5", "--method", "scaled", "--m", "50"],
+            ["nbb", "6"],
+        ],
+    )
+    def test_csv_is_the_json_keys_over_the_plain_cells(self, capsys, argv):
+        outputs = {}
+        for fmt in ("json", "plain", "csv"):
+            code, outputs[fmt], _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+        keys = list(json.loads(outputs["json"]))
+        plain = [line.split(": ", 1) for line in outputs["plain"].splitlines()]
+        assert [key for key, _ in plain] == keys
+        assert outputs["csv"] == ",".join(keys) + "\n" + ",".join(c for _, c in plain) + "\n"
+
+
 class TestTableCommand:
     def test_stdout_equals_library(self, capsys):
         code, out, _ = run(capsys, "table", "2.4", "--format", "csv")
@@ -169,6 +190,14 @@ class TestTableCommand:
         code, _, _ = run(capsys, "table", "2.5", "--out", str(target))
         assert code == 0
         assert target.read_text() == generate(TableId.T2_5, "csv")
+
+    def test_unwritable_out_exits_4(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "t.csv"
+        code, out, err = run(capsys, "table", "2.1", "--out", str(target))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
 
     def test_unknown_table(self, capsys):
         code, _, err = run(capsys, "table", "9.9")

@@ -1,8 +1,10 @@
-"""The package's public names, and the modules each entry point imports."""
+"""The package's public names, its value classes, and the modules each entry point imports."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import typing
@@ -11,6 +13,11 @@ from pathlib import Path
 import pytest
 
 import harmlog
+from harmlog.cnr import ApproxValue, CnrMethod, CnrTag
+from harmlog.constants import NrKind, NrVariant
+from harmlog.errors import DomainError
+from harmlog.factorial import FactorialEstimate, FactorialMethod
+from harmlog.tables import Row, TableReport
 
 SRC = Path(harmlog.__file__).resolve().parent.parent
 # Modules a run of `ln` does not need; each costs milliseconds to import.
@@ -21,6 +28,19 @@ NOT_FOR_LN = (
     "harmlog.constants",
     "dataclasses",
     "fractions",
+)
+# One run of each subcommand, with each choice that picks a different module
+# or value class.
+EVERY_SUBCOMMAND = (
+    ["ln", "3", "7", "--format", "json"],
+    *(["factorial", "60", "--method", method] for method in ("series", "raw", "corrected")),
+    *(["gamma", "--nr", kind] for kind in ("integral", "series", "limit")),
+    ["cnr", "1.5", "--method", "scaled", "--m", "50"],
+    ["nbb", "6"],
+    ["table", "2.6"],
+    ["sweep", "ln"],
+    ["sweep", "factorial", "--n", "10,100"],
+    ["sweep", "nr", "--n", "10,100"],
 )
 
 
@@ -179,3 +199,139 @@ class TestImportFootprint:
     def test_table_imports_tables(self):
         new = imported_by('from harmlog import cli\ncli.main(["table", "2.1"])\n')
         assert "harmlog.tables" in new
+
+    def test_no_subcommand_imports_dataclasses_or_inspect(self):
+        # One process runs them all and names the first command to load each.
+        loaded = fresh(
+            "import contextlib, io, json, sys\n"
+            "from harmlog import cli\n"
+            "first = {}\n"
+            f"for argv in {list(EVERY_SUBCOMMAND)!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    for name in ('dataclasses', 'inspect'):\n"
+            "        if name in sys.modules:\n"
+            "            first.setdefault(name, ' '.join(argv))\n"
+            "print(json.dumps(first))\n"
+        )
+        assert loaded == {}
+
+
+_ROW = Row({"x": 2.0}, 2.00502, 2.0, 0.251, "2.00591", False, "note")
+_ROW_REPR = (
+    "Row(inputs={'x': 2.0}, calculated=2.00502, reference=2.0, percent_error=0.251, "
+    "printed='2.00591', match=False, erratum='note')"
+)
+# Each value class: one instance built positionally, the same by keyword,
+# its repr, and whether it hashes (Row holds a dict, a report its rows).
+VALUE_CASES = {
+    "Row": (
+        _ROW,
+        dict(
+            inputs={"x": 2.0},
+            calculated=2.00502,
+            reference=2.0,
+            percent_error=0.251,
+            printed="2.00591",
+            match=False,
+            erratum="note",
+        ),
+        _ROW_REPR,
+        False,
+    ),
+    "TableReport": (
+        TableReport("2.2", ("x",), "%.10g", (_ROW,)),
+        dict(table_id="2.2", input_columns=("x",), calculated_format="%.10g", rows=(_ROW,)),
+        f"TableReport(table_id='2.2', input_columns=('x',), calculated_format='%.10g', "
+        f"rows=({_ROW_REPR},))",
+        False,
+    ),
+    "NrVariant": (
+        NrVariant(NrKind.DIRECT_SERIES, 0.0317, 595, None),
+        dict(kind=NrKind.DIRECT_SERIES, value=0.0317, terms=595, n=None),
+        "NrVariant(kind=<NrKind.DIRECT_SERIES: 'series'>, value=0.0317, terms=595, n=None)",
+        True,
+    ),
+    "FactorialEstimate": (
+        FactorialEstimate(5, 4.78, 119.46, FactorialMethod.CORRECTED),
+        dict(n=5, ln_value=4.78, value=119.46, method=FactorialMethod.CORRECTED),
+        "FactorialEstimate(n=5, ln_value=4.78, value=119.46, "
+        "method=<FactorialMethod.CORRECTED: 'corrected'>)",
+        True,
+    ),
+    "CnrMethod": (
+        CnrMethod(CnrTag.EXP_SCALED, 50),
+        dict(tag=CnrTag.EXP_SCALED, m=50),
+        "CnrMethod(tag=<CnrTag.EXP_SCALED: 'exp_scaled'>, m=50)",
+        True,
+    ),
+    "ApproxValue": (
+        ApproxValue(1.5, CnrMethod(CnrTag.EXP_FULL), 1.49, 1.5, -0.5),
+        dict(
+            input=1.5,
+            method=CnrMethod(CnrTag.EXP_FULL),
+            value=1.49,
+            reference=1.5,
+            percent_error=-0.5,
+        ),
+        "ApproxValue(input=1.5, method=CnrMethod(tag=<CnrTag.EXP_FULL: 'exp_full'>, m=None), "
+        "value=1.49, reference=1.5, percent_error=-0.5)",
+        True,
+    ),
+}
+
+
+class TestValueClasses:
+    """The record classes keep the behaviour of the frozen dataclasses they were."""
+
+    @pytest.mark.parametrize("name", VALUE_CASES)
+    def test_value_semantics(self, name):
+        value, fields, text, hashable = VALUE_CASES[name]
+        cls = type(value)
+        assert value == cls(**fields) and not value != cls(**fields)
+        assert [getattr(value, field) for field in fields] == list(fields.values())
+        assert repr(value) == text
+        as_tuple = tuple(fields.values())
+        assert value != as_tuple and not value == as_tuple
+        if hashable:
+            assert hash(value) == hash(cls(**fields))
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        first = next(iter(fields))
+        with pytest.raises(AttributeError):
+            setattr(value, first, None)
+        with pytest.raises(AttributeError):
+            delattr(value, first)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert getattr(value, first) == fields[first]
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is cls and twin == value and repr(twin) == text
+
+    def test_defaults(self):
+        row = Row({}, None, None, None, None, None)
+        assert row.erratum == ""
+        assert TableReport("sweep", ("n",), "%g").rows == ()
+        assert NrVariant(NrKind.INTEGRAL, 0.04) == NrVariant(NrKind.INTEGRAL, 0.04, None, None)
+        assert CnrMethod(CnrTag.POW2).m is None
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((CnrTag.EXP_SCALED,), "EXP_SCALED requires an integer m >= 1"),
+            ((CnrTag.EXP_SCALED, 0), "EXP_SCALED requires an integer m >= 1"),
+            ((CnrTag.LEMMA11, 5), "lemma11 does not take a multiplier"),
+        ],
+    )
+    def test_cnr_method_messages(self, args, message):
+        with pytest.raises(DomainError) as excinfo:
+            CnrMethod(*args)
+        assert str(excinfo.value) == message
+
+    def test_unpickling_cnr_method_validates_it(self):
+        method = CnrMethod(CnrTag.EXP_SCALED, 50)
+        object.__setattr__(method, "m", 0)
+        data = pickle.dumps(method)
+        with pytest.raises(DomainError, match="EXP_SCALED requires an integer m >= 1"):
+            pickle.loads(data)

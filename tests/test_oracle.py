@@ -29,13 +29,13 @@ def test_ln_ref_rejects_nonpositive():
 
 
 def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys):
-    true_ln_ratio = oracle._ln_ratio
+    true_ln_fraction = oracle._ln_fraction
 
     def skewed(n, d):
-        hi, lo = true_ln_ratio(n, d)
-        return hi * (1 + 1e-12), lo
+        p, q = true_ln_fraction(n, d)
+        return p + p // 10**12, q
 
-    monkeypatch.setattr(oracle, "_ln_ratio", skewed)
+    monkeypatch.setattr(oracle, "_ln_fraction", skewed)
     for check in (oracle.ln_ref, oracle.ln_value):
         with pytest.raises(OracleIntegrityError, match="log paths disagree at x=2.0"):
             check(2.0)

@@ -118,6 +118,23 @@ class TestNrGammaTable:
         assert row.match
 
 
+class TestErrata:
+    def test_every_key_is_looked_up_and_every_note_shown(self, monkeypatch):
+        # A mistyped key would silently drop its note from every report.
+        looked_up = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                looked_up.add(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(tables, "ERRATA", Recording(ERRATA))
+        notes = [row.erratum for table_id in TableId for row in tables.build(table_id).rows]
+        assert looked_up == set(ERRATA)
+        for note in ERRATA.values():
+            assert any(note in erratum for erratum in notes), note
+
+
 class TestSerialization:
     def test_csv_shape(self):
         text = tables.generate(TableId.T2_4, "csv")
