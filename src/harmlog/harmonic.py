@@ -20,7 +20,9 @@ factorial's tail sum, `_decaying_sum`) sum a head exactly and enclose the
 rest by a proven Hurwitz-zeta bound; when both ends of the enclosure round
 the sum to the same float, that float is the sum of every term, and
 otherwise the head doubles and the enclosure is tried again.  Either way the
-result is bit-identical to summing every term.
+result is bit-identical to summing every term.  The first head's exact parts
+and the tail constants at a head end are memoised, so a repeated start, such
+as the k = 2 of every series in the paper, sums its first head only once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, islice, repeat
 from operator import mul, neg, truediv
 
@@ -222,12 +224,18 @@ def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
     return value * scale, error * scale
 
 
+@lru_cache(maxsize=128)
+def _head_end_tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
+    """`_tail` at m = h + 1, the first index past a head [a, h], memoised."""
+    return _tail(m, power, odd_power)
+
+
 def _tail_enclosure(first: int, last: int, power: int, odd_power: int) -> tuple[float, float]:
     """Floats lo <= hi around the exact sum of the float terms for k = first..last.
 
     Proven for first >= 17 (see above).
     """
-    t_first, err_first = _tail(first, power, odd_power)
+    t_first, err_first = _head_end_tail(first, power, odd_power)
     t_last, err_last = _tail(last + 1, power, odd_power)
     tail = t_first - t_last
     truncation = (_J_TERMS + 1) * (2.0 * first) ** -_J_TERMS
@@ -250,6 +258,12 @@ def _exact_parts(terms: Iterator[float]) -> list[float]:
     return parts
 
 
+@lru_cache(maxsize=128)
+def _first_head(a: int, power: int, odd_power: int) -> tuple[float, ...]:
+    """The exact parts of the first head [a, 8a] of `_decaying_sum`, memoised."""
+    return tuple(_exact_parts(_terms(range(8 * a, a - 1, -1), power, odd_power)))
+
+
 def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     """Sum of 1/(k**power (2k-1)**odd_power) for k = a..b; b = a-1 is empty.
 
@@ -262,13 +276,22 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     over the straddling windows of the factorial's tail (a = 2, b up to
     10**18).  Once the window ends by 2h, the head and the rest of the
     window are summed term by term.
+
+    Every series of the paper starts at a = 2, so the same first head recurs:
+    its exact parts (`_first_head`) and That, err at each head end
+    (`_head_end_tail`) are memoised, each in a small LRU cache, and a
+    repeated start sums no head term.  The work limit is checked before the
+    lookup, as before the sum, and a doubled head extends the memoised parts.
     """
     _window(a, b, first=2)
     head: list[float] = []
     summed, h = a - 1, 8 * a
     while b > 2 * h:
         _check_work(a, h)
-        head = _exact_parts(chain(head, _terms(range(h, summed, -1), power, odd_power)))
+        if summed < a:
+            head = list(_first_head(a, power, odd_power))
+        else:
+            head = _exact_parts(chain(head, _terms(range(h, summed, -1), power, odd_power)))
         summed = h
         lo, hi = _tail_enclosure(h + 1, b, power, odd_power)
         low = math.fsum(head + [lo])

@@ -1,13 +1,15 @@
 """Independent reference values: logarithms, factorials, error metric.
 
 The reference logarithm is the platform ``math.log``, checked on every call
-against `_ln_fraction`, an integer atanh series with binary range reduction
-proven within 2**-75 of ln(n/d).  The reference value is math.log's own, so
-agreement between the library's harmonic-series estimates and the oracle is
-evidence rather than circularity; `harmonic`'s O(1) odd windows take their
-logarithm from the same kernel, as `_ln_ratio`.  ln n! is the log of the exact
-big-integer factorial up to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma`
-above it, with no proven bound.
+against `_ln_fraction`, an integer atanh series proven within 2**-75 of
+ln(n/d).  Its range reduction is binary, then by the nearest c/16 from a
+table of 13 fixed-point logarithms built at import, so the series keeps at
+most 8 terms.  The reference value is math.log's own, so agreement between
+the library's harmonic-series estimates and the oracle is evidence rather
+than circularity; `harmonic`'s O(1) odd windows take their logarithm from
+the same kernel, as `_ln_ratio`.  ln n! is the log of the exact big-integer
+factorial up to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma` above it, with
+no proven bound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import lru_cache
 from ._frozen import Frozen
 from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 
-# ln agreement demanded between math.log and _ln_ratio.
+# ln agreement demanded between math.log and P/Q of _ln_fraction.
 _LN_AGREEMENT_REL = 1e-13
 # Crossover above which the big-integer factorial is no longer worth building.
 _BIGINT_FACTORIAL_MAX = 20_000
@@ -58,12 +60,29 @@ def _atanh_sum(t: int, s: int, bits: int) -> int:
     return total
 
 
-# Fraction bits of the fixed point in _ln_fraction.
-_ATANH_BITS = 80
-# ln 2 = 2 atanh(1/3) in fixed point, from 16 more bits: at most 30 terms
-# kept put the sum under 34 units of 2**-96 low, so this is under 1.001
-# units of 2**-80 low.
-_LN2 = (2 * _atanh_sum(1, 3, _ATANH_BITS + 16) // 3) >> 16
+# Fraction bits of the fixed point in _ln_fraction; the proof there needs
+# 81 or more for its bound at ln(33/32).
+_ATANH_BITS = 88
+
+
+def _ln_fixed(t: int, s: int) -> int:
+    """2**W ln((s+t)/(s-t)) = 2**W 2 atanh(t/s), W = _ATANH_BITS, for |t| <= s/3.
+
+    Summed with 16 more bits, it is within 1.001 of the exact value: z = t/s
+    has z**2 <= 1/9, so the sum keeps at most 31 terms past the first
+    (2**(W+16) z**62 < 63) and is under 31 + 2.25 (1/3 + ... + 1/63) + 0.14
+    < 35.1 units of 2**-(W+16) low; times 2|z| <= 2/3 that is under 23.4 of
+    them, either way, the floor of the division takes under one more, and
+    the final shift floors under one unit of 2**-W.
+    """
+    return (2 * t * _atanh_sum(t, s, _ATANH_BITS + 16) // s) >> 16
+
+
+# ln 2 = 2 atanh(1/3) in fixed point.
+_LN2 = _ln_fixed(1, 3)
+# ln(c/16) = 2 atanh((c-16)/(c+16)) in fixed point for c = 11..23, the c
+# nearest 16 N/D for N/D in [1/sqrt 2, sqrt 2).
+_LN_SIXTEENTHS = {c: _ln_fixed(c - 16, c + 16) for c in range(11, 24)}
 
 
 def _ln_fraction(n: int, d: int) -> tuple[int, int]:
@@ -71,16 +90,28 @@ def _ln_fraction(n: int, d: int) -> tuple[int, int]:
 
     For n < d it is -P, Q of _ln_fraction(d, n), so antisymmetry is exact.
     For n >= d, k is the integer with 4**k <= 2 (n/d)**2 < 4**(k+1), so that
-    N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2] and ln(n/d) = k ln 2 +
-    2 atanh(z), z = (N-D)/(N+D), |z| <= 3 - 2 sqrt 2 < 0.172, z**2 < 1/33.
-    With W = _ATANH_BITS, A = _atanh_sum(N-D, N+D, W) keeps at most 15 terms
-    past the first (2**W z**30 < 14, so the 15th floors to 0), so it is under
-    15 + 2.07 (1/3 + 1/5 + ... + 1/31) + 0.14 < 18 below 2**W times the exact
-    sum, and _LN2 is under 1.001 below 2**W ln 2.  Then
-        P/Q = (2 (N-D) A + k _LN2 (N+D)) / ((N+D) 2**W)
-    is off from ln(n/d) by under (36 |z| + 1.001 k) 2**-W: for k = 0
-    under 18 2**-W of ln(n/d) >= 2 |z|, and for k >= 1, where ln(n/d) >=
-    k ln(2)/2, under 21 2**-W < 2**-75.6 of it.  For n = d, P = 0.
+    N/D = n/(d 2**k) is in [1/sqrt 2, sqrt 2), and c = 11..23 is the integer
+    nearest 16 N/D (Tang's table-driven reduction, ACM TOMS 16(4), 1990).
+    Then ln(n/d) = k ln 2 + ln(c/16) + 2 atanh(z), z = (16N - cD)/(16N + cD);
+    |16N - cD| <= D/2 and 16N + cD >= (2c - 1/2) D >= 21.5 D, so
+    |z| <= 1/43 and z**2 < 1/1849.
+    With W = _ATANH_BITS = 88, A = _atanh_sum(16N - cD, 16N + cD, W) keeps
+    at most 8 terms past the first (2**W z**16 < 17, so the 8th floors to 0),
+    so it is under 8 + 2.002 (1/3 + 1/5 + ... + 1/17) + 0.14 < 10.4 below
+    2**W times the exact sum; _LN2 is within 1.001 of 2**W ln 2, and
+    L = _LN_SIXTEENTHS[c] within 1.001 of 2**W ln(c/16) (0 for c = 16).
+    Then
+        P/Q = (2 (16N - cD) A + (k _LN2 + L) (16N + cD)) / ((16N + cD) 2**W)
+    is off from ln(n/d) by under 20.8 |z| + 1.001 (k + [c != 16]) units of
+    2**-W, at most 0.49 + 1.001 (k + [c != 16]).  Relative to ln(n/d):
+    - k = 0, c = 16: ln(n/d) >= 2 |z|, so under 10.4 2**-W;
+    - k = 0, c != 16: n/d >= 1 puts c in 17..23, so n/d >= 33/32 and
+      ln(n/d) > 0.0307: under 1.5/0.0307 < 48.9 units of 2**-W, which is
+      the case that needs W >= 81 for 2**-75;
+    - k >= 1: ln(n/d) >= (k - 1/2) ln 2 >= k ln(2)/2, so under 2.5 k/(0.346 k)
+      < 7.3 units of 2**-W.
+    So P/Q is within 48.9 2**-88 < 2**-82.3 of ln(n/d), relative.  For n = d,
+    P = 0.
     """
     if n < d:
         p, q = _ln_fraction(d, n)
@@ -88,8 +119,12 @@ def _ln_fraction(n: int, d: int) -> tuple[int, int]:
     # floor(log2(2 (n/d)**2)) is that of its integer part, halved to k.
     k = ((2 * n * n // (d * d)).bit_length() - 1) >> 1
     d <<= k
+    c = ((n << 5) + d) // (d << 1)  # floor(16 N/D + 1/2)
+    n <<= 4
+    d *= c
     t, s = n - d, n + d
-    return 2 * t * _atanh_sum(t, s, _ATANH_BITS) + k * _LN2 * s, s << _ATANH_BITS
+    p = 2 * t * _atanh_sum(t, s, _ATANH_BITS) + (k * _LN2 + _LN_SIXTEENTHS[c]) * s
+    return p, s << _ATANH_BITS
 
 
 def _ln_ratio(n: int, d: int) -> tuple[float, float]:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -91,6 +92,17 @@ def plain_s_sum(n: int) -> float:
 
 
 _CAP = 2**63 - 1
+# The 14 windows [2, b] of the factorial's tail, b = 33..4152, whose
+# enclosure straddles a rounding boundary more than once: (b, straddles).
+MULTI_STRADDLES = [
+    (674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1185, 2), (1558, 2),
+    (1645, 2), (2188, 3), (2193, 2), (2762, 2), (3508, 2), (3557, 3), (3782, 2),
+]
+
+
+def clear_head_memos() -> None:
+    harmonic._first_head.cache_clear()
+    harmonic._head_end_tail.cache_clear()
 
 
 class TestDecayingSum:
@@ -162,11 +174,7 @@ class TestDecayingSum:
         assert time.perf_counter() - start < 1.0
         assert low <= value <= high
 
-    @pytest.mark.parametrize(
-        "b, straddles",
-        [(674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1185, 2), (1558, 2)]
-        + [(1645, 2), (2188, 3), (2193, 2), (2762, 2), (3508, 2), (3557, 3), (3782, 2)],
-    )
+    @pytest.mark.parametrize("b, straddles", MULTI_STRADDLES)
     def test_windows_that_straddle_more_than_once(self, b, straddles):
         # The factorial's tail from a = 2: the enclosures after the heads
         # [2, 16], [2, 32] (and [2, 64]) straddle before one settles or the
@@ -192,7 +200,12 @@ class TestDecayingSum:
             )
 
     @staticmethod
-    def terms_summed(monkeypatch, a, b, power, odd_power):
+    def terms_summed(monkeypatch, a, b, power, odd_power, memoised=False):
+        """Terms _decaying_sum(a, b) sums one by one: with both memos cleared,
+        or, if memoised, after a first identical call has filled them."""
+        clear_head_memos()
+        if memoised:
+            harmonic._decaying_sum(a, b, power, odd_power)
         counted = []
         terms = harmonic._terms
 
@@ -213,6 +226,47 @@ class TestDecayingSum:
         # [2, 64] settles: 63 terms, where growing the head eightfold sums
         # [2, 128].
         assert self.terms_summed(monkeypatch, 2, 674, 3, 1) == 63
+
+    @pytest.mark.parametrize("b, power, odd_power", [(10**6, 3, 2), (10**5, 3, 1), (10**18, 3, 1)])
+    def test_a_repeated_start_sums_no_head_term(self, monkeypatch, b, power, odd_power):
+        # The enclosure after the first head [2, 16] settles these windows.
+        assert self.terms_summed(monkeypatch, 2, b, power, odd_power, memoised=True) == 0
+
+    def test_a_straddle_after_a_memo_hit_sums_only_the_doubled_part(self, monkeypatch):
+        # [2, 674] straddles after [2, 16] and [2, 32]: the heads [17, 32]
+        # and [33, 64] are summed again, [2, 16] is not.
+        assert self.terms_summed(monkeypatch, 2, 674, 3, 1, memoised=True) == 32 + 16
+
+    @pytest.mark.parametrize("b, straddles", MULTI_STRADDLES)
+    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_straddles(self, b, straddles):
+        plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
+        clear_head_memos()
+        cleared = harmonic._decaying_sum(2, b, 3, 1)
+        hit = harmonic._decaying_sum(2, b, 3, 1)
+        assert harmonic._first_head.cache_info().hits >= 1
+        assert cleared.hex() == hit.hex() == plain.hex()
+
+    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
+    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_seeded_windows(self, power, odd_power):
+        rng = random.Random(1409 + odd_power)
+        windows = [(2, rng.randint(2, 5000)) for _ in range(60)]
+        windows += [(rng.randint(2, 200), rng.randint(2000, 6000)) for _ in range(60)]
+        for a, b in windows:
+            plain = math.fsum(1.0 / (k**power * (2 * k - 1) ** odd_power) for k in range(a, b + 1))
+            clear_head_memos()
+            cleared = harmonic._decaying_sum(a, b, power, odd_power)
+            hit = harmonic._decaying_sum(a, b, power, odd_power)
+            assert cleared.hex() == hit.hex() == plain.hex(), (a, b)
+
+    def test_the_memos_are_bounded(self):
+        for memo in (harmonic._first_head, harmonic._head_end_tail):
+            assert 0 < memo.cache_info().maxsize < 1000
+
+    def test_the_work_limit_is_checked_before_the_memo(self, monkeypatch):
+        harmonic._decaying_sum(2, 10**6, 3, 2)
+        monkeypatch.setattr(harmonic, "MAX_TERMS", 14)
+        with pytest.raises(OverflowLimitError):
+            harmonic._decaying_sum(2, 10**6, 3, 2)
 
     def test_exact_parts_across_chunks(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_CHUNK", 7)

@@ -171,9 +171,24 @@ def test_correction_sum_within_one_ulp(a, b):
     assert _ulps(harmonic.correction_sum(a, b), exact) <= 1
 
 
+def _table_cases(rng: random.Random) -> list[tuple[int, int]]:
+    """Ratios 2**k c/16 on each table entry c = 11..23 (z = 0), and on and
+    on either side of each band edge 2**k (c + 1/2)/16, c = 10..23, at a
+    small and a 62-bit d and for k = 0, 1, 5 and 40."""
+    cases = []
+    for d in (32 * rng.randint(1, 32), 32 * rng.randint(2**56, 2**57)):
+        for k in (0, 1, 5, 40):
+            cases += [((c * d << k) // 16, d) for c in range(11, 24)]
+            for c in range(10, 24):
+                edge = ((2 * c + 1) * d << k) // 32  # exact, as 32 divides d
+                cases += [(edge - 1, d), (edge, d), (edge + 1, d)]
+    return cases
+
+
 def _ln_ratio_cases(seed: int) -> list[tuple[int, int]]:
     """n > d: n - d in {1, 2} near 2**62 and at the index cap, ratios on
-    either side of each reduction boundary sqrt(2) 2**k, and ratios up to 2**63."""
+    either side of each reduction boundary sqrt(2) 2**k, on and on either
+    side of each table entry's band, and ratios up to 2**63."""
     rng = random.Random(seed)
     cases = [(2**64 - 1, 2**64 - 2), (2**64 - 1, 2**64 - 3), (2**64 - 1, 1)]
     for base in (2**62, 2**63, 2**64 - 2**20):
@@ -187,6 +202,7 @@ def _ln_ratio_cases(seed: int) -> list[tuple[int, int]]:
     for _ in range(100):
         d = rng.randint(1, 2**rng.randint(1, 62))
         cases.append((rng.randint(d + 1, d << 63), d))
+    cases += _table_cases(rng)
     return [(n, d) for n, d in cases if n > d]
 
 
@@ -201,6 +217,68 @@ def test_ln_ratio_within_its_bound():
             assert abs(Decimal(hi) + Decimal(lo) - exact) <= exact * Decimal(2) ** -75, (n, d)
             assert oracle._ln_ratio(d, n) == (-hi, -lo), (n, d)
             assert oracle._ln_ratio(n, n) == (0.0, 0.0), n
+
+
+def _reduction(n: int, d: int) -> tuple[int, int]:
+    """k and c of _ln_fraction's range reduction for n >= d, from Decimal:
+    n/d = 2**k N/D with N/D in [1/sqrt 2, sqrt 2), c nearest 16 N/D."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        ratio = Decimal(n) / Decimal(d)
+        k = 0
+        while ratio >= Decimal(2).sqrt():
+            ratio /= 2
+            k += 1
+        c = int((16 * ratio + Decimal("0.5")).to_integral_value(rounding="ROUND_FLOOR"))
+    return k, c
+
+
+def test_ln_fraction_within_its_absolute_bound():
+    # _ln_fraction's docstring: P/Q is within 0.49 + 1.001 (k + [c != 16])
+    # units of 2**-W of ln(n/d).
+    unit = Decimal(2) ** -oracle._ATANH_BITS
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for n, d in _ln_ratio_cases(seed=13):
+            p, q = oracle._ln_fraction(n, d)
+            error = abs(Decimal(p) / Decimal(q) - (Decimal(n) / Decimal(d)).ln())
+            k, c = _reduction(n, d)
+            assert error <= (Decimal("0.49") + Decimal("1.001") * (k + (c != 16))) * unit, (n, d)
+
+
+def test_atanh_bits_meet_the_bound_at_ln_33_32():
+    # The docstring's worst case: k = 0, c = 17, so n/d >= 33/32 and the
+    # error is under 0.49 + 1.001 units of 2**-W; W = 80 falls short.
+    assert (0.49 + 1.001) * 2.0**-oracle._ATANH_BITS / math.log(33 / 32) < 2.0**-75
+
+
+def test_reduced_argument_within_1_43(monkeypatch):
+    # The proof's |z| <= 1/43, which bounds the terms _atanh_sum keeps.
+    reduced = []
+    atanh_sum = oracle._atanh_sum
+
+    def recording(t, s, bits):
+        reduced.append((t, s))
+        return atanh_sum(t, s, bits)
+
+    monkeypatch.setattr(oracle, "_atanh_sum", recording)
+    cases = _ln_ratio_cases(seed=13)
+    for n, d in cases:
+        oracle._ln_fraction(n, d)
+    assert len(reduced) == len(cases)
+    assert all(43 * abs(t) <= s for t, s in reduced)
+
+
+def test_table_constants_within_their_bound():
+    # Each entry, and _LN2, is within 1.001 units of 2**-W of its logarithm.
+    scale = Decimal(2) ** oracle._ATANH_BITS
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        assert sorted(oracle._LN_SIXTEENTHS) == list(range(11, 24))
+        assert oracle._LN_SIXTEENTHS[16] == 0
+        constants = [(Decimal(c) / 16, value) for c, value in oracle._LN_SIXTEENTHS.items()]
+        for x, value in constants + [(Decimal(2), oracle._LN2)]:
+            assert abs(x.ln() * scale - value) < Decimal("1.001"), x
 
 
 # From the least subnormal to the largest float, and the neighbours of 1.
