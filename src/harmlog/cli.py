@@ -93,7 +93,7 @@ def _cmd_ln(args) -> None:
         m = _integer(args.m, "--m")
         p, q = positive_ratio(args.p, args.q)
         value = ln_rational(ScaledRational(p=p, q=q, m=m), variant)
-    reference = ln_value(args.p / args.q)
+    reference = ln_value(*positive_ratio(args.p, args.q))
     _emit(
         {
             "p": args.p,

@@ -1,15 +1,17 @@
 """Independent reference values: logarithms, factorials, error metric.
 
-The reference logarithm is the platform ``math.log``, checked on every call
-against `_ln_fraction`, an integer atanh series proven within 2**-75 of
-ln(n/d).  Its range reduction is binary, then by the nearest c/16 from a
-table of 13 fixed-point logarithms built at import, so the series keeps at
-most 8 terms.  The reference value is math.log's own, so agreement between
-the library's harmonic-series estimates and the oracle is evidence rather
-than circularity; `harmonic`'s O(1) odd windows take their logarithm from
-the same kernel, as `_ln_ratio`.  ln n! is the log of the exact big-integer
-factorial up to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma` above it, with
-no proven bound.
+The reference logarithm ln(n/d) of positive integers n, d is P/Q of
+`_ln_fraction` rounded once to a float, and P/Q, an integer atanh series,
+is proven within 2**-82.3 of ln(n/d), relative.  Its range reduction is
+binary, then by the nearest c/16 from a table of 13 fixed-point logarithms
+built at import, so the series keeps at most 8 terms.  A float x enters as
+its exact x.as_integer_ratio(), so no quotient is rounded before the kernel
+sees it.  The platform `math.log` of the float quotient checks the value on
+every call; `harmonic`'s O(1) odd windows take their logarithm from the
+same kernel, as `_ln_ratio`, and the 50-digit `decimal` referee of the
+tests judges both.  ln n! is the log of the exact big-integer factorial up
+to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma` above it, with no proven
+bound.
 """
 
 from __future__ import annotations
@@ -144,36 +146,40 @@ def _ln_tolerance(ln_x: float) -> float:
     return _LN_AGREEMENT_REL * max(abs(ln_x), 1.0)
 
 
-def ln_value(x: float) -> float:
-    """ln x of a positive finite real: math.log, checked on every call.
+def ln_value(x: float, d: int = 1) -> float:
+    """ln(x/d) of a float or int x over an int d, x/d positive and finite.
 
-    Raises OracleIntegrityError if math.log(x) and P/Q of
-    _ln_fraction(*x.as_integer_ratio()) differ by more than 1e-13 max(|ln x|, 1).
+    It is P/Q of _ln_fraction on the exact ratio (x.as_integer_ratio() of a
+    float, or the ints x and d), rounded once.  Raises OracleIntegrityError
+    if math.log of the float quotient x/d differs from it by more than
+    1e-13 max(|ln(x/d)|, 1).
     """
     try:
-        x = float(x)  # what math.log would do to an int anyway
+        ratio = x / d  # an int quotient is rounded once
     except OverflowError:
         raise OverflowLimitError("ln_ref: x is past the binary64 range") from None
-    if not 0 < x < math.inf:  # also rejects nan
-        raise DomainError(f"ln_ref requires a finite x > 0, got {x}")
-    platform = math.log(x)
-    p, q = _ln_fraction(*x.as_integer_ratio())
-    series = p / q
-    if abs(platform - series) > _ln_tolerance(platform):
+    except ZeroDivisionError:
+        raise DomainError(f"ln_ref requires a finite x > 0, got {x}/0") from None
+    if not 0 < ratio < math.inf:  # also nan and inf, on which as_integer_ratio raises
+        raise DomainError(f"ln_ref requires a finite x > 0, got {ratio}")
+    n, m = x.as_integer_ratio()
+    p, q = _ln_fraction(abs(n), abs(m * d))
+    value = p / q
+    platform = math.log(ratio)
+    if abs(platform - value) > _ln_tolerance(platform):
         raise OracleIntegrityError(
-            f"log paths disagree at x={x}: platform={platform!r}, series={series!r}"
+            f"log paths disagree at x={ratio}: platform={platform!r}, series={value!r}"
         )
-    return platform
+    return value
 
 
 def ln_ref(x: float) -> ReferenceValue:
     """ln_value(x) with its tolerance, 1e-13 max(|ln x|, 1), as guaranteed_abs_error.
 
-    The tolerance is relative above |ln x| = 1 and absolute below it.  A
-    check that passes proves math.log(x) within guaranteed_abs_error
-    (1 + 2**-52) + 2**-52 |ln x| of ln x, under 1.003 guaranteed_abs_error:
-    the difference to the float P/Q is rounded once, that float is within half
-    an ulp of P/Q, and P/Q within 2**-75 |ln x| of ln x.
+    The tolerance is relative above |ln x| = 1 and absolute below it.  The
+    value is P/Q rounded once, so within half an ulp plus 2**-82.3 |ln x| of
+    ln x, far inside guaranteed_abs_error; the check holds math.log(x) within
+    guaranteed_abs_error of it.
     """
     value = ln_value(x)
     return ReferenceValue(value=value, guaranteed_abs_error=_ln_tolerance(value))

@@ -78,6 +78,16 @@ class TestLnCommand:
         assert code == 2
         assert "no logarithm in real quantities" in err
 
+    @pytest.mark.parametrize("p, q, sign", [(10**17 + 1, 10**17, 1), (10**17, 10**17 + 1, -1)])
+    def test_close_large_pair_has_a_correctly_rounded_oracle(self, capsys, p, q, sign):
+        # p / q rounds to 1.0, so an oracle of the float quotient reads 0.
+        code, out, err = run(capsys, "ln", str(p), str(q), "--format", "json")
+        assert (code, err) == (0, "")
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (1 + Decimal(10) ** -17).ln()
+        assert json.loads(out)["oracle"] == sign * float(exact)
+
 
 def assert_one_line_error(result, needle, exit_code=2):
     code, out, err = result

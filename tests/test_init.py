@@ -200,6 +200,16 @@ class TestImportFootprint:
         new = imported_by('from harmlog import cli\ncli.main(["table", "2.1"])\n')
         assert "harmlog.tables" in new
 
+    def test_no_table_imports_decimal(self):
+        # Table 2.6 is checked against printed digits, read off the string.
+        new = imported_by(
+            "from harmlog import cli, tables\n"
+            "for table_id in tables.TableId:\n"
+            '    assert cli.main(["table", table_id.value]) == 0, table_id\n'
+        )
+        assert "harmlog.tables" in new
+        assert "decimal" not in new
+
     def test_no_subcommand_imports_dataclasses_or_inspect(self):
         # One process runs them all and names the first command to load each.
         loaded = fresh(

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from harmlog import cli, oracle
-from harmlog.errors import DomainError, OracleIntegrityError
+from harmlog.errors import DomainError, OracleIntegrityError, OverflowLimitError
 
 
 def test_ln_ref_trivial():
@@ -26,6 +26,17 @@ def test_ln_ref_rejects_nonpositive():
     for x in (0.0, -1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             oracle.ln_ref(x)
+
+
+def test_ln_value_takes_the_exact_ratio_of_x_over_d():
+    assert oracle.ln_value(3, 4) == oracle.ln_value(0.75) == oracle.ln_value(1.5, 2)
+    assert oracle.ln_value(-3, -4) == oracle.ln_value(3, 4)
+    assert oracle.ln_value(10**400, 10**399) == oracle.ln_value(10.0)
+    with pytest.raises(OverflowLimitError):
+        oracle.ln_value(10**400)
+    for x, d in ((-3, 4), (3, -4), (0, 3), (1, 0), (0, 0), (2.0, 0)):
+        with pytest.raises(DomainError):
+            oracle.ln_value(x, d)
 
 
 def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys):

@@ -219,6 +219,35 @@ def test_ln_ratio_within_its_bound():
             assert oracle._ln_ratio(n, n) == (0.0, 0.0), n
 
 
+def _integer_pairs(seed: int) -> list[tuple[int, int]]:
+    """(p, q) with p - q = +-1 near 2**62, random below 2**63, and p/q in [1/16, 16]."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(20):
+        q = 2**62 + rng.randint(-(2**40), 2**40)
+        cases += [(q + 1, q), (q - 1, q)]
+    for _ in range(100):
+        cases.append((rng.randint(1, 2**63 - 1), rng.randint(1, 2**63 - 1)))
+    for _ in range(100):
+        q = rng.randint(1, 2**rng.randint(4, 62))
+        cases.append((rng.randint(-(-q // 16), 16 * q), q))
+    return [(p, q) for p, q in cases if p != q]
+
+
+def test_ln_value_of_integer_pairs_within_half_an_ulp_and_the_kernel_bound():
+    # ln_value(p, q) is P/Q of _ln_fraction, within 2**-82.3 of ln(p/q),
+    # relative, rounded once; swapping p and q negates it exactly.
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for p, q in _integer_pairs(seed=14):
+            value = oracle.ln_value(p, q)
+            exact = (Decimal(p) / Decimal(q)).ln()
+            bound = Decimal(math.ulp(value)) / 2 + abs(exact) * Decimal(2) ** -82
+            assert abs(Decimal(value) - exact) <= bound, (p, q)
+            assert oracle.ln_value(q, p) == -value, (p, q)
+            assert oracle.ln_value(p, p) == 0.0, p
+
+
 def _reduction(n: int, d: int) -> tuple[int, int]:
     """k and c of _ln_fraction's range reduction for n >= d, from Decimal:
     n/d = 2**k N/D with N/D in [1/sqrt 2, sqrt 2), c nearest 16 N/D."""
