@@ -11,7 +11,9 @@ multiplier m.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
+from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
@@ -82,22 +84,45 @@ class ApproxValue(Frozen):
         object.__setattr__(self, "percent_error", percent_error)
 
 
+def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:
+    """form(*args) for an input x, as a finite float.
+
+    A non-finite x or a division by zero raises DomainError, and a value past
+    binary64 OverflowLimitError; each message names label and x.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
+    try:
+        value = form(*args)
+    except ZeroDivisionError:
+        raise DomainError(f"{label} divides by zero at x = {x!r}") from None
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OverflowLimitError(f"{label} overflows binary64 at x = {x!r}")
+    return value
+
+
+# Each form below returns a finite float or raises a typed error (`_finite`)
+# whose message names the form by its CnrTag value, or as cnr_exp.
+
+
 def approx_lemma11(x: float) -> float:
     """Crude form (x - 1) * 2**(1/(x-1)); degenerates to 0 at x = 1."""
     if x == 1:
         raise DomainError("approx_lemma11 degenerates to 0 at x = 1")
-    return (x - 1.0) * 2.0 ** (1.0 / (x - 1.0))
+    return _finite("lemma11", x, lambda: (x - 1.0) * 2.0 ** (1.0 / (x - 1.0)))
 
 
 def approx_cnr_pow2(x: float) -> float:
     """CNR estimate 2**(3/(2x-1)) for x/(x-1)."""
     if 2.0 * x - 1.0 == 0:
         raise DomainError("approx_cnr_pow2 undefined at x = 1/2")
-    return 2.0 ** (3.0 / (2.0 * x - 1.0))
+    return _finite("pow2", x, lambda: 2.0 ** (3.0 / (2.0 * x - 1.0)))
 
 
-def approx_number_scaled(x: float, m: int = DEFAULT_SCALE) -> float:
-    """(x - 1/m) * e**(2/(2mx - 1 - 1/(mx)**3)); larger m shrinks the error."""
+def _number_scaled(x: float, m: int) -> float:
+    """approx_number_scaled before `_finite` checks it."""
     if m < 1:
         raise DomainError(f"multiplier m must be >= 1, got {m}")
     if x == 0:
@@ -109,21 +134,26 @@ def approx_number_scaled(x: float, m: int = DEFAULT_SCALE) -> float:
     return (x - 1.0 / m) * math.exp(2.0 / denom)
 
 
+def approx_number_scaled(x: float, m: int = DEFAULT_SCALE) -> float:
+    """(x - 1/m) * e**(2/(2mx - 1 - 1/(mx)**3)); larger m shrinks the error."""
+    return _finite("exp_scaled", x, _number_scaled, x, m)
+
+
 def approx_number_exp(x: float) -> float:
     """(x - 1) * e**(2/(2x - 1 - 1/x**3)); the m = 1 case of the scaled form."""
-    return approx_number_scaled(x, 1)
+    return _finite("exp_full", x, _number_scaled, x, 1)
 
 
 def approx_cnr_exp(x: float) -> float:
     """CNR estimate e**(2/(2x-1-1/x**3)), i.e. the full form divided by x-1."""
-    return math.exp(2.0 / (2 * x - 1 - 1.0 / x**3))
+    return _finite("cnr_exp", x, lambda: math.exp(2.0 / (2 * x - 1 - 1.0 / x**3)))
 
 
 def approx_number_large(x: float) -> float:
     """(x - 1) * e**(2/(2x-1)); valid once 1/x**3 is negligible."""
     if 2.0 * x - 1.0 == 0:
         raise DomainError("approx_number_large undefined at x = 1/2")
-    return (x - 1.0) * math.exp(2.0 / (2.0 * x - 1.0))
+    return _finite("exp_large", x, lambda: (x - 1.0) * math.exp(2.0 / (2.0 * x - 1.0)))
 
 
 def evaluate(x: float, method: CnrMethod) -> ApproxValue:
@@ -134,26 +164,19 @@ def evaluate(x: float, method: CnrMethod) -> ApproxValue:
     division by zero raises DomainError, and a form or an error that
     overflows binary64 raises OverflowLimitError.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x}")
-    try:
-        if method.tag is CnrTag.LEMMA11:
-            value, reference = approx_lemma11(x), x
-        elif method.tag is CnrTag.POW2:
-            value, reference = approx_cnr_pow2(x), x / (x - 1.0)
-        elif method.tag is CnrTag.EXP_FULL:
-            value, reference = approx_number_exp(x), x
-        elif method.tag is CnrTag.EXP_SCALED:
-            value, reference = approx_number_scaled(x, method.m), x
-        else:
-            value, reference = approx_number_large(x), x
-        error = percent_error(value, reference)
-    except ZeroDivisionError:
-        raise DomainError(f"{method.tag.value} divides by zero at x = {x!r}") from None
-    except OverflowError:
-        error = math.inf
-    if not math.isfinite(error):
-        raise OverflowLimitError(f"{method.tag.value} overflows binary64 at x = {x!r}")
+    label, reference = method.tag.value, x
+    if method.tag is CnrTag.LEMMA11:
+        value = approx_lemma11(x)
+    elif method.tag is CnrTag.POW2:
+        value = approx_cnr_pow2(x)
+        reference = _finite(label, x, truediv, x, x - 1.0)
+    elif method.tag is CnrTag.EXP_FULL:
+        value = approx_number_exp(x)
+    elif method.tag is CnrTag.EXP_SCALED:
+        value = approx_number_scaled(x, method.m)
+    else:
+        value = approx_number_large(x)
+    error = _finite(label, x, percent_error, value, reference)
     return ApproxValue(
         input=x, method=method, value=value, reference=reference, percent_error=error
     )

@@ -28,8 +28,8 @@ from .oracle import LN2, ln_value
 # Closed-form pieces of the integral variant.
 INTEGRAL_OFFSET = 16.67560703904
 
-# True gamma, for error reporting only.
-EULER_GAMMA_REFERENCE = 0.577215664901
+# True gamma, correctly rounded to binary64, for error reporting only.
+EULER_GAMMA_REFERENCE = 0.5772156649015329
 
 # Term count at which the direct series' tail bound 1/(8 N**4) drops
 # below 1e-12.

@@ -12,17 +12,19 @@ with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
 correctly rounded value of the exact sum of its float terms (`math.fsum`,
 Shewchuk's algorithm, in a C-level loop), so the order of the terms does
 not change it.  A longer odd window is the same finite sum, not a different
-approximation, evaluated within 1 ulp: from k = max(a, 41) on in O(1) from
-the digamma function's asymptotic series (`_psi_series`, with the integer
-logarithm `oracle._ln_ratio`), plus the float terms up to k = 40 of a window
-that starts there.  The fast-decaying series (the correction sum and the
-factorial's tail sum, `_decaying_sum`) sum a head exactly and enclose the
-rest by a proven Hurwitz-zeta bound; when both ends of the enclosure round
-the sum to the same float, that float is the sum of every term, and
-otherwise the head doubles and the enclosure is tried again.  Either way the
-result is bit-identical to summing every term.  The first head's exact parts
-and the tail constants at a head end are memoised, so a repeated start, such
-as the k = 2 of every series in the paper, sums its first head only once.
+approximation, evaluated in O(1) within 0.56 ulp, whatever its start: from
+k = max(a, 41) on from the digamma function's asymptotic series
+(`_psi_series`, with the integer logarithm `oracle._ln_ratio`), plus, for a
+window that starts below k = 41, its head S(a, 40) as two floats from exact
+integers (`_odd_head`, memoised per a).  The fast-decaying series (the
+correction sum and the factorial's tail sum, `_decaying_sum`) sum a head
+exactly and enclose the rest by a proven Hurwitz-zeta bound; when both ends
+of the enclosure round the sum to the same float, that float is the sum of
+every term, and otherwise the head doubles and the enclosure is tried again.
+Either way the result is bit-identical to summing every term.  The first
+head's exact parts and the tail constants at a head end are memoised, so a
+repeated start, such as the k = 2 of every series in the paper, sums its
+first head only once.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     OverflowLimitError,
     ZeroOrInfiniteError,
 )
-from .oracle import _ln_ratio
+from .oracle import _hi_lo, _ln_ratio
 
 # Auto-scaling pushes both m*p and m*q above this; per-mille-level percent
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
@@ -313,9 +315,12 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
 #     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
 # from the window's own integers: no gamma and no float constant.  A window
-# from a >= 41 adds no term one by one; one from a <= 40 adds its float terms
-# S(a, 40), at most 40 of them, exactly as a short window does.  The
-# crossover counts only the terms from c on, since only those are saved.
+# from a <= 40 adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79)
+# and N_a = sum_{k=a..40} L/(2k-1) are integers, as the floats hi, lo of
+# `oracle._hi_lo`: hi = N_a / L and lo = N_a / L - hi, each an int quotient
+# rounded once.  So no window adds a term one by one past the crossover,
+# and the crossover counts only the terms from c on, since only those are
+# saved.
 #
 # Error bound, with u = 2**-53, x = c - 1/2 >= 40.5 and n > 40 the window's
 # terms.  Each term of S = S(a, b) is above 1/(2b+1), and 2b+1 = 2a-1 + 2n
@@ -339,26 +344,26 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 #    square, five rounded coefficients, Horner's rule) is off by under 20u
 #    of it: together under 5u/(3 x**2) < (10u/3) (1/(n x) + 1/x**2) S
 #    < u S/240.
-# 4. So the six tail floats sum to S(c, b) within under 0.055 u S.  fsum
-#    rounds the exact sum of them and of the float terms S(a, 40) correctly,
-#    to R within half an ulp of it, and u R < ulp(R).  From a >= 41 there are
-#    no such terms: R is within 0.5 + 0.055 (1 + 2u) < 0.56 ulp of S.  From
-#    a <= 40, each 1.0/(2k-1) with k <= 40 is correctly rounded, and for
-#    every such a their errors from k = a to 40 sum to under 0.12 u S(a, 89)
-#    <= 0.12 u S, as b >= 89 (summed exactly; tests/test_harmonic.py checks
-#    it), so R is within 0.68 ulp of S.  tests/test_referee.py checks both
-#    bounds against a 50-digit sum, and tests/test_harmonic.py 2 ulp against
-#    the fsum of every float term.
+# 4. The head.  From a <= 40, hi + lo is within 2**-105 S(a, 40) <= 2**-105 S
+#    of S(a, 40) (see `oracle._hi_lo`); from a >= 41 there is no head.
+# 5. So the six tail floats and the head's two sum to S within under
+#    2**-68 S + 2**-75 S + (1/20 + 1/240 + 2**-52) u S < 0.055 u S.  fsum
+#    rounds that exact sum correctly, to R within half an ulp of it, and
+#    u R < ulp(R): R is within 0.5 + 0.055 (1 + 2u) < 0.56 ulp of S, from
+#    any a.
+#    tests/test_referee.py checks this bound against a 50-digit sum, and
+#    tests/test_harmonic.py 2 ulp against the fsum of every float term.
 # The crossover is the measured break-even of this path.  Timed over 400
 # windows of 41 to 128 terms, log-uniform in a from 41 to 2**62 (CPython
 # 3.11, x86-64 Xeon, least of 15 runs of 50), the O(1) path took 4.2-13 us
 # (median 7.1) and a direct term 77-222 ns (the wider the index, the
 # slower); the two cost the same at 49-56 terms (median ratio 0.99), and the
 # 400 windows took least with the crossover at 48: 2.88 ms, against 2.89 at
-# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  It is at least
-# _LOWEST_TAIL_START - 1, so that n > 40.  Every tests/golden/ file is the
-# same with it at 48 as with every window of up to 10**6 terms summed term
-# by term.
+# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  The head of a window
+# from a <= 40 adds two floats to the same fsum, so the crossover holds from
+# every a.  It is at least _LOWEST_TAIL_START - 1, so that n > 40.  Every
+# tests/golden/ file is the same with it at 48 as with every window of up to
+# 10**6 terms summed term by term.
 #
 # A direct window whose 2k-1 passes 2**53, of at most 48 terms, has each
 # term rounded twice: 2k-1 to a float, then 1.0 divided by it.  Each rounding
@@ -370,29 +375,26 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 # tests/test_referee.py checks 2.5 ulp there.  The O(1) path's floats are
 # int quotients, rounded once, so past 2**53 its bound above still holds.
 _DIRECT_MAX_TERMS = 48
-_LOWEST_TAIL_START = 41  # so that x >= 40.5 in items 1, 3 and 4
-_PSI_TERMS = 5  # Bernoulli numbers B2..B10 kept; B12 bounds the remainder
-
-
-@cache
-def _psi_coefficients() -> tuple[float, ...]:
-    """B_2k/(4k) for k = _PSI_TERMS down to 1, each correctly rounded.
-
-    An int quotient is correctly rounded, as float(Fraction) is.
-    """
-    return tuple(
-        _BERNOULLI[k][0] / (4 * k * _BERNOULLI[k][1]) for k in range(_PSI_TERMS, 0, -1)
-    )
+_LOWEST_TAIL_START = 41  # so that x >= 40.5 in items 1, 3 and 5
 
 
 def _psi_series(d: int) -> float:
-    """P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k, by Horner's rule in (2/d)**2."""
+    """P(d) = sum_{k=1..5} B_2k/(4k) (2/d)**2k, by Horner's rule in (2/d)**2.
+
+    The coefficients B_2k/(4k), k = 5 down to 1, are int quotients, each
+    correctly rounded; B_12 bounds the remainder (item 1 above).
+    """
     x = 2 / d
     y = x * x
-    value = 0.0
-    for coefficient in _psi_coefficients():
-        value = value * y + coefficient
-    return value * y
+    return ((((5 / 1320 * y - 1 / 480) * y + 1 / 504) * y - 1 / 240) * y + 1 / 24) * y
+
+
+@cache
+def _odd_head(a: int) -> tuple[float, float]:
+    """S(a, 40) for 1 <= a <= 40 as floats hi, lo (see above), memoised."""
+    last = 2 * _LOWEST_TAIL_START - 3  # the odd denominator of k = 40
+    common = math.lcm(*range(1, last + 1, 2))
+    return _hi_lo(sum(common // d for d in range(2 * a - 1, last + 1, 2)), common)
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:
@@ -400,9 +402,9 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 
     A window with up to _DIRECT_MAX_TERMS terms from k = c = max(a, 41) on
     is the correctly rounded sum of its float terms.  A longer one is the
-    same finite sum, within 1 ulp (see above): from c on, six floats from the
-    digamma function in O(1), plus the float terms below c of a window that
-    starts there.
+    same finite sum, within 0.56 ulp (see above), in O(1): from c on, six
+    floats from the digamma function, plus the two of the head S(a, 40) of a
+    window that starts below c.
     """
     window = _window(a, b)
     c = max(a, _LOWEST_TAIL_START)
@@ -418,7 +420,7 @@ def odd_harmonic_sum(a: int, b: int) -> float:
         -_psi_series(2 * b + 1),
     ]
     if a < c:
-        terms += map(truediv, repeat(1.0), _odd(range(c - 1, a - 1, -1)))
+        terms += _odd_head(a)
     return math.fsum(terms)
 
 
@@ -427,17 +429,26 @@ def correction_sum(a: int, b: int) -> float:
     return _decaying_sum(a, b, 3, 2)
 
 
+def _check_scaled(p: int, q: int, m: int) -> None:
+    """Validate p/q with multiplier m as `ScaledRational` does.
+
+    DomainError for p, q or m below 1, and the window's checks (`_window`)
+    on mq+1..mp.
+    """
+    if p < 1 or q < 1:
+        raise DomainError(f"p and q must be positive, got {p}/{q}")
+    if m < 1:
+        raise DomainError(f"multiplier m must be >= 1, got {m}")
+    _window(m * min(p, q) + 1, m * max(p, q))
+
+
 class ScaledRational(Frozen):
     """A positive rational p/q with multiplier m, kept unreduced as mp/mq."""
 
     __slots__ = ("p", "q", "m")
 
     def __init__(self, p: int, q: int, m: int) -> None:
-        if p < 1 or q < 1:
-            raise DomainError(f"p and q must be positive, got {p}/{q}")
-        if m < 1:
-            raise DomainError(f"multiplier m must be >= 1, got {m}")
-        _window(m * min(p, q) + 1, m * max(p, q))
+        _check_scaled(p, q, m)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)

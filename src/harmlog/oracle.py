@@ -129,16 +129,25 @@ def _ln_fraction(n: int, d: int) -> tuple[int, int]:
     return p, s << _ATANH_BITS
 
 
-def _ln_ratio(n: int, d: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
+def _hi_lo(p: int, q: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-105 of p/q, relative, for q > 0.
 
-    hi is P/Q of _ln_fraction and lo the rest P/Q - hi, each rounded once as
-    an int quotient, so lo's rounding adds under 2**-106 of hi.
+    hi is p/q and lo the rest p/q - hi, each rounded once as an int
+    quotient: |p/q - hi| <= u |hi| with u = 2**-53, so lo's rounding adds
+    under u**2 |hi| < 2**-105 |p/q|.
     """
-    p, q = _ln_fraction(n, d)
     hi = p / q
     hi_num, hi_den = hi.as_integer_ratio()
     return hi, (p * hi_den - hi_num * q) / (q * hi_den)
+
+
+def _ln_ratio(n: int, d: int) -> tuple[float, float]:
+    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
+
+    They are `_hi_lo` of P/Q of _ln_fraction, whose split adds under
+    2**-105 of it.
+    """
+    return _hi_lo(*_ln_fraction(n, d))
 
 
 def _ln_tolerance(ln_x: float) -> float:

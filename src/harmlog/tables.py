@@ -24,7 +24,14 @@ from ._frozen import Frozen
 from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
 from .errors import DomainError
 from .factorial import FactorialMethod, estimate as factorial_estimate
-from .harmonic import LogVariant, ScaledRational, ln_integer, ln_rational
+from .harmonic import (
+    LogVariant,
+    ScaledRational,
+    _check_scaled,
+    ln_integer,
+    ln_quotient,
+    ln_rational,
+)
 from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
 
 
@@ -402,14 +409,17 @@ def _check_grid(grid: list[int]) -> None:
 def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
     _check_grid(multipliers)
-    # Every window is checked before the oracle's check forms p / q, which
-    # overflows past the index cap.
-    rationals = [ScaledRational(p=p, q=q, m=m) for m in multipliers]
+    # Every window is checked, in grid order and as ScaledRational checks it,
+    # before the oracle's check forms p / q, which overflows past the index
+    # cap.  Each row is then ln_rational(ScaledRational(p, q, m)), without
+    # the object.
+    for m in multipliers:
+        _check_scaled(p, q, m)
     reference = ln_value(p, q)
-    rows = []
-    for r in rationals:
-        value = ln_rational(r, LogVariant.TRUNCATED)
-        rows.append(_row({"p": p, "q": q, "m": r.m}, value, reference))
+    rows = [
+        _row({"p": p, "q": q, "m": m}, ln_quotient(m * p, m * q, LogVariant.TRUNCATED), reference)
+        for m in multipliers
+    ]
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from harmlog import cnr
-from harmlog.errors import DomainError
+from harmlog.errors import DomainError, OverflowLimitError
 
 
 class TestLemma11:
@@ -140,3 +140,41 @@ class TestEvaluate:
     def test_pow2_reference_is_the_ratio(self):
         result = cnr.evaluate(6.0, cnr.CnrMethod(cnr.CnrTag.POW2))
         assert result.reference == pytest.approx(1.2, rel=1e-15)
+
+
+class TestTypedErrors:
+    """Every form returns a finite float or raises a typed error."""
+
+    @pytest.mark.parametrize(
+        "form, x, error, message",
+        [
+            (cnr.approx_cnr_exp, 1.0, DomainError, "cnr_exp divides by zero at x = 1.0"),
+            (cnr.approx_cnr_exp, 0.0, DomainError, "cnr_exp divides by zero at x = 0.0"),
+            (cnr.approx_cnr_exp, 1.0001, OverflowLimitError, "cnr_exp overflows"),
+            (cnr.approx_lemma11, 1.0000001, OverflowLimitError, "lemma11 overflows"),
+            (cnr.approx_cnr_pow2, 0.50000000001, OverflowLimitError, "pow2 overflows"),
+            (cnr.approx_number_scaled, math.nan, DomainError, "x must be finite, got nan"),
+            (cnr.approx_number_exp, math.inf, DomainError, "x must be finite, got inf"),
+            (cnr.approx_number_exp, 1e-200, DomainError, "exp_full divides by zero"),
+            (cnr.approx_number_exp, 1e200, OverflowLimitError, "exp_full overflows"),
+            (cnr.approx_number_large, 0.5 + 2**-40, OverflowLimitError, "exp_large overflows"),
+            (cnr.approx_lemma11, -math.inf, DomainError, "x must be finite, got -inf"),
+            (cnr.approx_cnr_pow2, math.nan, DomainError, "x must be finite, got nan"),
+            (cnr.approx_number_large, math.inf, DomainError, "x must be finite, got inf"),
+            (cnr.approx_cnr_exp, math.nan, DomainError, "x must be finite, got nan"),
+        ],
+    )
+    def test_rejections(self, form, x, error, message):
+        with pytest.raises(error) as raised:
+            form(x)
+        assert type(raised.value) is error
+        assert str(raised.value).startswith(message)
+
+    def test_evaluate_names_the_method(self):
+        # The cnr command's messages are unchanged: they name the CnrTag.
+        with pytest.raises(OverflowLimitError, match="^lemma11 overflows binary64 at x = "):
+            cnr.evaluate(1.0000001, cnr.CnrMethod(cnr.CnrTag.LEMMA11))
+        with pytest.raises(DomainError, match="^pow2 divides by zero at x = 1.0$"):
+            cnr.evaluate(1.0, cnr.CnrMethod(cnr.CnrTag.POW2))
+        with pytest.raises(DomainError, match="^exp_scaled divides by zero at x = 1e-200$"):
+            cnr.evaluate(1e-200, cnr.CnrMethod(cnr.CnrTag.EXP_SCALED, m=1))

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +93,25 @@ class TestEulerGamma:
             consts.nr_empirical_limit(10**6),
         ]
         assert all(0.02 < v < 0.05 for v in values)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_reference_is_gamma_correctly_rounded(self, n):
+        # Euler-Maclaurin (DLMF 2.10.1 for f(x) = 1/x), at 60 digits:
+        #     gamma = H_n - ln n - 1/(2n) + sum_{k=1..8} B_2k / (2k n**2k) + R,
+        # |R| <= |B_18| / (18 n**18) < 1e-40 at n = 200.
+        bernoulli = [
+            Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+            Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+        ]
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big_n = Decimal(n)
+            gamma = sum(Decimal(1) / Decimal(k) for k in range(1, n + 1))
+            gamma -= big_n.ln() + 1 / (2 * big_n)
+            for k, b in enumerate(bernoulli, start=1):
+                gamma += Decimal(b.numerator) / (b.denominator * 2 * k * big_n ** (2 * k))
+            ulp = Decimal(math.ulp(consts.EULER_GAMMA_REFERENCE))
+            assert abs(Decimal(consts.EULER_GAMMA_REFERENCE) - gamma) < ulp / 2
 
     def test_empirical_gamma_approaches_truth(self):
         v = consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=10**6)

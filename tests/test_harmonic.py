@@ -316,6 +316,11 @@ def plain_odd(a: int, b: int) -> float:
     return math.fsum(1.0 / (2 * k - 1) for k in range(a, b + 1))
 
 
+def exact_odd_head(a: int) -> Fraction:
+    """S(a, 40), the head of a long window from a <= 40, exactly."""
+    return sum(Fraction(1, 2 * k - 1) for k in range(a, harmonic._LOWEST_TAIL_START))
+
+
 class TestLongOddWindows:
     """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
 
@@ -337,9 +342,9 @@ class TestLongOddWindows:
         # n > _DIRECT_MAX_TERMS >= 40 terms, as the long-window proof uses.
         assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
 
-    @pytest.mark.parametrize("a, summed", [(1, 46), (40, 7), (41, 6), (10**6, 6), (2**62, 6)])
+    @pytest.mark.parametrize("a, summed", [(1, 8), (40, 8), (41, 6), (10**6, 6), (2**62, 6)])
     def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
-        # The six tail floats, plus the float terms S(a, 40) from a <= 40.
+        # The six tail floats, plus the two of the head S(a, 40) from a <= 40.
         counted = []
         fsum = math.fsum
 
@@ -353,23 +358,26 @@ class TestLongOddWindows:
         harmonic.odd_harmonic_sum(a, c + harmonic._DIRECT_MAX_TERMS)
         assert counted == [summed]
 
-    def test_rounding_of_the_float_terms_below_the_tail_start(self):
-        # Item 4 of the long-window proof: from every a <= 40, the rounding
-        # errors of 1.0/(2k-1) for k = a..40 sum to under 0.12 u of the
-        # shortest long window's S(a, 40 + _DIRECT_MAX_TERMS + 1).
-        u = Fraction(harmonic._U)
-        first = harmonic._LOWEST_TAIL_START
-        last = first + harmonic._DIRECT_MAX_TERMS
-        assert last == 89
-        error = {k: Fraction(1.0 / (2 * k - 1)) - Fraction(1, 2 * k - 1) for k in range(1, first)}
-        for a in range(1, first):
-            shortest = sum(Fraction(1, 2 * k - 1) for k in range(a, last + 1))
-            assert abs(sum(error[k] for k in range(a, first))) < Fraction(12, 100) * u * shortest
+    def test_head_pairs_round_the_exact_head(self):
+        # From every a <= 40, hi is S(a, 40) correctly rounded and lo the
+        # rest S(a, 40) - hi correctly rounded (float(Fraction) is).
+        for a in range(1, harmonic._LOWEST_TAIL_START):
+            head = exact_odd_head(a)
+            hi, lo = harmonic._odd_head(a)
+            assert (hi, lo) == (float(head), float(head - Fraction(hi))), a
 
-    def test_tail_floats_within_0_055_u(self):
+    def test_head_pair_within_2_pow_minus_105(self):
+        # Item 4 of the long-window proof: hi + lo is within 2**-105 of
+        # S(a, 40), relative, from every a <= 40.
+        for a in range(1, harmonic._LOWEST_TAIL_START):
+            head = exact_odd_head(a)
+            hi, lo = harmonic._odd_head(a)
+            assert abs(Fraction(hi) + Fraction(lo) - head) < head / 2**105, a
+
+    def test_tail_and_head_floats_within_0_055_u(self):
         # Items 1 and 3 of the long-window proof at their worst, x = 40.5 and
-        # n = 41 terms, with item 2: the six tail floats are off by under
-        # 0.055 u S.
+        # n = 41 terms, with items 2 and 4: the six tail floats and the two of
+        # the head are off by under 0.055 u S (item 5).
         u, x, n = Fraction(harmonic._U), Fraction(81, 2), 41
         b12 = Fraction(*harmonic._BERNOULLI[6])
         truncation = abs(b12) / 12 * (1 / (n * x**11) + 1 / x**12)
@@ -377,7 +385,23 @@ class TestLongOddWindows:
         assert truncation < Fraction(1, 2**68)
         assert u * (Fraction(1, n) + 1 / x) < u / 20
         assert Fraction(10, 3) * u * (1 / (n * x) + 1 / x**2) < u / 240
-        assert Fraction(1, 2**68) + Fraction(1, 2**75) + u / 20 + u / 240 < Fraction(55, 1000) * u
+        head = u / 2**52  # 2**-105
+        bound = Fraction(1, 2**68) + Fraction(1, 2**75) + u / 20 + u / 240 + head
+        assert bound < Fraction(55, 1000) * u
+
+    def test_psi_series_is_horner_on_the_rounded_bernoulli_quotients(self):
+        # The literal coefficients of _psi_series are B_2k/(4k), k = 5..1,
+        # each correctly rounded.
+        coefficients = [
+            float(Fraction(*harmonic._BERNOULLI[k]) / (4 * k)) for k in range(5, 0, -1)
+        ]
+        for d in [81, 83, 201, 10**6 + 1, 2**53 + 1, 2**63 - 1, 2**64 + 1]:
+            x = 2 / d
+            y = x * x
+            value = 0.0
+            for coefficient in coefficients:
+                value = value * y + coefficient
+            assert harmonic._psi_series(d) == value * y, d
 
 
 class TestLnInteger:

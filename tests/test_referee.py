@@ -2,9 +2,11 @@
 
 The binary64 kernels are checked against `decimal` at 50 significant
 digits, whose own rounding error (at most one half-unit in the 50th digit
-per operation, a few thousand operations) is far below one binary64 ulp.
+per operation, at most a few million operations) is far below one binary64
+ulp.
 """
 
+import functools
 import math
 import random
 import sys
@@ -78,10 +80,9 @@ def _past_the_crossover(a: int, b: int) -> bool:
     return b - max(a, harmonic._LOWEST_TAIL_START) + 1 > harmonic._DIRECT_MAX_TERMS
 
 
-def _proven_ulps(a: int) -> float:
-    """The O(1) path's proven bound (item 4 of harmonic's long-window proof):
-    0.56 ulp from a >= 41, 0.68 ulp from a <= 40."""
-    return 0.56 if a >= harmonic._LOWEST_TAIL_START else 0.68
+# The O(1) path's proven bound, from every a (item 5 of harmonic's
+# long-window proof).
+_PROVEN_ULPS = 0.56
 
 
 @pytest.mark.parametrize("a, b", _long_windows(seed=3))
@@ -90,7 +91,7 @@ def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(a, b):
     # digamma path.
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 def _crossover_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
@@ -110,7 +111,7 @@ def _crossover_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
 def test_odd_harmonic_sum_just_past_the_crossover_within_one_ulp(a, b):
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 @pytest.mark.parametrize(
@@ -121,7 +122,7 @@ def test_odd_harmonic_sum_past_the_shipped_crossover_within_the_proven_bound(a, 
     # digamma path.
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 def _head_free_windows(seed: int) -> list[tuple[int, int]]:
@@ -140,12 +141,12 @@ def test_head_free_windows_just_past_the_crossover_within_0_56_ulp(a, b):
     assert a >= harmonic._LOWEST_TAIL_START
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
     """From a = 1 to 40, with 1 to 16 terms more from k = 41 on than the
-    crossover: the float terms S(a, 40) plus the shortest O(1) tails."""
+    crossover: the head S(a, 40) plus the shortest O(1) tails."""
     rng = random.Random(seed)
     first = harmonic._LOWEST_TAIL_START
     windows = []
@@ -156,11 +157,33 @@ def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
 
 
 @pytest.mark.parametrize("a, b", _head_and_short_tail_windows(seed=6))
-def test_head_and_short_tail_windows_within_0_68_ulp(a, b):
+def test_head_and_short_tail_windows_within_0_56_ulp(a, b):
     assert a < harmonic._LOWEST_TAIL_START
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _proven_ulps(a)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
+
+
+@pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
+def test_every_head_one_term_past_the_crossover_within_0_56_ulp(a):
+    b = harmonic._LOWEST_TAIL_START + harmonic._DIRECT_MAX_TERMS
+    assert _past_the_crossover(a, b) and not _past_the_crossover(a, b - 1)
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
+
+
+@functools.cache
+def _odd_sum_from_the_tail_start_to_a_million() -> Decimal:
+    return _decimal_sum(lambda k: 2 * k - 1, harmonic._LOWEST_TAIL_START, 10**6)
+
+
+@pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
+def test_every_head_to_a_million_within_0_56_ulp(a):
+    head = _decimal_sum(lambda k: 2 * k - 1, a, harmonic._LOWEST_TAIL_START - 1)
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        exact = head + _odd_sum_from_the_tail_start_to_a_million()
+    assert _ulps(harmonic.odd_harmonic_sum(a, 10**6), exact) <= _PROVEN_ULPS
 
 
 @pytest.mark.parametrize("a, b", _windows(seed=2, first=2))

@@ -4,9 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmlog import tables
-from harmlog.errors import DomainError
+from harmlog.errors import DomainError, OverflowLimitError
+from harmlog.harmonic import LogVariant, ScaledRational, ln_rational
+from harmlog.oracle import ln_value
 from harmlog.tables import ERRATA, TableId
 
 
@@ -195,3 +198,42 @@ class TestSweeps:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             tables.sweep_ln_rational(1, 2, [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 60),
+        q=st.integers(1, 60),
+        grid=st.lists(st.integers(1, 10**5), min_size=1, max_size=6),
+    )
+    def test_ln_rational_rows_are_the_scaled_rational_estimates(self, p, q, grid):
+        report = tables.sweep_ln_rational(p, q, grid)
+        reference = ln_value(p, q)
+        assert [r.inputs for r in report.rows] == [{"p": p, "q": q, "m": m} for m in grid]
+        for row, m in zip(report.rows, grid):
+            value = ln_rational(ScaledRational(p, q, m), LogVariant.TRUNCATED)
+            assert row.calculated.hex() == value.hex(), m
+            assert row.reference == reference
+
+    @pytest.mark.parametrize(
+        "p, q, grid, error, message",
+        [
+            (1, 2, [], DomainError, "empty sweep grid"),
+            (1, 2, [0], DomainError, "multiplier m must be >= 1, got 0"),
+            (1, 2, [5, -3], DomainError, "multiplier m must be >= 1, got -3"),
+            (0, 2, [1], DomainError, "p and q must be positive, got 0/2"),
+            (3, -1, [4], DomainError, "p and q must be positive, got 3/-1"),
+            (2, 1, [2**62], OverflowLimitError, f"window index {2**63} exceeds 63-bit cap"),
+            (2, 1, [1, 10, 2**62], OverflowLimitError, f"window index {2**63} exceeds 63-bit cap"),
+            # Grid order: the first invalid multiplier is the one reported.
+            (2, 1, [2**62, 0], OverflowLimitError, f"window index {2**63} exceeds 63-bit cap"),
+            (2, 1, [3, 0, 2**62], DomainError, "multiplier m must be >= 1, got 0"),
+            # Every window is checked before the oracle forms p / q, which
+            # overflows binary64 here.
+            (10**400, 1, [1], OverflowLimitError, f"window index {10**400} exceeds 63-bit cap"),
+        ],
+    )
+    def test_ln_rational_rejections(self, p, q, grid, error, message):
+        with pytest.raises(error) as raised:
+            tables.sweep_ln_rational(p, q, grid)
+        assert type(raised.value) is error
+        assert str(raised.value) == message
