@@ -17,7 +17,7 @@ from enum import Enum
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
 from .harmonic import _decaying_sum
-from .oracle import ln_value
+from .oracle import _size, ln_value
 
 # Integral closed form of the tail sum, evaluated at its lower bound; the
 # raw formula's leading constant is its complement to 1.
@@ -57,21 +57,23 @@ def s_sum_closed(n: int) -> float:
     s_sum_exact grows to about 0.0141 as n increases (the integral
     approximation error the corrected factorial constants absorb).
     """
-    if n < 2:
-        raise DomainError(f"s_sum_closed requires n >= 2, got {n}")
+    _check_n(n, 2, "s_sum_closed")
     return S_TAIL_CONST + 2.0 * (1.0 / n + 1.0 / (4.0 * n * n)) + 4.0 * math.log1p(
         -1.0 / (2.0 * n)
     )
 
 
 def _check_n(n: int, least: int, name: str) -> None:
-    """DomainError for n < least; OverflowLimitError if n is past binary64's range."""
+    """DomainError for n < least or a non-finite float n; OverflowLimitError
+    if n is past binary64's range."""
     if n < least:
         raise DomainError(f"{name} requires n >= {least}, got {n}")
+    if not n < math.inf:  # nan or inf
+        raise DomainError(f"{name} requires a finite n, got {n}")
     try:
         float(n)
     except OverflowError:
-        raise OverflowLimitError(f"{name}: n of {n.bit_length()} bits is past binary64") from None
+        raise OverflowLimitError(f"{name}: {_size(n)} is past binary64") from None
 
 
 def ln_factorial_series(n: int) -> float:
@@ -125,7 +127,7 @@ def _estimate(n: int, ln_est: float, method: FactorialMethod) -> FactorialEstima
     ln_est itself must be finite: past n ~ 2.5e305, ln n! overflows binary64.
     """
     if not math.isfinite(ln_est):
-        raise OverflowLimitError(f"ln n! overflows binary64 at n of {n.bit_length()} bits")
+        raise OverflowLimitError(f"ln n! overflows binary64 at {_size(n)}")
     try:
         value = math.exp(ln_est)
     except OverflowError:

@@ -12,19 +12,20 @@ with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
 correctly rounded value of the exact sum of its float terms (`math.fsum`,
 Shewchuk's algorithm, in a C-level loop), so the order of the terms does
 not change it.  A longer odd window is the same finite sum, not a different
-approximation, evaluated in O(1) within 0.56 ulp, whatever its start: from
-k = max(a, 41) on from the digamma function's asymptotic series
-(`_psi_series`, with the integer logarithm `oracle._ln_ratio`), plus, for a
-window that starts below k = 41, its head S(a, 40) as two floats from exact
-integers (`_odd_head`, memoised per a).  The fast-decaying series (the
-correction sum and the factorial's tail sum, `_decaying_sum`) sum a head
-exactly and enclose the rest by a proven Hurwitz-zeta bound; when both ends
-of the enclosure round the sum to the same float, that float is the sum of
-every term, and otherwise the head doubles and the enclosure is tried again.
-Either way the result is bit-identical to summing every term.  The first
-head's exact parts and the tail constants at a head end are memoised, so a
-repeated start, such as the k = 2 of every series in the paper, sums its
-first head only once.
+approximation, evaluated in O(1) within 0.501 ulp, whatever its start:
+from k = c = max(a, 41) on as four floats from the digamma function's
+expansion about x + 1/2 (`_psi_series`, and the integer logarithm
+`oracle._ln_ratio` of b/(c-1), which for a scaled p/q is p/q itself and is
+memoised in lowest terms), plus, for a window that starts below k = 41, its
+head S(a, 40) as two floats from exact integers (`_odd_head`, memoised per
+a).  The fast-decaying series (the correction sum and the factorial's tail
+sum, `_decaying_sum`) sum a head exactly and enclose the rest by a proven
+Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
+same float, that float is the sum of every term, and otherwise the head
+doubles and the enclosure is tried again.  Either way the result is
+bit-identical to summing every term.  The first head's exact parts and the
+tail constants at a head end are memoised, so a repeated start, such as the
+k = 2 of every series in the paper, sums its first head only once.
 """
 
 from __future__ import annotations
@@ -306,50 +307,67 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 
 # -- long odd windows --------------------------------------------------------
 # psi(x+1) - psi(x) = 1/x for the digamma function psi, so for a <= c <= b
-#     S(a, b) = S(a, c-1) + (psi(b + 1/2) - psi(c - 1/2)) / 2,
-# and DLMF 5.11.2 gives, for real x > 0,
-#     psi(x) = ln x - 1/(2x) - sum_{k=1..K} B_2k / (2k x**2k) + R_K(x).
+# and d = c - 1
+#     S(a, b) = S(a, d) + (psi(b + 1/2) - psi(d + 1/2)) / 2.
+# DLMF 5.11.2 gives, for real x > 0,
+#     psi(x) = ln x - 1/(2x) - sum_{k=1..K} B_2k / (2k x**2k) + R_K(x),
+# and the duplication formula psi(2x) = (psi(x) + psi(x + 1/2))/2 + ln 2
+# (DLMF 5.5.8) turns it into the expansion about x + 1/2,
+#     psi(x + 1/2) = ln x + sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (2k x**2k)
+#                    + 2 R_K(2x) - R_K(x).
 # A window with more than _DIRECT_MAX_TERMS terms from c = max(a,
 # _LOWEST_TAIL_START) on takes that part as
-#     S(c, b) = ln((2b+1)/(2c-1))/2 + 1/(4c-2) - 1/(4b+2) + P(2c-1) - P(2b+1)
-#               + (R_K(c - 1/2) - R_K(b + 1/2))/2,
-#     P(d) = sum_{k=1..K} B_2k/(4k) (2/d)**2k,
-# from the window's own integers: no gamma and no float constant.  A window
-# from a <= 40 adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79)
-# and N_a = sum_{k=a..40} L/(2k-1) are integers, as the floats hi, lo of
+#     S(c, b) = ln(b/d)/2 + Q(b) - Q(d) + (E(b) - E(d))/2,
+#     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
+#     E(x) = 2 R_K(2x) - R_K(x),
+# from the window's own integers: no gamma and no float constant.  For a
+# scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
+# every multiplier of a sweep takes the same logarithm: the ratio is reduced
+# by its gcd, and `oracle._ln_ratio` is memoised.  A window from a <= 40
+# adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79) and
+# N_a = sum_{k=a..40} L/(2k-1) are integers, as the floats hi, lo of
 # `oracle._hi_lo`: hi = N_a / L and lo = N_a / L - hi, each an int quotient
 # rounded once.  So no window adds a term one by one past the crossover,
 # and the crossover counts only the terms from c on, since only those are
 # saved.
 #
-# Error bound, with u = 2**-53, x = c - 1/2 >= 40.5 and n > 40 the window's
-# terms.  Each term of S = S(a, b) is above 1/(2b+1), and 2b+1 = 2a-1 + 2n
-# <= 2(x+n), so S > n/(2(x+n)).
+# Error bound, with u = 2**-53, d = c - 1 >= 40 and n > 40 the terms from c
+# on.  Each of them is above 1/(2b), and b = d + n, so S = S(a, b) >=
+# S(c, b) > n/(2(d+n)).
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
 #    - 2 int_0^inf t dt / ((t**2 + x**2)(e**(2 pi t) - 1)).  Expanding
 #    1/(t**2 + x**2) to K terms and using int_0^inf t**(2n-1) dt /
 #    (e**(2 pi t) - 1) = |B_2n|/(4n) (DLMF 24.7.2) gives the sum above and a
-#    remainder of one sign for every x, at most the first omitted term
-#    |B_2(K+1)| / ((2K+2) x**(2K+2)).  Both remainders share that sign, so
-#    their difference is at most the one at c - 1/2: with K = 5, halved, under
-#    |B_12| / (24 x**12) < |B_12|/12 (1/(n x**11) + 1/x**12) S < 2**-68 S.
+#    remainder R_K(x) of one sign for every x, at most the first omitted term
+#    |B_2(K+1)| / ((2K+2) x**(2K+2)).  2 R_K(2x) and R_K(x) share that sign,
+#    so |E(x)| is at most the larger of them, |B_12| / (12 x**12) with K = 5.
+#    E(b) and E(d) need not share a sign, so their halved difference is
+#    bounded by the sum of both, under |B_12| / (12 d**12)
+#    < |B_12|/6 (1/(n d**11) + 1/d**12) S < 2**-67 S.
 # 2. The logarithm.  oracle._ln_ratio returns hi + lo within 2**-75 of
-#    ln((2b+1)/(2c-1)), relative to it, from integer arithmetic alone (see
-#    there); halving them is exact.  ln((2b+1)/(2c-1))/2, the integral of
-#    1/(2x-1) over [c, b+1], is below S(c, b) <= S, so this is under 2**-75 S.
-# 3. 1/(4c-2) and 1/(4b+2) are int quotients, correctly rounded: together
-#    off by under u/(2x) < u (1/n + 1/x) S < u S/20.  P(d) is positive and
-#    below its first term 1/(6 d**2), so P(2c-1) and P(2b+1) are below
-#    1/(24 x**2), and the float evaluation of each (a rounded 2/d, its
-#    square, five rounded coefficients, Horner's rule) is off by under 20u
-#    of it: together under 5u/(3 x**2) < (10u/3) (1/(n x) + 1/x**2) S
-#    < u S/240.
+#    ln(b/d), relative to it, from integer arithmetic alone (see there);
+#    halving them is exact.  ln(b/d)/2 is the sum of ln(k/(k-1))/2, the
+#    integral of 1/(2x) over [k-1, k], for k = c..b, so by midpoint convexity
+#    it is at least S(c, b).  It exceeds S(c, b) by Q(d) - Q(b) + (E(d) -
+#    E(b))/2, under 1/(48 d**2): Q(b) > 0, and Q(d) falls short of its first
+#    term by over 3e-3/d**4 (item 3), far more than item 1's E terms.  As
+#    1/(48 d**2) < (1/24) (1/(n d) + 1/d**2) S(c, b) < 1e-4 S(c, b), this
+#    is under 1.0001 2**-75 S.
+# 3. y = 1/(x*x) is an int quotient, rounded once.  Q(x) is positive and
+#    below its first term 1/(48 x**2): the terms alternate and shrink for
+#    x >= 40, the second is -7/(1920 x**4), and all but the first together
+#    are under 2e-4 of it.  Horner's rule on the five rounded
+#    coefficients gives the term of degree k at most 3k + 1 roundings
+#    (Higham, Accuracy and Stability, eq. 5.3, with y's own and the final
+#    product's), so each of Q(b) and Q(d) is off by under 5u/(48 x**2), and
+#    together by under 5u/(24 d**2) < (5u/12) (1/(n d) + 1/d**2) S
+#    < u S/1900.
 # 4. The head.  From a <= 40, hi + lo is within 2**-105 S(a, 40) <= 2**-105 S
 #    of S(a, 40) (see `oracle._hi_lo`); from a >= 41 there is no head.
-# 5. So the six tail floats and the head's two sum to S within under
-#    2**-68 S + 2**-75 S + (1/20 + 1/240 + 2**-52) u S < 0.055 u S.  fsum
+# 5. So the four tail floats and the head's two sum to S within under
+#    2**-67 S + 1.0001 2**-75 S + (1/1900 + 2**-52) u S < 0.0006 u S.  fsum
 #    rounds that exact sum correctly, to R within half an ulp of it, and
-#    u R < ulp(R): R is within 0.5 + 0.055 (1 + 2u) < 0.56 ulp of S, from
+#    u R < ulp(R): R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S, from
 #    any a.
 #    tests/test_referee.py checks this bound against a 50-digit sum, and
 #    tests/test_harmonic.py 2 ulp against the fsum of every float term.
@@ -375,18 +393,17 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
 # tests/test_referee.py checks 2.5 ulp there.  The O(1) path's floats are
 # int quotients, rounded once, so past 2**53 its bound above still holds.
 _DIRECT_MAX_TERMS = 48
-_LOWEST_TAIL_START = 41  # so that x >= 40.5 in items 1, 3 and 5
+_LOWEST_TAIL_START = 41  # so that d >= 40 in items 1, 2, 3 and 5
 
 
-def _psi_series(d: int) -> float:
-    """P(d) = sum_{k=1..5} B_2k/(4k) (2/d)**2k, by Horner's rule in (2/d)**2.
+def _psi_series(x: int) -> float:
+    """Q(x) = sum_{k=1..5} (1 - 2**(1-2k)) B_2k / (4k x**2k), by Horner's rule in 1/x**2.
 
-    The coefficients B_2k/(4k), k = 5 down to 1, are int quotients, each
-    correctly rounded; B_12 bounds the remainder (item 1 above).
+    The coefficients, k = 5 down to 1, are int quotients, each correctly
+    rounded; B_12 bounds the remainder (item 1 above).
     """
-    x = 2 / d
-    y = x * x
-    return ((((5 / 1320 * y - 1 / 480) * y + 1 / 504) * y - 1 / 240) * y + 1 / 24) * y
+    y = 1 / (x * x)
+    return ((((511 / 135168 * y - 127 / 61440) * y + 31 / 16128) * y - 7 / 1920) * y + 1 / 48) * y
 
 
 @cache
@@ -402,7 +419,7 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 
     A window with up to _DIRECT_MAX_TERMS terms from k = c = max(a, 41) on
     is the correctly rounded sum of its float terms.  A longer one is the
-    same finite sum, within 0.56 ulp (see above), in O(1): from c on, six
+    same finite sum, within 0.501 ulp (see above), in O(1): from c on, four
     floats from the digamma function, plus the two of the head S(a, 40) of a
     window that starts below c.
     """
@@ -410,15 +427,10 @@ def odd_harmonic_sum(a: int, b: int) -> float:
     c = max(a, _LOWEST_TAIL_START)
     if b - c < _DIRECT_MAX_TERMS:
         return math.fsum(map(truediv, repeat(1.0), _odd(window)))
-    hi, lo = _ln_ratio(2 * b + 1, 2 * c - 1)
-    terms = [
-        hi / 2,
-        lo / 2,
-        1 / (4 * c - 2),
-        -1 / (4 * b + 2),
-        _psi_series(2 * c - 1),
-        -_psi_series(2 * b + 1),
-    ]
+    d = c - 1
+    g = math.gcd(b, d)
+    hi, lo = _ln_ratio(b // g, d // g)
+    terms = [hi / 2, lo / 2, _psi_series(b), -_psi_series(d)]
     if a < c:
         terms += _odd_head(a)
     return math.fsum(terms)

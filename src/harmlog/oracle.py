@@ -8,10 +8,11 @@ built at import, so the series keeps at most 8 terms.  A float x enters as
 its exact x.as_integer_ratio(), so no quotient is rounded before the kernel
 sees it.  The platform `math.log` of the float quotient checks the value on
 every call; `harmonic`'s O(1) odd windows take their logarithm from the
-same kernel, as `_ln_ratio`, and the 50-digit `decimal` referee of the
-tests judges both.  ln n! is the log of the exact big-integer factorial up
-to n = _BIGINT_FACTORIAL_MAX, and `math.lgamma` above it, with no proven
-bound.
+same kernel, as `_ln_ratio`, memoised on the ratio in lowest terms (every
+multiplier of a scaled p/q takes the logarithm of p/q itself), and the
+50-digit `decimal` referee of the tests judges both.  ln n! is the log of
+the exact big-integer factorial up to n = _BIGINT_FACTORIAL_MAX, and
+`math.lgamma` above it, with no proven bound.
 """
 
 from __future__ import annotations
@@ -141,11 +142,14 @@ def _hi_lo(p: int, q: int) -> tuple[float, float]:
     return hi, (p * hi_den - hi_num * q) / (q * hi_den)
 
 
+@lru_cache(maxsize=128)
 def _ln_ratio(n: int, d: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative.
+    """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative, memoised.
 
     They are `_hi_lo` of P/Q of _ln_fraction, whose split adds under
-    2**-105 of it.
+    2**-105 of it.  Every step of both depends only on the ratio n/d, so a
+    caller that reduces it to lowest terms gets the same floats and shares
+    one cache entry among all its multiples.
     """
     return _hi_lo(*_ln_fraction(n, d))
 
@@ -201,17 +205,25 @@ LN2 = ln_value(2.0)
 def factorial_exact_ln(n: int) -> float:
     """ln(n!) from the exact big-integer factorial (lgamma above the cap).
 
-    Past n ~ 2.5e305, ln n! overflows binary64: OverflowLimitError.
+    DomainError for n < 0 or a non-finite float n; past n ~ 2.5e305, ln n!
+    overflows binary64: OverflowLimitError.
     """
     if n < 0:
         raise DomainError(f"factorial_exact_ln requires n >= 0, got {n}")
+    if not n < math.inf:  # nan or inf
+        raise DomainError(f"factorial_exact_ln requires a finite n, got {n}")
     if n <= _BIGINT_FACTORIAL_MAX:
         return math.log(math.factorial(n))
     try:
         return math.lgamma(n + 1)
     except OverflowError:
-        bits = n.bit_length()
-        raise OverflowLimitError(f"ln n! overflows binary64 at n of {bits} bits") from None
+        raise OverflowLimitError(f"ln n! overflows binary64 at {_size(n)}") from None
+
+
+def _size(n: int | float) -> str:
+    """n for an error message: an int by its bit length, which has no float
+    overflow, and a float by its repr."""
+    return f"n of {n.bit_length()} bits" if isinstance(n, int) else f"n = {n!r}"
 
 
 def percent_error(approx: float, reference: float) -> float:

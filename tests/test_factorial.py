@@ -3,7 +3,7 @@ import math
 import pytest
 
 from harmlog import factorial as fact
-from harmlog.errors import DomainError
+from harmlog.errors import DomainError, OverflowLimitError
 from harmlog.factorial import FactorialMethod
 from harmlog.oracle import factorial_exact_ln, percent_error_from_ln
 
@@ -142,3 +142,22 @@ class TestEstimateDispatch:
     def test_value_is_exp_of_ln_value(self):
         est = fact.estimate(40, FactorialMethod.CORRECTED)
         assert est.value == pytest.approx(math.exp(est.ln_value), rel=1e-15)
+
+
+class TestNonFiniteAndHugeFloatN:
+    """Typed errors, not nan, inf or an AttributeError from the message."""
+
+    @pytest.mark.parametrize("estimate", [fact.factorial_raw, fact.factorial_corrected])
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_closed_forms_reject_a_non_finite_n(self, estimate, n):
+        with pytest.raises(DomainError, match="requires a finite n"):
+            estimate(n)
+
+    @pytest.mark.parametrize("estimate", [fact.factorial_raw, fact.factorial_corrected])
+    def test_closed_forms_overflow_at_1e308(self, estimate):
+        with pytest.raises(OverflowLimitError, match=r"overflows binary64 at n = 1e\+308"):
+            estimate(1e308)
+
+    def test_s_sum_closed_rejects_nan(self):
+        with pytest.raises(DomainError, match="requires a finite n"):
+            fact.s_sum_closed(math.nan)

@@ -316,6 +316,11 @@ def plain_odd(a: int, b: int) -> float:
     return math.fsum(1.0 / (2 * k - 1) for k in range(a, b + 1))
 
 
+def psi_coefficient(k: int) -> Fraction:
+    """(1 - 2**(1-2k)) B_2k/(4k), the coefficient of 1/x**2k in Q(x)."""
+    return (1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*harmonic._BERNOULLI[k]) / (4 * k)
+
+
 def exact_odd_head(a: int) -> Fraction:
     """S(a, 40), the head of a long window from a <= 40, exactly."""
     return sum(Fraction(1, 2 * k - 1) for k in range(a, harmonic._LOWEST_TAIL_START))
@@ -342,9 +347,10 @@ class TestLongOddWindows:
         # n > _DIRECT_MAX_TERMS >= 40 terms, as the long-window proof uses.
         assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
 
-    @pytest.mark.parametrize("a, summed", [(1, 8), (40, 8), (41, 6), (10**6, 6), (2**62, 6)])
+    @pytest.mark.parametrize("a, summed", [(1, 6), (40, 6), (41, 4), (10**6, 4), (2**62, 4)])
     def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
-        # The six tail floats, plus the two of the head S(a, 40) from a <= 40.
+        # A structural count, not a bound: the four tail floats, plus the
+        # two of the head S(a, 40) from a <= 40.
         counted = []
         fsum = math.fsum
 
@@ -375,33 +381,44 @@ class TestLongOddWindows:
             assert abs(Fraction(hi) + Fraction(lo) - head) < head / 2**105, a
 
     def test_tail_and_head_floats_within_0_055_u(self):
-        # Items 1 and 3 of the long-window proof at their worst, x = 40.5 and
-        # n = 41 terms, with items 2 and 4: the six tail floats and the two of
-        # the head are off by under 0.055 u S (item 5).
-        u, x, n = Fraction(harmonic._U), Fraction(81, 2), 41
+        # Items 1 to 3 of the long-window proof at their worst, d = 40 and
+        # n = 41 terms, with item 4: the four tail floats and the two of the
+        # head are off by under 0.0006 u S (item 5), so within 0.501 ulp.
+        u, d, n = Fraction(harmonic._U), harmonic._LOWEST_TAIL_START - 1, 41
         b12 = Fraction(*harmonic._BERNOULLI[6])
-        truncation = abs(b12) / 12 * (1 / (n * x**11) + 1 / x**12)
-        assert x == harmonic._LOWEST_TAIL_START - Fraction(1, 2)
-        assert truncation < Fraction(1, 2**68)
-        assert u * (Fraction(1, n) + 1 / x) < u / 20
-        assert Fraction(10, 3) * u * (1 / (n * x) + 1 / x**2) < u / 240
+        assert d == 40
+        truncation = abs(b12) / 6 * (Fraction(1, n * d**11) + Fraction(1, d**12))
+        assert truncation < Fraction(1, 2**67)
+        assert Fraction(1, 24) * (Fraction(1, n * d) + Fraction(1, d**2)) < Fraction(1, 10**4)
+        rounding = Fraction(5, 12) * u * (Fraction(1, n * d) + Fraction(1, d**2))
+        assert rounding < u / 1900
+        log = Fraction(10001, 10**4) / 2**75
         head = u / 2**52  # 2**-105
-        bound = Fraction(1, 2**68) + Fraction(1, 2**75) + u / 20 + u / 240 + head
-        assert bound < Fraction(55, 1000) * u
+        bound = truncation + log + u / 1900 + head
+        assert bound < Fraction(6, 10**4) * u
+        assert Fraction(1, 2) + Fraction(6, 10**4) * (1 + 2 * u) < Fraction(501, 1000)
 
     def test_psi_series_is_horner_on_the_rounded_bernoulli_quotients(self):
-        # The literal coefficients of _psi_series are B_2k/(4k), k = 5..1,
-        # each correctly rounded.
-        coefficients = [
-            float(Fraction(*harmonic._BERNOULLI[k]) / (4 * k)) for k in range(5, 0, -1)
-        ]
-        for d in [81, 83, 201, 10**6 + 1, 2**53 + 1, 2**63 - 1, 2**64 + 1]:
-            x = 2 / d
-            y = x * x
+        # The literal coefficients of _psi_series are (1 - 2**(1-2k)) B_2k/(4k),
+        # k = 5..1, each correctly rounded, and y = 1/(x*x) is rounded once.
+        # Below x = 40 the later coefficients still weigh: x = 1 sums them.
+        coefficients = [float(psi_coefficient(k)) for k in range(5, 0, -1)]
+        for x in [1, 2, 3, 40, 41, 100, 10**6 + 1, 2**53 + 1, 2**63 - 1, 2**64 + 1]:
+            y = float(Fraction(1, x * x))
             value = 0.0
             for coefficient in coefficients:
                 value = value * y + coefficient
-            assert harmonic._psi_series(d) == value * y, d
+            assert harmonic._psi_series(x) == value * y, x
+
+    def test_psi_series_terms_after_the_first_under_2e_4_of_it(self):
+        # Item 3 of the long-window proof: from x = 40 on, the terms of Q
+        # past 1/(48 x**2) add under 2e-4 of it, and they alternate, so Q is
+        # positive and below its first term.
+        y = Fraction(1, 40**2)
+        terms = [psi_coefficient(k) * y**k for k in range(1, 6)]
+        assert terms[0] == y / 48
+        assert sum(map(abs, terms[1:])) < Fraction(2, 10**4) * terms[0]
+        assert all(t * s < 0 and abs(t) > abs(s) for t, s in zip(terms, terms[1:]))
 
 
 class TestLnInteger:

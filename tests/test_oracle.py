@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -39,8 +40,24 @@ def test_ln_value_takes_the_exact_ratio_of_x_over_d():
             oracle.ln_value(x, d)
 
 
-def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys):
+def test_ln_ratio_of_a_multiple_is_the_ratio_in_lowest_terms_bit_for_bit():
+    # Every step of the kernel depends only on n/d, so the caller may reduce
+    # the ratio by its gcd and share one memo entry among its multiples.
+    rng = random.Random(17)
+    kernel = oracle._ln_ratio.__wrapped__
+    for _ in range(300):
+        n, d = (rng.randint(1, 2 ** rng.randint(1, 62)) for _ in range(2))
+        g = rng.randint(2, 2 ** rng.randint(1, 64))
+        got, reduced = kernel(g * n, g * d), kernel(n, d)
+        assert [x.hex() for x in got] == [x.hex() for x in reduced], (g, n, d)
+        assert oracle._ln_ratio(g * n, g * d) == got
+
+
+def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys, request):
     true_ln_fraction = oracle._ln_fraction
+    # The estimate takes its logarithm from the skewed kernel too, through
+    # the memoised _ln_ratio: drop what it kept.
+    request.addfinalizer(oracle._ln_ratio.cache_clear)
 
     def skewed(n, d):
         p, q = true_ln_fraction(n, d)
@@ -83,6 +100,17 @@ def test_factorial_recurrence():
     for n in range(1, 1001):
         delta = oracle.factorial_exact_ln(n) - oracle.factorial_exact_ln(n - 1)
         assert delta == pytest.approx(oracle.ln_value(n), abs=1e-11 * max(1.0, delta))
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf])
+def test_factorial_exact_ln_rejects_a_non_finite_n(n):
+    with pytest.raises(DomainError, match="requires a finite n"):
+        oracle.factorial_exact_ln(n)
+
+
+def test_factorial_exact_ln_overflow_of_a_float_n_is_typed():
+    with pytest.raises(OverflowLimitError, match=r"at n = 1e\+308"):
+        oracle.factorial_exact_ln(1e308)
 
 
 def test_factorial_paths_agree():

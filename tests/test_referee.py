@@ -82,7 +82,7 @@ def _past_the_crossover(a: int, b: int) -> bool:
 
 # The O(1) path's proven bound, from every a (item 5 of harmonic's
 # long-window proof).
-_PROVEN_ULPS = 0.56
+_PROVEN_ULPS = 0.501
 
 
 @pytest.mark.parametrize("a, b", _long_windows(seed=3))
@@ -184,6 +184,39 @@ def test_every_head_to_a_million_within_0_56_ulp(a):
         ctx.prec = _PREC
         exact = head + _odd_sum_from_the_tail_start_to_a_million()
     assert _ulps(harmonic.odd_harmonic_sum(a, 10**6), exact) <= _PROVEN_ULPS
+
+
+def _scaled_windows(seed: int) -> list[tuple[int, int, int]]:
+    """(p, q, m) with coprime p > q and mq >= 40, whose window mq+1..mp of
+    49 to 3,000 terms takes the O(1) path from d = mq: d = 40 exactly, p and
+    q up to 10**6, and m p near 2**62."""
+    rng = random.Random(seed)
+    cases = []
+    for q in (1, 2, 4, 5, 8, 10, 20, 40):
+        m = 40 // q
+        k = rng.randint(-(-49 // m), 3000 // m)
+        while math.gcd(q + k, q) != 1:
+            k += 1
+        cases.append((q + k, q, m))
+    while len(cases) < 40:
+        q, k = rng.randint(1, 10**6), rng.randint(1, 60)
+        m = rng.randint(max(-(-40 // q), -(-49 // k)), max(-(-40 // q), 3000 // k))
+        if math.gcd(q + k, q) == 1:
+            cases.append((q + k, q, m))
+    for _ in range(20):
+        m, k = rng.randint(49, 1500), rng.choice((1, 2))
+        q = 2**62 // m - rng.randint(1, 2**20) | 1
+        cases.append((q + k, q, m))
+    return cases
+
+
+@pytest.mark.parametrize("p, q, m", _scaled_windows(seed=15))
+def test_scaled_windows_within_the_proven_bound(p, q, m):
+    # A scaled estimate 2 S(mq+1, mp) takes ln(b/d) = ln(p/q) itself.
+    a, b = m * q + 1, m * p
+    assert a > harmonic._LOWEST_TAIL_START - 1 and _past_the_crossover(a, b)
+    exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 @pytest.mark.parametrize("a, b", _windows(seed=2, first=2))

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlog import tables
+from harmlog import oracle, tables
 from harmlog.errors import DomainError, OverflowLimitError
 from harmlog.harmonic import LogVariant, ScaledRational, ln_rational
 from harmlog.oracle import ln_value
@@ -181,6 +181,15 @@ class TestSweeps:
         report = tables.sweep_ln_rational(1, 2, [25, 50, 100, 200, 400])
         errors = [abs(r.percent_error) for r in report.rows]
         assert errors == sorted(errors, reverse=True)
+
+    def test_ln_rational_sweep_takes_one_logarithm(self):
+        # Past mq = 40, every row's O(1) window takes ln(mp/mq) = ln(p/q),
+        # reduced by its gcd: a k-row sweep of coprime p/q misses the
+        # memoised _ln_ratio once.
+        oracle._ln_ratio.cache_clear()
+        tables.sweep_ln_rational(7, 5, list(range(1000, 21000, 1000)))
+        info = oracle._ln_ratio.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
     def test_factorial_sweep_matches_table(self):
         grid = [2, 5, 45, 160]
