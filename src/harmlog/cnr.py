@@ -96,7 +96,7 @@ def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:
         value = form(*args)
     except ZeroDivisionError:
         raise DomainError(f"{label} divides by zero at x = {x!r}") from None
-    except OverflowError:
+    except (OverflowError, OverflowLimitError):  # the latter from percent_error
         value = math.inf
     if not math.isfinite(value):
         raise OverflowLimitError(f"{label} overflows binary64 at x = {x!r}")

@@ -44,7 +44,7 @@ from .errors import (
     OverflowLimitError,
     ZeroOrInfiniteError,
 )
-from .oracle import _hi_lo, _ln_ratio
+from .oracle import _BERNOULLI, _hi_lo, _ln_ratio
 
 # Auto-scaling pushes both m*p and m*q above this; per-mille-level percent
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
@@ -159,18 +159,6 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # fsum(head + [hi]), it equals the sum of every term.
 _EM_TERMS = 7  # Bernoulli numbers B2..B14 kept; B16 bounds the remainder
 _J_TERMS = 12  # j = 0..11; item 2 is then below 6e-18 of the tail at h+1 >= 17
-# B_2i as (numerator, denominator); the coefficients built from them are
-# integer numerators over one common denominator.
-_BERNOULLI = {
-    1: (1, 6),
-    2: (-1, 30),
-    3: (1, 42),
-    4: (-1, 30),
-    5: (5, 66),
-    6: (-691, 2730),
-    7: (7, 6),
-    8: (-3617, 510),
-}
 _U = 2.0**-53
 # Terms a head holds in memory at a time; `_exact_parts` folds each chunk
 # into a few floats, so a head of any length takes little memory.

@@ -10,23 +10,37 @@ sees it.  The platform `math.log` of the float quotient checks the value on
 every call; `harmonic`'s O(1) odd windows take their logarithm from the
 same kernel, as `_ln_ratio`, memoised on the ratio in lowest terms (every
 multiplier of a scaled p/q takes the logarithm of p/q itself), and the
-50-digit `decimal` referee of the tests judges both.  ln n! is the log of
-the exact big-integer factorial up to n = _BIGINT_FACTORIAL_MAX, and
-`math.lgamma` above it, with no proven bound.
+50-digit `decimal` referee of the tests judges both.  ln n! takes the same
+kernel: the reference logarithm of the exact n! below n = 32, and from
+there Stirling's series with ln n from `_ln_fraction`, summed in 128-bit
+fixed point and rounded once; it is proven within half an ulp plus
+2**-81 ln n!, and `math.lgamma` only checks it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from ._frozen import Frozen
 from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 
-# ln agreement demanded between math.log and P/Q of _ln_fraction.
+# ln agreement demanded between math.log (or math.lgamma) and the kernel.
 _LN_AGREEMENT_REL = 1e-13
-# Crossover above which the big-integer factorial is no longer worth building.
-_BIGINT_FACTORIAL_MAX = 20_000
+# B_2k as (numerator, denominator), k = 1..8.  Stirling's series for ln n!
+# keeps all eight, and `harmonic`'s Euler-Maclaurin tails build integer
+# numerators over one common denominator from them.
+_BERNOULLI = {
+    1: (1, 6),
+    2: (-1, 30),
+    3: (1, 42),
+    4: (-1, 30),
+    5: (5, 66),
+    6: (-691, 2730),
+    7: (7, 6),
+    8: (-3617, 510),
+}
 
 
 class ReferenceValue(Frozen):
@@ -201,23 +215,96 @@ def ln_ref(x: float) -> ReferenceValue:
 LN2 = ln_value(2.0)
 
 
-@lru_cache(maxsize=None)
-def factorial_exact_ln(n: int) -> float:
-    """ln(n!) from the exact big-integer factorial (lgamma above the cap).
+# From this n on, ln n! is Stirling's series; below it, ln_value of n!.
+_STIRLING_MIN = 32
+# Bernoulli terms Stirling's series keeps, and the fraction bits of the
+# fixed point it is summed in.
+_STIRLING_TERMS = 8
+_STIRLING_BITS = 128
+# floor(2**128 ln(2 pi)/2), derived in the tests from a 60-digit decimal pi.
+_HALF_LN_2PI = 312698579133741443615516216275072786467
 
-    DomainError for n < 0 or a non-finite float n; past n ~ 2.5e305, ln n!
-    overflows binary64: OverflowLimitError.
+
+def _stirling_sum(n: int) -> int:
+    """floor(2**W sum_{k=1..K} B_2k / (2k (2k-1) n**(2k-1))), n >= 1.
+
+    W = _STIRLING_BITS, K = _STIRLING_TERMS.  The sum is one exact fraction,
+    built by Horner's rule in 1/n**2 from the last term, and floored once.
+    """
+    m = n * n
+    num, den = 0, 1
+    for k in range(_STIRLING_TERMS, 0, -1):
+        b, d = _BERNOULLI[k]
+        d *= 2 * k * (2 * k - 1)
+        # num/den becomes n**(2k-3) times the terms from k to K.
+        num, den = b * den + num * d, d * den * m
+    return (num * n << _STIRLING_BITS) // den
+
+
+def _stirling_fixed(n: int) -> int:
+    """2**W ln n! for n >= 32 by Stirling's series, as an integer (see factorial_exact_ln)."""
+    p, q = _ln_fraction(n, 1)
+    w = _STIRLING_BITS
+    main = ((2 * n + 1) * p << w) // (2 * q)  # 2**W (n + 1/2) P/Q, floored
+    return main - (n << w) + _HALF_LN_2PI + _stirling_sum(n)
+
+
+@lru_cache(maxsize=128)
+def factorial_exact_ln(n: int) -> float:
+    """ln n! of an integer n >= 0 (an int, or a float with an integral value).
+
+    Below n = 32 it is ln_value(n!) of the exact factorial, so 0! and 1!
+    give 0.0.  From n = 32 on it is Stirling's series, DLMF 5.11.1 at z = n
+    plus ln n:
+        ln n! = (n + 1/2) ln n - n + ln(2 pi)/2
+                + sum_{k=1..K} B_2k / (2k (2k-1) n**(2k-1)) + R_K(n),
+    where for real n > 0 the remainder R_K(n) has the sign of the first
+    omitted term and is at most its size (DLMF 5.11(ii)).  With K = 8,
+    |R_8(n)| <= |B_18| / (306 n**17) < 0.1797 n**-17, as B_18 = 43867/798.
+
+    In units of 2**-W, W = 128, it sums
+    - 2**W (n + 1/2) P/Q, floored, with P/Q of _ln_fraction(n, 1) within
+      2**-82.3 ln n of ln n;
+    - -n 2**W, exactly;
+    - _HALF_LN_2PI = floor(2**W ln(2 pi)/2);
+    - _stirling_sum(n), the floor of 2**W times the exact K-term sum;
+    and divides by 2**W, rounded once as an int quotient.  Its error is
+    under 3 units from the three floors, (n + 1/2) ln n 2**-82.3 from P/Q,
+    and |R_8(n)|.  R_0(n) has the sign of B_2 > 0, so ln n! is above
+    (n + 1/2) ln n - n + ln(2 pi)/2, and (n + 1/2) ln n / ln n! is under
+    1.382 from n = 32 on, where ln n! > 81.5 (the ratio falls as n grows):
+    - P/Q adds under 1.382 2**-82.3 ln n! < 2**-81.83 ln n!;
+    - 3 2**-W + 0.1797 n**-17 is under 4.7e-27 < 2**-93.8 ln n! at n = 32,
+      and a smaller share of ln n! for every larger n.
+    So the value is within half an ulp plus 2**-81 ln n! of ln n!; below
+    n = 32, ln_value is within half an ulp plus 2**-82.3 ln n!.  Raises
+    OracleIntegrityError if math.lgamma(n + 1) differs from it by more than
+    1e-13 max(ln n!, 1).
+
+    DomainError for n < 0 or a non-finite n, TypeError for a non-integral
+    one; past n ~ 2.5e305, ln n! overflows binary64: OverflowLimitError.
+    Memoised on n.
     """
     if n < 0:
         raise DomainError(f"factorial_exact_ln requires n >= 0, got {n}")
     if not n < math.inf:  # nan or inf
         raise DomainError(f"factorial_exact_ln requires a finite n, got {n}")
-    if n <= _BIGINT_FACTORIAL_MAX:
-        return math.log(math.factorial(n))
+    if n % 1:
+        raise TypeError(f"factorial_exact_ln requires an integral n, got {n!r}")
+    if n < _STIRLING_MIN:
+        return ln_value(math.factorial(int(n)))
     try:
-        return math.lgamma(n + 1)
+        if n > sys.float_info.max:  # ln n! > n here, so past binary64 too
+            raise OverflowError
+        value = _stirling_fixed(int(n)) / (1 << _STIRLING_BITS)
     except OverflowError:
         raise OverflowLimitError(f"ln n! overflows binary64 at {_size(n)}") from None
+    platform = math.lgamma(n + 1)
+    if abs(platform - value) > _ln_tolerance(platform):
+        raise OracleIntegrityError(
+            f"ln n! paths disagree at n={n}: lgamma={platform!r}, series={value!r}"
+        )
+    return value
 
 
 def _size(n: int | float) -> str:
@@ -227,14 +314,42 @@ def _size(n: int | float) -> str:
 
 
 def percent_error(approx: float, reference: float) -> float:
-    """Signed percentage error (approx - reference) / reference * 100."""
+    """Signed percentage error (approx - reference) / reference * 100.
+
+    DomainError for a non-finite input or a zero reference (an exact 0
+    against it is a 0 % error); OverflowLimitError for an error past
+    binary64.
+    """
+    if not (math.isfinite(approx) and math.isfinite(reference)):
+        raise DomainError(f"percent_error requires finite values, got {approx} and {reference}")
     if reference == 0:
         if approx == 0:
             return 0.0  # an exact zero is a 0 % error
         raise DomainError("percent_error undefined for reference = 0")
-    return (approx - reference) / reference * 100.0
+    return _finite_percent((approx - reference) / reference * 100.0, approx, reference)
 
 
 def percent_error_from_ln(ln_approx: float, ln_reference: float) -> float:
-    """percent_error computed from natural logs (safe when values overflow)."""
-    return (math.exp(ln_approx - ln_reference) - 1.0) * 100.0
+    """percent_error computed from natural logs (safe when values overflow).
+
+    DomainError for a non-finite logarithm; OverflowLimitError for an error
+    past binary64.
+    """
+    if not (math.isfinite(ln_approx) and math.isfinite(ln_reference)):
+        raise DomainError(
+            f"percent_error_from_ln requires finite logarithms, got {ln_approx} and {ln_reference}"
+        )
+    try:
+        error = (math.exp(ln_approx - ln_reference) - 1.0) * 100.0
+    except OverflowError:
+        error = math.inf
+    return _finite_percent(error, ln_approx, ln_reference)
+
+
+def _finite_percent(error: float, approx: float, reference: float) -> float:
+    """error, or OverflowLimitError if it is past binary64 (an infinity)."""
+    if math.isinf(error):
+        raise OverflowLimitError(
+            f"percent error of {approx!r} against {reference!r} overflows binary64"
+        )
+    return error

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from harmlog import cli, oracle
-from harmlog.errors import DomainError, OracleIntegrityError, OverflowLimitError
+from harmlog import cli, cnr, oracle
+from harmlog.errors import DomainError, HarmlogError, OracleIntegrityError, OverflowLimitError
 
 
 def test_ln_ref_trivial():
@@ -113,10 +114,60 @@ def test_factorial_exact_ln_overflow_of_a_float_n_is_typed():
         oracle.factorial_exact_ln(1e308)
 
 
+def test_factorial_exact_ln_rejects_a_non_integral_n_at_every_size():
+    for n in (2.5, 31.5, 32.5, 30000.5, 1e15 + 0.5, 5e-324):
+        with pytest.raises(TypeError, match="requires an integral n"):
+            oracle.factorial_exact_ln(n)
+    for n in (5, 31, 32, 30000, 10**15):
+        assert oracle.factorial_exact_ln(float(n)) == oracle.factorial_exact_ln(n)
+
+
+# ints, floats with nan, +-inf and subnormals, and the edges of the contract.
+_FACTORIAL_INPUTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**1000, max_value=2**1030),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([1e308, 2.5e305, 2.6e305, 2.5, 30000.5, 5e-324, -0.0, 31.0, 32.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_FACTORIAL_INPUTS)
+def test_factorial_exact_ln_is_finite_or_a_typed_error(n):
+    # A finite float, a HarmlogError, or TypeError for a non-integral n >= 0.
+    try:
+        value = oracle.factorial_exact_ln(n)
+    except HarmlogError:
+        return
+    except TypeError:
+        assert isinstance(n, float) and 0 < n < math.inf and not n.is_integer(), n
+        return
+    assert isinstance(value, float) and math.isfinite(value), n
+
+
+def test_factorial_exact_ln_memo_is_bounded():
+    assert oracle.factorial_exact_ln.cache_info().maxsize == 128
+
+
+def test_disagreeing_factorial_kernel_is_an_integrity_error(monkeypatch, request):
+    true_ln_fraction = oracle._ln_fraction
+    oracle.factorial_exact_ln.cache_clear()
+    request.addfinalizer(oracle.factorial_exact_ln.cache_clear)
+
+    def skewed(n, d):
+        p, q = true_ln_fraction(n, d)
+        return p + p // 10**12, q
+
+    monkeypatch.setattr(oracle, "_ln_fraction", skewed)
+    with pytest.raises(OracleIntegrityError, match="ln n! paths disagree at n=40"):
+        oracle.factorial_exact_ln(40)
+
+
 def test_factorial_paths_agree():
-    # Big-integer and lgamma paths agree well inside the crossover.
-    for n in (50, 500, 5000, 10_000):
-        exact = math.log(math.factorial(n))
+    # The lgamma check and the Stirling kernel agree well inside the check's
+    # tolerance, from the switch at n = 32 up.
+    for n in (32, 50, 500, 5000, 10_000, 20_000, 10**6, 10**12):
+        exact = oracle.factorial_exact_ln(n)
         assert math.lgamma(n + 1) == pytest.approx(exact, rel=1e-11)
 
 
@@ -137,6 +188,28 @@ def test_percent_error_exact_zero_is_zero():
     assert oracle.percent_error(0.0, 0.0) == 0.0
     with pytest.raises(DomainError):
         oracle.percent_error(-1e-300, 0.0)
+
+
+def test_percent_error_rejects_a_non_finite_input():
+    with pytest.raises(DomainError, match="requires finite values"):
+        oracle.percent_error(math.nan, 1.0)
+
+
+def test_percent_error_from_ln_rejects_a_non_finite_logarithm():
+    with pytest.raises(DomainError, match="requires finite logarithms"):
+        oracle.percent_error_from_ln(math.nan, 0.0)
+
+
+def test_percent_error_from_ln_overflow_is_typed():
+    with pytest.raises(OverflowLimitError, match="overflows binary64"):
+        oracle.percent_error_from_ln(1000.0, 0.0)
+
+
+def test_percent_error_overflow_is_typed_and_cnr_keeps_its_message():
+    with pytest.raises(OverflowLimitError, match="overflows binary64"):
+        oracle.percent_error(-0.5, 5e-324)
+    with pytest.raises(OverflowLimitError, match="^exp_large overflows binary64 at x = 5e-324$"):
+        cnr.evaluate(5e-324, cnr.CnrMethod(cnr.CnrTag.EXP_LARGE))
 
 
 def test_percent_error_from_ln_matches_linear():

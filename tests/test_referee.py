@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -384,3 +385,111 @@ def test_ln_ref_within_one_ulp_and_its_bound():
             exact = Decimal(x).ln()
             assert _ulps(ref.value, exact) <= 1, x
             assert abs(Decimal(ref.value) - exact) <= Decimal(ref.guaranteed_abs_error), x
+
+
+def _pi() -> Decimal:
+    """pi to the current precision: the recipe of the `decimal` docs."""
+    with localcontext() as ctx:
+        ctx.prec += 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    return +s
+
+
+def _half_ln_2pi() -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (2 * _pi()).ln() / 2
+
+
+def test_half_ln_2pi_is_derived_from_a_60_digit_pi():
+    with localcontext() as ctx:
+        ctx.prec = 60
+        scaled = _half_ln_2pi() * 2**128
+        floor = int(scaled.to_integral_value(rounding="ROUND_FLOOR"))
+        # Far from an integer, so 60 digits settle the floor.
+        assert Decimal("1e-15") < scaled - floor < 1 - Decimal("1e-15")
+    assert oracle._HALF_LN_2PI == floor
+
+
+@functools.cache
+def _bernoulli(count: int) -> list[Fraction]:
+    """B_0 .. B_2count from sum_{j<=m} C(m+1, j) B_j = 0, in exact fractions."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_table():
+    b = _bernoulli(9)
+    assert {k: Fraction(*ratio) for k, ratio in oracle._BERNOULLI.items()} == {
+        k: b[2 * k] for k in range(1, 9)
+    }
+    assert b[18] == Fraction(43867, 798)  # the proof's B_18
+
+
+# Stirling terms the referee keeps: at n = 31 the 25th is under 1e-50.
+_REFEREE_TERMS = 24
+
+
+def _ln_factorial(n: int) -> Decimal:
+    """ln n! to 50 digits from `decimal` alone: Stirling's series with 24
+    Bernoulli terms for n >= 31, and the log of the exact n! below."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        if n < 31:
+            return Decimal(math.factorial(n)).ln()
+        b = _bernoulli(_REFEREE_TERMS)
+        x = Decimal(n)
+        total = (x + Decimal("0.5")) * x.ln() - x + _half_ln_2pi()
+        for k in range(1, _REFEREE_TERMS + 1):
+            c = b[2 * k] / (2 * k * (2 * k - 1))
+            total += Decimal(c.numerator) / (Decimal(c.denominator) * x ** (2 * k - 1))
+        return +total
+
+
+def _factorial_cases(seed: int) -> list[int]:
+    """Every n from 2 to 199 (31, 32, 33 cross the switch), 150 uniform up
+    to 20,000 and 150 log-uniform from 2*10**4 to 10**12."""
+    rng = random.Random(seed)
+    cases = list(range(2, 200))
+    cases += [rng.randint(2, 20_000) for _ in range(150)]
+    cases += [round(10 ** rng.uniform(math.log10(2e4), 12)) for _ in range(150)]
+    return cases + [10**12]
+
+
+def test_ln_factorial_within_half_an_ulp_and_the_proven_bound():
+    # factorial_exact_ln's docstring: within half an ulp plus 2**-81 ln n!.
+    for n in _factorial_cases(seed=18):
+        value = oracle.factorial_exact_ln(n)
+        exact = _ln_factorial(n)
+        bound = Decimal(math.ulp(value)) / 2 + exact * Decimal(2) ** -81
+        assert abs(Decimal(value) - exact) <= bound, n
+
+
+def test_ln_factorial_referee_agrees_with_the_exact_factorial():
+    # The Stirling referee against the log of the exact n!, across its switch.
+    for n in (31, 32, 33, 100, 1000):
+        with localcontext() as ctx:
+            ctx.prec = _PREC
+            exact = Decimal(math.factorial(n)).ln()
+        assert abs(_ln_factorial(n) - exact) <= exact * Decimal("1e-48"), n
+
+
+@pytest.mark.parametrize("n", [32, 33, 40, 64, 100, 1000])
+def test_stirling_sum_within_the_first_omitted_term(n):
+    # The remainder after K = 8 terms is at most |B_18|/(306 n**17)
+    # (DLMF 5.11(ii)); the floor adds under one unit of 2**-W.
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(n)
+        tail = Decimal(math.factorial(n)).ln() - (x + Decimal("0.5")) * x.ln() + x - _half_ln_2pi()
+        got = Decimal(oracle._stirling_sum(n)) / 2**oracle._STIRLING_BITS
+        bound = Decimal(43867) / (798 * 306 * x**17) + Decimal(2) ** -oracle._STIRLING_BITS
+        assert abs(got - tail) <= bound
