@@ -31,11 +31,11 @@ k = 2 of every series in the paper, sums its first head only once.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cache, lru_cache
 from itertools import chain, islice, repeat
-from operator import mul, neg, truediv
+from operator import index, mul, neg, truediv
 
 from ._frozen import Frozen
 from .errors import (
@@ -44,7 +44,7 @@ from .errors import (
     OverflowLimitError,
     ZeroOrInfiniteError,
 )
-from .oracle import _BERNOULLI, _hi_lo, _ln_ratio
+from .oracle import _hi_lo, _ln_ratio
 
 # Auto-scaling pushes both m*p and m*q above this; per-mille-level percent
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
@@ -157,6 +157,14 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 # round once more, so they are moved one float outward with math.nextafter.
 # fsum is correctly rounded, hence monotone: when fsum(head + [lo]) equals
 # fsum(head + [hi]), it equals the sum of every term.
+#
+# The coefficients a_n and gamma_K |a_n| + e_n are literals
+# (`_TAIL_POLYNOMIALS`), each the correctly rounded value of an exact
+# rational, written as its shortest round-tripping decimal, so no process
+# spends time deriving them.  `fraction_tail_polynomials` in
+# tests/test_harmonic.py derives them from _EM_TERMS, _J_TERMS and the
+# Bernoulli numbers in Fraction arithmetic, and the test checks every
+# literal against it bit for bit.
 _EM_TERMS = 7  # Bernoulli numbers B2..B14 kept; B16 bounds the remainder
 _J_TERMS = 12  # j = 0..11; item 2 is then below 6e-18 of the tail at h+1 >= 17
 _U = 2.0**-53
@@ -165,43 +173,75 @@ _U = 2.0**-53
 _CHUNK = 1 << 14
 
 
-@cache
-def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
-    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above).
+# (a_n, gamma_K |a_n| + e_n), highest degree first, keyed by (power,
+# odd_power): (3, 2) is the correction sum and (3, 1) the factorial's tail.
+_TAIL_POLYNOMIALS = {
+    (3, 2): (
+        (0.0, 201437.58251953125),
+        (0.0, 184651.1173095703),
+        (4570.576171875, 162076.21582031256),
+        (4488.958740234375, 135449.40893554693),
+        (3993.2947823660716, 107021.75520833339),
+        (3556.320966224531, 79237.26106770837),
+        (3007.613982371795, 54334.12187500003),
+        (2372.8907958984373, 33958.82617187502),
+        (1727.9133138020834, 18898.82500000002),
+        (1139.643398585464, 9019.893750000012),
+        (659.8283828801407, 3436.150000000006),
+        (316.8025576636905, 859.0375000000029),
+        (109.94266183035714, 9.276626466000708e-13),
+        (13.010367838541667, 1.0399975151898028e-13),
+        (-14.184375, 1.070851740614395e-13),
+        (-1.88665771484375, 1.3405509341479866e-14),
+        (2.3363037109375, 1.5562909034400156e-14),
+        (0.3595226469494048, 2.2352417948975125e-15),
+        (-0.49768522493131867, 2.8732162978194165e-15),
+        (-0.07381184895833333, 3.9334854817774313e-16),
+        (0.17915482954545456, 8.751679936303034e-16),
+        (0.078515625, 3.4867941867133975e-16),
+        (0.0109375, 4.3715031594615716e-17),
+        (0.10872395833333333, 3.862650939841704e-16),
+        (0.23660714285714285, 7.355227538141685e-16),
+        (0.2604166666666667, 6.938893903907247e-16),
+        (0.175, 3.885780586188057e-16),
+        (0.0625, 1.1102230246251585e-16),
+    ),
+    (3, 1): (
+        (0.0, 16786.465209960938),
+        (0.0, 16207.62158203125),
+        (408.087158203125, 15049.93432617188),
+        (423.2014973958333, 13377.719401041672),
+        (400.2476328196543, 11319.608723958338),
+        (380.5651091746795, 9055.68697916667),
+        (346.07806260850697, 6791.765234375003),
+        (296.61956380208335, 4724.706250000003),
+        (237.95561597419507, 3006.631250000002),
+        (176.52478538171897, 1718.0750000000016),
+        (118.9425269717262, 859.037500000001),
+        (70.90843563988095, 361.7000000000006),
+        (35.851719835069446, 2.9056485528312533e-13),
+        (14.1841796875, 1.0865845983393324e-13),
+        (-5.20391845703125, 3.75538155802417e-14),
+        (-2.3330973307291667, 1.5800576089128897e-14),
+        (0.9791003999255953, 6.196012902277479e-15),
+        (0.5072036687271062, 2.9844787133344915e-15),
+        (-0.24601236979166666, 1.3383301266980099e-15),
+        (-0.14760890151515152, 7.374546049578713e-16),
+        (0.097265625, 4.427447991561826e-16),
+        (0.08229166666666667, 3.380397813520152e-16),
+        (-0.018880208333333332, 6.917209860457544e-17),
+        (0.01488095238095238, 4.79114102888834e-17),
+        (0.17708333333333334, 4.915049848600967e-16),
+        (0.31666666666666665, 7.382983113757308e-16),
+        (0.3125, 5.898059818321155e-16),
+        (0.16666666666666666, 2.405483220021176e-16),
+    ),
+}
 
-    Each coefficient is an integer numerator over one common denominator
-    `den`, which every term's own denominator divides, so each // below is
-    exact; it is rounded once by int true division, correctly, as
-    float(Fraction) is.
-    """
-    s0, r, p = power + odd_power, odd_power, _EM_TERMS
-    # The denominator of B_2i/(2i)!, for i = 1..P+1.
-    bernoulli_den = {i: _BERNOULLI[i][1] * math.factorial(2 * i) for i in range(1, p + 2)}
-    den = (
-        2 ** (_J_TERMS + r + 1)
-        * math.lcm(*range(s0 - 1, s0 + _J_TERMS - 1))
-        * math.lcm(*bernoulli_den.values())
-    )
-    size = _J_TERMS + 2 * p + 2
-    a = [0] * size
-    e = [0] * size
-    for j in range(_J_TERMS):
-        w = math.comb(r + j - 1, j) * den >> (j + r)  # w_j den
-        s = s0 + j
-        a[j] += w // (s - 1)
-        a[j + 1] += w // 2
-        for i in range(1, p + 1):
-            rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
-            a[j + 2 * i] += w * _BERNOULLI[i][0] * rising // bernoulli_den[i]
-        rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
-        e[j + 2 * p + 2] += 2 * w * abs(_BERNOULLI[p + 1][0]) * rising // bernoulli_den[p + 1]
-    # gamma_K = K u/(1 - K u) = K/(2**53 - K), with K the roundings in the
-    # term of degree n (item 4).
-    err = []
-    for n, (a_n, e_n) in enumerate(zip(a, e)):
-        k = 3 * s0 + 4 * n + 1
-        err.append((k * abs(a_n) + (2**53 - k) * e_n) / ((2**53 - k) * den))
-    return tuple(zip([a_n / den for a_n in reversed(a)], reversed(err)))
+
+def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
+    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above)."""
+    return _TAIL_POLYNOMIALS[power, odd_power]
 
 
 def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
@@ -429,17 +469,22 @@ def correction_sum(a: int, b: int) -> float:
     return _decaying_sum(a, b, 3, 2)
 
 
-def _check_scaled(p: int, q: int, m: int) -> None:
-    """Validate p/q with multiplier m as `ScaledRational` does.
+def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
+    """Validate p/q with each multiplier m of a grid as `ScaledRational` does.
 
-    DomainError for p, q or m below 1, and the window's checks (`_window`)
-    on mq+1..mp.
+    DomainError for p or q below 1, then for each m in grid order
+    DomainError below 1 and OverflowLimitError when the window's top index
+    m * max(p, q) passes the index cap.  TypeError for a p, q or m that is
+    not an int, as a `range` over the window would raise.
     """
     if p < 1 or q < 1:
         raise DomainError(f"p and q must be positive, got {p}/{q}")
-    if m < 1:
-        raise DomainError(f"multiplier m must be >= 1, got {m}")
-    _window(m * min(p, q) + 1, m * max(p, q))
+    top = max(index(p), index(q))
+    for m in multipliers:
+        if m < 1:
+            raise DomainError(f"multiplier m must be >= 1, got {m}")
+        if index(m) * top > _INDEX_CAP:
+            raise OverflowLimitError(f"window index {m * top} exceeds 63-bit cap")
 
 
 class ScaledRational(Frozen):
@@ -448,7 +493,7 @@ class ScaledRational(Frozen):
     __slots__ = ("p", "q", "m")
 
     def __init__(self, p: int, q: int, m: int) -> None:
-        _check_scaled(p, q, m)
+        _check_scaled(p, q, (m,))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "m", m)
@@ -465,19 +510,19 @@ class ScaledRational(Frozen):
 def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) - ln(y) from the index window between y and x.
 
-    For x > y the window is k = y+1..x (odd denominators 2y+1..2x-1);
-    x < y is the negated mirror, so antisymmetry is exact.
+    The window is k = lo+1..hi, lo and hi the smaller and larger of x and y
+    (odd denominators 2lo+1..2hi-1).  For x < y its estimate is negated,
+    which is exact, so antisymmetry is exact.
     """
     if x < 1 or y < 1:
         raise DomainError(f"ln_quotient requires positive integers, got {x}, {y}")
     if x == y:
         return 0.0
-    if x < y:
-        return -ln_quotient(y, x, variant)
-    total = 2.0 * odd_harmonic_sum(y + 1, x)
+    lo, hi = (y, x) if x > y else (x, y)
+    total = 2.0 * odd_harmonic_sum(lo + 1, hi)
     if variant is LogVariant.FULL:
-        total += 2.0 * correction_sum(y + 1, x)
-    return total
+        total += 2.0 * correction_sum(lo + 1, hi)
+    return total if x > y else -total
 
 
 def ln_integer(n: int, variant: LogVariant = LogVariant.FULL) -> float:
@@ -511,7 +556,9 @@ def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -
 
 
 def select_multiplier(p: int, q: int, threshold: int = DEFAULT_THRESHOLD) -> int:
-    """Smallest m with min(m*p, m*q) > threshold."""
+    """Smallest m with min(m*p, m*q) > threshold, for positive p and q."""
+    if p < 1 or q < 1:
+        raise DomainError(f"p and q must be positive, got {p}/{q}")
     if threshold < 1:
         raise DomainError(f"threshold must be >= 1, got {threshold}")
     return threshold // min(p, q) + 1

@@ -29,8 +29,8 @@ from .harmonic import (
     ScaledRational,
     _check_scaled,
     ln_integer,
-    ln_quotient,
     ln_rational,
+    odd_harmonic_sum,
 )
 from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
 
@@ -409,15 +409,17 @@ def _check_grid(grid: list[int]) -> None:
 def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
     _check_grid(multipliers)
-    # Every window is checked, in grid order and as ScaledRational checks it,
-    # before the oracle's check forms p / q, which overflows past the index
-    # cap.  Each row is then ln_rational(ScaledRational(p, q, m)), without
-    # the object.
-    for m in multipliers:
-        _check_scaled(p, q, m)
+    # The whole grid is checked, in grid order and as ScaledRational checks
+    # it, before the oracle's check forms p / q, which overflows past the
+    # index cap.  Each row is then ln_rational(ScaledRational(p, q, m)),
+    # without the object: 2 S(m lo + 1, m hi), negated when p < q (negation
+    # is exact; p = q gives 2 * 0.0 = +0.0).
+    _check_scaled(p, q, multipliers)
     reference = ln_value(p, q)
+    lo, hi = min(p, q), max(p, q)
+    scale = -2.0 if p < q else 2.0
     rows = [
-        _row({"p": p, "q": q, "m": m}, ln_quotient(m * p, m * q, LogVariant.TRUNCATED), reference)
+        _row({"p": p, "q": q, "m": m}, scale * odd_harmonic_sum(m * lo + 1, m * hi), reference)
         for m in multipliers
     ]
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))

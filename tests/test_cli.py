@@ -261,6 +261,14 @@ class TestSweepCommand:
         assert code == 0
         assert out.splitlines()[1] == "3,3,5,0,0,0,,,"
 
+    def test_equal_ratio_prints_no_negative_zero(self, capsys):
+        # The sign of a row is applied once per sweep; p = q must stay +0.
+        argv = ["sweep", "ln", "--p", "3", "--q", "3", "--m", "1,2", "--format", "csv"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[1:] == ["3,3,1,0,0,0,,,", "3,3,2,0,0,0,,,"]
+        assert "-0" not in out
+
 
 # 50-digit closed forms, for answers to windows of 10**9 terms and more.
 with localcontext() as _ctx:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlog import factorial, harmonic
+from harmlog import factorial, harmonic, oracle
 from harmlog.errors import (
     DomainError,
     NegativeInputError,
@@ -278,7 +278,7 @@ class TestDecayingSum:
 
 def fraction_tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
     """The coefficients of `harmonic._tail_polynomials`, derived in `Fraction`."""
-    bernoulli = {i: Fraction(*ratio) for i, ratio in harmonic._BERNOULLI.items()}
+    bernoulli = {i: Fraction(*ratio) for i, ratio in oracle._BERNOULLI.items()}
     s0, r, p = power + odd_power, odd_power, harmonic._EM_TERMS
     size = harmonic._J_TERMS + 2 * p + 2
     a = [Fraction(0)] * size
@@ -318,7 +318,7 @@ def plain_odd(a: int, b: int) -> float:
 
 def psi_coefficient(k: int) -> Fraction:
     """(1 - 2**(1-2k)) B_2k/(4k), the coefficient of 1/x**2k in Q(x)."""
-    return (1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*harmonic._BERNOULLI[k]) / (4 * k)
+    return (1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*oracle._BERNOULLI[k]) / (4 * k)
 
 
 def exact_odd_head(a: int) -> Fraction:
@@ -385,7 +385,7 @@ class TestLongOddWindows:
         # n = 41 terms, with item 4: the four tail floats and the two of the
         # head are off by under 0.0006 u S (item 5), so within 0.501 ulp.
         u, d, n = Fraction(harmonic._U), harmonic._LOWEST_TAIL_START - 1, 41
-        b12 = Fraction(*harmonic._BERNOULLI[6])
+        b12 = Fraction(*oracle._BERNOULLI[6])
         assert d == 40
         truncation = abs(b12) / 6 * (Fraction(1, n * d**11) + Fraction(1, d**12))
         assert truncation < Fraction(1, 2**67)
@@ -490,6 +490,11 @@ class TestLnQuotient:
     def test_equal_is_zero(self):
         assert harmonic.ln_quotient(5, 5) == 0.0
 
+    @pytest.mark.parametrize("variant", [LogVariant.FULL, LogVariant.TRUNCATED])
+    def test_equal_is_positive_zero(self, variant):
+        for x in (1, 5, 41, 10**6):
+            assert math.copysign(1.0, harmonic.ln_quotient(x, x, variant)) == 1.0
+
     def test_unit_denominator(self):
         assert harmonic.ln_quotient(10, 1) == harmonic.ln_integer(10)
 
@@ -544,6 +549,11 @@ class TestLnRational:
         with pytest.raises(DomainError):
             ScaledRational(p=0, q=2, m=10)
 
+    @pytest.mark.parametrize("args", [(2.0, 1, 3), (2, 1.0, 3), (2, 1, 3.0)])
+    def test_rejects_a_non_int(self, args):
+        with pytest.raises(TypeError):
+            ScaledRational(*args)
+
     def test_overflow_guard(self):
         with pytest.raises(OverflowLimitError):
             ScaledRational(p=2**40, q=1, m=2**40)
@@ -583,6 +593,27 @@ class TestLnAuto:
     def test_both_negative_is_positive_ratio(self):
         m, value = harmonic.ln_auto(-1, -2)
         assert value == pytest.approx(math.log(0.5), abs=2e-5)
+
+
+class TestSelectMultiplier:
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (-1, 5, "p and q must be positive, got -1/5"),
+            (0, 5, "p and q must be positive, got 0/5"),
+            (5, 0, "p and q must be positive, got 5/0"),
+            (5, -2, "p and q must be positive, got 5/-2"),
+        ],
+    )
+    def test_rejects_a_non_positive_ratio(self, p, q, message):
+        with pytest.raises(DomainError) as raised:
+            harmonic.select_multiplier(p, q)
+        assert str(raised.value) == message
+
+    def test_smallest_multiplier_past_the_threshold(self):
+        assert harmonic.select_multiplier(1, 2) == 151
+        assert harmonic.select_multiplier(200, 151) == 1
+        assert harmonic.select_multiplier(7, 3, threshold=6) == 3
 
 
 class TestPositiveRatio:

@@ -246,3 +246,22 @@ class TestSweeps:
             tables.sweep_ln_rational(p, q, grid)
         assert type(raised.value) is error
         assert str(raised.value) == message
+
+    def test_ln_rational_equal_ratio_rows_are_positive_zero(self):
+        report = tables.sweep_ln_rational(3, 3, [1, 2, 7, 40, 1000, 10**5])
+        for row in report.rows:
+            assert math.copysign(1.0, row.calculated) == 1.0, row.inputs
+            assert math.copysign(1.0, row.percent_error) == 1.0, row.inputs
+
+    @pytest.mark.parametrize(
+        "p, q, grid", [(2.0, 1, [3]), (2, 1.0, [3]), (2, 1, [3.0]), (2, 1, [5, 3.0])]
+    )
+    def test_ln_rational_rejects_a_non_int_at_validation(self, monkeypatch, p, q, grid):
+        # The reference is taken after the whole grid is validated and before
+        # any row, so a TypeError from a row's window comes too late.
+        def past_validation(*args):
+            raise AssertionError("the grid passed validation")
+
+        monkeypatch.setattr(tables, "ln_value", past_validation)
+        with pytest.raises(TypeError):
+            tables.sweep_ln_rational(p, q, grid)
