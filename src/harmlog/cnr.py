@@ -57,7 +57,8 @@ class CnrTag(Enum):
 class CnrMethod(Frozen):
     """Which exponential form produced a value; m only applies to EXP_SCALED."""
 
-    __slots__ = ("tag", "m")
+    __slots__ = ()
+    _fields = ("tag", "m")
 
     def __init__(self, tag: CnrTag, m: int | None = None) -> None:
         if tag is CnrTag.EXP_SCALED:
@@ -65,23 +66,19 @@ class CnrMethod(Frozen):
                 raise DomainError("EXP_SCALED requires an integer m >= 1")
         elif m is not None:
             raise DomainError(f"{tag.value} does not take a multiplier")
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_values", (tag, m))
 
 
 class ApproxValue(Frozen):
     """An approximation bundled with its method and signed percentage error."""
 
-    __slots__ = ("input", "method", "value", "reference", "percent_error")
+    __slots__ = ()
+    _fields = ("input", "method", "value", "reference", "percent_error")
 
     def __init__(
         self, input: float, method: CnrMethod, value: float, reference: float, percent_error: float
     ) -> None:
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "percent_error", percent_error)
+        object.__setattr__(self, "_values", (input, method, value, reference, percent_error))
 
 
 def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:

@@ -45,15 +45,14 @@ class NrKind(Enum):
 class NrVariant(Frozen):
     """One computed incarnation of the Number Constant."""
 
-    __slots__ = ("kind", "value", "terms", "n")
+    __slots__ = ()
+    # terms is for DIRECT_SERIES only, n for EMPIRICAL_LIMIT only
+    _fields = ("kind", "value", "terms", "n")
 
     def __init__(
         self, kind: NrKind, value: float, terms: int | None = None, n: int | None = None
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "terms", terms)  # DIRECT_SERIES only
-        object.__setattr__(self, "n", n)  # EMPIRICAL_LIMIT only
+        object.__setattr__(self, "_values", (kind, value, terms, n))
 
 
 def nr_integral() -> float:

@@ -34,13 +34,11 @@ class FactorialMethod(Enum):
 class FactorialEstimate(Frozen):
     """ln_value is authoritative; value overflows to +inf for large n."""
 
-    __slots__ = ("n", "ln_value", "value", "method")
+    __slots__ = ()
+    _fields = ("n", "ln_value", "value", "method")
 
     def __init__(self, n: int, ln_value: float, value: float, method: FactorialMethod) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ln_value", ln_value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "_values", (n, ln_value, value, method))
 
 
 def s_sum_exact(n: int) -> float:

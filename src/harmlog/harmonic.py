@@ -490,13 +490,12 @@ def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
 class ScaledRational(Frozen):
     """A positive rational p/q with multiplier m, kept unreduced as mp/mq."""
 
-    __slots__ = ("p", "q", "m")
+    __slots__ = ()
+    _fields = ("p", "q", "m")
 
     def __init__(self, p: int, q: int, m: int) -> None:
         _check_scaled(p, q, (m,))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_values", (p, q, m))
 
     @property
     def scaled_p(self) -> int:

@@ -6,10 +6,11 @@ is proven within 2**-82.3 of ln(n/d), relative.  Its range reduction is
 binary, then by the nearest c/16 from a table of 13 fixed-point logarithms
 built at import, so the series keeps at most 8 terms.  A float x enters as
 its exact x.as_integer_ratio(), so no quotient is rounded before the kernel
-sees it.  The platform `math.log` of the float quotient checks the value on
-every call; `harmonic`'s O(1) odd windows take their logarithm from the
-same kernel, as `_ln_ratio`, memoised on the ratio in lowest terms (every
-multiplier of a scaled p/q takes the logarithm of p/q itself), and the
+sees it.  The platform `math.log` of the float quotient checks the value
+each time it is computed; `ln_value` is memoised on its arguments.
+`harmonic`'s O(1) odd windows take their logarithm from the same kernel,
+as `_ln_ratio`, memoised on the ratio in lowest terms (every multiplier of
+a scaled p/q takes the logarithm of p/q itself), and the
 50-digit `decimal` referee of the tests judges both.  ln n! takes the same
 kernel: the reference logarithm of the exact n! below n = 32, and from
 there Stirling's series with ln n from `_ln_fraction`, summed in 128-bit
@@ -46,13 +47,13 @@ _BERNOULLI = {
 class ReferenceValue(Frozen):
     """A reference value with a documented absolute error bound."""
 
-    __slots__ = ("value", "guaranteed_abs_error")
+    __slots__ = ()
+    _fields = ("value", "guaranteed_abs_error")
 
     def __init__(self, value: float, guaranteed_abs_error: float) -> None:
         if guaranteed_abs_error < 0:
             raise DomainError("guaranteed_abs_error must be >= 0")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "guaranteed_abs_error", guaranteed_abs_error)
+        object.__setattr__(self, "_values", (value, guaranteed_abs_error))
 
 
 def _atanh_sum(t: int, s: int, bits: int) -> int:
@@ -173,13 +174,16 @@ def _ln_tolerance(ln_x: float) -> float:
     return _LN_AGREEMENT_REL * max(abs(ln_x), 1.0)
 
 
+@lru_cache(maxsize=128, typed=True)
 def ln_value(x: float, d: int = 1) -> float:
     """ln(x/d) of a float or int x over an int d, x/d positive and finite.
 
     It is P/Q of _ln_fraction on the exact ratio (x.as_integer_ratio() of a
     float, or the ints x and d), rounded once.  Raises OracleIntegrityError
     if math.log of the float quotient x/d differs from it by more than
-    1e-13 max(|ln(x/d)|, 1).
+    1e-13 max(|ln(x/d)|, 1).  Memoised on its arguments and their types
+    (an int and an equal float take their own paths): a hit returns the
+    float that passed the check, and an error is raised again on each call.
     """
     try:
         ratio = x / d  # an int quotient is rounded once

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import constants as consts
 from ._frozen import Frozen
@@ -46,34 +46,28 @@ class TableId(Enum):
 
 
 class Row(Frozen):
-    __slots__ = (
-        "inputs", "calculated", "reference", "percent_error", "printed", "match", "erratum"
-    )
+    __slots__ = ()
+    _fields = ("inputs", "calculated", "reference", "percent_error", "printed", "match", "erratum")
 
     def __init__(
         self, inputs: dict, calculated: float | None, reference: float | None,
         percent_error: float | None, printed: str | None, match: bool | None, erratum: str = ""
     ) -> None:
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "calculated", calculated)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "percent_error", percent_error)
-        object.__setattr__(self, "printed", printed)
-        object.__setattr__(self, "match", match)
-        object.__setattr__(self, "erratum", erratum)
+        object.__setattr__(
+            self, "_values",
+            (inputs, calculated, reference, percent_error, printed, match, erratum),
+        )
 
 
 class TableReport(Frozen):
-    __slots__ = ("table_id", "input_columns", "calculated_format", "rows")
+    __slots__ = ()
+    _fields = ("table_id", "input_columns", "calculated_format", "rows")
 
     def __init__(
         self, table_id: str, input_columns: tuple[str, ...], calculated_format: str,
         rows: tuple[Row, ...] = ()
     ) -> None:
-        object.__setattr__(self, "table_id", table_id)
-        object.__setattr__(self, "input_columns", input_columns)
-        object.__setattr__(self, "calculated_format", calculated_format)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_values", (table_id, input_columns, calculated_format, rows))
 
     # -- serialization ----------------------------------------------------
 
@@ -88,43 +82,71 @@ class TableReport(Frozen):
             "erratum",
         ]
 
-    def _cells(self, row: Row) -> list[str]:
-        def num(v, fmt="%.12g"):
-            if v is None:
-                return ""
-            if math.isinf(v):
-                return "inf"
-            return fmt % v
-
-        return [str(row.inputs[k]) for k in self.input_columns] + [
-            num(row.calculated, self.calculated_format),
-            num(row.reference),
-            num(row.percent_error),
-            row.printed or "",
-            "" if row.match is None else str(row.match).lower(),
-            row.erratum,
-        ]
+    def _cells(self) -> list[list[str]]:
+        """Each row's cells, as strings in column order."""
+        _, input_columns, calculated_format, rows = self._values
+        cells = []
+        for row in rows:
+            # one read of the row's values, not a property call per field
+            inputs, calculated, reference, percent, printed, match, erratum = row._values
+            cells.append([str(inputs[k]) for k in input_columns] + [
+                _num(calculated, calculated_format),
+                _num(reference),
+                _num(percent),
+                printed or "",
+                "" if match is None else str(match).lower(),
+                erratum,
+            ])
+        return cells
 
     def serialize(self, fmt: str) -> str:
+        if fmt not in ("csv", "markdown", "json"):
+            raise DomainError(f"unknown format {fmt!r}")
+        columns = self.columns
+        cells = self._cells()
         if fmt == "csv":
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow(self._cells(row))
+            writer.writerow(columns)
+            writer.writerows(cells)
             return buf.getvalue()
         if fmt == "markdown":
             lines = [
-                "| " + " | ".join(self.columns) + " |",
-                "| " + " | ".join("---" for _ in self.columns) + " |",
+                "| " + " | ".join(columns) + " |",
+                "| " + " | ".join("---" for _ in columns) + " |",
             ]
-            for row in self.rows:
-                lines.append("| " + " | ".join(self._cells(row)) + " |")
+            lines.extend("| " + " | ".join(row) + " |" for row in cells)
             return "\n".join(lines) + "\n"
-        if fmt == "json":
-            objs = [dict(zip(self.columns, self._cells(row))) for row in self.rows]
-            return json.dumps(objs, indent=2) + "\n"
-        raise DomainError(f"unknown format {fmt!r}")
+        return _json(columns, cells)
+
+
+def _num(v: float | None, fmt: str = "%.12g") -> str:
+    """A number cell: empty for None, "inf" for either infinity."""
+    if v is None:
+        return ""
+    if math.isinf(v):
+        return "inf"
+    return fmt % v
+
+
+def _json(columns: list[str], cells: list[list[str]]) -> str:
+    """json.dumps([dict(zip(columns, row)) for row in cells], indent=2) + "\n".
+
+    Every key and cell is a str, so the layout is written here and only the
+    strings go through the C encoder: with indent set, json.dumps takes its
+    pure-Python encoder for the whole array.
+    """
+    if not cells:
+        return "[]\n"
+    # As in dict(zip(...)), a column named twice keeps its first place and
+    # its last cell.
+    last = {column: i for i, column in enumerate(columns)}
+    keys = [(f"    {_quote(column)}: ", i) for column, i in last.items()]
+    objects = [
+        "  {\n" + ",\n".join([key + _quote(row[i]) for key, i in keys]) + "\n  }"
+        for row in cells
+    ]
+    return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
 # -- errata manifest ------------------------------------------------------
@@ -386,13 +408,19 @@ _TABLES = {
 }
 
 
-def build(table_id: TableId) -> TableReport:
+def build(table_id: TableId | str) -> TableReport:
+    """Report for one table, named by its TableId or the id's value ("2.1", "nr-gamma")."""
+    try:
+        table_id = TableId(table_id)
+    except ValueError:
+        names = ", ".join(table.value for table in TableId)
+        raise DomainError(f"unknown table {table_id!r}; use one of {names}") from None
     builder, input_columns, calculated_format = _TABLES[table_id]
     return TableReport(table_id.value, input_columns, calculated_format, tuple(builder()))
 
 
-def generate(table_id: TableId, fmt: str = "csv") -> str:
-    """Serialized report for one table; fmt is csv, markdown or json."""
+def generate(table_id: TableId | str, fmt: str = "csv") -> str:
+    """Serialized report for one table (see build); fmt is csv, markdown or json."""
     return build(table_id).serialize(fmt)
 
 
@@ -413,15 +441,19 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     # it, before the oracle's check forms p / q, which overflows past the
     # index cap.  Each row is then ln_rational(ScaledRational(p, q, m)),
     # without the object: 2 S(m lo + 1, m hi), negated when p < q (negation
-    # is exact; p = q gives 2 * 0.0 = +0.0).
+    # is exact; p = q gives 2 * 0.0 = +0.0).  A row has no print to match,
+    # so it is built straight from its value, without _row.
     _check_scaled(p, q, multipliers)
     reference = ln_value(p, q)
     lo, hi = min(p, q), max(p, q)
     scale = -2.0 if p < q else 2.0
-    rows = [
-        _row({"p": p, "q": q, "m": m}, scale * odd_harmonic_sum(m * lo + 1, m * hi), reference)
-        for m in multipliers
-    ]
+    rows = []
+    for m in multipliers:
+        value = scale * odd_harmonic_sum(m * lo + 1, m * hi)
+        rows.append(
+            Row({"p": p, "q": q, "m": m}, value, reference, percent_error(value, reference),
+                None, None)
+        )
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 
@@ -435,7 +467,7 @@ def sweep_factorial(
         ln_est = factorial_estimate(n, method).ln_value
         ref_ln = factorial_exact_ln(n)
         percent = percent_error_from_ln(ln_est, ref_ln)
-        rows.append(_row({"n": n, "method": method.value}, ln_est, ref_ln, percent=percent))
+        rows.append(Row({"n": n, "method": method.value}, ln_est, ref_ln, percent, None, None))
     return TableReport("sweep", ("n", "method"), "%.17g", tuple(rows))
 
 
@@ -443,7 +475,7 @@ def sweep_nr(grid: list[int]) -> TableReport:
     """All three Number Constant variants across a size grid."""
     _check_grid(grid)
     rows = [
-        _row({"n": n, "variant": v.kind.value}, v.value, None)
+        Row({"n": n, "variant": v.kind.value}, v.value, None, None, None, None)
         for n in grid
         for v in (
             consts.variant(consts.NrKind.INTEGRAL),

@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -13,10 +14,13 @@ from pathlib import Path
 import pytest
 
 import harmlog
+from harmlog._frozen import Frozen
 from harmlog.cnr import ApproxValue, CnrMethod, CnrTag
 from harmlog.constants import NrKind, NrVariant
 from harmlog.errors import DomainError
 from harmlog.factorial import FactorialEstimate, FactorialMethod
+from harmlog.harmonic import ScaledRational
+from harmlog.oracle import ReferenceValue
 from harmlog.tables import Row, TableReport
 
 SRC = Path(harmlog.__file__).resolve().parent.parent
@@ -288,6 +292,18 @@ VALUE_CASES = {
         "value=1.49, reference=1.5, percent_error=-0.5)",
         True,
     ),
+    "ScaledRational": (
+        ScaledRational(3, 4, 40),
+        dict(p=3, q=4, m=40),
+        "ScaledRational(p=3, q=4, m=40)",
+        True,
+    ),
+    "ReferenceValue": (
+        ReferenceValue(0.693, 1e-13),
+        dict(value=0.693, guaranteed_abs_error=1e-13),
+        "ReferenceValue(value=0.693, guaranteed_abs_error=1e-13)",
+        True,
+    ),
 }
 
 
@@ -319,6 +335,28 @@ class TestValueClasses:
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is cls and twin == value and repr(twin) == text
 
+    def test_every_record_class_is_covered(self):
+        # Every record class of the package is one of the cases above.
+        assert {cls.__name__ for cls in Frozen.__subclasses__()} == set(VALUE_CASES)
+
+    @pytest.mark.parametrize("name", VALUE_CASES)
+    def test_one_store_per_record(self, name):
+        value, fields, _, _ = VALUE_CASES[name]
+        cls = type(value)
+        assert not hasattr(value, "__dict__")
+        assert cls._fields == tuple(inspect.signature(cls).parameters) == tuple(fields)
+        assert value._values == tuple(fields.values())
+
+    @pytest.mark.parametrize("name", VALUE_CASES)
+    def test_a_record_is_not_a_sequence(self, name):
+        value = VALUE_CASES[name][0]
+        with pytest.raises(TypeError):
+            iter(value)
+        with pytest.raises(TypeError):
+            value[0]
+        with pytest.raises(TypeError):
+            len(value)
+
     def test_defaults(self):
         row = Row({}, None, None, None, None, None)
         assert row.erratum == ""
@@ -341,7 +379,7 @@ class TestValueClasses:
 
     def test_unpickling_cnr_method_validates_it(self):
         method = CnrMethod(CnrTag.EXP_SCALED, 50)
-        object.__setattr__(method, "m", 0)
+        object.__setattr__(method, "_values", (CnrTag.EXP_SCALED, 0))
         data = pickle.dumps(method)
         with pytest.raises(DomainError, match="EXP_SCALED requires an integer m >= 1"):
             pickle.loads(data)

@@ -59,6 +59,9 @@ def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys, request):
     # The estimate takes its logarithm from the skewed kernel too, through
     # the memoised _ln_ratio: drop what it kept.
     request.addfinalizer(oracle._ln_ratio.cache_clear)
+    # ln_value(2.0) is memoised at import, as LN2: drop it so the check runs.
+    oracle.ln_value.cache_clear()
+    request.addfinalizer(oracle.ln_value.cache_clear)
 
     def skewed(n, d):
         p, q = true_ln_fraction(n, d)
@@ -73,6 +76,28 @@ def test_disagreeing_kernel_is_an_integrity_error(monkeypatch, capsys, request):
     assert captured.out == ""
     assert captured.err.startswith("error: log paths disagree")
     assert captured.err.count("\n") == 1
+
+
+def test_ln_value_memo_returns_the_checked_float():
+    first = oracle.ln_value(7, 3)
+    assert oracle.ln_value(7, 3) is first
+    assert oracle.ln_value(2) == oracle.ln_value(2.0) == oracle.ln_value(4, 2) == oracle.LN2
+
+
+def test_ln_value_memo_is_typed():
+    # A float d is outside the contract and fails; a memoised int twin must
+    # not answer for it.
+    oracle.ln_value(1, 2)
+    with pytest.raises(Exception):
+        oracle.ln_value(1, 2.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, 0, 0.0])
+def test_ln_value_memo_keeps_no_error(x):
+    # An error is not memoised: every repeat checks and raises again.
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            oracle.ln_value(x)
 
 
 def test_ln_ref_additivity_grid():

@@ -175,6 +175,44 @@ class TestSerialization:
         with pytest.raises(DomainError):
             tables.generate(TableId.T2_1, "xml")
 
+    @pytest.mark.parametrize(
+        "report",
+        [
+            *(lambda table_id=table_id: tables.build(table_id) for table_id in TableId),
+            lambda: tables.sweep_ln_rational(3, 7, [1, 5, 40, 1000]),
+            lambda: tables.sweep_ln_rational(3, 3, [1, 2, 1000]),
+            lambda: tables.sweep_factorial([2, 5, 45, 160]),
+            lambda: tables.sweep_nr([1, 10]),
+            lambda: tables.TableReport("sweep", ("n",), "%.17g"),
+            # a column named twice is one key of each object, as in a dict
+            lambda: tables.TableReport(
+                "sweep", ("match", "n"), "%g",
+                (tables.Row({"match": "x", "n": 1}, 1.0, None, None, None, True),),
+            ),
+        ],
+        ids=[*(t.value for t in TableId), "ln-p<q", "ln-p=q", "factorial", "nr", "empty", "dup"],
+    )
+    def test_json_writer_is_json_dumps(self, report):
+        # Table 2.3's "∞" (escaped as \u221e) and the quoted errata notes
+        # are among the cells.
+        report = report()
+        columns, *rows = csv.reader(io.StringIO(report.serialize("csv")))
+        objs = [dict(zip(columns, cells)) for cells in rows]
+        assert report.serialize("json") == json.dumps(objs, indent=2) + "\n"
+
+    @pytest.mark.parametrize("table_id", [TableId.T2_4, "2.4"])
+    def test_generate_takes_an_id_or_its_value(self, table_id):
+        assert tables.generate(table_id) == tables.generate(TableId.T2_4)
+
+    @pytest.mark.parametrize("table_id", ["2.9", 0, "sweep", None])
+    def test_generate_rejects_anything_else(self, table_id):
+        message = (
+            f"unknown table {table_id!r}; use one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, nr-gamma"
+        )
+        with pytest.raises(DomainError) as excinfo:
+            tables.generate(table_id)
+        assert str(excinfo.value) == message
+
 
 class TestSweeps:
     def test_ln_rational_error_shrinks(self):
