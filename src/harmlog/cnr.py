@@ -17,7 +17,7 @@ from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
-from .oracle import percent_error
+from .oracle import _is_finite, percent_error
 
 # Scaled-variant default; matches the multiplier used throughout the
 # reference tables for arguments near 1.
@@ -84,10 +84,10 @@ class ApproxValue(Frozen):
 def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:
     """form(*args) for an input x, as a finite float.
 
-    A non-finite x or a division by zero raises DomainError, and a value past
-    binary64 OverflowLimitError; each message names label and x.
+    A non-finite x or a division by zero raises DomainError, and an int x or
+    a value past binary64 OverflowLimitError; each message names label and x.
     """
-    if not math.isfinite(x):
+    if not _is_finite(x, f"{label}: x"):
         raise DomainError(f"x must be finite, got {x}")
     try:
         value = form(*args)
@@ -113,7 +113,7 @@ def approx_lemma11(x: float) -> float:
 
 def approx_cnr_pow2(x: float) -> float:
     """CNR estimate 2**(3/(2x-1)) for x/(x-1)."""
-    if 2.0 * x - 1.0 == 0:
+    if x == 0.5:  # 2x - 1 == 0, without converting an int x past binary64
         raise DomainError("approx_cnr_pow2 undefined at x = 1/2")
     return _finite("pow2", x, lambda: 2.0 ** (3.0 / (2.0 * x - 1.0)))
 
@@ -148,7 +148,7 @@ def approx_cnr_exp(x: float) -> float:
 
 def approx_number_large(x: float) -> float:
     """(x - 1) * e**(2/(2x-1)); valid once 1/x**3 is negligible."""
-    if 2.0 * x - 1.0 == 0:
+    if x == 0.5:
         raise DomainError("approx_number_large undefined at x = 1/2")
     return _finite("exp_large", x, lambda: (x - 1.0) * math.exp(2.0 / (2.0 * x - 1.0)))
 

@@ -86,7 +86,12 @@ def variant(kind: NrKind, terms: int | None = None, n: int | None = None) -> NrV
 
 
 def euler_gamma(v: NrVariant) -> float:
-    """gamma estimate 2 - 2 ln 2 - N_r for a computed variant."""
+    """gamma estimate 2 - 2 ln 2 - N_r for a computed variant.
+
+    TypeError for a v that is not an NrVariant.
+    """
+    if not isinstance(v, NrVariant):
+        raise TypeError(f"euler_gamma requires an NrVariant, got {type(v).__name__}")
     return 2.0 - 2.0 * LN2 - v.value
 
 

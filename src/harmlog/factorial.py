@@ -17,7 +17,7 @@ from enum import Enum
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
 from .harmonic import _decaying_sum
-from .oracle import _size, ln_value
+from .oracle import _is_finite, _size, ln_value
 
 # Integral closed form of the tail sum, evaluated at its lower bound; the
 # raw formula's leading constant is its complement to 1.
@@ -45,7 +45,7 @@ def s_sum_exact(n: int) -> float:
     """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, correctly rounded."""
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {n}")
-    return _decaying_sum(2, n, 3, 1)
+    return _decaying_sum(2, n, 1)
 
 
 def s_sum_closed(n: int) -> float:
@@ -66,12 +66,8 @@ def _check_n(n: int, least: int, name: str) -> None:
     if n is past binary64's range."""
     if n < least:
         raise DomainError(f"{name} requires n >= {least}, got {n}")
-    if not n < math.inf:  # nan or inf
+    if not _is_finite(n, f"{name}: n"):
         raise DomainError(f"{name} requires a finite n, got {n}")
-    try:
-        float(n)
-    except OverflowError:
-        raise OverflowLimitError(f"{name}: {_size(n)} is past binary64") from None
 
 
 def ln_factorial_series(n: int) -> float:
@@ -85,14 +81,7 @@ def ln_factorial_series(n: int) -> float:
 def factorial_raw(n: int) -> FactorialEstimate:
     """Raw closed-form factorial: the series form with the tail's integral."""
     _check_n(n, 2, "factorial_raw")
-    ln_est = (
-        RAW_CONST
-        + 0.5 * math.log(n)
-        + n * (math.log(n) - 1.0)
-        - 2.0 * (1.0 / n + 1.0 / (4.0 * n * n))
-        - 4.0 * math.log1p(-1.0 / (2.0 * n))
-    )
-    return _estimate(n, ln_est, FactorialMethod.RAW)
+    return _closed_form(n, FactorialMethod.RAW, 2.0 * RAW_CONST, 1.0, 4.0, 1.0, 2.0)
 
 
 def factorial_corrected(n: int) -> FactorialEstimate:
@@ -102,13 +91,25 @@ def factorial_corrected(n: int) -> FactorialEstimate:
             - 4 ln(1 - 200/(387 n)).
     """
     _check_n(n, 2, "factorial_corrected")
+    return _closed_form(n, FactorialMethod.CORRECTED, 1.83788, 10.0, 33.0, 200.0, 387.0)
+
+
+def _closed_form(
+    n: int, method: FactorialMethod, k: float, a: float, b: float, c: float, d: float
+) -> FactorialEstimate:
+    """The estimate ln n! ~ (k + ln n)/2 + n(ln n - 1) - 2(1/n + a/(b n**2)) - 4 ln(1 - c/(d n)).
+
+    The raw form is k = 2 RAW_CONST, a/b = 1/4, c/d = 1/2; halving is exact,
+    so (k + ln n)/2 rounds as RAW_CONST + (ln n)/2 does.
+    """
+    ln_n = math.log(n)
     ln_est = (
-        0.5 * (1.83788 + math.log(n))
-        + n * (math.log(n) - 1.0)
-        - 2.0 * (1.0 / n + 10.0 / (33.0 * n * n))
-        - 4.0 * math.log1p(-200.0 / (387.0 * n))
+        0.5 * (k + ln_n)
+        + n * (ln_n - 1.0)
+        - 2.0 * (1.0 / n + a / (b * n * n))
+        - 4.0 * math.log1p(-c / (d * n))
     )
-    return _estimate(n, ln_est, FactorialMethod.CORRECTED)
+    return _estimate(n, ln_est, method)
 
 
 def estimate(n: int, method: FactorialMethod) -> FactorialEstimate:

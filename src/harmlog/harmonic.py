@@ -18,14 +18,15 @@ expansion about x + 1/2 (`_psi_series`, and the integer logarithm
 `oracle._ln_ratio` of b/(c-1), which for a scaled p/q is p/q itself and is
 memoised in lowest terms), plus, for a window that starts below k = 41, its
 head S(a, 40) as two floats from exact integers (`_odd_head`, memoised per
-a).  The fast-decaying series (the correction sum and the factorial's tail
-sum, `_decaying_sum`) sum a head exactly and enclose the rest by a proven
-Hurwitz-zeta bound; when both ends of the enclosure round the sum to the
-same float, that float is the sum of every term, and otherwise the head
-doubles and the enclosure is tried again.  Either way the result is
-bit-identical to summing every term.  The first head's exact parts and the
-tail constants at a head end are memoised, so a repeated start, such as the
-k = 2 of every series in the paper, sums its first head only once.
+a).  The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
+and the factorial's tail sum, r = 1, `_decaying_sum`) sum a head exactly
+and enclose the rest by a proven Hurwitz-zeta bound; when both ends of the
+enclosure round the sum to the same float, that float is the sum of every
+term, and otherwise the head doubles and the enclosure is tried again.
+Either way the result is bit-identical to summing every term.  One memo,
+`_head`, keeps each head, first or doubled, as its exact parts with the
+tail constants at its end, so a repeated window, such as one from the
+k = 2 of every series in the paper, sums no head term.
 """
 
 from __future__ import annotations
@@ -95,18 +96,18 @@ def _odd(ks: range) -> range:
     return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
 
 
-def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
-    """1.0 / (k**power (2k-1)**odd_power) for k in ks, in a C-level loop.
+def _terms(ks: range, r: int) -> Iterator[float]:
+    """1.0 / (k**3 (2k-1)**r) for k in ks, in a C-level loop.
 
     The big-int denominator is rounded to a float once and divided once, as
     in `1.0 / int`.
     """
-    denominators = map(mul, map(pow, ks, repeat(power)), map(pow, _odd(ks), repeat(odd_power)))
+    denominators = map(mul, map(pow, ks, repeat(3)), map(pow, _odd(ks), repeat(r)))
     return map(truediv, repeat(1.0), denominators)
 
 
 # -- fast-decaying sums ------------------------------------------------------
-# For t(k) = 1/(k**p (2k-1)**r) with r in {1, 2} and s0 = p + r,
+# For t(k) = 1/(k**3 (2k-1)**r) with r in {1, 2} and s0 = 3 + r,
 #     t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j k**-(s0+j),
 #     w_j = C(r+j-1, j) / 2**(j+r),
 # so the tail T(m) = sum_{k>=m} t(k) = sum_j w_j zeta(s0+j, m) (Hurwitz zeta).
@@ -117,7 +118,7 @@ def _terms(ks: range, power: int, odd_power: int) -> Iterator[float]:
 #     zeta(s, m) = x**(s-1)/(s-1) + x**s/2
 #                  + sum_{i<=P} B_2i/(2i)! (s)_{2i-1} x**(s+2i-1) + R_P,
 # x = 1/m and (s)_n the rising factorial.  So That(m) = x**(s0-1) sum_n a_n x**n
-# (`_tail_polynomials`), evaluated in binary64 by Horner's rule.
+# (`_tail`), evaluated in binary64 by Horner's rule.
 #
 # delta covers every gap between the tail and R, the exact sum of the float
 # terms fl(t(k)) for k = h+1..b that summing every term would add:
@@ -173,10 +174,10 @@ _U = 2.0**-53
 _CHUNK = 1 << 14
 
 
-# (a_n, gamma_K |a_n| + e_n), highest degree first, keyed by (power,
-# odd_power): (3, 2) is the correction sum and (3, 1) the factorial's tail.
+# (a_n, gamma_K |a_n| + e_n), highest degree first, keyed by r: 2 is the
+# correction sum and 1 the factorial's tail.
 _TAIL_POLYNOMIALS = {
-    (3, 2): (
+    2: (
         (0.0, 201437.58251953125),
         (0.0, 184651.1173095703),
         (4570.576171875, 162076.21582031256),
@@ -206,7 +207,7 @@ _TAIL_POLYNOMIALS = {
         (0.175, 3.885780586188057e-16),
         (0.0625, 1.1102230246251585e-16),
     ),
-    (3, 1): (
+    1: (
         (0.0, 16786.465209960938),
         (0.0, 16207.62158203125),
         (408.087158203125, 15049.93432617188),
@@ -239,35 +240,24 @@ _TAIL_POLYNOMIALS = {
 }
 
 
-def _tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
-    """Pairs (a_n, gamma_K |a_n| + e_n), highest degree first (see above)."""
-    return _TAIL_POLYNOMIALS[power, odd_power]
-
-
-def _tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
+def _tail(m: int, r: int) -> tuple[float, float]:
     """That(m) and err(m), its proven error bound (items 3 and 4 above)."""
     x = 1.0 / m
     value = error = 0.0
-    for coefficient, bound in _tail_polynomials(power, odd_power):
+    for coefficient, bound in _TAIL_POLYNOMIALS[r]:
         value = value * x + coefficient
         error = error * x + bound
-    scale = math.prod(repeat(x, power + odd_power - 1))
+    scale = math.prod(repeat(x, 2 + r))
     return value * scale, error * scale
 
 
-@lru_cache(maxsize=128)
-def _head_end_tail(m: int, power: int, odd_power: int) -> tuple[float, float]:
-    """`_tail` at m = h + 1, the first index past a head [a, h], memoised."""
-    return _tail(m, power, odd_power)
-
-
-def _tail_enclosure(first: int, last: int, power: int, odd_power: int) -> tuple[float, float]:
+def _tail_enclosure(first: int, last: int, r: int, end: tuple[float, float]) -> tuple[float, float]:
     """Floats lo <= hi around the exact sum of the float terms for k = first..last.
 
-    Proven for first >= 17 (see above).
+    end is `_tail(first, r)`, from the head that ends at first - 1.  Proven
+    for first >= 17 (see above).
     """
-    t_first, err_first = _head_end_tail(first, power, odd_power)
-    t_last, err_last = _tail(last + 1, power, odd_power)
+    (t_first, err_first), (t_last, err_last) = end, _tail(last + 1, r)
     tail = t_first - t_last
     truncation = (_J_TERMS + 1) * (2.0 * first) ** -_J_TERMS
     delta = 1.001 * ((3.0 * _U + truncation) * t_first + err_first + err_last)
@@ -290,13 +280,20 @@ def _exact_parts(terms: Iterator[float]) -> list[float]:
 
 
 @lru_cache(maxsize=128)
-def _first_head(a: int, power: int, odd_power: int) -> tuple[float, ...]:
-    """The exact parts of the first head [a, 8a] of `_decaying_sum`, memoised."""
-    return tuple(_exact_parts(_terms(range(8 * a, a - 1, -1), power, odd_power)))
+def _head(a: int, h: int, r: int) -> tuple[tuple[float, ...], tuple[float, float]]:
+    """The exact parts of the head [a, h], h = 8a 2**i, and `_tail(h + 1, r)`, memoised.
+
+    A doubled head is the parts of [a, h/2], themselves memoised, and the
+    terms (h/2, h].
+    """
+    start = h // 2 if h > 8 * a else a - 1
+    below = _head(a, start, r)[0] if h > 8 * a else ()
+    terms = chain(below, _terms(range(h, start, -1), r))
+    return tuple(_exact_parts(terms)), _tail(h + 1, r)
 
 
-def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
-    """Sum of 1/(k**power (2k-1)**odd_power) for k = a..b; b = a-1 is empty.
+def _decaying_sum(a: int, b: int, r: int) -> float:
+    """Sum of 1/(k**3 (2k-1)**r) for k = a..b, r in {1, 2}; b = a-1 is empty.
 
     Bit-identical to math.fsum over every term.  The head [a, h] first ends at
     h = 8a, so the tail starts at h + 1 >= 17 and, for a window far longer
@@ -308,29 +305,24 @@ def _decaying_sum(a: int, b: int, power: int, odd_power: int) -> float:
     10**18).  Once the window ends by 2h, the head and the rest of the
     window are summed term by term.
 
-    Every series of the paper starts at a = 2, so the same first head recurs:
-    its exact parts (`_first_head`) and That, err at each head end
-    (`_head_end_tail`) are memoised, each in a small LRU cache, and a
-    repeated start sums no head term.  The work limit is checked before the
-    lookup, as before the sum, and a doubled head extends the memoised parts.
+    Every series of the paper starts at a = 2, so the same heads recur: each
+    head, first or doubled, is memoised with That, err at its end (`_head`,
+    one small LRU cache), and a repeated window sums no head term.  The work
+    limit is checked before each lookup, as before the sum.
     """
     _window(a, b, first=2)
-    head: list[float] = []
-    summed, h = a - 1, 8 * a
+    head, summed, h = (), a - 1, 8 * a
     while b > 2 * h:
         _check_work(a, h)
-        if summed < a:
-            head = list(_first_head(a, power, odd_power))
-        else:
-            head = _exact_parts(chain(head, _terms(range(h, summed, -1), power, odd_power)))
+        head, end = _head(a, h, r)
         summed = h
-        lo, hi = _tail_enclosure(h + 1, b, power, odd_power)
-        low = math.fsum(head + [lo])
-        if low == math.fsum(head + [hi]):
+        lo, hi = _tail_enclosure(h + 1, b, r, end)
+        low = math.fsum(head + (lo,))
+        if low == math.fsum(head + (hi,)):
             return low
         h *= 2
     _check_work(a, b)
-    return math.fsum(chain(head, _terms(range(b, summed, -1), power, odd_power)))
+    return math.fsum(chain(head, _terms(range(b, summed, -1), r)))
 
 
 # -- long odd windows --------------------------------------------------------
@@ -466,7 +458,7 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 
 def correction_sum(a: int, b: int) -> float:
     """Sum of 1/(k**3 (2k-1)**2) for k = a..b; empty range is 0."""
-    return _decaying_sum(a, b, 3, 2)
+    return _decaying_sum(a, b, 2)
 
 
 def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
@@ -550,7 +542,12 @@ def ln_product(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
 
 
 def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -> float:
-    """Estimate of ln(p/q) via the scaled window between mq and mp."""
+    """Estimate of ln(p/q) via the scaled window between mq and mp.
+
+    TypeError for an r that is not a ScaledRational.
+    """
+    if not isinstance(r, ScaledRational):
+        raise TypeError(f"ln_rational requires a ScaledRational, got {type(r).__name__}")
     return ln_quotient(r.scaled_p, r.scaled_q, variant)
 
 

@@ -30,8 +30,8 @@ from .errors import DomainError, OracleIntegrityError, OverflowLimitError
 # ln agreement demanded between math.log (or math.lgamma) and the kernel.
 _LN_AGREEMENT_REL = 1e-13
 # B_2k as (numerator, denominator), k = 1..8.  Stirling's series for ln n!
-# keeps all eight, and `harmonic`'s Euler-Maclaurin tails build integer
-# numerators over one common denominator from them.
+# keeps all eight.  `harmonic`'s Euler-Maclaurin tail coefficients are
+# literals; tests/test_harmonic.py derives them from this table.
 _BERNOULLI = {
     1: (1, 6),
     2: (-1, 30),
@@ -184,7 +184,10 @@ def ln_value(x: float, d: int = 1) -> float:
     1e-13 max(|ln(x/d)|, 1).  Memoised on its arguments and their types
     (an int and an equal float take their own paths): a hit returns the
     float that passed the check, and an error is raised again on each call.
+    A d that is not an int raises TypeError.
     """
+    if not isinstance(d, int):
+        raise TypeError(f"ln_value: d must be an int, got {type(d).__name__}")
     try:
         ratio = x / d  # an int quotient is rounded once
     except OverflowError:
@@ -311,20 +314,28 @@ def factorial_exact_ln(n: int) -> float:
     return value
 
 
-def _size(n: int | float) -> str:
-    """n for an error message: an int by its bit length, which has no float
-    overflow, and a float by its repr."""
-    return f"n of {n.bit_length()} bits" if isinstance(n, int) else f"n = {n!r}"
+def _size(n: int | float, name: str = "n") -> str:
+    """n, called name, for an error message: an int by its bit length, which
+    has no float overflow, and a float by its repr."""
+    return f"{name} of {n.bit_length()} bits" if isinstance(n, int) else f"{name} = {n!r}"
+
+
+def _is_finite(x: float, name: str) -> bool:
+    """math.isfinite(x); OverflowLimitError naming x for an int past binary64."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        raise OverflowLimitError(f"{_size(x, name)} is past binary64") from None
 
 
 def percent_error(approx: float, reference: float) -> float:
     """Signed percentage error (approx - reference) / reference * 100.
 
     DomainError for a non-finite input or a zero reference (an exact 0
-    against it is a 0 % error); OverflowLimitError for an error past
-    binary64.
+    against it is a 0 % error); OverflowLimitError for an int input or an
+    error past binary64.
     """
-    if not (math.isfinite(approx) and math.isfinite(reference)):
+    if not (_is_finite(approx, "approx") and _is_finite(reference, "reference")):
         raise DomainError(f"percent_error requires finite values, got {approx} and {reference}")
     if reference == 0:
         if approx == 0:
@@ -336,10 +347,10 @@ def percent_error(approx: float, reference: float) -> float:
 def percent_error_from_ln(ln_approx: float, ln_reference: float) -> float:
     """percent_error computed from natural logs (safe when values overflow).
 
-    DomainError for a non-finite logarithm; OverflowLimitError for an error
-    past binary64.
+    DomainError for a non-finite logarithm; OverflowLimitError for an int
+    logarithm or an error past binary64.
     """
-    if not (math.isfinite(ln_approx) and math.isfinite(ln_reference)):
+    if not (_is_finite(ln_approx, "ln_approx") and _is_finite(ln_reference, "ln_reference")):
         raise DomainError(
             f"percent_error_from_ln requires finite logarithms, got {ln_approx} and {ln_reference}"
         )

@@ -3,8 +3,13 @@ import contextlib
 import io
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 import time
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -603,3 +608,143 @@ class TestParserChoices:
         with pytest.raises(SystemExit):
             reference.parse_args(["--method", "bogus"])
         assert error == capsys.readouterr().err.rsplit("harmlog factorial: error: ", 1)[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_SRC = str(Path(__file__).parents[1] / "src")
+PAPER_TABLES = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "nr-gamma")
+
+# The console-script checks of .github/workflows/tests.yml, run in process:
+# (argv, exit code, the step's `timeout` in seconds or None, golden stdout
+# file or None).  A nonzero exit prints one error line and nothing else.
+_WORKFLOW = [
+    (["table", "2.1", "--format", "markdown"], 0, None, "table_2.1.md"),
+    (["gamma", "--nr", "integral"], 0, None, None),
+    (["gamma", "--nr", "limit", "--n", str(10**18), "--format", "json"], 0, 10, None),
+    (["factorial", str(10**12), "--method", "series"], 0, 10, None),
+    (["factorial", "60", "--method", "series"], 0, 10, None),
+    (["gamma", "--nr", "series", "--n", "100"], 0, 10, None),
+    (
+        ["sweep", "ln", "--p", "2", "--q", "1", "--m", "990001:1000000:1", "--format", "csv"],
+        0,
+        20,
+        None,
+    ),
+    (["ln", "1001", "1000", "--m", "49", "--format", "json"], 0, 10, None),
+    (["ln", "2", "3", "--m", "1000000", "--format", "json"], 0, 10, None),
+    (["cnr", "1.5", "--method", "scaled", "--m", "50", "--format", "csv"], 0, 10, None),
+    (["nbb", "6", "--format", "json"], 0, 10, None),
+    (["factorial", "60", "--method", "raw", "--format", "csv"], 0, 10, None),
+    (["sweep", "nr", "--n", "10,100", "--format", "json"], 0, 10, None),
+    (["ln", "33", "32", "--m", "1000", "--format", "json"], 0, 10, None),
+    (["ln", "4", "3", "--m", "1000", "--variant", "full", "--format", "json"], 0, 10, None),
+    (["ln", str(10**17 + 1), str(10**17), "--format", "json"], 0, 10, None),
+    (["sweep", "ln", "--p", "3", "--q", "1", "--m", "20:60:1", "--format", "csv"], 0, 10, None),
+    (["gamma", "--nr", "limit", "--n", "1000000", "--format", "json"], 0, 10, None),
+    (["factorial", "20000", "--format", "json"], 0, 10, None),
+    (["factorial", str(10**12), "--method", "raw", "--format", "json"], 0, 10, None),
+    # ln n! switches from the exact n! to Stirling's series at n = 32.
+    (
+        ["sweep", "factorial", "--n", "31,32,33", "--method", "series", "--format", "csv"],
+        0,
+        10,
+        None,
+    ),
+    # A sweep's grid is validated once, before any row: a window past the
+    # 63-bit index cap exits 3 and a non-positive p exits 2.
+    (["sweep", "ln", "--p", "2", "--q", "1", "--m", str(2**62)], 3, None, None),
+    (["sweep", "ln", "--p", "0", "--q", "1", "--m", "5"], 2, None, None),
+] + [
+    # The JSON of every table, whose strings go through the C encoder, is
+    # its golden file byte for byte.
+    (["table", table, "--format", "json"], 0, None, f"table_{table}.json")
+    for table in PAPER_TABLES
+]
+
+
+class TestWorkflowCommands:
+    @pytest.mark.parametrize(
+        "argv, code, seconds, golden", _WORKFLOW, ids=[" ".join(case[0]) for case in _WORKFLOW]
+    )
+    def test_command(self, capsys, argv, code, seconds, golden):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        if seconds is not None:
+            assert time.perf_counter() - start < seconds
+        if code:
+            assert_one_line_error(result, "", exit_code=code)
+            return
+        assert result[0] == 0 and result[1] and result[2] == ""
+        if golden:
+            assert result[1] == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    def test_unreduced_ratio_sweep_matches_its_reduced_twin(self, capsys):
+        # The memoised logarithm of a scaled p/q must never confuse keys:
+        # from the fourth column on, a sweep of 4/2 is the sweep of 2/1
+        # over twice the multipliers.
+        def columns_from_the_fourth(*argv):
+            code, out, err = run(capsys, "sweep", "ln", *argv, "--format", "csv")
+            assert (code, err) == (0, "")
+            return [line.split(",", 3)[3] for line in out.splitlines()]
+
+        unreduced = columns_from_the_fourth("--p", "4", "--q", "2", "--m", "1000:100000:1000")
+        reduced = columns_from_the_fourth("--p", "2", "--q", "1", "--m", "2000:200000:2000")
+        assert len(unreduced) == 101 and unreduced == reduced
+
+    def test_unknown_table_prints_exactly_one_error_line(self, capsys):
+        code, out, err = run(capsys, "table", "2.9")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown table '2.9'; use one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, nr-gamma\n"
+        )
+
+
+def _subprocess_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env.pop("HARMLOG_THRESHOLD", None)
+    return env
+
+
+def test_module_entry_point_in_a_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmlog.cli", "ln", "1", "2", "--format", "json"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+    )
+    golden = json.loads((GOLDEN / "cli.json").read_text(encoding="utf-8"))
+    expected = next(case["stdout"] for case in golden if case["argv"] == ["ln", "1", "2"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+# Replays every table golden file through cli.main; prints a marker line
+# first, so an interpreter that never runs it is told apart from a mismatch.
+_REPLAY = """
+import contextlib, io, sys
+from pathlib import Path
+print("replaying", flush=True)
+from harmlog import cli
+golden, tables = Path(sys.argv[1]), sys.argv[2:]
+for table in tables:
+    for fmt, ext in (("csv", "csv"), ("markdown", "md"), ("json", "json")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["table", table, "--format", fmt])
+        name = f"table_{table}.{ext}"
+        if code or out.getvalue() != (golden / name).read_text(encoding="utf-8"):
+            print("mismatch", name)
+"""
+
+
+@pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
+def test_table_goldens_under_each_interpreter(interpreter):
+    executable = shutil.which(interpreter)
+    if executable is None:
+        pytest.skip(f"{interpreter} is not on PATH")
+    proc = subprocess.run(
+        [executable, "-c", _REPLAY, str(GOLDEN), *PAPER_TABLES],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    if not proc.stdout.startswith("replaying"):
+        # A launcher on PATH with no interpreter installed behind it.
+        pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "replaying\n", "")

@@ -170,6 +170,21 @@ class TestTypedErrors:
         assert type(raised.value) is error
         assert str(raised.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        "form, label",
+        [
+            (cnr.approx_lemma11, "lemma11"),
+            (cnr.approx_cnr_pow2, "pow2"),
+            (cnr.approx_number_scaled, "exp_scaled"),
+            (cnr.approx_number_exp, "exp_full"),
+            (cnr.approx_cnr_exp, "cnr_exp"),
+            (cnr.approx_number_large, "exp_large"),
+        ],
+    )
+    def test_an_int_past_binary64_is_typed(self, form, label):
+        with pytest.raises(OverflowLimitError, match=f"^{label}: x of 1329 bits is past binary64$"):
+            form(10**400)
+
     def test_evaluate_names_the_method(self):
         # The cnr command's messages are unchanged: they name the CnrTag.
         with pytest.raises(OverflowLimitError, match="^lemma11 overflows binary64 at x = "):

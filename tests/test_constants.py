@@ -86,6 +86,10 @@ class TestEulerGamma:
             residual = consts.euler_gamma(v) + v.value + 2.0 * LN2 - 2.0
             assert abs(residual) <= 2 * math.ulp(2.0)
 
+    def test_rejects_a_non_variant_by_type(self):
+        with pytest.raises(TypeError, match="^euler_gamma requires an NrVariant, got int$"):
+            consts.euler_gamma(0)
+
     def test_all_variants_in_band(self):
         values = [
             consts.nr_integral(),

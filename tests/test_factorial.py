@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -125,6 +126,36 @@ class TestFactorialCorrected:
             direct *= math.exp(-2.0 * (1.0 / n + 10.0 / (33.0 * n * n)))
             direct *= (1.0 - 200.0 / (387.0 * n)) ** -4
             assert est.value == pytest.approx(direct, rel=1e-10)
+
+
+def _seeded_ns() -> list[int]:
+    rng = random.Random(2024)
+    return list(range(2, 5000)) + [round(10 ** rng.uniform(0.4, 300)) for _ in range(2000)]
+
+
+class TestClosedForms:
+    """Both closed forms, through one helper, round as their written-out formulas."""
+
+    def test_raw_is_its_formula_bit_for_bit(self):
+        for n in _seeded_ns():
+            expected = (
+                fact.RAW_CONST
+                + 0.5 * math.log(n)
+                + n * (math.log(n) - 1.0)
+                - 2.0 * (1.0 / n + 1.0 / (4.0 * n * n))
+                - 4.0 * math.log1p(-1.0 / (2.0 * n))
+            )
+            assert fact.factorial_raw(n).ln_value.hex() == expected.hex(), n
+
+    def test_corrected_is_its_formula_bit_for_bit(self):
+        for n in _seeded_ns():
+            expected = (
+                0.5 * (1.83788 + math.log(n))
+                + n * (math.log(n) - 1.0)
+                - 2.0 * (1.0 / n + 10.0 / (33.0 * n * n))
+                - 4.0 * math.log1p(-200.0 / (387.0 * n))
+            )
+            assert fact.factorial_corrected(n).ln_value.hex() == expected.hex(), n
 
 
 class TestEstimateDispatch:

@@ -100,9 +100,13 @@ MULTI_STRADDLES = [
 ]
 
 
-def clear_head_memos() -> None:
-    harmonic._first_head.cache_clear()
-    harmonic._head_end_tail.cache_clear()
+def clear_head_memo() -> None:
+    harmonic._head.cache_clear()
+
+
+# The two decaying series by r, the exponent of 2k-1 in 1/(k**3 (2k-1)**r);
+# each id names the exponents of k and 2k-1.
+KERNELS = [pytest.param(2, id="3-2"), pytest.param(1, id="3-1")]
 
 
 class TestDecayingSum:
@@ -130,7 +134,7 @@ class TestDecayingSum:
     def test_near_the_index_cap(self, a, b):
         assert harmonic.correction_sum(a, b) == plain_correction(a, b)
 
-    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
+    @pytest.mark.parametrize("r", KERNELS)
     @pytest.mark.parametrize(
         "first, last",
         [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)]
@@ -138,25 +142,25 @@ class TestDecayingSum:
         # tails after the head [2, 16] doubled once, twice and three times.
         + [(first, last) for first in (17, 25, 41, 73, 33, 65, 129) for last in (first + 40, 4000)],
     )
-    def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, power, odd_power, first, last):
-        terms = harmonic._terms(range(first, last + 1), power, odd_power)
+    def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, r, first, last):
+        terms = harmonic._terms(range(first, last + 1), r)
         exact = sum(map(Fraction, terms))
-        lo, hi = harmonic._tail_enclosure(first, last, power, odd_power)
+        lo, hi = harmonic._tail_enclosure(first, last, r, harmonic._tail(first, r))
         assert lo <= exact <= hi
 
     def test_falls_back_when_the_enclosure_straddles_a_rounding_boundary(self, monkeypatch):
         a, b = 2, 5000
         proven = harmonic._tail_enclosure
 
-        def wide(first, last, power, odd_power):
-            lo, hi = proven(first, last, power, odd_power)
+        def wide(*args):
+            lo, hi = proven(*args)
             return lo / 2, hi * 2
 
         monkeypatch.setattr(harmonic, "_tail_enclosure", wide)
-        head = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), 3, 2))
-        lo, hi = wide(17, b, 3, 2)
+        head = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), 2))
+        lo, hi = wide(17, b, 2, harmonic._tail(17, 2))
         assert math.fsum(head + [lo]) != math.fsum(head + [hi])
-        assert harmonic._decaying_sum(a, b, 3, 2) == plain_correction(a, b)
+        assert harmonic._decaying_sum(a, b, 2) == plain_correction(a, b)
 
     @pytest.mark.parametrize(
         "a, b", [(5015, 364619768921238531), (9069, 4536968482200627615)]
@@ -165,8 +169,8 @@ class TestDecayingSum:
         # At h = 8a the enclosure straddles a rounding boundary; one growth
         # of the head settles it, where summing the window would never end.
         h = 8 * a
-        head = harmonic._exact_parts(harmonic._terms(range(h, a - 1, -1), 3, 2))
-        lo, hi = harmonic._tail_enclosure(h + 1, b, 3, 2)
+        head = harmonic._exact_parts(harmonic._terms(range(h, a - 1, -1), 2))
+        lo, hi = harmonic._tail_enclosure(h + 1, b, 2, harmonic._tail(h + 1, 2))
         low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
         assert low != high
         start = time.perf_counter()
@@ -181,12 +185,12 @@ class TestDecayingSum:
         # window ends within twice the head.
         plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
         for h in (16, 32, 64)[:straddles]:
-            head = harmonic._exact_parts(harmonic._terms(range(h, 1, -1), 3, 1))
-            lo, hi = harmonic._tail_enclosure(h + 1, b, 3, 1)
+            head = harmonic._exact_parts(harmonic._terms(range(h, 1, -1), 1))
+            lo, hi = harmonic._tail_enclosure(h + 1, b, 1, harmonic._tail(h + 1, 1))
             low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
             assert low != high
             assert low <= plain <= high
-        assert harmonic._decaying_sum(2, b, 3, 1) == plain
+        assert harmonic._decaying_sum(2, b, 1) == plain
         assert factorial.s_sum_exact(b) == plain
 
     @pytest.mark.parametrize("a", range(2, 10))
@@ -195,78 +199,95 @@ class TestDecayingSum:
         # earlier, longer first head [a, max(a + 64, 8a)] summed term by term.
         for b in range(16 * a + 1, 2 * max(a + 64, 8 * a) + 1):
             assert harmonic.correction_sum(a, b) == plain_correction(a, b)
-            assert harmonic._decaying_sum(a, b, 3, 1) == math.fsum(
+            assert harmonic._decaying_sum(a, b, 1) == math.fsum(
                 1.0 / (k**3 * (2 * k - 1)) for k in range(a, b + 1)
             )
 
     @staticmethod
-    def terms_summed(monkeypatch, a, b, power, odd_power, memoised=False):
-        """Terms _decaying_sum(a, b) sums one by one: with both memos cleared,
-        or, if memoised, after a first identical call has filled them."""
-        clear_head_memos()
+    def terms_summed(monkeypatch, a, b, r, memoised=False):
+        """Terms _decaying_sum(a, b, r) sums one by one: with the head memo
+        cleared, or, if memoised, after a first identical call has filled it."""
+        clear_head_memo()
         if memoised:
-            harmonic._decaying_sum(a, b, power, odd_power)
+            harmonic._decaying_sum(a, b, r)
         counted = []
         terms = harmonic._terms
 
-        def counting(ks, power, odd_power):
-            for term in terms(ks, power, odd_power):
+        def counting(ks, r):
+            for term in terms(ks, r):
                 counted.append(term)
                 yield term
 
         monkeypatch.setattr(harmonic, "_terms", counting)
-        harmonic._decaying_sum(a, b, power, odd_power)
+        harmonic._decaying_sum(a, b, r)
         return len(counted)
 
     def test_the_first_head_ends_at_8a(self, monkeypatch):
-        assert self.terms_summed(monkeypatch, 2, 10**6, 3, 2) == 15
+        assert self.terms_summed(monkeypatch, 2, 10**6, 2) == 15
 
     def test_a_straddle_doubles_the_head(self, monkeypatch):
         # The enclosures after [2, 16] and [2, 32] straddle, the one after
         # [2, 64] settles: 63 terms, where growing the head eightfold sums
         # [2, 128].
-        assert self.terms_summed(monkeypatch, 2, 674, 3, 1) == 63
+        assert self.terms_summed(monkeypatch, 2, 674, 1) == 63
 
-    @pytest.mark.parametrize("b, power, odd_power", [(10**6, 3, 2), (10**5, 3, 1), (10**18, 3, 1)])
-    def test_a_repeated_start_sums_no_head_term(self, monkeypatch, b, power, odd_power):
+    @pytest.mark.parametrize(
+        "b, r",
+        [
+            pytest.param(10**6, 2, id="1000000-3-2"),
+            pytest.param(10**5, 1, id="100000-3-1"),
+            pytest.param(10**18, 1, id="1000000000000000000-3-1"),
+        ],
+    )
+    def test_a_repeated_start_sums_no_head_term(self, monkeypatch, b, r):
         # The enclosure after the first head [2, 16] settles these windows.
-        assert self.terms_summed(monkeypatch, 2, b, power, odd_power, memoised=True) == 0
+        assert self.terms_summed(monkeypatch, 2, b, r, memoised=True) == 0
 
-    def test_a_straddle_after_a_memo_hit_sums_only_the_doubled_part(self, monkeypatch):
-        # [2, 674] straddles after [2, 16] and [2, 32]: the heads [17, 32]
-        # and [33, 64] are summed again, [2, 16] is not.
-        assert self.terms_summed(monkeypatch, 2, 674, 3, 1, memoised=True) == 32 + 16
+    def test_a_straddle_after_a_memo_hit_sums_no_head_term(self, monkeypatch):
+        # [2, 674] straddles after [2, 16] and [2, 32]: the doubled heads
+        # [2, 32] and [2, 64] are memoised too, so none of them is summed again.
+        assert self.terms_summed(monkeypatch, 2, 674, 1, memoised=True) == 0
+
+    @pytest.mark.parametrize("r", KERNELS)
+    @pytest.mark.parametrize("a", [2, 3, 7, 41])
+    def test_a_head_ends_in_the_tail_at_the_next_index(self, r, a):
+        # The first head [a, 8a] and the heads doubled from it.
+        clear_head_memo()
+        for h in (8 * a, 16 * a, 32 * a):
+            parts, end = harmonic._head(a, h, r)
+            assert [x.hex() for x in end] == [x.hex() for x in harmonic._tail(h + 1, r)]
+            exact = sum(map(Fraction, harmonic._terms(range(a, h + 1), r)))
+            assert sum(map(Fraction, parts)) == exact
 
     @pytest.mark.parametrize("b, straddles", MULTI_STRADDLES)
     def test_memo_hit_cleared_memo_and_plain_sum_agree_on_straddles(self, b, straddles):
         plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
-        clear_head_memos()
-        cleared = harmonic._decaying_sum(2, b, 3, 1)
-        hit = harmonic._decaying_sum(2, b, 3, 1)
-        assert harmonic._first_head.cache_info().hits >= 1
+        clear_head_memo()
+        cleared = harmonic._decaying_sum(2, b, 1)
+        hit = harmonic._decaying_sum(2, b, 1)
+        assert harmonic._head.cache_info().hits >= 1
         assert cleared.hex() == hit.hex() == plain.hex()
 
-    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
-    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_seeded_windows(self, power, odd_power):
-        rng = random.Random(1409 + odd_power)
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_seeded_windows(self, r):
+        rng = random.Random(1409 + r)
         windows = [(2, rng.randint(2, 5000)) for _ in range(60)]
         windows += [(rng.randint(2, 200), rng.randint(2000, 6000)) for _ in range(60)]
         for a, b in windows:
-            plain = math.fsum(1.0 / (k**power * (2 * k - 1) ** odd_power) for k in range(a, b + 1))
-            clear_head_memos()
-            cleared = harmonic._decaying_sum(a, b, power, odd_power)
-            hit = harmonic._decaying_sum(a, b, power, odd_power)
+            plain = math.fsum(1.0 / (k**3 * (2 * k - 1) ** r) for k in range(a, b + 1))
+            clear_head_memo()
+            cleared = harmonic._decaying_sum(a, b, r)
+            hit = harmonic._decaying_sum(a, b, r)
             assert cleared.hex() == hit.hex() == plain.hex(), (a, b)
 
     def test_the_memos_are_bounded(self):
-        for memo in (harmonic._first_head, harmonic._head_end_tail):
-            assert 0 < memo.cache_info().maxsize < 1000
+        assert 0 < harmonic._head.cache_info().maxsize < 1000
 
     def test_the_work_limit_is_checked_before_the_memo(self, monkeypatch):
-        harmonic._decaying_sum(2, 10**6, 3, 2)
+        harmonic._decaying_sum(2, 10**6, 2)
         monkeypatch.setattr(harmonic, "MAX_TERMS", 14)
         with pytest.raises(OverflowLimitError):
-            harmonic._decaying_sum(2, 10**6, 3, 2)
+            harmonic._decaying_sum(2, 10**6, 2)
 
     def test_exact_parts_across_chunks(self, monkeypatch):
         monkeypatch.setattr(harmonic, "_CHUNK", 7)
@@ -276,10 +297,10 @@ class TestDecayingSum:
         assert len(parts) < 5
 
 
-def fraction_tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, float], ...]:
-    """The coefficients of `harmonic._tail_polynomials`, derived in `Fraction`."""
+def fraction_tail_polynomials(r: int) -> tuple[tuple[float, float], ...]:
+    """The coefficients of `harmonic._TAIL_POLYNOMIALS[r]`, derived in `Fraction`."""
     bernoulli = {i: Fraction(*ratio) for i, ratio in oracle._BERNOULLI.items()}
-    s0, r, p = power + odd_power, odd_power, harmonic._EM_TERMS
+    s0, p = 3 + r, harmonic._EM_TERMS
     size = harmonic._J_TERMS + 2 * p + 2
     a = [Fraction(0)] * size
     e = [Fraction(0)] * size
@@ -302,10 +323,10 @@ def fraction_tail_polynomials(power: int, odd_power: int) -> tuple[tuple[float, 
 
 
 class TestTailPolynomials:
-    @pytest.mark.parametrize("power, odd_power", [(3, 2), (3, 1)])
-    def test_equal_to_the_fraction_derivation(self, power, odd_power):
-        got = harmonic._tail_polynomials(power, odd_power)
-        expected = fraction_tail_polynomials(power, odd_power)
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_equal_to_the_fraction_derivation(self, r):
+        got = harmonic._TAIL_POLYNOMIALS[r]
+        expected = fraction_tail_polynomials(r)
         assert [tuple(map(float.hex, pair)) for pair in got] == [
             tuple(map(float.hex, pair)) for pair in expected
         ]
@@ -508,6 +529,10 @@ class TestLnQuotient:
 
 
 class TestLnRational:
+    def test_rejects_a_non_scaled_rational_by_type(self):
+        with pytest.raises(TypeError, match="^ln_rational requires a ScaledRational, got int$"):
+            harmonic.ln_rational(0)
+
     def test_worked_example(self):
         value = harmonic.ln_rational(ScaledRational(p=1, q=2, m=25))
         assert value == pytest.approx(-0.693097198, abs=5e-9)

@@ -88,7 +88,7 @@ def test_ln_value_memo_is_typed():
     # A float d is outside the contract and fails; a memoised int twin must
     # not answer for it.
     oracle.ln_value(1, 2)
-    with pytest.raises(Exception):
+    with pytest.raises(TypeError):
         oracle.ln_value(1, 2.0)
 
 
@@ -235,6 +235,22 @@ def test_percent_error_overflow_is_typed_and_cnr_keeps_its_message():
         oracle.percent_error(-0.5, 5e-324)
     with pytest.raises(OverflowLimitError, match="^exp_large overflows binary64 at x = 5e-324$"):
         cnr.evaluate(5e-324, cnr.CnrMethod(cnr.CnrTag.EXP_LARGE))
+
+
+@pytest.mark.parametrize("args, name", [((10**400, 1.0), "approx"), ((1.0, 10**400), "reference")])
+def test_percent_error_of_an_int_past_binary64_is_typed(args, name):
+    with pytest.raises(OverflowLimitError, match=f"^{name} of 1329 bits is past binary64$"):
+        oracle.percent_error(*args)
+
+
+def test_percent_error_from_ln_of_an_int_past_binary64_is_typed():
+    with pytest.raises(OverflowLimitError, match="^ln_approx of 1329 bits is past binary64$"):
+        oracle.percent_error_from_ln(10**400, 1.0)
+
+
+def test_ln_value_rejects_a_float_d_by_name():
+    with pytest.raises(TypeError, match="^ln_value: d must be an int, got float$"):
+        oracle.ln_value(1, 2.0)
 
 
 def test_percent_error_from_ln_matches_linear():

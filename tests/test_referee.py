@@ -82,7 +82,8 @@ def _past_the_crossover(a: int, b: int) -> bool:
 
 
 # The O(1) path's proven bound, from every a (item 5 of harmonic's
-# long-window proof).
+# long-window proof).  The four tests named `..._within_0_56_ulp` assert
+# this bound; their names keep the looser figure of an earlier proof.
 _PROVEN_ULPS = 0.501
 
 
