@@ -20,13 +20,14 @@ memoised in lowest terms), plus, for a window that starts below k = 41, its
 head S(a, 40) as two floats from exact integers (`_odd_head`, memoised per
 a).  The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
 and the factorial's tail sum, r = 1, `_decaying_sum`) sum a head exactly
-and enclose the rest by a proven Hurwitz-zeta bound; when both ends of the
+and enclose the rest from a 16-coefficient Hurwitz-zeta polynomial, whose
+relative error is one proven width per series; when both ends of the
 enclosure round the sum to the same float, that float is the sum of every
 term, and otherwise the head doubles and the enclosure is tried again.
 Either way the result is bit-identical to summing every term.  One memo,
 `_head`, keeps each head, first or doubled, as its exact parts with the
-tail constants at its end, so a repeated window, such as one from the
-k = 2 of every series in the paper, sums no head term.
+tail polynomial's value at its end, so a repeated window, such as one from
+the k = 2 of every series in the paper, sums no head term.
 """
 
 from __future__ import annotations
@@ -111,156 +112,111 @@ def _terms(ks: range, r: int) -> Iterator[float]:
 #     t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j k**-(s0+j),
 #     w_j = C(r+j-1, j) / 2**(j+r),
 # so the tail T(m) = sum_{k>=m} t(k) = sum_j w_j zeta(s0+j, m) (Hurwitz zeta).
-# `_decaying_sum` sums a head [a, h] exactly and puts the rest [h+1, b] in
-# [tail - delta, tail + delta], tail = That(h+1) - That(b+1), where That is T
-# with j < _J_TERMS and each zeta from Euler-Maclaurin with _EM_TERMS
-# Bernoulli terms (DLMF 2.10.1 with n -> infinity, f(x) = x**-s):
+# With j < _J_TERMS and each zeta from Euler-Maclaurin with _EM_TERMS
+# Bernoulli terms (DLMF 2.10.1 with n -> infinity, f(x) = x**-s),
 #     zeta(s, m) = x**(s-1)/(s-1) + x**s/2
 #                  + sum_{i<=P} B_2i/(2i)! (s)_{2i-1} x**(s+2i-1) + R_P,
-# x = 1/m and (s)_n the rising factorial.  So That(m) = x**(s0-1) sum_n a_n x**n
-# (`_tail`), evaluated in binary64 by Horner's rule.
+# x = 1/m and (s)_n the rising factorial, T(m) is x**(s0-1) sum_n a_n x**n
+# (n <= 25) plus remainders.  That(m) (`_tail`) keeps the degrees n < 16,
+# A(x) = sum_{n<16} a_n x**n, evaluated in binary64 by Horner's rule.
+# `_decaying_sum` sums a head [a, h] exactly and puts the rest [h+1, b] in
+# [tail - delta, tail + delta], tail = That(h+1) - That(b+1).
 #
-# delta covers every gap between the tail and R, the exact sum of the float
-# terms fl(t(k)) for k = h+1..b that summing every term would add:
-# 1. Per-term rounding.  fl(t(k)) rounds the big-int denominator to a float
-#    and then its reciprocal, two roundings, so |fl(t(k)) - t(k)| <=
-#    2u/(1-u) t(k) with u = 2**-53 (no term is subnormal: k < 2**63 keeps
-#    t(k) above 2**-320).  Summed: |R - R*| <= 2u/(1-u) R*, R* = sum t(k).
-# 2. Truncation of the j-series.  With v = 1/(2k) <= 1/(2h+2), the omitted
-#    part of (1 - v)**-r is v**J of it for r = 1 and (J+1-Jv) v**J <= (J+1) v**J
-#    of it for r = 2, so the truncated window sum is short of R* by at most
-#    (J+1) (2h+2)**-J R*: with J = 12, under 6e-18 R* once h+1 >= 17.
-# 3. The Euler-Maclaurin remainder.  DLMF 2.10.2 writes R_P as an integral of
-#    (B_2(P+1) - B~_2(P+1)(x)) f^(2P+2)(x) / (2P+2)!, and |B~_2n(x)| <= |B_2n|
-#    (DLMF 24.9.1), so |R_P| <= 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1} x**(s+2P+1)
-#    (f^(2P+2) > 0 integrates to |f^(2P+1)(m)|).  Weighted by w_j, these are
-#    the coefficients e_n of a second polynomial.  With P = 7 its value
-#    x**(s0-1) sum_n e_n x**n is under 4e-16 of That(m) at m = 17 (3.1e-16
-#    for the correction sum, 4.6e-17 for the factorial's tail, evaluated in
-#    Fraction arithmetic) and under 1e-18 of it from m = 25: e_n is 0 below
-#    degree 2P+2 = 16, so against That(m)'s leading term x**(s0-1)/(s0-1)
-#    it falls as x**16.
+# The width.  For every m >= 17, |T(m) - That(m)| <= W_r That(m), with one
+# literal W_r per series (`_TAIL_WIDTHS`).  |T(m) - That(m)| is at most
+# x**(s0-1) N(x), where N sums four polynomials in x with nonnegative
+# coefficients:
+# 1. The j-series truncation.  With v = 1/(2k) <= x/2, the omitted part of
+#    (1 - v)**-r is v**J of it for r = 1 and (J+1-Jv) v**J <= (J+1) v**J of it
+#    for r = 2, so it is at most (J+1) (x/2)**J T(m); and T(m) <=
+#    (34/33)**r 2**-r x**(s0-1) (1/(s0-1) + x), from (1 - v)**-r <= (34/33)**r
+#    for k >= 17 and sum_{k>=m} k**-s <= x**s + x**(s-1)/(s-1).
+# 2. The Euler-Maclaurin remainders.  DLMF 2.10.2 writes R_P as an integral
+#    of (B_2(P+1) - B~_2(P+1)(x)) f^(2P+2)(x) / (2P+2)!, and |B~_2n(x)| <=
+#    |B_2n| (DLMF 24.9.1), so |R_P| <= 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1}
+#    x**(s+2P+1) (f^(2P+2) > 0 integrates to |f^(2P+1)(m)|).  Weighted by
+#    w_j, these are coefficients e_n >= 0 of degrees 2P+2 = 16 to 27.
+# 3. The dropped degrees, |a_n| x**n for n = 16..25.
 # 4. The float error of That(m).  x = 1.0/m is two roundings off 1/m; a_n is
 #    rounded once; Horner's rule gives a_n x**n a factor (1 + theta_{2n+1})
 #    (Higham, Accuracy and Stability, eq. 5.3); x**(s0-1) takes s0-2 products
 #    and the final product one more.  So the term of degree n is off by at
 #    most gamma_K |a_n| x**(s0-1+n), K = 3 s0 + 4n + 1, gamma_K = Ku/(1-Ku)
-#    (Higham lemma 3.1), and err(m) = x**(s0-1) sum_n (gamma_K |a_n| + e_n) x**n
-#    bounds items 3 and 4 at m.
-# 5. The subtraction That(h+1) - That(b+1) rounds once: at most u That(h+1).
-# T(h+1) - That(h+1) is the j-series truncation of item 2 plus the remainders
-# of item 3, so T(h+1) is within 6e-18 + 4e-16 < 1e-12 of That(h+1) once
-# h+1 >= 17, and with R* <= T(h+1),
-#     |R - tail| <= 1.001 ((3u + (J+1) (2h+2)**-J) That(h+1) + err(h+1) + err(b+1)),
-# where the factor 1.001 also covers the rounding of the coefficients of
-# err, of its Horner evaluation at the rounded x and of delta's own few
-# operations (each well under 1e-12 relative).  The ends tail -+ delta
-# round once more, so they are moved one float outward with math.nextafter.
-# fsum is correctly rounded, hence monotone: when fsum(head + [lo]) equals
-# fsum(head + [hi]), it equals the sum of every term.
+#    (Higham lemma 3.1), u = 2**-53; call their sum x**(s0-1) G(x).
+# N grows with x, so N(x) <= N(1/17).  That(m) >= x**(s0-1) (A(x) - G(x)),
+# and A(x) is at least D = a_0 plus its negative terms taken at x = 1/17, so
+# That(m) >= x**(s0-1) (D - G(1/17)).  Hence the ratio at m = 17 bounds
+# every m >= 17: N(1/17) / (D - G(1/17)) is 24.04u for the correction sum
+# and 15.63u for the factorial's tail, rounded up to W_2 = 24.1u and
+# W_1 = 15.7u.  Item 4 is most of it (16.7u and 13.4u of That(17)).
 #
-# The coefficients a_n and gamma_K |a_n| + e_n are literals
-# (`_TAIL_POLYNOMIALS`), each the correctly rounded value of an exact
-# rational, written as its shortest round-tripping decimal, so no process
-# spends time deriving them.  `fraction_tail_polynomials` in
-# tests/test_harmonic.py derives them from _EM_TERMS, _J_TERMS and the
-# Bernoulli numbers in Fraction arithmetic, and the test checks every
-# literal against it bit for bit.
+# delta covers the gap between the tail and R, the exact sum of the float
+# terms fl(t(k)) for k = h+1..b that summing every term would add.  fl(t(k))
+# rounds the big-int denominator to a float and then its reciprocal, so
+# |R - R*| <= 2u/(1-u) R*, R* = T(h+1) - T(b+1) <= (1 + W) That(h+1) (no term
+# is subnormal: k < 2**63 keeps t(k) above 2**-320).  |R* - (That(h+1) -
+# That(b+1))| <= W (That(h+1) + That(b+1)), and the subtraction rounds once,
+# by at most u (1 + 3W) That(h+1).  So
+#     |R - tail| <= 1.001 (3u That(h+1) + W (That(h+1) + That(b+1))),
+# where the factor 1.001 covers the products of u and W with the rest and the
+# rounding of delta's own few operations (each well under 1e-12 relative).
+# The ends tail -+ delta round once more, so they are moved one float outward
+# with math.nextafter.  fsum is correctly rounded, hence monotone: when
+# fsum(head + [lo]) equals fsum(head + [hi]), it equals the sum of every term.
+#
+# The coefficients a_n are literals (`_TAIL_POLYNOMIALS`), each the correctly
+# rounded value of an exact rational, written as its shortest round-tripping
+# decimal, so no process spends time deriving them.
+# `fraction_tail_polynomials` in tests/test_harmonic.py derives them and
+# N(1/17) / (D - G(1/17)) from _EM_TERMS, _J_TERMS and the Bernoulli numbers
+# in Fraction arithmetic, and the tests check every coefficient against it bit
+# for bit and each W_r against the bound.
 _EM_TERMS = 7  # Bernoulli numbers B2..B14 kept; B16 bounds the remainder
-_J_TERMS = 12  # j = 0..11; item 2 is then below 6e-18 of the tail at h+1 >= 17
+_J_TERMS = 12  # j = 0..11; item 1 is then under 0.06u of That(m) from m = 17
 _U = 2.0**-53
 # Terms a head holds in memory at a time; `_exact_parts` folds each chunk
 # into a few floats, so a head of any length takes little memory.
 _CHUNK = 1 << 14
 
 
-# (a_n, gamma_K |a_n| + e_n), highest degree first, keyed by r: 2 is the
-# correction sum and 1 the factorial's tail.
+# a_n for n = 15 down to 0, keyed by r: 2 is the correction sum and 1 the
+# factorial's tail.
 _TAIL_POLYNOMIALS = {
     2: (
-        (0.0, 201437.58251953125),
-        (0.0, 184651.1173095703),
-        (4570.576171875, 162076.21582031256),
-        (4488.958740234375, 135449.40893554693),
-        (3993.2947823660716, 107021.75520833339),
-        (3556.320966224531, 79237.26106770837),
-        (3007.613982371795, 54334.12187500003),
-        (2372.8907958984373, 33958.82617187502),
-        (1727.9133138020834, 18898.82500000002),
-        (1139.643398585464, 9019.893750000012),
-        (659.8283828801407, 3436.150000000006),
-        (316.8025576636905, 859.0375000000029),
-        (109.94266183035714, 9.276626466000708e-13),
-        (13.010367838541667, 1.0399975151898028e-13),
-        (-14.184375, 1.070851740614395e-13),
-        (-1.88665771484375, 1.3405509341479866e-14),
-        (2.3363037109375, 1.5562909034400156e-14),
-        (0.3595226469494048, 2.2352417948975125e-15),
-        (-0.49768522493131867, 2.8732162978194165e-15),
-        (-0.07381184895833333, 3.9334854817774313e-16),
-        (0.17915482954545456, 8.751679936303034e-16),
-        (0.078515625, 3.4867941867133975e-16),
-        (0.0109375, 4.3715031594615716e-17),
-        (0.10872395833333333, 3.862650939841704e-16),
-        (0.23660714285714285, 7.355227538141685e-16),
-        (0.2604166666666667, 6.938893903907247e-16),
-        (0.175, 3.885780586188057e-16),
-        (0.0625, 1.1102230246251585e-16),
+        109.94266183035714, 13.010367838541667, -14.184375, -1.88665771484375,
+        2.3363037109375, 0.3595226469494048, -0.49768522493131867, -0.07381184895833333,
+        0.17915482954545456, 0.078515625, 0.0109375, 0.10872395833333333,
+        0.23660714285714285, 0.2604166666666667, 0.175, 0.0625,
     ),
     1: (
-        (0.0, 16786.465209960938),
-        (0.0, 16207.62158203125),
-        (408.087158203125, 15049.93432617188),
-        (423.2014973958333, 13377.719401041672),
-        (400.2476328196543, 11319.608723958338),
-        (380.5651091746795, 9055.68697916667),
-        (346.07806260850697, 6791.765234375003),
-        (296.61956380208335, 4724.706250000003),
-        (237.95561597419507, 3006.631250000002),
-        (176.52478538171897, 1718.0750000000016),
-        (118.9425269717262, 859.037500000001),
-        (70.90843563988095, 361.7000000000006),
-        (35.851719835069446, 2.9056485528312533e-13),
-        (14.1841796875, 1.0865845983393324e-13),
-        (-5.20391845703125, 3.75538155802417e-14),
-        (-2.3330973307291667, 1.5800576089128897e-14),
-        (0.9791003999255953, 6.196012902277479e-15),
-        (0.5072036687271062, 2.9844787133344915e-15),
-        (-0.24601236979166666, 1.3383301266980099e-15),
-        (-0.14760890151515152, 7.374546049578713e-16),
-        (0.097265625, 4.427447991561826e-16),
-        (0.08229166666666667, 3.380397813520152e-16),
-        (-0.018880208333333332, 6.917209860457544e-17),
-        (0.01488095238095238, 4.79114102888834e-17),
-        (0.17708333333333334, 4.915049848600967e-16),
-        (0.31666666666666665, 7.382983113757308e-16),
-        (0.3125, 5.898059818321155e-16),
-        (0.16666666666666666, 2.405483220021176e-16),
+        35.851719835069446, 14.1841796875, -5.20391845703125, -2.3330973307291667,
+        0.9791003999255953, 0.5072036687271062, -0.24601236979166666, -0.14760890151515152,
+        0.097265625, 0.08229166666666667, -0.018880208333333332, 0.01488095238095238,
+        0.17708333333333334, 0.31666666666666665, 0.3125, 0.16666666666666666,
     ),
 }
+# W_r, the proven bound on |T(m) - That(m)| / That(m) for m >= 17.
+_TAIL_WIDTHS = {2: 24.1 * _U, 1: 15.7 * _U}
 
 
-def _tail(m: int, r: int) -> tuple[float, float]:
-    """That(m) and err(m), its proven error bound (items 3 and 4 above)."""
+def _tail(m: int, r: int) -> float:
+    """That(m), the tail from k = m on, within W_r That(m) for m >= 17 (see above)."""
     x = 1.0 / m
-    value = error = 0.0
-    for coefficient, bound in _TAIL_POLYNOMIALS[r]:
+    value = 0.0
+    for coefficient in _TAIL_POLYNOMIALS[r]:
         value = value * x + coefficient
-        error = error * x + bound
-    scale = math.prod(repeat(x, 2 + r))
-    return value * scale, error * scale
+    return value * math.prod(repeat(x, 2 + r))
 
 
-def _tail_enclosure(first: int, last: int, r: int, end: tuple[float, float]) -> tuple[float, float]:
+def _tail_enclosure(first: int, last: int, r: int, t_first: float) -> tuple[float, float]:
     """Floats lo <= hi around the exact sum of the float terms for k = first..last.
 
-    end is `_tail(first, r)`, from the head that ends at first - 1.  Proven
-    for first >= 17 (see above).
+    t_first is `_tail(first, r)`, from the head that ends at first - 1.
+    Proven for first >= 17 (see above).
     """
-    (t_first, err_first), (t_last, err_last) = end, _tail(last + 1, r)
+    t_last = _tail(last + 1, r)
     tail = t_first - t_last
-    truncation = (_J_TERMS + 1) * (2.0 * first) ** -_J_TERMS
-    delta = 1.001 * ((3.0 * _U + truncation) * t_first + err_first + err_last)
+    delta = 1.001 * (3.0 * _U * t_first + _TAIL_WIDTHS[r] * (t_first + t_last))
     return math.nextafter(tail - delta, -math.inf), math.nextafter(tail + delta, math.inf)
 
 
@@ -280,7 +236,7 @@ def _exact_parts(terms: Iterator[float]) -> list[float]:
 
 
 @lru_cache(maxsize=128)
-def _head(a: int, h: int, r: int) -> tuple[tuple[float, ...], tuple[float, float]]:
+def _head(a: int, h: int, r: int) -> tuple[tuple[float, ...], float]:
     """The exact parts of the head [a, h], h = 8a 2**i, and `_tail(h + 1, r)`, memoised.
 
     A doubled head is the parts of [a, h/2], themselves memoised, and the
@@ -306,7 +262,7 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
     window are summed term by term.
 
     Every series of the paper starts at a = 2, so the same heads recur: each
-    head, first or doubled, is memoised with That, err at its end (`_head`,
+    head, first or doubled, is memoised with That at its end (`_head`,
     one small LRU cache), and a repeated window sums no head term.  The work
     limit is checked before each lookup, as before the sum.
     """
@@ -314,9 +270,9 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
     head, summed, h = (), a - 1, 8 * a
     while b > 2 * h:
         _check_work(a, h)
-        head, end = _head(a, h, r)
+        head, t_first = _head(a, h, r)
         summed = h
-        lo, hi = _tail_enclosure(h + 1, b, r, end)
+        lo, hi = _tail_enclosure(h + 1, b, r, t_first)
         low = math.fsum(head + (lo,))
         if low == math.fsum(head + (hi,)):
             return low

@@ -92,11 +92,11 @@ def plain_s_sum(n: int) -> float:
 
 
 _CAP = 2**63 - 1
-# The 14 windows [2, b] of the factorial's tail, b = 33..4152, whose
+# The 16 windows [2, b] of the factorial's tail, b = 33..4152, whose
 # enclosure straddles a rounding boundary more than once: (b, straddles).
 MULTI_STRADDLES = [
-    (674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1185, 2), (1558, 2),
-    (1645, 2), (2188, 3), (2193, 2), (2762, 2), (3508, 2), (3557, 3), (3782, 2),
+    (674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1139, 2), (1185, 2), (1558, 2),
+    (1645, 2), (2188, 3), (2193, 2), (2762, 2), (3084, 2), (3508, 2), (3557, 3), (3782, 2),
 ]
 
 
@@ -255,7 +255,7 @@ class TestDecayingSum:
         clear_head_memo()
         for h in (8 * a, 16 * a, 32 * a):
             parts, end = harmonic._head(a, h, r)
-            assert [x.hex() for x in end] == [x.hex() for x in harmonic._tail(h + 1, r)]
+            assert end.hex() == harmonic._tail(h + 1, r).hex()
             exact = sum(map(Fraction, harmonic._terms(range(a, h + 1), r)))
             assert sum(map(Fraction, parts)) == exact
 
@@ -297,14 +297,23 @@ class TestDecayingSum:
         assert len(parts) < 5
 
 
-def fraction_tail_polynomials(r: int) -> tuple[tuple[float, float], ...]:
-    """The coefficients of `harmonic._TAIL_POLYNOMIALS[r]`, derived in `Fraction`."""
+def fraction_tail_polynomials(r: int) -> tuple[tuple[float, ...], Fraction]:
+    """`harmonic._TAIL_POLYNOMIALS[r]` and the bound that `_TAIL_WIDTHS[r]` rounds up,
+    derived in `Fraction`.
+
+    The bound is N(1/17) / (D - G(1/17)) of harmonic's proof.  N, the sum of
+    the j-series truncation, the Euler-Maclaurin remainders, the dropped
+    degrees and the Horner error G, has nonnegative coefficients, so it grows
+    with x = 1/m and its value at x = 1/17 bounds every m >= 17.  A(x), the
+    kept polynomial, is at least D = a_0 plus its negative terms at x = 1/17
+    for every x <= 1/17, so That(m) >= x**(s0-1) (D - G(1/17)).
+    """
     bernoulli = {i: Fraction(*ratio) for i, ratio in oracle._BERNOULLI.items()}
-    s0, p = 3 + r, harmonic._EM_TERMS
-    size = harmonic._J_TERMS + 2 * p + 2
+    s0, p, j_terms = 3 + r, harmonic._EM_TERMS, harmonic._J_TERMS
+    size = j_terms + 2 * p + 2
     a = [Fraction(0)] * size
     e = [Fraction(0)] * size
-    for j in range(harmonic._J_TERMS):
+    for j in range(j_terms):
         w = Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
         s = s0 + j
         a[j] += w / (s - 1)
@@ -314,22 +323,33 @@ def fraction_tail_polynomials(r: int) -> tuple[tuple[float, float], ...]:
             a[j + 2 * i] += w * bernoulli[i] / math.factorial(2 * i) * rising
         rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
         e[j + 2 * p + 2] += 2 * w * abs(bernoulli[p + 1]) / math.factorial(2 * p + 2) * rising
-    u = Fraction(harmonic._U)
-    err = []
-    for n, (a_n, e_n) in enumerate(zip(a, e)):
-        k = 3 * s0 + 4 * n + 1  # roundings in the term of degree n
-        err.append(k * u / (1 - k * u) * abs(a_n) + e_n)
-    return tuple(zip(map(float, reversed(a)), map(float, reversed(err))))
+    kept = 16  # degrees 0..15
+    u, x = Fraction(harmonic._U), Fraction(1, 17)
+    gammas = [(3 * s0 + 4 * n + 1) * u / (1 - (3 * s0 + 4 * n + 1) * u) for n in range(kept)]
+    horner = sum(g * abs(a_n) * x**n for n, (g, a_n) in enumerate(zip(gammas, a)))
+    dropped = sum(abs(a_n) * x**n for n, a_n in enumerate(a) if n >= kept)
+    remainders = sum(e_n * x**n for n, e_n in enumerate(e))
+    tail_bound = (Fraction(34, 33) / 2) ** r * (1 / Fraction(s0 - 1) + x)  # T(m) / x**(s0-1)
+    truncation = (j_terms + 1) * (x / 2) ** j_terms * tail_bound
+    floor = a[0] + sum(a_n * x**n for n, a_n in enumerate(a[:kept]) if a_n < 0)
+    width = (truncation + remainders + dropped + horner) / (floor - horner)
+    return tuple(map(float, reversed(a[:kept]))), width
 
 
 class TestTailPolynomials:
     @pytest.mark.parametrize("r", KERNELS)
     def test_equal_to_the_fraction_derivation(self, r):
         got = harmonic._TAIL_POLYNOMIALS[r]
-        expected = fraction_tail_polynomials(r)
-        assert [tuple(map(float.hex, pair)) for pair in got] == [
-            tuple(map(float.hex, pair)) for pair in expected
-        ]
+        expected, _ = fraction_tail_polynomials(r)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_the_width_is_the_proven_bound_rounded_up(self, r):
+        # Rounded up to a tenth of u: 24.04u -> 24.1u and 15.63u -> 15.7u.
+        _, bound = fraction_tail_polynomials(r)
+        width = harmonic._TAIL_WIDTHS[r]
+        assert Fraction(width) >= bound
+        assert width == math.ceil(bound / Fraction(harmonic._U) * 10) / 10 * harmonic._U
 
 
 def plain_odd(a: int, b: int) -> float:

@@ -4,6 +4,7 @@ import copy
 import importlib
 import inspect
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -12,12 +13,13 @@ import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import harmlog
 from harmlog._frozen import Frozen
 from harmlog.cnr import ApproxValue, CnrMethod, CnrTag
 from harmlog.constants import NrKind, NrVariant
-from harmlog.errors import DomainError
+from harmlog.errors import DomainError, HarmlogError
 from harmlog.factorial import FactorialEstimate, FactorialMethod
 from harmlog.harmonic import ScaledRational
 from harmlog.oracle import ReferenceValue
@@ -383,3 +385,70 @@ class TestValueClasses:
         data = pickle.dumps(method)
         with pytest.raises(DomainError, match="EXP_SCALED requires an integer m >= 1"):
             pickle.loads(data)
+
+
+# Every public callable that takes numbers, with the fewest and the most
+# numbers it takes.  gamma_definition_check and nbb_decompose are O(n), so
+# the ints below stay at or under 10**4 or past their work limits.
+NUMERIC_CALLABLES = {
+    "approx_cnr_pow2": (1, 1), "approx_lemma11": (1, 1), "approx_number_exp": (1, 1),
+    "approx_number_large": (1, 1), "approx_number_scaled": (1, 2), "correction_sum": (2, 2),
+    "exp_form": (1, 1), "factorial_corrected": (1, 1), "factorial_exact_ln": (1, 1),
+    "factorial_raw": (1, 1), "gamma_definition_check": (1, 1), "ln_auto": (2, 3),
+    "ln_factorial_series": (1, 1), "ln_integer": (1, 1), "ln_product": (2, 2),
+    "ln_quotient": (2, 2), "ln_ref": (1, 1), "ln_value": (1, 2), "nbb_decompose": (1, 1),
+    "nr_direct_series": (1, 1), "nr_empirical_limit": (1, 1), "odd_harmonic_sum": (2, 2),
+    "percent_error": (2, 2), "s_sum_closed": (1, 1), "s_sum_exact": (1, 1),
+    "ScaledRational": (3, 3),
+}
+# The public functions that take no number: an enum, a record or a table id.
+NON_NUMERIC_FUNCTIONS = {"euler_gamma", "generate", "ln_rational", "nr_integral"}
+CONTRACT_VALUES = [
+    0, 1, -1, 2, 41, 2**63, 10**400, -(10**400),
+    math.nan, math.inf, -math.inf, 5e-324, 0.5, 1.0, 1e308,
+]
+
+
+def numbers_in(result):
+    """Every int and float in a result, through tuples, lists and records."""
+    if isinstance(result, (int, float)):
+        yield result
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from numbers_in(item)
+    elif isinstance(result, Frozen):
+        yield from numbers_in(result._values)
+
+
+class TestTypedErrors:
+    """Every public callable answers in finite numbers or raises HarmlogError."""
+
+    def test_every_numeric_callable_is_covered(self):
+        functions = {
+            name for name in harmlog.__all__
+            if callable(getattr(harmlog, name)) and not inspect.isclass(getattr(harmlog, name))
+        }
+        assert functions - set(NUMERIC_CALLABLES) == NON_NUMERIC_FUNCTIONS
+        assert set(NUMERIC_CALLABLES) - functions == {"ScaledRational"}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(NUMERIC_CALLABLES)),
+        args=st.lists(st.sampled_from(CONTRACT_VALUES), min_size=3, max_size=3),
+        count=st.integers(min_value=1, max_value=3),
+    )
+    def test_finite_numbers_or_a_typed_error(self, name, args, count):
+        fewest, most = NUMERIC_CALLABLES[name]
+        args = args[: min(max(count, fewest), most)]
+        try:
+            result = getattr(harmlog, name)(*args)
+        except HarmlogError:
+            return
+        except TypeError:
+            # Only where an index, a count or a multiplier must be an int.
+            assert any(isinstance(x, float) for x in args), (name, args)
+            return
+        if isinstance(result, FactorialEstimate):
+            result = (result.n, result.ln_value)  # value may overflow to inf
+        for x in numbers_in(result):
+            assert math.isfinite(x), (name, args, result)
