@@ -4,28 +4,20 @@ Subcommands: ln, factorial, gamma, cnr, nbb, table, sweep.
 Exit codes: 0 success, 2 domain rejection, 3 overflow or work limit, 4 I/O error.
 HARMLOG_THRESHOLD overrides the default auto-scaling threshold of 150.
 
-Each handler imports the modules only it uses, so that a process runs
-`ln` without loading the tables, factorial, constants or cnr modules.
+Each handler imports the modules only it uses, and `json` is imported
+only for `--format json`: `cnr` and `nbb` load no `harmonic`, `ln` loads
+no tables, factorial, constants or cnr, and a plain or CSV record loads
+no `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from .errors import DomainError, HarmlogError, OverflowLimitError
-from .harmonic import (
-    DEFAULT_THRESHOLD,
-    LogVariant,
-    ScaledRational,
-    ln_auto,
-    ln_rational,
-    positive_ratio,
-)
-from .oracle import ln_value, percent_error
 
 _EXIT_DOMAIN = 2
 _EXIT_OVERFLOW = 3
@@ -39,6 +31,7 @@ _MAX_GRID_POINTS = 10**4
 
 # Choices of the enums of modules the parser does not import, in member
 # order (tests/test_cli.py checks them against the enums).
+_LOG_VARIANTS = ("full", "truncated")  # harmonic.LogVariant
 _FACTORIAL_METHODS = ("series", "raw", "corrected")  # factorial.FactorialMethod
 _NR_KINDS = ("integral", "series", "limit")  # constants.NrKind
 # --method of cnr -> name of its cnr.CnrTag member.
@@ -54,6 +47,8 @@ _CNR_METHODS = {
 def _emit(record: dict, fmt: str) -> None:
     """Print one result record; plain mirrors display precision, json is exact."""
     if fmt == "json":
+        import json
+
         print(json.dumps(record))
     elif fmt == "csv":
         keys = list(record)
@@ -70,10 +65,6 @@ def _plain_cell(value) -> str:
     return str(value)
 
 
-def _values(enum) -> list[str]:
-    return [member.value for member in enum]
-
-
 def _integer(raw: str, name: str) -> int:
     try:
         return int(raw)
@@ -82,6 +73,16 @@ def _integer(raw: str, name: str) -> int:
 
 
 def _cmd_ln(args) -> None:
+    from .harmonic import (
+        DEFAULT_THRESHOLD,
+        LogVariant,
+        ScaledRational,
+        ln_auto,
+        ln_rational,
+        positive_ratio,
+    )
+    from .oracle import ln_value, percent_error
+
     variant = LogVariant(args.variant)
     if args.m == "auto":
         threshold = args.threshold
@@ -109,10 +110,10 @@ def _cmd_ln(args) -> None:
 
 
 def _cmd_factorial(args) -> None:
-    from .factorial import FactorialMethod, estimate as factorial_estimate
+    from .factorial import estimate as factorial_estimate
     from .oracle import factorial_exact_ln, percent_error_from_ln
 
-    est = factorial_estimate(args.n, FactorialMethod(args.method))
+    est = factorial_estimate(args.n, args.method)
     ref_ln = factorial_exact_ln(args.n)
     record = {
         "n": args.n,
@@ -128,6 +129,7 @@ def _cmd_factorial(args) -> None:
 
 def _cmd_gamma(args) -> None:
     from . import constants as consts
+    from .oracle import percent_error
 
     v = consts.variant(consts.NrKind(args.nr), terms=args.n, n=args.n)
     gamma = consts.euler_gamma(v)
@@ -224,12 +226,11 @@ def _parse_grid(spec: str) -> list[int]:
 
 def _cmd_sweep(args) -> None:
     from . import tables
-    from .factorial import FactorialMethod
 
     if args.op == "ln":
         report = tables.sweep_ln_rational(args.p, args.q, _parse_grid(args.m))
     elif args.op == "factorial":
-        report = tables.sweep_factorial(_parse_grid(args.n), FactorialMethod(args.method))
+        report = tables.sweep_factorial(_parse_grid(args.n), args.method)
     else:
         report = tables.sweep_nr(_parse_grid(args.n))
     _write_out(report.serialize(args.format), args.out)
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", type=int)
     p.add_argument("q", type=int)
     p.add_argument("--m", default="auto", help="multiplier, an integer or 'auto'")
-    p.add_argument("--variant", choices=_values(LogVariant), default="truncated")
+    p.add_argument("--variant", choices=_LOG_VARIANTS, default="truncated")
     p.add_argument("--threshold", type=int, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_ln)

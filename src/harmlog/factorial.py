@@ -112,7 +112,16 @@ def _closed_form(
     return _estimate(n, ln_est, method)
 
 
-def estimate(n: int, method: FactorialMethod) -> FactorialEstimate:
+def estimate(n: int, method: FactorialMethod | str) -> FactorialEstimate:
+    """n! by a FactorialMethod or its value ("series", "raw", "corrected").
+
+    Any other method raises DomainError naming the choices.
+    """
+    try:
+        method = FactorialMethod(method)
+    except ValueError:
+        names = ", ".join(choice.value for choice in FactorialMethod)
+        raise DomainError(f"unknown factorial method {method!r}; use one of {names}") from None
     if method is FactorialMethod.SERIES_EXACT:
         return _estimate(n, ln_factorial_series(n), method)
     if method is FactorialMethod.RAW:

@@ -184,20 +184,30 @@ def ln_value(x: float, d: int = 1) -> float:
     1e-13 max(|ln(x/d)|, 1).  Memoised on its arguments and their types
     (an int and an equal float take their own paths): a hit returns the
     float that passed the check, and an error is raised again on each call.
-    A d that is not an int raises TypeError.
+    A d that is not an int raises TypeError; an x/d that is not positive and
+    finite, DomainError; a positive x/d whose float quotient underflows or
+    overflows binary64, OverflowLimitError.
     """
     if not isinstance(d, int):
         raise TypeError(f"ln_value: d must be an int, got {type(d).__name__}")
-    try:
-        ratio = x / d  # an int quotient is rounded once
-    except OverflowError:
-        raise OverflowLimitError("ln_ref: x is past the binary64 range") from None
-    except ZeroDivisionError:
-        raise DomainError(f"ln_ref requires a finite x > 0, got {x}/0") from None
-    if not 0 < ratio < math.inf:  # also nan and inf, on which as_integer_ratio raises
-        raise DomainError(f"ln_ref requires a finite x > 0, got {ratio}")
+    # The domain is read off x and d, not off the float quotient, which is
+    # 0.0 or past binary64 for some positive ratios.
+    if not (0 < x < math.inf if d > 0 else d < 0 and -math.inf < x < 0):  # also nan
+        raise DomainError(
+            f"ln_ref requires a finite x/d > 0, got {_size(x, 'x')} and {_size(d, 'd')}"
+        )
     n, m = x.as_integer_ratio()
-    p, q = _ln_fraction(abs(n), abs(m * d))
+    n, m = abs(n), abs(m * d)
+    try:
+        ratio = n / m  # the exact ratio, rounded once
+        if not ratio:
+            raise OverflowError  # it underflowed
+    except OverflowError:
+        raise OverflowLimitError(
+            f"ln_ref: x/d is {'past' if n > m else 'below'} the binary64 range, "
+            f"with {_size(x, 'x')} and {_size(d, 'd')}"
+        ) from None
+    p, q = _ln_fraction(n, m)
     value = p / q
     platform = math.log(ratio)
     if abs(platform - value) > _ln_tolerance(platform):
@@ -315,9 +325,11 @@ def factorial_exact_ln(n: int) -> float:
 
 
 def _size(n: int | float, name: str = "n") -> str:
-    """n, called name, for an error message: an int by its bit length, which
-    has no float overflow, and a float by its repr."""
-    return f"{name} of {n.bit_length()} bits" if isinstance(n, int) else f"{name} = {n!r}"
+    """n, called name, for an error message: an int past 64 bits by its bit
+    length, which has no float overflow or digit limit, else by its repr."""
+    if isinstance(n, int) and n.bit_length() > 64:
+        return f"{name} of {n.bit_length()} bits"
+    return f"{name} = {n!r}"
 
 
 def _is_finite(x: float, name: str) -> bool:

@@ -9,21 +9,21 @@ their mismatch stays visible in the report, but consumers can distinguish
 
 Reports serialize deterministically to CSV, GitHub markdown, or JSON (an
 array with one object per row, keys matching the CSV header).
+
+The modules only some tables, sweeps or formats use are imported where
+they are used: `csv` for CSV, `json.encoder` for JSON, `factorial` for
+Table 2.6 and the factorial sweep, `constants` for nr-gamma and the nr
+sweep.  So `table 2.5 --format markdown` loads none of them.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from enum import Enum
-from json.encoder import encode_basestring_ascii as _quote
 
-from . import constants as consts
 from ._frozen import Frozen
 from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
 from .errors import DomainError
-from .factorial import FactorialMethod, estimate as factorial_estimate
 from .harmonic import (
     LogVariant,
     ScaledRational,
@@ -105,6 +105,9 @@ class TableReport(Frozen):
         columns = self.columns
         cells = self._cells()
         if fmt == "csv":
+            import csv
+            import io
+
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(columns)
@@ -136,6 +139,11 @@ def _json(columns: list[str], cells: list[list[str]]) -> str:
     strings go through the C encoder: with indent set, json.dumps takes its
     pure-Python encoder for the whole array.
     """
+    # Not `from json.encoder import ...`: on a module with no __path__ that
+    # form costs ~0.4 µs more per call (CPython 3.11).
+    import json.encoder
+
+    _quote = json.encoder.encode_basestring_ascii
     if not cells:
         return "[]\n"
     # As in dict(zip(...)), a column named twice keeps its first place and
@@ -354,8 +362,10 @@ def _t2_5():
 
 
 def _t2_6():
+    from .factorial import factorial_corrected
+
     for n, printed, _ in _T2_6:
-        est = factorial_estimate(n, FactorialMethod.CORRECTED)
+        est = factorial_corrected(n)
         ref_ln = factorial_exact_ln(n)
         # Judged in log space, so that 160! overflows neither the match nor
         # the percent error.
@@ -378,6 +388,8 @@ def _log_match(ln_value: float, printed: str) -> bool:
 
 
 def _nr_gamma():
+    from . import constants as consts
+
     for kind in consts.NrKind:
         v = consts.variant(kind)
         parameter = v.terms if kind is consts.NrKind.DIRECT_SERIES else v.n
@@ -452,22 +464,30 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 
-def sweep_factorial(
-    grid: list[int], method: FactorialMethod = FactorialMethod.CORRECTED
-) -> TableReport:
-    """Factorial percent error (log-space) across an n grid."""
+def sweep_factorial(grid: list[int], method="corrected") -> TableReport:
+    """Factorial percent error (log-space) across an n grid.
+
+    method is a factorial.FactorialMethod or its value, as factorial.estimate
+    takes it; any other raises DomainError.
+    """
+    from .factorial import estimate as factorial_estimate
+
     _check_grid(grid)
     rows = []
     for n in grid:
-        ln_est = factorial_estimate(n, method).ln_value
+        est = factorial_estimate(n, method)
         ref_ln = factorial_exact_ln(n)
-        percent = percent_error_from_ln(ln_est, ref_ln)
-        rows.append(Row({"n": n, "method": method.value}, ln_est, ref_ln, percent, None, None))
+        percent = percent_error_from_ln(est.ln_value, ref_ln)
+        rows.append(
+            Row({"n": n, "method": est.method.value}, est.ln_value, ref_ln, percent, None, None)
+        )
     return TableReport("sweep", ("n", "method"), "%.17g", tuple(rows))
 
 
 def sweep_nr(grid: list[int]) -> TableReport:
     """All three Number Constant variants across a size grid."""
+    from . import constants as consts
+
     _check_grid(grid)
     rows = [
         Row({"n": n, "variant": v.kind.value}, v.value, None, None, None, None)

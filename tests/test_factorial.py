@@ -170,6 +170,21 @@ class TestEstimateDispatch:
             is FactorialMethod.SERIES_EXACT
         )
 
+    @pytest.mark.parametrize("method", list(FactorialMethod))
+    def test_a_method_value_is_its_member_bit_for_bit(self, method):
+        for n in (2, 5, 60, 10**5):
+            by_value, by_member = fact.estimate(n, method.value), fact.estimate(n, method)
+            assert by_value.method is method
+            assert by_value.ln_value.hex() == by_member.ln_value.hex()
+            assert by_value.value.hex() == by_member.value.hex()
+
+    @pytest.mark.parametrize("method", ["bogus", None, 3, "RAW"])
+    def test_an_unknown_method_is_a_domain_error(self, method):
+        message = f"unknown factorial method {method!r}; use one of series, raw, corrected"
+        with pytest.raises(DomainError) as excinfo:
+            fact.estimate(10, method)
+        assert str(excinfo.value) == message
+
     def test_value_is_exp_of_ln_value(self):
         est = fact.estimate(40, FactorialMethod.CORRECTED)
         assert est.value == pytest.approx(math.exp(est.ln_value), rel=1e-15)

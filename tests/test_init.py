@@ -50,27 +50,48 @@ EVERY_SUBCOMMAND = (
 )
 
 
-def fresh(code: str) -> object:
-    """Run code in a new interpreter on this checkout; return the JSON it prints last."""
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's sources first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def fresh(code: str) -> object:
+    """Run code in a new interpreter on this checkout; return the JSON it prints last."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=checkout_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def imported_by(statements: str) -> set[str]:
-    """Modules first imported by statements, over what start-up already loaded."""
+    """Modules first imported by statements, over what start-up already loaded.
+
+    json is imported only after the snapshot, to print it, so the set
+    includes json when the statements load it.
+    """
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         + "".join(f"    {line}\n" for line in statements.splitlines())
-        + "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        + "new = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps(new))\n"
     )
     return set(fresh(code))
+
+
+def cli_imports(*argv: str) -> set[str]:
+    """Modules first imported by `harmlog` argv in a fresh interpreter."""
+    return imported_by(f"from harmlog import cli\ncli.main({list(argv)!r})\n")
+
+
+# Modules `table 2.5 --format markdown` does not need.
+NOT_FOR_MARKDOWN_T2_5 = ("json", "csv", "harmlog.factorial", "harmlog.constants")
 
 
 # The public contract: harmlog.__all__, name for name and in this order.
@@ -215,6 +236,55 @@ class TestImportFootprint:
         )
         assert "harmlog.tables" in new
         assert "decimal" not in new
+
+    @pytest.mark.parametrize("argv", [["cnr", "1.5"], ["nbb", "6"]])
+    def test_cnr_and_nbb_load_neither_harmonic_nor_json(self, argv):
+        new = cli_imports(*argv)
+        assert "harmlog.cnr" in new
+        assert not new & {"harmlog.harmonic", "json"}
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    @pytest.mark.parametrize(
+        "argv", [["ln", "3", "7"], ["factorial", "5"], ["gamma", "--nr", "series"]]
+    )
+    def test_plain_and_csv_records_load_no_json(self, argv, fmt):
+        assert "json" not in cli_imports(*argv, "--format", fmt)
+
+    def test_a_json_record_loads_json(self):
+        assert "json" in cli_imports("ln", "3", "7", "--format", "json")
+
+    def test_markdown_table_loads_only_what_it_uses(self):
+        new = cli_imports("table", "2.5", "--format", "markdown")
+        assert "harmlog.tables" in new
+        assert not new & set(NOT_FOR_MARKDOWN_T2_5)
+
+    @pytest.mark.parametrize(
+        "table, module", [("nr-gamma", "harmlog.factorial"), ("2.6", "harmlog.constants")]
+    )
+    def test_each_table_loads_only_its_own_layers(self, table, module):
+        new = cli_imports("table", table)
+        assert "harmlog.tables" in new
+        assert module not in new
+
+    def test_module_entry_point_import_profile(self):
+        # The benchmark's entry point, profiled as a user runs it.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "harmlog.cli", "table", "2.5",
+             "--format", "markdown"],
+            env=checkout_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("| m | p | q |")
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        # -X importtime lists no module that `from . import name` loads (the
+        # submodule is imported from Python, not C), so harmlog.tables is not
+        # listed, but the harmlog.cnr it imports is.
+        assert "harmlog.cnr" in imported
+        assert not imported & set(NOT_FOR_MARKDOWN_T2_5)
 
     def test_no_subcommand_imports_dataclasses_or_inspect(self):
         # One process runs them all and names the first command to load each.

@@ -41,6 +41,42 @@ def test_ln_value_takes_the_exact_ratio_of_x_over_d():
             oracle.ln_value(x, d)
 
 
+@pytest.mark.parametrize(
+    "x, d, message",
+    [
+        (3, 2**1100, "below the binary64 range, with x = 3 and d of 1101 bits"),
+        (1, 2**1081, "below the binary64 range, with x = 1 and d of 1082 bits"),
+        (-1, -(2**1081), "below the binary64 range, with x = -1 and d of 1082 bits"),
+        (5e-324, 3, "below the binary64 range, with x = 5e-324 and d = 3"),
+        (2**1100, 3, "past the binary64 range, with x of 1101 bits and d = 3"),
+        (10**400, 1, "past the binary64 range, with x of 1329 bits and d = 1"),
+    ],
+    ids=["3/2**1100", "1/2**1081", "-1/-2**1081", "5e-324/3", "2**1100/3", "10**400"],
+)
+def test_a_positive_ratio_past_binary64_is_an_overflow_naming_x_and_d(x, d, message):
+    # The ratio is positive; only its float quotient underflows or overflows.
+    with pytest.raises(OverflowLimitError, match=f"^ln_ref: x/d is {message}$"):
+        oracle.ln_value(x, d)
+
+
+@pytest.mark.parametrize(
+    "x, d",
+    [(-(2**1100), 3), (2**1100, -3), (-3, 2**1100), (0, 2**1100), (10**5000, 0)],
+    # 10**5000 has more digits than str() of an int may print
+    ids=["-2**1100/3", "2**1100/-3", "-3/2**1100", "0/2**1100", "10**5000/0"],
+)
+def test_a_ratio_out_of_the_domain_stays_a_domain_error_at_any_size(x, d):
+    with pytest.raises(DomainError, match="^ln_ref requires a finite x/d > 0, got x"):
+        oracle.ln_value(x, d)
+
+
+def test_a_float_over_an_int_past_binary64_is_its_exact_ratio():
+    # 1e308 / 2**1100 is a normal float, though 2**1100 has none.
+    assert oracle.ln_value(1e308, 2**1100) == pytest.approx(
+        math.log(1e308) - 1100 * math.log(2), rel=1e-15
+    )
+
+
 def test_ln_ratio_of_a_multiple_is_the_ratio_in_lowest_terms_bit_for_bit():
     # Every step of the kernel depends only on n/d, so the caller may reduce
     # the ratio by its gcd and share one memo entry among its multiples.

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from harmlog import oracle, tables
 from harmlog.errors import DomainError, OverflowLimitError
+from harmlog.factorial import FactorialMethod
 from harmlog.harmonic import LogVariant, ScaledRational, ln_rational
 from harmlog.oracle import ln_value
 from harmlog.tables import ERRATA, TableId
@@ -235,6 +236,17 @@ class TestSweeps:
         by_n = {r.inputs["n"]: r.percent_error for r in report.rows}
         assert by_n[5] == pytest.approx(-0.44759, abs=1e-4)
         assert by_n[160] == pytest.approx(-0.01022, abs=1e-4)
+
+    def test_factorial_sweep_takes_a_method_value(self):
+        grid = [2, 10, 160, 300]
+        by_value = tables.sweep_factorial(grid, "raw")
+        assert by_value == tables.sweep_factorial(grid, FactorialMethod.RAW)
+        assert {r.inputs["method"] for r in by_value.rows} == {"raw"}
+
+    @pytest.mark.parametrize("method", ["bogus", None, 3])
+    def test_factorial_sweep_rejects_an_unknown_method(self, method):
+        with pytest.raises(DomainError, match="^unknown factorial method"):
+            tables.sweep_factorial([10], method)
 
     def test_nr_sweep_has_three_sequences(self):
         report = tables.sweep_nr([10, 100, 1000])
