@@ -4,18 +4,25 @@ Subcommands: ln, factorial, gamma, cnr, nbb, table, sweep.
 Exit codes: 0 success, 2 domain rejection, 3 overflow or work limit, 4 I/O error.
 HARMLOG_THRESHOLD overrides the default auto-scaling threshold of 150.
 
+The subcommands and their arguments are written once, in `_COMMANDS`.
+`main` parses argv with `_fast_parse`, which takes a subcommand, its
+positionals and its options by their exact names, each value one token
+that does not start with "-".  Any other argv, help and every usage error
+included, goes to the argparse parser that `build_parser` builds from the
+same table, so help, usage and error text are argparse's own.  An argv
+that `_fast_parse` takes loads no `argparse`, nor the `gettext` and
+`locale` that argparse loads.
+
 Each handler imports the modules only it uses, and `json` is imported
 only for `--format json`: `cnr` and `nbb` load no `harmonic`, `ln` loads
 no tables, factorial, constants or cnr, and a plain or CSV record loads
 no `json`.
 """
 
-from __future__ import annotations
-
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import DomainError, HarmlogError, OverflowLimitError
 
@@ -236,71 +243,156 @@ def _cmd_sweep(args) -> None:
     _write_out(report.serialize(args.format), args.out)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_RECORD_FORMATS = ("plain", "json", "csv")
+_REPORT_FORMATS = ("csv", "markdown", "json")
+
+# Each subcommand: its help, its handler and its arguments in the order
+# argparse adds them.  An argument is (name, type, default, choices, help);
+# a name that starts with "--" is an option whose dest is the rest of the
+# name, any other a required positional, whose default is never used.
+_COMMANDS = {
+    "ln": (
+        "estimate ln(p/q)",
+        _cmd_ln,
+        (
+            ("p", int, None, None, None),
+            ("q", int, None, None, None),
+            ("--m", str, "auto", None, "multiplier, an integer or 'auto'"),
+            ("--variant", str, "truncated", _LOG_VARIANTS, None),
+            ("--threshold", int, None, None, None),
+            ("--format", str, "plain", _RECORD_FORMATS, None),
+        ),
+    ),
+    "factorial": (
+        "estimate n!",
+        _cmd_factorial,
+        (
+            ("n", int, None, None, None),
+            ("--method", str, "corrected", _FACTORIAL_METHODS, None),
+            ("--format", str, "plain", _RECORD_FORMATS, None),
+        ),
+    ),
+    "gamma": (
+        "Euler-Mascheroni estimates",
+        _cmd_gamma,
+        (
+            ("--nr", str, "integral", _NR_KINDS, None),
+            ("--n", int, None, None, "terms (series) or n (limit)"),
+            ("--format", str, "plain", _RECORD_FORMATS, None),
+        ),
+    ),
+    "cnr": (
+        "exponential-form approximations of a number",
+        _cmd_cnr,
+        (
+            ("x", float, None, None, None),
+            ("--method", str, "exp", list(_CNR_METHODS), None),
+            ("--m", int, None, None, "multiplier for --method scaled"),
+            ("--format", str, "plain", _RECORD_FORMATS, None),
+        ),
+    ),
+    "nbb": (
+        "number building blocks of an integer",
+        _cmd_nbb,
+        (
+            ("n", int, None, None, None),
+            ("--format", str, "plain", _RECORD_FORMATS, None),
+        ),
+    ),
+    "table": (
+        "regenerate a reference table",
+        _cmd_table,
+        (
+            ("table", str, None, None, "2.1 .. 2.6 or nr-gamma"),
+            ("--format", str, "csv", _REPORT_FORMATS, None),
+            ("--out", str, None, None, None),
+        ),
+    ),
+    "sweep": (
+        "convergence sweeps",
+        _cmd_sweep,
+        (
+            ("op", str, None, ("ln", "factorial", "nr"), None),
+            ("--p", int, 1, None, None),
+            ("--q", int, 2, None, None),
+            ("--m", str, "25:400:double", None, "multiplier grid for op ln"),
+            ("--n", str, "10,100,1000", None, "size grid for factorial/nr"),
+            ("--method", str, "corrected", _FACTORIAL_METHODS, None),
+            ("--format", str, "csv", _REPORT_FORMATS, None),
+            ("--out", str, None, None, None),
+        ),
+    ),
+}
+
+
+def _fast_parse(argv: list[str]) -> SimpleNamespace | None:
+    """What `build_parser().parse_args(argv)` returns, or None to leave argv to it.
+
+    It reads a subcommand, then its positionals in order and its options by
+    their exact names, each followed by one value.  It returns None for a
+    token that starts with "-" but is no option name (help, an
+    abbreviation, --opt=value, a negative number, --), an option value
+    that starts with "-", a missing or extra token, or a value that fails
+    its type or choices.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    options, positionals = {}, []
+    for argument in arguments:
+        name, _, default, _, _ = argument
+        if name.startswith("-"):
+            options[name] = argument
+            values[name.lstrip("-")] = default
+        else:
+            positionals.append(argument)
+    positionals.reverse()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            argument = options.get(token)
+            token = next(tokens, "-")
+            if argument is None or token.startswith("-"):
+                return None
+        elif positionals:
+            argument = positionals.pop()
+        else:
+            return None
+        name, kind, _, choices, _ = argument
+        try:
+            value = kind(token)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[name.lstrip("-")] = value
+    return None if positionals else SimpleNamespace(**values)
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The argparse parser of `_COMMANDS`, for help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="harmlog",
         description="Odd-harmonic-series approximations of ln, factorial and gamma.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p, choices=("plain", "json", "csv")):
-        p.add_argument("--format", choices=choices, default=choices[0])
-
-    p = sub.add_parser("ln", help="estimate ln(p/q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("--m", default="auto", help="multiplier, an integer or 'auto'")
-    p.add_argument("--variant", choices=_LOG_VARIANTS, default="truncated")
-    p.add_argument("--threshold", type=int, default=None)
-    add_format(p)
-    p.set_defaults(func=_cmd_ln)
-
-    p = sub.add_parser("factorial", help="estimate n!")
-    p.add_argument("n", type=int)
-    p.add_argument("--method", choices=_FACTORIAL_METHODS, default="corrected")
-    add_format(p)
-    p.set_defaults(func=_cmd_factorial)
-
-    p = sub.add_parser("gamma", help="Euler-Mascheroni estimates")
-    p.add_argument("--nr", choices=_NR_KINDS, default="integral")
-    p.add_argument("--n", type=int, default=None, help="terms (series) or n (limit)")
-    add_format(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser("cnr", help="exponential-form approximations of a number")
-    p.add_argument("x", type=float)
-    p.add_argument("--method", choices=list(_CNR_METHODS), default="exp")
-    p.add_argument("--m", type=int, default=None, help="multiplier for --method scaled")
-    add_format(p)
-    p.set_defaults(func=_cmd_cnr)
-
-    p = sub.add_parser("nbb", help="number building blocks of an integer")
-    p.add_argument("n", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_nbb)
-
-    p = sub.add_parser("table", help="regenerate a reference table")
-    p.add_argument("table", help="2.1 .. 2.6 or nr-gamma")
-    p.add_argument("--format", choices=("csv", "markdown", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("sweep", help="convergence sweeps")
-    p.add_argument("op", choices=("ln", "factorial", "nr"))
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--m", default="25:400:double", help="multiplier grid for op ln")
-    p.add_argument("--n", default="10,100,1000", help="size grid for factorial/nr")
-    p.add_argument("--method", choices=_FACTORIAL_METHODS, default="corrected")
-    p.add_argument("--format", choices=("csv", "markdown", "json"), default="csv")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
-
+    for command, (command_help, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for name, kind, default, choices, help_text in arguments:
+            p.add_argument(name, type=kind, default=default, choices=choices, help=help_text)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except OverflowLimitError as exc:

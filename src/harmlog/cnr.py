@@ -8,8 +8,6 @@ the argument out of the ill-conditioned band |x| <= 2 by an integer
 multiplier m.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable
 from enum import Enum
@@ -33,8 +31,9 @@ class _Fractions:
     """The `fractions` module, imported on first attribute access.
 
     Only nbb_decompose needs it, and it loads `decimal`, so importing this
-    module does not; typing.get_type_hints still resolves the annotation
-    `list[fractions.Fraction]`.
+    module does not.  nbb_decompose's return annotation is the string
+    "list[fractions.Fraction]", so defining it loads nothing, and
+    typing.get_type_hints still resolves it.
     """
 
     def __getattr__(self, name: str):
@@ -179,7 +178,7 @@ def evaluate(x: float, method: CnrMethod) -> ApproxValue:
     )
 
 
-def nbb_decompose(n: int) -> list[fractions.Fraction]:
+def nbb_decompose(n: int) -> "list[fractions.Fraction]":
     """The n-1 building blocks (2/1), (3/2), ..., (n/(n-1)) of an integer.
 
     Raises OverflowLimitError past NBB_MAX_BLOCKS blocks, before building any.

@@ -13,8 +13,6 @@ Each variant's gamma estimate is 2 - 2 ln 2 - N_r, so only the empirical
 limit reproduces the true gamma = 0.577215664901...
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from itertools import repeat

@@ -9,8 +9,6 @@ Three methods:
   CORRECTED     the raw form with empirically adjusted constants.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 
@@ -18,6 +16,11 @@ from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError
 from .harmonic import _decaying_sum
 from .oracle import _is_finite, _size, ln_value
+
+# ln_value without its memo; it keeps the math.log check.  ln_factorial_series
+# takes a new n on nearly every call, where the memo only pays for a key and
+# an insert and evicts the entries of callers whose arguments repeat.
+_ln_value_unmemoised = ln_value.__wrapped__
 
 # Integral closed form of the tail sum, evaluated at its lower bound; the
 # raw formula's leading constant is its complement to 1.
@@ -75,7 +78,7 @@ def ln_factorial_series(n: int) -> float:
     _check_n(n, 1, "ln_factorial_series")
     if n == 1:
         return 0.0
-    return (n + 0.5) * ln_value(n) - (n - 1) - s_sum_exact(n)
+    return (n + 0.5) * _ln_value_unmemoised(n) - (n - 1) - s_sum_exact(n)
 
 
 def factorial_raw(n: int) -> FactorialEstimate:

@@ -30,8 +30,6 @@ tail polynomial's value at its end, so a repeated window, such as one from
 the k = 2 of every series in the paper, sums no head term.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Iterator
 from enum import Enum

@@ -18,8 +18,6 @@ fixed point and rounded once; it is proven within half an ulp plus
 2**-81 ln n!, and `math.lgamma` only checks it.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import lru_cache

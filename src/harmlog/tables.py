@@ -11,18 +11,16 @@ Reports serialize deterministically to CSV, GitHub markdown, or JSON (an
 array with one object per row, keys matching the CSV header).
 
 The modules only some tables, sweeps or formats use are imported where
-they are used: `csv` for CSV, `json.encoder` for JSON, `factorial` for
-Table 2.6 and the factorial sweep, `constants` for nr-gamma and the nr
-sweep.  So `table 2.5 --format markdown` loads none of them.
+they are used: `csv` for CSV, `json.encoder` for JSON, `cnr` for Tables
+2.1-2.3, `factorial` for Table 2.6 and the factorial sweep, `constants`
+for nr-gamma and the nr sweep.  So `table 2.5 --format markdown` loads
+none of them.
 """
-
-from __future__ import annotations
 
 import math
 from enum import Enum
 
 from ._frozen import Frozen
-from .cnr import approx_cnr_exp, approx_number_exp, approx_number_scaled
 from .errors import DomainError
 from .harmonic import (
     LogVariant,
@@ -314,11 +312,15 @@ _T2_6 = [
 
 
 def _t2_1():
+    from .cnr import approx_number_exp
+
     for x, printed, _ in _T2_1:
         yield _row({"x": x}, approx_number_exp(x), x, printed, _sig_tolerance(printed, 9))
 
 
 def _t2_2():
+    from .cnr import approx_number_exp, approx_number_scaled
+
     for x, printed_full, printed_scaled in _T2_2:
         inputs = {"x": x, "formula": "exp_full"}
         note = _erratum("2.2", f"x={x:g} exp_full")
@@ -334,6 +336,8 @@ def _t2_2():
 
 
 def _t2_3():
+    from .cnr import approx_cnr_exp
+
     for x, printed_cnr, printed_ln in _T2_3:
         if x == 1:
             note = "CNR x/(x-1) is singular at x = 1"

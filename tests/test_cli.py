@@ -748,3 +748,231 @@ def test_table_goldens_under_each_interpreter(interpreter):
         # A launcher on PATH with no interpreter installed behind it.
         pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "replaying\n", "")
+
+
+# -- the fast parser against argparse --------------------------------------
+#
+# cli.main parses argv with cli._fast_parse and leaves to argparse only what
+# it declines (returns None for).  So for every argv the fast parser must
+# decline or return exactly argparse's attributes, and it must decline every
+# argv that argparse rejects.
+
+# argv the fast parser must take: each command, the cli-cold benchmark's shapes
+# and tokens that int() and float() accept but that look odd.
+_PLAIN_ARGVS = [
+    ["ln", "3", "7"],
+    ["ln", "3", "7", "--format", "json"],
+    ["ln", "11", "2", "--m", "40", "--variant", "full", "--format", "csv"],
+    ["ln", "1", "2", "--threshold", "100"],
+    ["ln", "0", "3"],
+    ["ln", "--m", "40", "1", "2"],
+    ["ln", "1", "--variant", "full", "2"],
+    ["ln", "1", "2", "--format", "json", "--format", "csv"],
+    *(["factorial", "1200", "--method", m] for m in cli._FACTORIAL_METHODS),
+    ["factorial", "1"],
+    *(["gamma", "--nr", kind, "--format", "csv"] for kind in ("integral", "series", "limit")),
+    ["gamma", "--nr", "limit", "--n", "1000"],
+    *(["cnr", "7.25", "--method", m] for m in cli._CNR_METHODS),
+    ["cnr", "12.5", "--method", "scaled", "--m", "150", "--format", "json"],
+    ["cnr", "nan"],
+    ["cnr", "inf"],
+    ["nbb", "17", "--format", "csv"],
+    *(["table", t, "--format", f] for t in PAPER_TABLES for f in ("csv", "markdown", "json")),
+    ["table", "2.1", "--out", "table.csv"],
+    ["table", "2.9"],
+    ["table", ""],
+    ["sweep", "ln", "--p", "3", "--q", "4", "--m", "25:400:double"],
+    ["sweep", "factorial", "--n", "10,100", "--method", "raw", "--format", "markdown"],
+    ["sweep", "nr", "--n", "1:10:1", "--format", "json", "--out", "nr.json"],
+    ["ln", " 3", "7"],
+    ["ln", "٣", "7"],
+    ["factorial", "+5"],
+    ["factorial", "1_000"],
+    ["ln", "1", "2", "--m", ""],
+    ["ln", "1", "2", "--m", "abc"],
+]
+# argv the fast parser must leave to argparse: help, abbreviations,
+# --opt=value, negative numbers, --, missing or extra tokens, bad types and
+# bad choices.
+_HOSTILE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["ln", "-h"],
+    ["ln", "1", "2", "--help"],
+    ["ln", "1", "2", "--form", "json"],
+    ["ln", "1", "2", "--format=json"],
+    ["ln", "1", "2", "--m=40"],
+    ["ln", "-3", "2"],
+    ["ln", "1", "2", "--m", "-5"],
+    ["ln", "1", "2", "--"],
+    ["ln", "--", "1", "2"],
+    ["ln", "1", "2", "-"],
+    ["ln", "1", "2", "--m"],
+    ["ln", "1", "2", "--m", "--variant", "full"],
+    ["ln", "1", "2", "3"],
+    ["ln", "1"],
+    ["ln"],
+    ["ln", "", "2"],
+    ["ln", "1.5", "2"],
+    ["ln", "1", "2", "--bogus"],
+    ["ln", "1", "2", "--bogus", "x"],
+    ["ln", "1", "2", "--variant", "Full"],
+    ["ln", "1", "2", "--threshold", "abc"],
+    ["ln", "1", "2", "--format", "markdown"],
+    ["ln", "1", "2", "--method", "raw"],
+    ["LN", "1", "2"],
+    ["l", "1", "2"],
+    ["bogus"],
+    ["--format", "json", "ln", "1", "2"],
+    ["factorial", "5", "--method", "bogus"],
+    ["factorial", "5", "--method", "raw", "--method", "bogus"],
+    ["factorial", "5", "--meth", "raw"],
+    ["factorial", "nan"],
+    ["factorial", "5.0"],
+    ["gamma", "--n", "1e3"],
+    ["gamma", "--nr", "limit", "--n", "-5"],
+    ["gamma", "5"],
+    ["cnr", "-1.5"],
+    ["cnr", "x"],
+    ["cnr", "1.5", "--method", "scaled", "--m", "1.5"],
+    ["cnr", "1.5", "--method", "SCALED"],
+    ["nbb", "6", "--format", "markdown"],
+    ["table"],
+    ["table", "2.1", "--out"],
+    ["table", "2.1", "--format", "plain"],
+    ["sweep"],
+    ["sweep", "bogus"],
+    ["sweep", "ln", "--p", "x"],
+    ["sweep", "ln", "--n"],
+    ["sweep", "factorial", "--method", "exp"],
+]
+
+
+def _comparable(args) -> dict | None:
+    # nan != nan, and 1 == 1.0 == True: compare each value's type and repr.
+    if args is None:
+        return None
+    return {key: (type(value).__name__, repr(value)) for key, value in vars(args).items()}
+
+
+def _both_parses(argv: list[str]) -> tuple[dict | None, dict | None]:
+    """The fast parse and argparse's parse of argv, None where either gives none."""
+    fast = cli._fast_parse(list(argv))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = cli.build_parser().parse_args(list(argv))
+        except SystemExit:
+            full = None
+    return _comparable(fast), _comparable(full)
+
+
+def assert_parses_agree(argv: list[str]) -> None:
+    fast, full = _both_parses(argv)
+    if fast is not None:
+        assert fast == full, argv
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(
+        sorted({arg[0] for _, _, args in cli._COMMANDS.values() for arg in args})
+        + list(cli._COMMANDS)
+        + ["-h", "--help", "--", "-", "--form", "--me", "--format=json", "--m=3", "--bogus"]
+    ),
+    st.sampled_from(
+        list(cli._FACTORIAL_METHODS) + list(cli._CNR_METHODS)
+        + ["plain", "json", "csv", "markdown", "full", "truncated", "integral", "limit", "nr"]
+        + ["2.1", "nr-gamma", "3", "-5", "0", " 3", "٣", "", "nan", "1.5", "1e3", "1_0"]
+        + ["25:400:double", "10,100", "-0.5", "+7"]
+    ),
+    st.text(max_size=4),
+)
+_ANY_ARGV = st.builds(
+    lambda head, rest: head + rest,
+    st.one_of(st.just([]), st.sampled_from(list(cli._COMMANDS)).map(lambda c: [c])),
+    st.lists(_TOKENS, max_size=8),
+)
+
+
+class TestFastParse:
+    @pytest.mark.parametrize("argv", _PLAIN_ARGVS, ids=" ".join)
+    def test_plain_argv_is_argparse_s_namespace(self, argv):
+        fast, full = _both_parses(argv)
+        assert fast is not None and fast == full
+
+    @pytest.mark.parametrize("argv", _HOSTILE_ARGVS, ids=repr)
+    def test_any_other_argv_is_left_to_argparse(self, argv):
+        assert cli._fast_parse(list(argv)) is None
+
+    @settings(max_examples=250, deadline=None)
+    @given(argv=_ARGV)
+    def test_contract_argv_agrees(self, argv):
+        assert_parses_agree(argv + ["--format", "json"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=_ANY_ARGV)
+    def test_any_argv_agrees(self, argv):
+        assert_parses_agree(argv)
+
+    def test_every_option_of_every_command_is_parsed(self):
+        # One argv per command that sets every option to a value other than
+        # its default; the fast parser must take it.
+        for command, (_, handler, arguments) in cli._COMMANDS.items():
+            argv = [command]
+            for name, kind, default, choices, _ in arguments:
+                value = choices[-1] if choices else {int: "7", float: "2.5", str: "5"}[kind]
+                argv += [name, value] if name.startswith("-") else [value]
+            fast, full = _both_parses(argv)
+            assert fast is not None and fast == full, argv
+            assert cli._fast_parse(argv).func is handler
+
+    def test_an_abbreviation_runs_through_argparse(self, capsys):
+        assert cli._fast_parse(["ln", "1", "2", "--form", "json"]) is None
+        assert run(capsys, "ln", "1", "2", "--form", "json") == run(
+            capsys, "ln", "1", "2", "--format", "json"
+        )
+
+
+# Replays the fixed corpus: prints, for each argv, the fast and the argparse
+# parse in comparable form, after a marker line as in _REPLAY.
+_PARSE_REPLAY = """
+import contextlib, io, json, sys
+print("replaying", flush=True)
+from harmlog import cli
+def comparable(args):
+    if args is None:
+        return None
+    return {k: [type(v).__name__, repr(v)] for k, v in vars(args).items()}
+pairs = []
+for argv in json.loads(sys.stdin.read()):
+    fast = cli._fast_parse(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            full = None
+    pairs.append([comparable(fast), comparable(full)])
+print(json.dumps(pairs))
+"""
+
+
+@pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
+def test_fast_parse_corpus_under_each_interpreter(interpreter):
+    # argparse's handling of "-" tokens differs between CPython versions.
+    executable = shutil.which(interpreter)
+    if executable is None:
+        pytest.skip(f"{interpreter} is not on PATH")
+    corpus = _PLAIN_ARGVS + _HOSTILE_ARGVS
+    proc = subprocess.run(
+        [executable, "-c", _PARSE_REPLAY], input=json.dumps(corpus),
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    if not proc.stdout.startswith("replaying"):
+        pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pairs = json.loads(proc.stdout.splitlines()[1])
+    for argv, (fast, full) in zip(corpus, pairs):
+        if argv in _HOSTILE_ARGVS:
+            assert fast is None, argv
+        else:
+            assert fast is not None and fast == full, argv

@@ -6,7 +6,7 @@ import pytest
 from harmlog import factorial as fact
 from harmlog.errors import DomainError, OverflowLimitError
 from harmlog.factorial import FactorialMethod
-from harmlog.oracle import factorial_exact_ln, percent_error_from_ln
+from harmlog.oracle import factorial_exact_ln, ln_value, percent_error_from_ln
 
 
 def brute_s_sum(n: int, scale: int = 10**30) -> float:
@@ -67,6 +67,20 @@ class TestLnFactorialSeries:
     def test_160_in_log_space(self):
         ref = factorial_exact_ln(160)
         assert fact.ln_factorial_series(160) == pytest.approx(ref, rel=1e-3)
+
+    def test_is_its_formula_on_the_memoised_log_bit_for_bit(self):
+        rng = random.Random(2417)
+        ns = list(range(2, 300)) + [round(10 ** rng.uniform(2.5, 18)) for _ in range(300)]
+        for n in ns:
+            expected = (n + 0.5) * ln_value(n) - (n - 1) - fact.s_sum_exact(n)
+            assert fact.ln_factorial_series(n).hex() == expected.hex(), n
+
+    def test_leaves_the_ln_value_memo_alone(self):
+        ln_value(2.0)
+        before = ln_value.cache_info()
+        for n in (2, 45, 10**4, 123_457, 10**18):
+            fact.ln_factorial_series(n)
+        assert ln_value.cache_info() == before
 
 
 class TestFactorialRaw:

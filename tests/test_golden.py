@@ -2,9 +2,10 @@
 
 The files under tests/golden/ hold the text that every table, a few small
 sweeps and a fixed list of CLI invocations produced before the table
-builders were rewritten around a single row constructor.  They are a fixed
-reference: a difference here is a change in output, so fix the code, not
-the files.
+builders were rewritten around a single row constructor, and the help page
+of `harmlog` and of each subcommand at 80 columns before the parser was
+derived from one table of the subcommands.  They are a fixed reference: a
+difference here is a change in output, so fix the code, not the files.
 """
 
 import functools
@@ -95,3 +96,22 @@ def test_cli_json_matches_golden(argv, capsys, monkeypatch):
     code = cli.main(argv + ["--format", "json"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, _cli_golden()[" ".join(argv)], "")
+
+
+HELP_PAGES = {
+    "help.txt": [],
+    **{
+        f"help_{command}.txt": [command]
+        for command in ("ln", "factorial", "gamma", "cnr", "nbb", "table", "sweep")
+    },
+}
+
+
+@pytest.mark.parametrize("name", HELP_PAGES)
+def test_help_matches_golden(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(HELP_PAGES[name] + ["--help"])
+    captured = capsys.readouterr()
+    assert (excinfo.value.code, captured.err) == (0, "")
+    assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -186,10 +186,10 @@ class TestPublicNames:
         from harmlog import tables
 
         assert tables is sys.modules["harmlog.tables"]
-        assert harmlog.tables.approx_cnr_exp is harmlog.cnr.approx_cnr_exp
+        assert harmlog.tables.ln_integer is harmlog.harmonic.ln_integer
         loaded = fresh(
             "import json, harmlog\n"
-            "ok = harmlog.tables.approx_cnr_exp is harmlog.cnr.approx_cnr_exp\n"
+            "ok = harmlog.tables.ln_integer is harmlog.harmonic.ln_integer\n"
             "print(json.dumps(ok))\n"
         )
         assert loaded is True
@@ -282,9 +282,34 @@ class TestImportFootprint:
         }
         # -X importtime lists no module that `from . import name` loads (the
         # submodule is imported from Python, not C), so harmlog.tables is not
-        # listed, but the harmlog.cnr it imports is.
-        assert "harmlog.cnr" in imported
+        # listed, but the harmlog.harmonic it imports is.  Table 2.5 builds
+        # no cnr form.
+        assert "harmlog.harmonic" in imported
+        assert "harmlog.cnr" not in imported
         assert not imported & set(NOT_FOR_MARKDOWN_T2_5)
+
+    def test_no_parsed_subcommand_loads_argparse(self):
+        # argparse, and the gettext and locale it loads, only for help and
+        # usage errors.
+        new = imported_by(
+            "from harmlog import cli\n"
+            + "".join(f"assert cli.main({argv!r}) == 0\n" for argv in EVERY_SUBCOMMAND)
+        )
+        assert "harmlog.cli" in new
+        assert not new & {"argparse", "gettext", "locale"}
+
+    @pytest.mark.parametrize("argv, code", [(["ln", "1", "2", "--bogus"], 2), (["ln", "--help"], 0)])
+    def test_help_and_usage_errors_load_argparse(self, argv, code):
+        new = imported_by(
+            "from harmlog import cli\n"
+            "try:\n"
+            f"    cli.main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            f"    assert exc.code == {code}, exc.code\n"
+            "else:\n"
+            "    raise AssertionError('no SystemExit')\n"
+        )
+        assert "argparse" in new
 
     def test_no_subcommand_imports_dataclasses_or_inspect(self):
         # One process runs them all and names the first command to load each.
