@@ -14,7 +14,7 @@ from enum import Enum
 from operator import truediv
 
 from ._frozen import Frozen
-from .errors import DomainError, OverflowLimitError
+from .errors import DomainError, OverflowLimitError, shown
 from .oracle import _is_finite, percent_error
 
 # Scaled-variant default; matches the multiplier used throughout the
@@ -91,11 +91,11 @@ def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:
     try:
         value = form(*args)
     except ZeroDivisionError:
-        raise DomainError(f"{label} divides by zero at x = {x!r}") from None
+        raise DomainError(f"{label} divides by zero at x = {shown(x)}") from None
     except (OverflowError, OverflowLimitError):  # the latter from percent_error
         value = math.inf
     if not math.isfinite(value):
-        raise OverflowLimitError(f"{label} overflows binary64 at x = {x!r}")
+        raise OverflowLimitError(f"{label} overflows binary64 at x = {shown(x)}")
     return value
 
 
@@ -120,13 +120,13 @@ def approx_cnr_pow2(x: float) -> float:
 def _number_scaled(x: float, m: int) -> float:
     """approx_number_scaled before `_finite` checks it."""
     if m < 1:
-        raise DomainError(f"multiplier m must be >= 1, got {m}")
+        raise DomainError(f"multiplier m must be >= 1, got {shown(m)}")
     if x == 0:
         raise DomainError("approx_number_scaled undefined at x = 0")
     mx = m * x
     denom = 2.0 * mx - 1.0 - 1.0 / mx**3
     if denom == 0:  # also mx = 1, where the result would degenerate to 0
-        raise DomainError(f"exponent denominator vanishes at x = {x}, m = {m}")
+        raise DomainError(f"exponent denominator vanishes at x = {shown(x)}, m = {shown(m)}")
     return (x - 1.0 / m) * math.exp(2.0 / denom)
 
 
@@ -140,9 +140,14 @@ def approx_number_exp(x: float) -> float:
     return _finite("exp_full", x, _number_scaled, x, 1)
 
 
+def _cnr_exponent(x: float) -> float:
+    """2/(2x-1-1/x**3), the exponent of approx_cnr_exp: its estimate of ln(x/(x-1))."""
+    return 2.0 / (2 * x - 1 - 1.0 / x**3)
+
+
 def approx_cnr_exp(x: float) -> float:
     """CNR estimate e**(2/(2x-1-1/x**3)), i.e. the full form divided by x-1."""
-    return _finite("cnr_exp", x, lambda: math.exp(2.0 / (2 * x - 1 - 1.0 / x**3)))
+    return _finite("cnr_exp", x, lambda: math.exp(_cnr_exponent(x)))
 
 
 def approx_number_large(x: float) -> float:
@@ -185,9 +190,9 @@ def nbb_decompose(n: int) -> "list[fractions.Fraction]":
     """
     Fraction = fractions.Fraction
     if n < 2:
-        raise DomainError(f"nbb_decompose requires n >= 2, got {n}")
+        raise DomainError(f"nbb_decompose requires n >= 2, got {shown(n)}")
     if n - 1 > NBB_MAX_BLOCKS:
         raise OverflowLimitError(
-            f"nbb {n} has {n - 1} blocks, over the limit of {NBB_MAX_BLOCKS}"
+            f"nbb {shown(n)} has {shown(n - 1)} blocks, over the limit of {NBB_MAX_BLOCKS}"
         )
     return [Fraction(k, k - 1) for k in range(2, n + 1)]

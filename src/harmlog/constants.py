@@ -19,8 +19,8 @@ from itertools import repeat
 from operator import truediv
 
 from ._frozen import Frozen
-from .errors import DomainError
-from .harmonic import _check_work, correction_sum, odd_harmonic_sum
+from .errors import DomainError, shown
+from .harmonic import _check_work, _window, correction_sum, odd_harmonic_sum
 from .oracle import LN2, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -61,14 +61,17 @@ def nr_integral() -> float:
 def nr_direct_series(terms: int) -> float:
     """Twice the correction series summed over its first `terms` terms."""
     if terms < 1:
-        raise DomainError(f"nr_direct_series requires terms >= 1, got {terms}")
+        raise DomainError(f"nr_direct_series requires terms >= 1, got {shown(terms)}")
     return 2.0 * correction_sum(2, terms + 1)
 
 
 def nr_empirical_limit(n: int) -> float:
-    """ln n minus twice the odd harmonic sum up to n (oracle logarithm)."""
-    if n < 2:
-        raise DomainError(f"nr_empirical_limit requires n >= 2, got {n}")
+    """ln n minus twice the odd harmonic sum up to n (oracle logarithm).
+
+    n = 1 gives exactly 0: ln 1 minus the empty sum S(2, 1).
+    """
+    if n < 1:
+        raise DomainError(f"nr_empirical_limit requires n >= 1, got {shown(n)}")
     return ln_value(n) - 2.0 * odd_harmonic_sum(2, n)
 
 
@@ -96,15 +99,15 @@ def euler_gamma(v: NrVariant) -> float:
 def gamma_definition_check(p: int) -> float:
     """Definition-based gamma: harmonic number H_p minus ln p.
 
-    H_p is summed term by term, with no O(1) shortcut: every asymptotic form
-    of H_p contains gamma, the value this check exists to estimate.  So p
-    counts against the work limit: past MAX_TERMS it raises
-    OverflowLimitError before any term is added.  Each term is the correctly
-    rounded int quotient 1/k, the same float as 1.0/k for k < 2**53 (the
-    limit keeps p below that), and faster.
+    H_p is summed term by term over the window [1, p], with no O(1)
+    shortcut: every asymptotic form of H_p contains gamma, the value this
+    check exists to estimate.  So p counts against the work limit: past
+    MAX_TERMS it raises OverflowLimitError before any term is added.  Each
+    term is the correctly rounded int quotient 1/k, the same float as 1.0/k
+    for k < 2**53 (the limit keeps p below that), and faster.
     """
     if p < 1:
-        raise DomainError(f"gamma_definition_check requires p >= 1, got {p}")
+        raise DomainError(f"gamma_definition_check requires p >= 1, got {shown(p)}")
     _check_work(1, p)
-    harmonic = math.fsum(map(truediv, repeat(1), range(p, 0, -1)))
+    harmonic = math.fsum(map(truediv, repeat(1), _window(1, p)))
     return harmonic - (0.0 if p == 1 else ln_value(p))

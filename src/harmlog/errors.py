@@ -23,3 +23,11 @@ class OverflowLimitError(HarmlogError):
 
 class OracleIntegrityError(HarmlogError):
     """The two independent reference paths disagree beyond tolerance."""
+
+
+def shown(n: object) -> str:
+    """n as an error message names it: its repr, or, for an int past 64 bits,
+    its sign and bit length, since str() refuses an int past 4,300 digits."""
+    if isinstance(n, int) and n.bit_length() > 64:
+        return f"{'a negative' if n < 0 else 'an'} int of {n.bit_length()} bits"
+    return repr(n)

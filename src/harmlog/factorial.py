@@ -13,9 +13,9 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen
-from .errors import DomainError, OverflowLimitError
+from .errors import DomainError, OverflowLimitError, shown
 from .harmonic import _decaying_sum
-from .oracle import _is_finite, _size, ln_value
+from .oracle import _is_finite, ln_value
 
 # ln_value without its memo; it keeps the math.log check.  ln_factorial_series
 # takes a new n on nearly every call, where the memo only pays for a key and
@@ -47,7 +47,7 @@ class FactorialEstimate(Frozen):
 def s_sum_exact(n: int) -> float:
     """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, correctly rounded."""
     if n < 2:
-        raise DomainError(f"s_sum_exact requires n >= 2, got {n}")
+        raise DomainError(f"s_sum_exact requires n >= 2, got {shown(n)}")
     return _decaying_sum(2, n, 1)
 
 
@@ -68,7 +68,7 @@ def _check_n(n: int, least: int, name: str) -> None:
     """DomainError for n < least or a non-finite float n; OverflowLimitError
     if n is past binary64's range."""
     if n < least:
-        raise DomainError(f"{name} requires n >= {least}, got {n}")
+        raise DomainError(f"{name} requires n >= {least}, got {shown(n)}")
     if not _is_finite(n, f"{name}: n"):
         raise DomainError(f"{name} requires a finite n, got {n}")
 
@@ -138,7 +138,7 @@ def _estimate(n: int, ln_est: float, method: FactorialMethod) -> FactorialEstima
     ln_est itself must be finite: past n ~ 2.5e305, ln n! overflows binary64.
     """
     if not math.isfinite(ln_est):
-        raise OverflowLimitError(f"ln n! overflows binary64 at {_size(n)}")
+        raise OverflowLimitError(f"ln n! overflows binary64 at n = {shown(n)}")
     try:
         value = math.exp(ln_est)
     except OverflowError:

@@ -43,6 +43,7 @@ from .errors import (
     NegativeInputError,
     OverflowLimitError,
     ZeroOrInfiniteError,
+    shown,
 )
 from .oracle import _hi_lo, _ln_ratio
 
@@ -75,9 +76,9 @@ def _window(a: int, b: int, first: int = 1) -> range:
     b < a-1, and OverflowLimitError past the index cap.
     """
     if a < first or b < a - 1:
-        raise DomainError(f"invalid series window [{a}, {b}]")
+        raise DomainError(f"invalid series window [{shown(a)}, {shown(b)}]")
     if b > _INDEX_CAP:
-        raise OverflowLimitError(f"window index {b} exceeds 63-bit cap")
+        raise OverflowLimitError(f"window index {shown(b)} exceeds 63-bit cap")
     return range(b, a - 1, -1)
 
 
@@ -85,7 +86,7 @@ def _check_work(a: int, b: int) -> None:
     """OverflowLimitError if summing the terms a..b one by one passes MAX_TERMS."""
     if b - a + 1 > MAX_TERMS:
         raise OverflowLimitError(
-            f"summing [{a}, {b}] term by term adds {b - a + 1} terms, "
+            f"summing [{shown(a)}, {shown(b)}] term by term adds {shown(b - a + 1)} terms, "
             f"over the limit of {MAX_TERMS}"
         )
 
@@ -424,13 +425,13 @@ def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
     not an int, as a `range` over the window would raise.
     """
     if p < 1 or q < 1:
-        raise DomainError(f"p and q must be positive, got {p}/{q}")
+        raise DomainError(f"p and q must be positive, got {shown(p)}/{shown(q)}")
     top = max(index(p), index(q))
     for m in multipliers:
         if m < 1:
-            raise DomainError(f"multiplier m must be >= 1, got {m}")
+            raise DomainError(f"multiplier m must be >= 1, got {shown(m)}")
         if index(m) * top > _INDEX_CAP:
-            raise OverflowLimitError(f"window index {m * top} exceeds 63-bit cap")
+            raise OverflowLimitError(f"window index {shown(m * top)} exceeds 63-bit cap")
 
 
 class ScaledRational(Frozen):
@@ -460,7 +461,7 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     which is exact, so antisymmetry is exact.
     """
     if x < 1 or y < 1:
-        raise DomainError(f"ln_quotient requires positive integers, got {x}, {y}")
+        raise DomainError(f"ln_quotient requires positive integers, got {shown(x)}, {shown(y)}")
     if x == y:
         return 0.0
     lo, hi = (y, x) if x > y else (x, y)
@@ -487,7 +488,7 @@ def ln_product(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     window k = 2..min(x, y) is counted four times, the remainder twice.
     """
     if x < 1 or y < 1:
-        raise DomainError(f"ln_product requires positive integers, got {x}, {y}")
+        raise DomainError(f"ln_product requires positive integers, got {shown(x)}, {shown(y)}")
     lo, hi = min(x, y), max(x, y)
     total = 4.0 * odd_harmonic_sum(2, lo) + 2.0 * odd_harmonic_sum(lo + 1, hi)
     if variant is LogVariant.FULL:
@@ -508,9 +509,9 @@ def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -
 def select_multiplier(p: int, q: int, threshold: int = DEFAULT_THRESHOLD) -> int:
     """Smallest m with min(m*p, m*q) > threshold, for positive p and q."""
     if p < 1 or q < 1:
-        raise DomainError(f"p and q must be positive, got {p}/{q}")
+        raise DomainError(f"p and q must be positive, got {shown(p)}/{shown(q)}")
     if threshold < 1:
-        raise DomainError(f"threshold must be >= 1, got {threshold}")
+        raise DomainError(f"threshold must be >= 1, got {shown(threshold)}")
     return threshold // min(p, q) + 1
 
 

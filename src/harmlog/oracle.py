@@ -6,8 +6,10 @@ is proven within 2**-82.3 of ln(n/d), relative.  Its range reduction is
 binary, then by the nearest c/16 from a table of 13 fixed-point logarithms
 built at import, so the series keeps at most 8 terms.  A float x enters as
 its exact x.as_integer_ratio(), so no quotient is rounded before the kernel
-sees it.  The platform `math.log` of the float quotient checks the value
-each time it is computed; `ln_value` is memoised on its arguments.
+sees it.  The platform `math.log` checks the value each time it is
+computed, on the exact ratio scaled by a power of two into (1/2, 2), so no
+positive ratio is refused for a quotient that leaves binary64; `ln_value` is
+memoised on its arguments.
 `harmonic`'s O(1) odd windows take their logarithm from the same kernel,
 as `_ln_ratio`, memoised on the ratio in lowest terms (every multiplier of
 a scaled p/q takes the logarithm of p/q itself), and the
@@ -23,10 +25,12 @@ import sys
 from functools import lru_cache
 
 from ._frozen import Frozen
-from .errors import DomainError, OracleIntegrityError, OverflowLimitError
+from .errors import DomainError, OracleIntegrityError, OverflowLimitError, shown
 
 # ln agreement demanded between math.log (or math.lgamma) and the kernel.
 _LN_AGREEMENT_REL = 1e-13
+# ln 2 as the platform rounds it, for the check of ln_value.
+_PLATFORM_LN2 = math.log(2)
 # B_2k as (numerator, denominator), k = 1..8.  Stirling's series for ln n!
 # keeps all eight.  `harmonic`'s Euler-Maclaurin tail coefficients are
 # literals; tests/test_harmonic.py derives them from this table.
@@ -176,41 +180,35 @@ def _ln_tolerance(ln_x: float) -> float:
 def ln_value(x: float, d: int = 1) -> float:
     """ln(x/d) of a float or int x over an int d, x/d positive and finite.
 
-    It is P/Q of _ln_fraction on the exact ratio (x.as_integer_ratio() of a
-    float, or the ints x and d), rounded once.  Raises OracleIntegrityError
-    if math.log of the float quotient x/d differs from it by more than
-    1e-13 max(|ln(x/d)|, 1).  Memoised on its arguments and their types
-    (an int and an equal float take their own paths): a hit returns the
-    float that passed the check, and an error is raised again on each call.
-    A d that is not an int raises TypeError; an x/d that is not positive and
-    finite, DomainError; a positive x/d whose float quotient underflows or
-    overflows binary64, OverflowLimitError.
+    It is P/Q of _ln_fraction on the exact ratio n/m (x.as_integer_ratio()
+    of a float, or the ints x and d), rounded once.  The check forms no
+    float quotient of x/d, which may underflow, overflow or lose bits as a
+    subnormal: with e = n.bit_length() - m.bit_length(), n/(m 2**e) is a
+    float in (1/2, 2), rounded once, and math.log of it plus e math.log(2)
+    (the platform's ln 2, not the kernel's) must agree with the value within
+    1e-13 max(|ln(x/d)|, 1), or OracleIntegrityError is raised.  Memoised on
+    its arguments and their types (an int and an equal float take their own
+    paths): a hit returns the float that passed the check, and an error is
+    raised again on each call.  A d that is not an int raises TypeError; an
+    x/d that is not positive and finite, DomainError.
     """
     if not isinstance(d, int):
         raise TypeError(f"ln_value: d must be an int, got {type(d).__name__}")
-    # The domain is read off x and d, not off the float quotient, which is
-    # 0.0 or past binary64 for some positive ratios.
     if not (0 < x < math.inf if d > 0 else d < 0 and -math.inf < x < 0):  # also nan
         raise DomainError(
-            f"ln_ref requires a finite x/d > 0, got {_size(x, 'x')} and {_size(d, 'd')}"
+            f"ln_ref requires a finite x/d > 0, got x = {shown(x)} and d = {shown(d)}"
         )
     n, m = x.as_integer_ratio()
     n, m = abs(n), abs(m * d)
-    try:
-        ratio = n / m  # the exact ratio, rounded once
-        if not ratio:
-            raise OverflowError  # it underflowed
-    except OverflowError:
-        raise OverflowLimitError(
-            f"ln_ref: x/d is {'past' if n > m else 'below'} the binary64 range, "
-            f"with {_size(x, 'x')} and {_size(d, 'd')}"
-        ) from None
     p, q = _ln_fraction(n, m)
     value = p / q
-    platform = math.log(ratio)
+    e = n.bit_length() - m.bit_length()
+    scaled = n / (m << e) if e >= 0 else (n << -e) / m
+    platform = math.log(scaled) + e * _PLATFORM_LN2
     if abs(platform - value) > _ln_tolerance(platform):
         raise OracleIntegrityError(
-            f"log paths disagree at x={ratio}: platform={platform!r}, series={value!r}"
+            f"log paths disagree at x={shown(x)}, d={shown(d)}: "
+            f"platform={platform!r}, series={value!r}"
         )
     return value
 
@@ -220,8 +218,8 @@ def ln_ref(x: float) -> ReferenceValue:
 
     The tolerance is relative above |ln x| = 1 and absolute below it.  The
     value is P/Q rounded once, so within half an ulp plus 2**-82.3 |ln x| of
-    ln x, far inside guaranteed_abs_error; the check holds math.log(x) within
-    guaranteed_abs_error of it.
+    ln x, far inside guaranteed_abs_error; the check holds the platform's
+    logarithm of x (see ln_value) within guaranteed_abs_error of it.
     """
     value = ln_value(x)
     return ReferenceValue(value=value, guaranteed_abs_error=_ln_tolerance(value))
@@ -301,7 +299,7 @@ def factorial_exact_ln(n: int) -> float:
     Memoised on n.
     """
     if n < 0:
-        raise DomainError(f"factorial_exact_ln requires n >= 0, got {n}")
+        raise DomainError(f"factorial_exact_ln requires n >= 0, got {shown(n)}")
     if not n < math.inf:  # nan or inf
         raise DomainError(f"factorial_exact_ln requires a finite n, got {n}")
     if n % 1:
@@ -313,21 +311,13 @@ def factorial_exact_ln(n: int) -> float:
             raise OverflowError
         value = _stirling_fixed(int(n)) / (1 << _STIRLING_BITS)
     except OverflowError:
-        raise OverflowLimitError(f"ln n! overflows binary64 at {_size(n)}") from None
+        raise OverflowLimitError(f"ln n! overflows binary64 at n = {shown(n)}") from None
     platform = math.lgamma(n + 1)
     if abs(platform - value) > _ln_tolerance(platform):
         raise OracleIntegrityError(
-            f"ln n! paths disagree at n={n}: lgamma={platform!r}, series={value!r}"
+            f"ln n! paths disagree at n={shown(n)}: lgamma={platform!r}, series={value!r}"
         )
     return value
-
-
-def _size(n: int | float, name: str = "n") -> str:
-    """n, called name, for an error message: an int past 64 bits by its bit
-    length, which has no float overflow or digit limit, else by its repr."""
-    if isinstance(n, int) and n.bit_length() > 64:
-        return f"{name} of {n.bit_length()} bits"
-    return f"{name} = {n!r}"
 
 
 def _is_finite(x: float, name: str) -> bool:
@@ -335,7 +325,7 @@ def _is_finite(x: float, name: str) -> bool:
     try:
         return math.isfinite(x)
     except OverflowError:
-        raise OverflowLimitError(f"{_size(x, name)} is past binary64") from None
+        raise OverflowLimitError(f"{name} = {shown(x)} is past binary64") from None
 
 
 def percent_error(approx: float, reference: float) -> float:
@@ -375,6 +365,6 @@ def _finite_percent(error: float, approx: float, reference: float) -> float:
     """error, or OverflowLimitError if it is past binary64 (an infinity)."""
     if math.isinf(error):
         raise OverflowLimitError(
-            f"percent error of {approx!r} against {reference!r} overflows binary64"
+            f"percent error of {shown(approx)} against {shown(reference)} overflows binary64"
         )
     return error

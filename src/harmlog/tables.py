@@ -157,7 +157,8 @@ def _json(columns: list[str], cells: list[list[str]]) -> str:
 
 # -- errata manifest ------------------------------------------------------
 # Cells where the printed value is provably not what the source's own
-# formula yields.  Keyed by (table id, row/cell key).
+# formula yields, and the singular cells, which have no finite value.  The
+# one source of every note a report shows; keyed by (table id, row/cell key).
 
 ERRATA: dict[tuple[str, str], str] = {
     ("2.2", "x=2 exp_full"): (
@@ -166,6 +167,7 @@ ERRATA: dict[tuple[str, str], str] = {
     ("2.2", "x=1 exp_full"): (
         "formula degenerates at x = 1 (0 times e**inf); source prints 0.00000"
     ),
+    ("2.3", "x=1"): "CNR x/(x-1) is singular at x = 1",
     ("2.4", "x=30 calculated"): (
         "source prints 3.40119 (which is just ln 30); the series evaluates to 3.39648"
     ),
@@ -327,7 +329,7 @@ def _t2_2():
         try:
             full = approx_number_exp(x)
         except DomainError:
-            yield Row(inputs, None, x, None, printed_full, False, note or "singular")
+            yield Row(inputs, None, x, None, printed_full, False, note)
         else:
             yield _row(inputs, full, x, printed_full, 1e-5, note)
         scaled = approx_number_scaled(x, 100)
@@ -336,17 +338,17 @@ def _t2_2():
 
 
 def _t2_3():
-    from .cnr import approx_cnr_exp
+    from .cnr import _cnr_exponent, approx_cnr_exp
 
     for x, printed_cnr, printed_ln in _T2_3:
         if x == 1:
-            note = "CNR x/(x-1) is singular at x = 1"
+            note = _erratum("2.3", "x=1")
             for quantity, printed in (("cnr", printed_cnr), ("ln_cnr", printed_ln)):
                 inputs = {"x": x, "quantity": quantity}
                 yield Row(inputs, math.inf, math.inf, None, printed, printed == "∞", note)
             continue
         cnr_ref = x / (x - 1)
-        ln_cnr = 2.0 / (2 * x - 1 - 1.0 / x**3)
+        ln_cnr = _cnr_exponent(x)
         yield _row({"x": x, "quantity": "cnr"}, approx_cnr_exp(x), cnr_ref, printed_cnr, 1e-5)
         yield _row({"x": x, "quantity": "ln_cnr"}, ln_cnr, ln_value(x, x - 1), printed_ln, 1e-5)
 
@@ -449,11 +451,11 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     """Error of the truncated rational log across a multiplier grid."""
     _check_grid(multipliers)
     # The whole grid is checked, in grid order and as ScaledRational checks
-    # it, before the oracle's check forms p / q, which overflows past the
-    # index cap.  Each row is then ln_rational(ScaledRational(p, q, m)),
-    # without the object: 2 S(m lo + 1, m hi), negated when p < q (negation
-    # is exact; p = q gives 2 * 0.0 = +0.0).  A row has no print to match,
-    # so it is built straight from its value, without _row.
+    # it, before the oracle takes the logarithm of p/q.  Each row is then
+    # ln_rational(ScaledRational(p, q, m)), without the object: 2 S(m lo + 1,
+    # m hi), negated when p < q (negation is exact; p = q gives 2 * 0.0 =
+    # +0.0).  A row has no print to match, so it is built straight from its
+    # value, without _row.
     _check_scaled(p, q, multipliers)
     reference = ln_value(p, q)
     lo, hi = min(p, q), max(p, q)
@@ -499,7 +501,7 @@ def sweep_nr(grid: list[int]) -> TableReport:
         for v in (
             consts.variant(consts.NrKind.INTEGRAL),
             consts.variant(consts.NrKind.DIRECT_SERIES, terms=n),
-            consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=max(n, 2)),
+            consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=n),
         )
     ]
     return TableReport("sweep", ("n", "variant"), "%.17g", tuple(rows))

@@ -143,6 +143,14 @@ class TestGammaCommand:
         assert code == 0
         assert json.loads(out)["gamma"] == pytest.approx(0.5772156649, abs=1e-6)
 
+    def test_limit_at_n_one_is_its_formula(self, capsys):
+        # ln 1 minus the empty sum: N = 0, so gamma's estimate is 2 - 2 ln 2.
+        code, out, _ = run(capsys, "gamma", "--nr", "limit", "--n", "1", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["number_constant"] == 0.0
+        assert record["gamma"] == 2.0 - 2.0 * math.log(2)
+
     def test_series(self, capsys):
         code, out, _ = run(capsys, "gamma", "--nr", "series", "--n", "1000", "--format", "json")
         assert code == 0
@@ -422,7 +430,7 @@ class TestWorkLimit:
             (["factorial", str(10**306), "--method", "raw"], "overflows binary64"),
             (["sweep", "factorial", "--n", str(10**400)], "past binary64"),
             (["sweep", "factorial", "--n", str(10**306)], "overflows binary64"),
-            (["gamma", "--nr", "limit", "--n", str(10**400)], "past the binary64 range"),
+            (["gamma", "--nr", "limit", "--n", str(10**400)], "63-bit cap"),
             (["sweep", "ln", "--p", str(10**400), "--m", "1"], "63-bit cap"),
         ],
     )

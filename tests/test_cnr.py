@@ -182,7 +182,7 @@ class TestTypedErrors:
         ],
     )
     def test_an_int_past_binary64_is_typed(self, form, label):
-        with pytest.raises(OverflowLimitError, match=f"^{label}: x of 1329 bits is past binary64$"):
+        with pytest.raises(OverflowLimitError, match=f"^{label}: x = an int of 1329 bits is past binary64$"):
             form(10**400)
 
     def test_evaluate_names_the_method(self):

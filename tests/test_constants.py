@@ -71,8 +71,13 @@ class TestNrEmpiricalLimit:
             ) == ln_value(n)
 
     def test_rejects_small(self):
-        with pytest.raises(DomainError):
-            consts.nr_empirical_limit(1)
+        with pytest.raises(DomainError, match="^nr_empirical_limit requires n >= 1, got 0$"):
+            consts.nr_empirical_limit(0)
+
+    def test_n_one_is_exactly_zero(self):
+        # ln 1 minus the empty sum S(2, 1), as ln_integer(1) is 0.
+        value = consts.nr_empirical_limit(1)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 class TestEulerGamma:

@@ -19,7 +19,7 @@ import harmlog
 from harmlog._frozen import Frozen
 from harmlog.cnr import ApproxValue, CnrMethod, CnrTag
 from harmlog.constants import NrKind, NrVariant
-from harmlog.errors import DomainError, HarmlogError
+from harmlog.errors import DomainError, HarmlogError, OracleIntegrityError, shown
 from harmlog.factorial import FactorialEstimate, FactorialMethod
 from harmlog.harmonic import ScaledRational
 from harmlog.oracle import ReferenceValue
@@ -498,8 +498,10 @@ NUMERIC_CALLABLES = {
 }
 # The public functions that take no number: an enum, a record or a table id.
 NON_NUMERIC_FUNCTIONS = {"euler_gamma", "generate", "ln_rational", "nr_integral"}
+# 10**320 is past binary64, and 1/10**320 a subnormal quotient; str() of
+# +-10**5000 raises ValueError, so a message must not print its digits.
 CONTRACT_VALUES = [
-    0, 1, -1, 2, 41, 2**63, 10**400, -(10**400),
+    0, 1, -1, 2, 41, 2**63, 10**320, 10**400, -(10**400), 10**5000, -(10**5000),
     math.nan, math.inf, -math.inf, 5e-324, 0.5, 1.0, 1e308,
 ]
 
@@ -516,7 +518,11 @@ def numbers_in(result):
 
 
 class TestTypedErrors:
-    """Every public callable answers in finite numbers or raises HarmlogError."""
+    """Every public callable answers in finite numbers or raises HarmlogError.
+
+    OracleIntegrityError reports a broken oracle, never a bad input, so it
+    fails the contract.
+    """
 
     def test_every_numeric_callable_is_covered(self):
         functions = {
@@ -534,16 +540,31 @@ class TestTypedErrors:
     )
     def test_finite_numbers_or_a_typed_error(self, name, args, count):
         fewest, most = NUMERIC_CALLABLES[name]
-        args = args[: min(max(count, fewest), most)]
-        try:
-            result = getattr(harmlog, name)(*args)
-        except HarmlogError:
-            return
-        except TypeError:
-            # Only where an index, a count or a multiplier must be an int.
-            assert any(isinstance(x, float) for x in args), (name, args)
-            return
-        if isinstance(result, FactorialEstimate):
-            result = (result.n, result.ln_value)  # value may overflow to inf
-        for x in numbers_in(result):
-            assert math.isfinite(x), (name, args, result)
+        answers_or_raises_typed(name, args[: min(max(count, fewest), most)])
+
+    @pytest.mark.parametrize("name", sorted(NUMERIC_CALLABLES))
+    def test_each_argument_past_binary64_and_the_digit_limit(self, name):
+        # Each argument in turn, with 2 for the others.
+        most = NUMERIC_CALLABLES[name][1]
+        for i in range(most):
+            for big in (10**320, 10**5000, -(10**5000)):
+                answers_or_raises_typed(name, [big if j == i else 2 for j in range(most)])
+
+
+def answers_or_raises_typed(name, args):
+    """The contract for one call: finite numbers, a HarmlogError other than
+    OracleIntegrityError, or a TypeError for a float where an int must go."""
+    try:
+        result = getattr(harmlog, name)(*args)
+    except OracleIntegrityError:
+        raise
+    except HarmlogError:
+        return
+    except TypeError:
+        # Only where an index, a count or a multiplier must be an int.
+        assert any(isinstance(x, float) for x in args), (name, list(map(shown, args)))
+        return
+    if isinstance(result, FactorialEstimate):
+        result = (result.n, result.ln_value)  # value may overflow to inf
+    for x in numbers_in(result):
+        assert math.isfinite(x), (name, list(map(shown, args)), result)

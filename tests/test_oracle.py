@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,28 +35,62 @@ def test_ln_value_takes_the_exact_ratio_of_x_over_d():
     assert oracle.ln_value(3, 4) == oracle.ln_value(0.75) == oracle.ln_value(1.5, 2)
     assert oracle.ln_value(-3, -4) == oracle.ln_value(3, 4)
     assert oracle.ln_value(10**400, 10**399) == oracle.ln_value(10.0)
-    with pytest.raises(OverflowLimitError):
-        oracle.ln_value(10**400)
+    assert oracle.ln_value(10**400) == -oracle.ln_value(1, 10**400)
     for x, d in ((-3, 4), (3, -4), (0, 3), (1, 0), (0, 0), (2.0, 0)):
         with pytest.raises(DomainError):
             oracle.ln_value(x, d)
 
 
+# Positive ratios whose float quotient x/d underflows, overflows or is a
+# subnormal that has lost most of its bits.
+RATIOS_PAST_BINARY64 = {
+    "3/2**1100": (3, 2**1100),
+    "1/2**1081": (1, 2**1081),
+    "-1/-2**1081": (-1, -(2**1081)),
+    "5e-324/3": (5e-324, 3),
+    "2**1100/3": (2**1100, 3),
+    "10**400": (10**400, 1),
+    "1/10**320": (1, 10**320),
+    "1e-300/10**20": (1e-300, 10**20),
+}
+
+
+@pytest.mark.parametrize("x, d", RATIOS_PAST_BINARY64.values(), ids=RATIOS_PAST_BINARY64)
+def test_a_positive_ratio_past_binary64_is_its_logarithm(x, d):
+    # The kernel's P/Q rounded once: within half an ulp plus 2**-82.3 |ln|
+    # of a 50-digit ln n - ln m; the check passes it without a float x/d.
+    n, m = x.as_integer_ratio()
+    n, m = abs(n), abs(m * d)
+    value = oracle.ln_value(x, d)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(n).ln() - Decimal(m).ln()
+        bound = Decimal(math.ulp(value)) / 2 + abs(exact) * Decimal(2) ** Decimal("-82.3")
+        assert abs(Decimal(value) - exact) <= bound
+
+
 @pytest.mark.parametrize(
-    "x, d, message",
+    "x, d, where",
     [
-        (3, 2**1100, "below the binary64 range, with x = 3 and d of 1101 bits"),
-        (1, 2**1081, "below the binary64 range, with x = 1 and d of 1082 bits"),
-        (-1, -(2**1081), "below the binary64 range, with x = -1 and d of 1082 bits"),
-        (5e-324, 3, "below the binary64 range, with x = 5e-324 and d = 3"),
-        (2**1100, 3, "past the binary64 range, with x of 1101 bits and d = 3"),
-        (10**400, 1, "past the binary64 range, with x of 1329 bits and d = 1"),
+        (2.0, 1, "x=2.0, d=1"),
+        (3, 2**1100, "x=3, d=an int of 1101 bits"),
+        (10**400, 1, "x=an int of 1329 bits, d=1"),
+        (1, 10**320, "x=1, d=an int of 1064 bits"),
     ],
-    ids=["3/2**1100", "1/2**1081", "-1/-2**1081", "5e-324/3", "2**1100/3", "10**400"],
+    ids=["2.0", "3/2**1100", "10**400", "1/10**320"],
 )
-def test_a_positive_ratio_past_binary64_is_an_overflow_naming_x_and_d(x, d, message):
-    # The ratio is positive; only its float quotient underflows or overflows.
-    with pytest.raises(OverflowLimitError, match=f"^ln_ref: x/d is {message}$"):
+def test_a_skewed_kernel_fails_the_check_at_any_size(monkeypatch, request, x, d, where):
+    # A kernel 1e-12 off, relative, is caught past binary64 as within it.
+    true_ln_fraction = oracle._ln_fraction
+    oracle.ln_value.cache_clear()
+    request.addfinalizer(oracle.ln_value.cache_clear)
+
+    def skewed(n, d):
+        p, q = true_ln_fraction(n, d)
+        return p + p // 10**12, q
+
+    monkeypatch.setattr(oracle, "_ln_fraction", skewed)
+    with pytest.raises(OracleIntegrityError, match=f"^log paths disagree at {where}: platform="):
         oracle.ln_value(x, d)
 
 
@@ -275,12 +310,12 @@ def test_percent_error_overflow_is_typed_and_cnr_keeps_its_message():
 
 @pytest.mark.parametrize("args, name", [((10**400, 1.0), "approx"), ((1.0, 10**400), "reference")])
 def test_percent_error_of_an_int_past_binary64_is_typed(args, name):
-    with pytest.raises(OverflowLimitError, match=f"^{name} of 1329 bits is past binary64$"):
+    with pytest.raises(OverflowLimitError, match=f"^{name} = an int of 1329 bits is past binary64$"):
         oracle.percent_error(*args)
 
 
 def test_percent_error_from_ln_of_an_int_past_binary64_is_typed():
-    with pytest.raises(OverflowLimitError, match="^ln_approx of 1329 bits is past binary64$"):
+    with pytest.raises(OverflowLimitError, match="^ln_approx = an int of 1329 bits is past binary64$"):
         oracle.percent_error_from_ln(10**400, 1.0)
 
 

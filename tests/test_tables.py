@@ -286,9 +286,8 @@ class TestSweeps:
             # Grid order: the first invalid multiplier is the one reported.
             (2, 1, [2**62, 0], OverflowLimitError, f"window index {2**63} exceeds 63-bit cap"),
             (2, 1, [3, 0, 2**62], DomainError, "multiplier m must be >= 1, got 0"),
-            # Every window is checked before the oracle forms p / q, which
-            # overflows binary64 here.
-            (10**400, 1, [1], OverflowLimitError, f"window index {10**400} exceeds 63-bit cap"),
+            # Every window is checked before the oracle's logarithm of p/q.
+            (10**400, 1, [1], OverflowLimitError, "window index an int of 1329 bits exceeds 63-bit cap"),
         ],
     )
     def test_ln_rational_rejections(self, p, q, grid, error, message):
