@@ -20,7 +20,7 @@ from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, shown
-from .harmonic import _check_work, _window, correction_sum, odd_harmonic_sum
+from .harmonic import _check_work, correction_sum, odd_harmonic_sum
 from .oracle import LN2, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -109,5 +109,5 @@ def gamma_definition_check(p: int) -> float:
     if p < 1:
         raise DomainError(f"gamma_definition_check requires p >= 1, got {shown(p)}")
     _check_work(1, p)
-    harmonic = math.fsum(map(truediv, repeat(1), _window(1, p)))
+    harmonic = math.fsum(map(truediv, repeat(1), range(p, 0, -1)))
     return harmonic - (0.0 if p == 1 else ln_value(p))

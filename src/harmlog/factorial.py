@@ -45,7 +45,13 @@ class FactorialEstimate(Frozen):
 
 
 def s_sum_exact(n: int) -> float:
-    """Exact partial sum of 1/(x**3 (2x-1)) for x = 2..n, correctly rounded."""
+    """Partial sum of 1/(x**3 (2x-1)) for x = 2..n, within 1 ulp of the exact sum.
+
+    It is the correctly rounded sum of the float terms, not the correctly
+    rounded exact sum: each term rounds its big-int denominator and then its
+    reciprocal (`harmonic._terms`), so the two differ for some n, the first
+    n = 5 (worst 0.80 ulp for n up to 3,000, judged in Fraction).
+    """
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {shown(n)}")
     return _decaying_sum(2, n, 1)

@@ -6,19 +6,23 @@ approximates ln(n).  Quotients shift the index window instead of
 differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
-Every sum runs over one checked index window, `_window`, and only terms
-summed one by one count against the work limit, `MAX_TERMS`.  An odd window
-with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
-correctly rounded value of the exact sum of its float terms (`math.fsum`,
-Shewchuk's algorithm, in a C-level loop), so the order of the terms does
-not change it.  A longer odd window is the same finite sum, not a different
+Every sum checks its index window with `_window`, which builds nothing: only
+a sum that adds terms one by one builds a range over them, and only those
+terms count against the work limit, `MAX_TERMS`.  An odd window with up to
+48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the correctly
+rounded value of the exact sum of its float terms (`math.fsum`, Shewchuk's
+algorithm, in a C-level loop), so the order of the terms does not change
+it.  A longer odd window is the same finite sum, not a different
 approximation, evaluated in O(1) within 0.501 ulp, whatever its start:
 from k = c = max(a, 41) on as four floats from the digamma function's
 expansion about x + 1/2 (`_psi_series`, and the integer logarithm
-`oracle._ln_ratio` of b/(c-1), which for a scaled p/q is p/q itself and is
-memoised in lowest terms), plus, for a window that starts below k = 41, its
-head S(a, 40) as two floats from exact integers (`_odd_head`, memoised per
-a).  The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
+`oracle._ln_ratio` of b/(c-1)), plus, for a window that starts below k = 41,
+its head S(a, 40) as two floats from exact integers (`_odd_head`, memoised
+per a).  One evaluator, `_odd_sums`, takes the windows S(m lo + 1, m hi)
+of a multiplier grid in one pass; `odd_harmonic_sum` is its grid of one.
+For every m with m lo >= 40, b/(c-1) is hi/lo itself, so the whole grid
+takes that logarithm from one `_ln_ratio` call (memoised in lowest terms).
+The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
 and the factorial's tail sum, r = 1, `_decaying_sum`) sum a head exactly
 and enclose the rest from a 16-coefficient Hurwitz-zeta polynomial, whose
 relative error is one proven width per series; when both ends of the
@@ -69,17 +73,19 @@ class LogVariant(Enum):
     TRUNCATED = "truncated"  # harmonic terms only
 
 
-def _window(a: int, b: int, first: int = 1) -> range:
-    """The indices b down to a of a series window.
+def _window(a: int, b: int, first: int = 1) -> None:
+    """Check the series window [a, b]; b = a-1 encodes the empty window.
 
-    b = a-1 encodes the empty window.  Raises DomainError for a < first or
-    b < a-1, and OverflowLimitError past the index cap.
+    Raises DomainError for a < first or b < a-1, OverflowLimitError past the
+    index cap, and then TypeError for an a or b that is not an int, before a
+    sum does any arithmetic with them.  Only a sum that adds its terms one by
+    one builds a range over them.
     """
     if a < first or b < a - 1:
         raise DomainError(f"invalid series window [{shown(a)}, {shown(b)}]")
     if b > _INDEX_CAP:
         raise OverflowLimitError(f"window index {shown(b)} exceeds 63-bit cap")
-    return range(b, a - 1, -1)
+    index(a), index(b)
 
 
 def _check_work(a: int, b: int) -> None:
@@ -91,18 +97,14 @@ def _check_work(a: int, b: int) -> None:
         )
 
 
-def _odd(ks: range) -> range:
-    """The odd denominators 2k-1 for k in ks, in the same order."""
-    return range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)
-
-
 def _terms(ks: range, r: int) -> Iterator[float]:
     """1.0 / (k**3 (2k-1)**r) for k in ks, in a C-level loop.
 
     The big-int denominator is rounded to a float once and divided once, as
     in `1.0 / int`.
     """
-    denominators = map(mul, map(pow, ks, repeat(3)), map(pow, _odd(ks), repeat(r)))
+    odd = range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)  # 2k-1 for k in ks
+    denominators = map(mul, map(pow, ks, repeat(3)), map(pow, odd, repeat(r)))
     return map(truediv, repeat(1.0), denominators)
 
 
@@ -297,9 +299,9 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
 #     E(x) = 2 R_K(2x) - R_K(x),
 # from the window's own integers: no gamma and no float constant.  For a
 # scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
-# every multiplier of a sweep takes the same logarithm: the ratio is reduced
-# by its gcd, and `oracle._ln_ratio` is memoised.  A window from a <= 40
-# adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79) and
+# `_odd_sums` takes it once, reduced by its gcd, for every such multiplier
+# of a sweep (`oracle._ln_ratio` is memoised across sweeps).  A window from
+# a <= 40 adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79) and
 # N_a = sum_{k=a..40} L/(2k-1) are integers, as the floats hi, lo of
 # `oracle._hi_lo`: hi = N_a / L and lo = N_a / L - hi, each an int quotient
 # rounded once.  So no window adds a term one by one past the crossover,
@@ -389,26 +391,41 @@ def _odd_head(a: int) -> tuple[float, float]:
     return _hi_lo(sum(common // d for d in range(2 * a - 1, last + 1, 2)), common)
 
 
+def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
+    """S(m lo + 1, m hi) for each m, over windows already checked (see above).
+
+    A window with up to _DIRECT_MAX_TERMS terms from k = c = max(m lo + 1,
+    41) on is the correctly rounded sum of its float terms.  A longer one is
+    the same finite sum, within 0.501 ulp, in O(1): from c on, four floats
+    from the digamma function, plus the two of the head S(m lo + 1, 40) of a
+    window that starts below c.  Every window from k = 41 on takes ln(hi/lo),
+    so one `_ln_ratio` call serves all of them.
+    """
+    sums, shared = [], None
+    for m in multipliers:
+        a, b = m * lo + 1, m * hi
+        d = a - 1 if a > _LOWEST_TAIL_START else _LOWEST_TAIL_START - 1
+        if b - d <= _DIRECT_MAX_TERMS:
+            sums.append(math.fsum(map(truediv, repeat(1.0), range(2 * b - 1, 2 * a - 2, -2))))
+            continue
+        if a <= d or not shared:
+            ln = _ln_ratio(b // (g := math.gcd(b, d)), d // g)
+        if a > d:  # b/d is hi/lo: one logarithm serves every such m
+            ln = shared = shared or ln
+        head = _odd_head(a) if a <= d else ()
+        sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(d), *head)))
+    return sums
+
+
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
 
     A window with up to _DIRECT_MAX_TERMS terms from k = c = max(a, 41) on
     is the correctly rounded sum of its float terms.  A longer one is the
-    same finite sum, within 0.501 ulp (see above), in O(1): from c on, four
-    floats from the digamma function, plus the two of the head S(a, 40) of a
-    window that starts below c.
+    same finite sum, within 0.501 ulp (see above), in O(1) (`_odd_sums`).
     """
-    window = _window(a, b)
-    c = max(a, _LOWEST_TAIL_START)
-    if b - c < _DIRECT_MAX_TERMS:
-        return math.fsum(map(truediv, repeat(1.0), _odd(window)))
-    d = c - 1
-    g = math.gcd(b, d)
-    hi, lo = _ln_ratio(b // g, d // g)
-    terms = [hi / 2, lo / 2, _psi_series(b), -_psi_series(d)]
-    if a < c:
-        terms += _odd_head(a)
-    return math.fsum(terms)
+    _window(a, b)
+    return _odd_sums(a - 1, b, (1,))[0]
 
 
 def correction_sum(a: int, b: int) -> float:
@@ -422,7 +439,7 @@ def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
     DomainError for p or q below 1, then for each m in grid order
     DomainError below 1 and OverflowLimitError when the window's top index
     m * max(p, q) passes the index cap.  TypeError for a p, q or m that is
-    not an int, as a `range` over the window would raise.
+    not an int, before it is multiplied.
     """
     if p < 1 or q < 1:
         raise DomainError(f"p and q must be positive, got {shown(p)}/{shown(q)}")

@@ -336,7 +336,11 @@ def percent_error(approx: float, reference: float) -> float:
     error past binary64.
     """
     if not (_is_finite(approx, "approx") and _is_finite(reference, "reference")):
-        raise DomainError(f"percent_error requires finite values, got {approx} and {reference}")
+        # A non-finite approx skips the check of reference, which may then be
+        # an int past str()'s digit limit: `shown` names it.
+        raise DomainError(
+            f"percent_error requires finite values, got {shown(approx)} and {shown(reference)}"
+        )
     if reference == 0:
         if approx == 0:
             return 0.0  # an exact zero is a 0 % error
@@ -352,7 +356,8 @@ def percent_error_from_ln(ln_approx: float, ln_reference: float) -> float:
     """
     if not (_is_finite(ln_approx, "ln_approx") and _is_finite(ln_reference, "ln_reference")):
         raise DomainError(
-            f"percent_error_from_ln requires finite logarithms, got {ln_approx} and {ln_reference}"
+            f"percent_error_from_ln requires finite logarithms, got {shown(ln_approx)} and "
+            f"{shown(ln_reference)}"
         )
     try:
         error = (math.exp(ln_approx - ln_reference) - 1.0) * 100.0

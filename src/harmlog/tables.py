@@ -26,9 +26,9 @@ from .harmonic import (
     LogVariant,
     ScaledRational,
     _check_scaled,
+    _odd_sums,
     ln_integer,
     ln_rational,
-    odd_harmonic_sum,
 )
 from .oracle import factorial_exact_ln, ln_value, percent_error, percent_error_from_ln
 
@@ -454,19 +454,18 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     # it, before the oracle takes the logarithm of p/q.  Each row is then
     # ln_rational(ScaledRational(p, q, m)), without the object: 2 S(m lo + 1,
     # m hi), negated when p < q (negation is exact; p = q gives 2 * 0.0 =
-    # +0.0).  A row has no print to match, so it is built straight from its
-    # value, without _row.
+    # +0.0), and every row's window comes from one `_odd_sums` call, so the
+    # rows share one logarithm of hi/lo.  A row has no print to match, so it
+    # is built straight from its value, without _row.
     _check_scaled(p, q, multipliers)
     reference = ln_value(p, q)
     lo, hi = min(p, q), max(p, q)
     scale = -2.0 if p < q else 2.0
     rows = []
-    for m in multipliers:
-        value = scale * odd_harmonic_sum(m * lo + 1, m * hi)
-        rows.append(
-            Row({"p": p, "q": q, "m": m}, value, reference, percent_error(value, reference),
-                None, None)
-        )
+    for m, s in zip(multipliers, _odd_sums(lo, hi, multipliers)):
+        value = scale * s
+        percent = percent_error(value, reference)
+        rows.append(Row({"p": p, "q": q, "m": m}, value, reference, percent, None, None))
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 
 

@@ -47,6 +47,26 @@ class TestOddHarmonicSum:
         with pytest.raises(DomainError):
             harmonic.odd_harmonic_sum(5, 2)
 
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: harmonic.odd_harmonic_sum(2.5, 10**6), TypeError),
+            (lambda: harmonic.ln_quotient(10**200, math.nan), TypeError),
+            (lambda: harmonic.correction_sum(2, math.nan), TypeError),
+            # A window that fails its range or cap check keeps that error.
+            (lambda: harmonic.odd_harmonic_sum(5, 2.5), DomainError),
+            (lambda: harmonic.odd_harmonic_sum(2, 1e300), OverflowLimitError),
+        ],
+        ids=["S(2.5, 10**6)", "ln_quotient(10**200, nan)", "C(2, nan)", "S(5, 2.5)", "S(2, 1e300)"],
+    )
+    def test_a_non_int_index_is_checked_before_any_arithmetic(self, call, error):
+        # A float that passes the range and cap checks is a TypeError before
+        # the sum takes a step with it: never a bare OverflowError from
+        # mixing a float with a big int.
+        with pytest.raises(Exception) as raised:
+            call()
+        assert type(raised.value) is error
+
     @settings(max_examples=100, deadline=None)
     @given(
         a=st.integers(min_value=2, max_value=500),
@@ -374,6 +394,14 @@ class TestLongOddWindows:
         # From a = 2: the 39 terms below k = 41 and _DIRECT_MAX_TERMS from it.
         b = harmonic._LOWEST_TAIL_START - 1 + harmonic._DIRECT_MAX_TERMS
         assert harmonic.odd_harmonic_sum(2, b) == plain_odd(2, b)
+
+    def test_the_longest_direct_window_from_any_start_is_the_plain_sum(self):
+        # One term more would take the O(1) path, whose float differs from
+        # the plain sum's for about a third of these windows.
+        rng = random.Random(41)
+        for a in [1, 40, 41, 42] + [round(2 ** rng.uniform(5.4, 62)) for _ in range(200)]:
+            b = max(a, harmonic._LOWEST_TAIL_START) - 1 + harmonic._DIRECT_MAX_TERMS
+            assert harmonic.odd_harmonic_sum(a, b) == plain_odd(a, b), a
 
     @pytest.mark.parametrize("a", [2, 41, 1009, 2**40 + 3, 2**62 - 10**4])
     def test_just_past_the_crossover_within_2_ulp_of_the_plain_sum(self, a):

@@ -296,6 +296,23 @@ def test_percent_error_from_ln_rejects_a_non_finite_logarithm():
         oracle.percent_error_from_ln(math.nan, 0.0)
 
 
+@pytest.mark.parametrize(
+    "function, message",
+    [
+        (oracle.percent_error, "percent_error requires finite values"),
+        (oracle.percent_error_from_ln, "percent_error_from_ln requires finite logarithms"),
+    ],
+)
+@pytest.mark.parametrize("first", [math.nan, math.inf])
+def test_a_non_finite_first_argument_names_a_huge_second_one(function, message, first):
+    # The non-finite first argument fails the check before the second is
+    # looked at, so the message names an int past str()'s digit limit.
+    with pytest.raises(DomainError) as raised:
+        function(first, -(10**5000))
+    assert type(raised.value) is DomainError
+    assert str(raised.value) == f"{message}, got {first!r} and a negative int of 16610 bits"
+
+
 def test_percent_error_from_ln_overflow_is_typed():
     with pytest.raises(OverflowLimitError, match="overflows binary64"):
         oracle.percent_error_from_ln(1000.0, 0.0)

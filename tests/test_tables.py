@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,14 +222,60 @@ class TestSweeps:
         errors = [abs(r.percent_error) for r in report.rows]
         assert errors == sorted(errors, reverse=True)
 
-    def test_ln_rational_sweep_takes_one_logarithm(self):
-        # Past mq = 40, every row's O(1) window takes ln(mp/mq) = ln(p/q),
-        # reduced by its gcd: a k-row sweep of coprime p/q misses the
-        # memoised _ln_ratio once.
+    def test_ln_rational_sweep_takes_one_logarithm(self, request):
+        # Past mq = 40, every row's O(1) window takes ln(mp/mq) = ln(p/q): a
+        # k-row sweep of coprime p/q calls the memoised _ln_ratio once, and
+        # a second sweep once more.
+        self._assert_logarithms(request, 7, 5, list(range(1000, 21000, 1000)), 1)
+
+    @pytest.mark.parametrize(
+        "p, q, grid, logs",
+        [
+            # p/q not in lowest terms, and a direct row between O(1) ones
+            (14, 10, [10**6, 9, 2**58], 1),
+            # Head windows (m q < 40, m p > 88) take ln(mp/40) each: 5/2, 15/2
+            # and 195/2, besides the one ln(100) of every row from k = 41 on.
+            (100, 1, [50, 3, 39, 7000, 1], 4),
+        ],
+    )
+    def test_ln_rational_sweep_shares_its_logarithm_whatever_the_grid(
+        self, request, p, q, grid, logs
+    ):
+        self._assert_logarithms(request, p, q, grid, logs)
+
+    @staticmethod
+    def _assert_logarithms(request, p, q, grid, logs):
+        request.addfinalizer(oracle._ln_ratio.cache_clear)
         oracle._ln_ratio.cache_clear()
-        tables.sweep_ln_rational(7, 5, list(range(1000, 21000, 1000)))
-        info = oracle._ln_ratio.cache_info()
-        assert (info.misses, info.hits) == (1, 19)
+        for sweeps in (1, 2):
+            tables.sweep_ln_rational(p, q, grid)
+            info = oracle._ln_ratio.cache_info()
+            assert (info.misses, info.hits) == (logs, (sweeps - 1) * logs)
+
+    @pytest.mark.parametrize("relation", ["p<q", "p>q", "p=q"])
+    def test_ln_rational_rows_are_the_scaled_rational_estimates_on_seeded_grids(self, relation):
+        # Every kind of window in a shuffled grid: head windows (m min < 40),
+        # windows at and just past the crossover, both from k = 41 on and
+        # from a head (1/88 and 1/89 with m = 1, 6/7 with m = 48 and 49),
+        # and m next to the 2**63 cap.
+        rng = random.Random(f"sweep {relation}")
+        pairs = [(1, 88), (1, 89), (6, 7)] + [rng.sample(range(1, 61), 2) for _ in range(40)]
+        for p, q in pairs:
+            if relation == "p=q":
+                q = p
+            elif (p < q) != (relation == "p<q"):
+                p, q = q, p
+            lo, hi = min(p, q), max(p, q)
+            cap = (2**63 - 1) // hi
+            crossover = [48 // (hi - lo) if hi > lo else 1, 88 // hi]
+            grid = [rng.randint(1, 40 // lo + 1), cap, cap - rng.randint(1, 1000)]
+            grid += [m + step for m in crossover for step in (0, 1) if m + step >= 1]
+            grid += [round(2 ** rng.uniform(0, 62)) % cap + 1 for _ in range(4)]
+            rng.shuffle(grid)
+            report = tables.sweep_ln_rational(p, q, grid)
+            for row, m in zip(report.rows, grid, strict=True):
+                value = ln_rational(ScaledRational(p, q, m), LogVariant.TRUNCATED)
+                assert row.calculated.hex() == value.hex(), (p, q, m)
 
     def test_factorial_sweep_matches_table(self):
         grid = [2, 5, 45, 160]
