@@ -11,17 +11,25 @@ first-class variants rather than silently picking a winner:
 
 Each variant's gamma estimate is 2 - 2 ln 2 - N_r, so only the empirical
 limit reproduces the true gamma = 0.577215664901...
+
+The empirical limit N(n) = ln n - 2 S(2, n) is evaluated from its limit,
+N(n) = N - 2 Q(n) - E(n) with N = 2 - 2 ln 2 - gamma one integer literal
+and 2 Q(n) one exact fraction, in 128-bit fixed point and rounded once (up
+to n = 40, from the exact S(2, n) and an integer ln n): it takes no
+logarithm of n and forms no float of size ln n, so nothing cancels, and it
+is the correctly rounded N(n) (see nr_empirical_limit).
 """
 
 import math
 from enum import Enum
+from functools import cache
 from itertools import repeat
 from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, shown
-from .harmonic import _check_work, correction_sum, odd_harmonic_sum
-from .oracle import LN2, ln_value
+from .harmonic import _HEAD_LCM, _check_work, _window, correction_sum
+from .oracle import _BERNOULLI, LN2, _ln_fraction, ln_value
 
 # Closed-form pieces of the integral variant.
 INTEGRAL_OFFSET = 16.67560703904
@@ -65,14 +73,87 @@ def nr_direct_series(terms: int) -> float:
     return 2.0 * correction_sum(2, terms + 1)
 
 
-def nr_empirical_limit(n: int) -> float:
-    """ln n minus twice the odd harmonic sum up to n (oracle logarithm).
+# -- the empirical limit -------------------------------------------------
+# harmonic's long odd windows rest on S(c, b) = ln(b/d)/2 + Q(b) - Q(d)
+# + (E(b) - E(d))/2 for d = c - 1 >= 40, with
+#     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
+#     E(x) = 2 R_K(2x) - R_K(x)
+# from the digamma function's expansion about x + 1/2 (see there).  With
+# S(2, n) = S(2, 40) + S(41, n), for n >= 41
+#     N(n) = ln n - 2 S(2, n) = N - 2 Q(n) - E(n),
+#     N = ln 40 - 2 S(2, 40) + 2 Q(40) + E(40) = 2 - 2 ln 2 - gamma,
+# the limit as n grows (both Q and E vanish).  K = 8 takes every B_2k of
+# oracle._BERNOULLI, and |E(x)| <= |B_18| / (18 x**18) (harmonic's item 1
+# with K = 8), under 2**-90.04 N(n) at n = 41, where N(n) > 0.03646, and
+# falling as n**-18: under 2**-119 N(n) from n = 128 and 2**-131 from
+# n = 200.  In units of 2**-W, W = 128, the value is _NR_LIMIT = floor(2**W
+# N) minus floor(2**W 2 Q(n)), each floor under one unit, so under 2**-123
+# N(n) together; divided by 2**W, it is rounded once as an int quotient.
+# So before that rounding it is within 2**-90 N(n) of N(n), and it is the
+# correctly rounded N(n) unless N(n) lies that close to a midpoint of two
+# floats: tests/test_referee.py checks every n up to 200 and sampled n up
+# to 10**18 against a 50-digit referee, bit for bit.
+# Up to n = 40, N(n) = P/Q - 2 A/L, with A/L = S(2, n) exact over harmonic's
+# L = lcm(1, 3, ..., 79) and P/Q = _ln_fraction(n, 1), within 2**-85.1 ln n
+# of ln n for n >= 2 (its case k >= 1); ln n / N(n) is at most 101.2 (at
+# n = 40), so one int quotient rounds a value within 2**-78 N(n) of N(n).
+# n = 1 gives P = 0 and the empty sum: exactly +0.0.
+_NR_BITS = 128
+# floor(2**128 (2 - 2 ln 2 - gamma)).  tests/test_constants.py derives it
+# from ln A - 2 S(2, A) + 2 Q(A) at A = 1000 in 60-digit decimal, not from
+# gamma.
+_NR_LIMIT = 12416894714313472295520999196213069642
+# From this n on, N(n) is taken from its limit.
+_NR_FROM_LIMIT = 41
 
-    n = 1 gives exactly 0: ln 1 minus the empty sum S(2, 1).
+
+@cache
+def _two_q_coefficients() -> tuple[tuple[int, ...], int]:
+    """Integers c_1..c_8 and D with 2 Q(n) = sum_k c_k / (D n**2k), built on first use.
+
+    c_k / D = (1 - 2**(1-2k)) B_2k / (2k), from oracle._BERNOULLI.
+    """
+    terms = [
+        ((half - 1) * b, half * 2 * k * d)
+        for k, (b, d) in _BERNOULLI.items()
+        for half in (1 << (2 * k - 1),)
+    ]
+    common = math.lcm(*(d for _, d in terms))
+    return tuple(b * (common // d) for b, d in terms), common
+
+
+def _two_q_fixed(n: int) -> int:
+    """floor(2**W 2 Q(n)), W = _NR_BITS, for n >= 1.
+
+    2 Q(n) is one exact fraction, its numerator built by Horner's rule in
+    n**2 from the c_k, and is floored once.
+    """
+    numerators, common = _two_q_coefficients()
+    m = n * n
+    total = 0
+    for c in numerators:
+        total = total * m + c
+    return (total << _NR_BITS) // (common * m ** len(numerators))
+
+
+def nr_empirical_limit(n: int) -> float:
+    """N(n) = ln n minus twice the odd harmonic sum S(2, n), correctly rounded.
+
+    From n = 41 on it is N - 2 Q(n) from the limit N = 2 - 2 ln 2 - gamma,
+    below it the exact finite sum (see above): no logarithm of n is taken
+    past n = 40, and no float of size ln n is formed.  n = 1 gives exactly
+    0: ln 1 minus the empty sum S(2, 1).  DomainError for n < 1, then
+    `harmonic._window`'s checks of the window [2, n]: OverflowLimitError
+    past the 63-bit index cap and TypeError for an n that is not an int.
     """
     if n < 1:
         raise DomainError(f"nr_empirical_limit requires n >= 1, got {shown(n)}")
-    return ln_value(n) - 2.0 * odd_harmonic_sum(2, n)
+    _window(2, n)
+    if n >= _NR_FROM_LIMIT:
+        return (_NR_LIMIT - _two_q_fixed(n)) / (1 << _NR_BITS)
+    p, q = _ln_fraction(n, 1)
+    head = sum(_HEAD_LCM // d for d in range(3, 2 * n, 2))  # S(2, n) = head / L
+    return (p * _HEAD_LCM - 2 * head * q) / (q * _HEAD_LCM)
 
 
 def variant(kind: NrKind, terms: int | None = None, n: int | None = None) -> NrVariant:

@@ -201,12 +201,17 @@ _TAIL_WIDTHS = {2: 24.1 * _U, 1: 15.7 * _U}
 
 
 def _tail(m: int, r: int) -> float:
-    """That(m), the tail from k = m on, within W_r That(m) for m >= 17 (see above)."""
+    """That(m), the tail from k = m on, within W_r That(m) for m >= 17 (see above).
+
+    Horner's rule on A(x), written out from a_15 down to a_0, times
+    x**(s0-1) as a product of x's taken from the left.
+    """
+    a15, a14, a13, a12, a11, a10, a9, a8, a7, a6, a5, a4, a3, a2, a1, a0 = _TAIL_POLYNOMIALS[r]
     x = 1.0 / m
-    value = 0.0
-    for coefficient in _TAIL_POLYNOMIALS[r]:
-        value = value * x + coefficient
-    return value * math.prod(repeat(x, 2 + r))
+    value = (((((((((((((((a15 * x + a14) * x + a13) * x + a12) * x + a11) * x + a10) * x + a9)
+        * x + a8) * x + a7) * x + a6) * x + a5) * x + a4) * x + a3) * x + a2) * x + a1) * x + a0)
+    power = x * x * x
+    return value * (power * x if r == 2 else power)
 
 
 def _tail_enclosure(first: int, last: int, r: int, t_first: float) -> tuple[float, float]:
@@ -383,12 +388,22 @@ def _psi_series(x: int) -> float:
     return ((((511 / 135168 * y - 127 / 61440) * y + 31 / 16128) * y - 7 / 1920) * y + 1 / 48) * y
 
 
+# L = lcm(1, 3, ..., 79) and N_1 = sum_{k=1..40} L/(2k-1) as literals, which
+# tests/test_harmonic.py derives, so that a head's first build divides only
+# for its terms below a: the first head of every series from a = 2 is one
+# subtraction.
+_HEAD_LCM = 506779050856155982994105817275475
+_HEAD_FROM_1 = 1432262885870223732401714405337152
+
+
 @cache
 def _odd_head(a: int) -> tuple[float, float]:
-    """S(a, 40) for 1 <= a <= 40 as floats hi, lo (see above), memoised."""
-    last = 2 * _LOWEST_TAIL_START - 3  # the odd denominator of k = 40
-    common = math.lcm(*range(1, last + 1, 2))
-    return _hi_lo(sum(common // d for d in range(2 * a - 1, last + 1, 2)), common)
+    """S(a, 40) for 1 <= a <= 40 as floats hi, lo (see above), memoised.
+
+    N_a is N_1 less L/(2k-1) for k = 1..a-1.
+    """
+    below = sum(_HEAD_LCM // d for d in range(1, 2 * a - 2, 2))
+    return _hi_lo(_HEAD_FROM_1 - below, _HEAD_LCM)
 
 
 def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
@@ -524,12 +539,17 @@ def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -
 
 
 def select_multiplier(p: int, q: int, threshold: int = DEFAULT_THRESHOLD) -> int:
-    """Smallest m with min(m*p, m*q) > threshold, for positive p and q."""
+    """Smallest m with min(m*p, m*q) > threshold, for positive p and q.
+
+    DomainError for p, q or threshold below 1, then TypeError for a p, q or
+    threshold that is not an int (nan and the infinities too), before any
+    arithmetic.
+    """
     if p < 1 or q < 1:
         raise DomainError(f"p and q must be positive, got {shown(p)}/{shown(q)}")
     if threshold < 1:
         raise DomainError(f"threshold must be >= 1, got {shown(threshold)}")
-    return threshold // min(p, q) + 1
+    return index(threshold) // min(index(p), index(q)) + 1
 
 
 def positive_ratio(p: int, q: int) -> tuple[int, int]:

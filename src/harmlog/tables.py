@@ -11,10 +11,10 @@ Reports serialize deterministically to CSV, GitHub markdown, or JSON (an
 array with one object per row, keys matching the CSV header).
 
 The modules only some tables, sweeps or formats use are imported where
-they are used: `csv` for CSV, `json.encoder` for JSON, `cnr` for Tables
-2.1-2.3, `factorial` for Table 2.6 and the factorial sweep, `constants`
-for nr-gamma and the nr sweep.  So `table 2.5 --format markdown` loads
-none of them.
+they are used: `json.encoder` for JSON, `cnr` for Tables 2.1-2.3,
+`factorial` for Table 2.6 and the factorial sweep, `constants` for
+nr-gamma and the nr sweep.  So `table 2.5 --format markdown` loads none of
+them.  CSV is written here, with the csv module's minimal quoting.
 """
 
 import math
@@ -87,10 +87,13 @@ class TableReport(Frozen):
         for row in rows:
             # one read of the row's values, not a property call per field
             inputs, calculated, reference, percent, printed, match, erratum = row._values
+            # A number cell is empty for None and "inf" for either infinity.
             cells.append([str(inputs[k]) for k in input_columns] + [
-                _num(calculated, calculated_format),
-                _num(reference),
-                _num(percent),
+                "" if calculated is None else "inf" if calculated in _INFINITIES
+                else calculated_format % calculated,
+                "" if reference is None else "inf" if reference in _INFINITIES
+                else "%.12g" % reference,
+                "" if percent is None else "inf" if percent in _INFINITIES else "%.12g" % percent,
                 printed or "",
                 "" if match is None else str(match).lower(),
                 erratum,
@@ -103,14 +106,16 @@ class TableReport(Frozen):
         columns = self.columns
         cells = self._cells()
         if fmt == "csv":
-            import csv
-            import io
-
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(columns)
-            writer.writerows(cells)
-            return buf.getvalue()
+            # csv.writer(buf, lineterminator="\n")'s minimal quoting: a cell
+            # that holds a comma, a quote or a line break is quoted, with its
+            # quotes doubled.
+            return "".join([
+                ",".join([
+                    cell if _CSV_QUOTED.isdisjoint(cell) else '"' + cell.replace('"', '""') + '"'
+                    for cell in row
+                ]) + "\n"
+                for row in [columns, *cells]
+            ])
         if fmt == "markdown":
             lines = [
                 "| " + " | ".join(columns) + " |",
@@ -121,13 +126,9 @@ class TableReport(Frozen):
         return _json(columns, cells)
 
 
-def _num(v: float | None, fmt: str = "%.12g") -> str:
-    """A number cell: empty for None, "inf" for either infinity."""
-    if v is None:
-        return ""
-    if math.isinf(v):
-        return "inf"
-    return fmt % v
+_INFINITIES = (math.inf, -math.inf)
+# The characters that make a CSV cell quoted.
+_CSV_QUOTED = frozenset(',"\n\r')
 
 
 def _json(columns: list[str], cells: list[list[str]]) -> str:
@@ -461,10 +462,13 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     reference = ln_value(p, q)
     lo, hi = min(p, q), max(p, q)
     scale = -2.0 if p < q else 2.0
+    # The one reference is finite, and 0 only for p == q, where every row is
+    # 0.0 and its percent error 0 %; so each row's percent error is
+    # percent_error's own quotient, without its checks.
     rows = []
     for m, s in zip(multipliers, _odd_sums(lo, hi, multipliers)):
         value = scale * s
-        percent = percent_error(value, reference)
+        percent = (value - reference) / reference * 100.0 if reference else 0.0
         rows.append(Row({"p": p, "q": q, "m": m}, value, reference, percent, None, None))
     return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
 

@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 
 from harmlog import constants as consts
 from harmlog.errors import DomainError, OverflowLimitError
-from harmlog.harmonic import correction_sum, odd_harmonic_sum
-from harmlog.oracle import LN2, ln_value
+from harmlog.harmonic import correction_sum
+from harmlog.oracle import _BERNOULLI, LN2, _ln_fraction, ln_value
 
 
 class TestNrIntegral:
@@ -48,6 +49,14 @@ class TestNrDirectSeries:
             consts.nr_direct_series(0)
 
 
+def two_q(n: int) -> Fraction:
+    """2 Q(n) = sum_{k=1..8} (1 - 2**(1-2k)) B_2k / (2k n**2k), exactly."""
+    return sum(
+        (1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(b, d) / (2 * k * n ** (2 * k))
+        for k, (b, d) in _BERNOULLI.items()
+    )
+
+
 class TestNrEmpiricalLimit:
     def test_two(self):
         assert consts.nr_empirical_limit(2) == pytest.approx(
@@ -64,11 +73,67 @@ class TestNrEmpiricalLimit:
             consts.nr_empirical_limit(10**6) - consts.nr_empirical_limit(10**5)
         ) < 1e-6
 
-    def test_construction_identity(self):
-        for n in (2, 50, 1234):
-            assert consts.nr_empirical_limit(n) + 2.0 * odd_harmonic_sum(
-                2, n
-            ) == ln_value(n)
+    @pytest.mark.parametrize("n", range(1, consts._NR_FROM_LIMIT))
+    def test_up_to_40_the_exact_sum_and_the_integer_logarithm_rounded_once(self, n):
+        p, q = _ln_fraction(n, 1)
+        exact = Fraction(p, q) - 2 * sum(Fraction(1, 2 * k - 1) for k in range(2, n + 1))
+        assert consts.nr_empirical_limit(n) == float(exact)
+
+    @pytest.mark.parametrize("n", [41, 42, 50, 1234, 10**6, 2**40 + 1, 2**63 - 1])
+    def test_from_41_the_limit_less_2q_rounded_once(self, n):
+        fixed = consts._NR_LIMIT - math.floor(two_q(n) * 2**consts._NR_BITS)
+        assert consts.nr_empirical_limit(n) == float(Fraction(fixed, 2**consts._NR_BITS))
+
+    def test_two_q_is_the_exact_sum_floored_once(self):
+        rng = random.Random("2 Q(n)")
+        for n in [1, 2, 40, 41, 2**63 - 1] + [round(2 ** rng.uniform(0, 63)) for _ in range(200)]:
+            assert consts._two_q_fixed(n) == math.floor(two_q(n) * 2**consts._NR_BITS), n
+
+    def test_limit_literal_is_derived_at_1000_without_gamma(self):
+        # N = ln A - 2 S(2, A) + 2 Q(A) + E(A), |E(A)| <= |B_18| / (18 A**18)
+        # < 1e-54 at A = 1000, in 60-digit decimal.
+        big_a = 1000
+        rest = two_q(big_a) - 2 * sum(Fraction(1, 2 * k - 1) for k in range(2, big_a + 1))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            limit = Decimal(big_a).ln() + Decimal(rest.numerator) / rest.denominator
+            scaled = limit * 2**consts._NR_BITS
+            assert consts._NR_LIMIT == math.floor(scaled)
+            # The floor is not decided by the last digits.
+            assert Decimal("1e-15") < scaled - consts._NR_LIMIT < 1 - Decimal("1e-15")
+
+    def test_limit_literal_is_two_minus_2_ln_2_minus_gamma(self):
+        # A theorem, checked here against gamma correctly rounded to binary64.
+        with localcontext() as ctx:
+            ctx.prec = 60
+            limit = Decimal(consts._NR_LIMIT) / 2**consts._NR_BITS
+            from_gamma = 2 - 2 * Decimal(2).ln() - Decimal(consts.EULER_GAMMA_REFERENCE)
+            assert abs(limit - from_gamma) <= Decimal(math.ulp(consts.EULER_GAMMA_REFERENCE)) / 2
+
+    def test_remainder_from_41_under_2_pow_minus_90_of_the_value(self):
+        # |E(n)| <= |B_18| / (18 n**18), B_18 = 43867/798; N(41) > 0.03646.
+        n = consts._NR_FROM_LIMIT
+        assert Fraction(43867, 798) / (18 * n**18) < Fraction(1, 2**90) * Fraction(3646, 10**5)
+        assert consts.nr_empirical_limit(n) > 0.03646
+
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [
+            (0, DomainError, "nr_empirical_limit requires n >= 1, got 0"),
+            (0.5, DomainError, "nr_empirical_limit requires n >= 1, got 0.5"),
+            (-math.inf, DomainError, "nr_empirical_limit requires n >= 1, got -inf"),
+            (2**63, OverflowLimitError, f"window index {2**63} exceeds 63-bit cap"),
+            (10**400, OverflowLimitError, "window index an int of 1329 bits exceeds 63-bit cap"),
+            (math.inf, OverflowLimitError, "window index inf exceeds 63-bit cap"),
+            (2.0, TypeError, "'float' object cannot be interpreted as an integer"),
+            (math.nan, TypeError, "'float' object cannot be interpreted as an integer"),
+        ],
+    )
+    def test_checks_in_order(self, n, error, message):
+        # n < 1 first, then harmonic._window's checks of [2, n].
+        with pytest.raises(error) as raised:
+            consts.nr_empirical_limit(n)
+        assert type(raised.value) is error and str(raised.value) == message
 
     def test_rejects_small(self):
         with pytest.raises(DomainError, match="^nr_empirical_limit requires n >= 1, got 0$"):

@@ -356,7 +356,24 @@ def fraction_tail_polynomials(r: int) -> tuple[tuple[float, ...], Fraction]:
     return tuple(map(float, reversed(a[:kept]))), width
 
 
+def loop_tail(m: int, r: int) -> float:
+    """That(m) by Horner's rule as a loop from 0.0, the reference `_tail` writes out."""
+    x = 1.0 / m
+    value = 0.0
+    for coefficient in harmonic._TAIL_POLYNOMIALS[r]:
+        value = value * x + coefficient
+    return value * math.prod([x] * (2 + r))
+
+
 class TestTailPolynomials:
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_tail_is_the_horner_loop_bit_for_bit(self, r):
+        rng = random.Random(f"tail {r}")
+        ms = [17, 18, 2**53, 2**63 - 1] + [rng.randint(17, 2**63 - 1) for _ in range(3000)]
+        ms += [min(round(2 ** rng.uniform(math.log2(17), 63)), 2**63 - 1) for _ in range(3000)]
+        for m in ms:
+            assert harmonic._tail(m, r).hex() == loop_tail(m, r).hex(), m
+
     @pytest.mark.parametrize("r", KERNELS)
     def test_equal_to_the_fraction_derivation(self, r):
         got = harmonic._TAIL_POLYNOMIALS[r]
@@ -432,6 +449,12 @@ class TestLongOddWindows:
         c = max(a, harmonic._LOWEST_TAIL_START)
         harmonic.odd_harmonic_sum(a, c + harmonic._DIRECT_MAX_TERMS)
         assert counted == [summed]
+
+    def test_head_integers_are_derived(self):
+        last = 2 * harmonic._LOWEST_TAIL_START - 3  # the odd denominator of k = 40
+        common = math.lcm(*range(1, last + 1, 2))
+        assert harmonic._HEAD_LCM == common
+        assert harmonic._HEAD_FROM_1 == sum(common // d for d in range(1, last + 1, 2))
 
     def test_head_pairs_round_the_exact_head(self):
         # From every a <= 40, hi is S(a, 40) correctly rounded and lo the
@@ -687,6 +710,25 @@ class TestSelectMultiplier:
         assert harmonic.select_multiplier(1, 2) == 151
         assert harmonic.select_multiplier(200, 151) == 1
         assert harmonic.select_multiplier(7, 3, threshold=6) == 3
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 150.0, 2.5])
+    def test_a_threshold_that_is_not_an_int_is_a_type_error(self, threshold):
+        # Not a silent nan, and checked before any arithmetic with p and q.
+        with pytest.raises(TypeError):
+            harmonic.select_multiplier(3, 2, threshold)
+        with pytest.raises(TypeError):
+            harmonic.select_multiplier(10**400, 10**400, threshold)
+
+    @pytest.mark.parametrize("p, q", [(2.0, 1), (2, 1.0), (math.inf, 2), (2, math.nan)])
+    def test_a_ratio_that_is_not_of_ints_is_a_type_error(self, p, q):
+        # Before the threshold, past binary64, is divided by a float.
+        with pytest.raises(TypeError):
+            harmonic.select_multiplier(p, q, 10**320)
+
+    @pytest.mark.parametrize("threshold", [0.5, -math.inf, 0])
+    def test_a_threshold_below_one_is_a_domain_error(self, threshold):
+        with pytest.raises(DomainError, match="^threshold must be >= 1, got "):
+            harmonic.select_multiplier(3, 2, threshold)
 
 
 class TestPositiveRatio:

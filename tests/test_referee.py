@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmlog import harmonic, oracle
+from harmlog import constants, harmonic, oracle
 
 _PREC = 50
 
@@ -82,8 +82,7 @@ def _past_the_crossover(a: int, b: int) -> bool:
 
 
 # The O(1) path's proven bound, from every a (item 5 of harmonic's
-# long-window proof).  The four tests named `..._within_0_56_ulp` assert
-# this bound; their names keep the looser figure of an earlier proof.
+# long-window proof).
 _PROVEN_ULPS = 0.501
 
 
@@ -139,7 +138,7 @@ def _head_free_windows(seed: int) -> list[tuple[int, int]]:
 
 
 @pytest.mark.parametrize("a, b", _head_free_windows(seed=5))
-def test_head_free_windows_just_past_the_crossover_within_0_56_ulp(a, b):
+def test_head_free_windows_just_past_the_crossover_within_0_501_ulp(a, b):
     assert a >= harmonic._LOWEST_TAIL_START
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
@@ -159,7 +158,7 @@ def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
 
 
 @pytest.mark.parametrize("a, b", _head_and_short_tail_windows(seed=6))
-def test_head_and_short_tail_windows_within_0_56_ulp(a, b):
+def test_head_and_short_tail_windows_within_0_501_ulp(a, b):
     assert a < harmonic._LOWEST_TAIL_START
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
@@ -167,7 +166,7 @@ def test_head_and_short_tail_windows_within_0_56_ulp(a, b):
 
 
 @pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
-def test_every_head_one_term_past_the_crossover_within_0_56_ulp(a):
+def test_every_head_one_term_past_the_crossover_within_0_501_ulp(a):
     b = harmonic._LOWEST_TAIL_START + harmonic._DIRECT_MAX_TERMS
     assert _past_the_crossover(a, b) and not _past_the_crossover(a, b - 1)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
@@ -180,7 +179,7 @@ def _odd_sum_from_the_tail_start_to_a_million() -> Decimal:
 
 
 @pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
-def test_every_head_to_a_million_within_0_56_ulp(a):
+def test_every_head_to_a_million_within_0_501_ulp(a):
     head = _decimal_sum(lambda k: 2 * k - 1, a, harmonic._LOWEST_TAIL_START - 1)
     with localcontext() as ctx:
         ctx.prec = _PREC
@@ -494,3 +493,75 @@ def test_stirling_sum_within_the_first_omitted_term(n):
         got = Decimal(oracle._stirling_sum(n)) / 2**oracle._STIRLING_BITS
         bound = Decimal(43867) / (798 * 306 * x**17) + Decimal(2) ** -oracle._STIRLING_BITS
         assert abs(got - tail) <= bound
+
+
+# -- the Number Constant -----------------------------------------------------
+# N(n) = ln n - 2 S(2, n), which the code takes from its limit past n = 40.
+# The referee sums S(2, n) term by term up to _NR_DIRECT.  Past it, S(A + 1, n)
+# comes from Euler-Maclaurin on f(k) = 1/(2k - 1) at the window's two ends
+# (DLMF 2.10.1), an expansion independent of the code's, with _NR_EM_TERMS
+# Bernoulli terms; its remainder is under 2 zeta(2P)/(2 pi)**2P times
+# 2**(2P-1) (2P-1)!/(2A + 1)**2P, under 1e-68 with P = 12 from A = 1000.
+_NR_DIRECT = 1000
+_NR_EM_TERMS = 12
+
+
+def _odd_sum_by_euler_maclaurin(a: int, b: int) -> Decimal:
+    """S(a, b) to 50 digits: the integral, the ends' half terms, and
+    B_2j/(2j)! (f^(2j-1)(b) - f^(2j-1)(a)), f^(2j-1)(x) = -2**(2j-1)
+    (2j-1)!/(2x - 1)**2j."""
+    bernoulli = _bernoulli(_NR_EM_TERMS)
+    with localcontext() as ctx:
+        ctx.prec = _PREC + 10
+        lo, hi = Decimal(2 * a - 1), Decimal(2 * b - 1)
+        total = (hi / lo).ln() / 2 + (1 / lo + 1 / hi) / 2
+        for j in range(1, _NR_EM_TERMS + 1):
+            c = bernoulli[2 * j] * 2 ** (2 * j - 1) / (2 * j)
+            total -= Decimal(c.numerator) / c.denominator * (1 / hi ** (2 * j) - 1 / lo ** (2 * j))
+        return +total
+
+
+@functools.cache
+def _odd_sums_to_the_direct_end() -> list[Decimal]:
+    """S(2, n) for n = 0..._NR_DIRECT, term by term (0 for n <= 1)."""
+    sums = [Decimal(0), Decimal(0)]
+    with localcontext() as ctx:
+        ctx.prec = _PREC + 10
+        for k in range(2, _NR_DIRECT + 1):
+            sums.append(sums[-1] + Decimal(1) / (2 * k - 1))
+    return sums
+
+
+def _nr_referee(n: int) -> Decimal:
+    """ln n - 2 S(2, n) to 50 digits."""
+    if n <= _NR_DIRECT:
+        s = _odd_sums_to_the_direct_end()[n]
+    else:
+        s = _odd_sums_to_the_direct_end()[_NR_DIRECT] + _odd_sum_by_euler_maclaurin(
+            _NR_DIRECT + 1, n
+        )
+    with localcontext() as ctx:
+        ctx.prec = _PREC + 10
+        exact = Decimal(n).ln() - 2 * s
+        ctx.prec = _PREC
+        return +exact
+
+
+def test_nr_referee_by_euler_maclaurin_agrees_with_the_term_by_term_sum():
+    a, b = 1001, 4000
+    assert abs(_odd_sum_by_euler_maclaurin(a, b) - _decimal_sum(lambda k: 2 * k - 1, a, b)) < (
+        Decimal("1e-48")
+    )
+
+
+def test_nr_empirical_limit_correctly_rounded_for_every_n_to_200():
+    # From n = 41 on, the value from the limit; below it, the exact sum.
+    for n in range(1, 201):
+        assert constants.nr_empirical_limit(n) == float(_nr_referee(n)), n
+
+
+def test_nr_empirical_limit_correctly_rounded_for_log_uniform_n_to_10_18():
+    rng = random.Random(28)
+    ns = [round(10 ** rng.uniform(math.log10(201), 18)) for _ in range(150)]
+    for n in ns + [_NR_DIRECT, _NR_DIRECT + 1, 10**4, 10**6, 10**18]:
+        assert constants.nr_empirical_limit(n) == float(_nr_referee(n)), n

@@ -140,6 +140,15 @@ class TestErrata:
             assert any(note in erratum for erratum in notes), note
 
 
+def csv_module_text(report: tables.TableReport) -> str:
+    """The report's columns and cells through csv.writer, the CSV writer's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(report.columns)
+    writer.writerows(report._cells())
+    return buf.getvalue()
+
+
 class TestSerialization:
     def test_csv_shape(self):
         text = tables.generate(TableId.T2_4, "csv")
@@ -201,6 +210,59 @@ class TestSerialization:
         columns, *rows = csv.reader(io.StringIO(report.serialize("csv")))
         objs = [dict(zip(columns, cells)) for cells in rows]
         assert report.serialize("json") == json.dumps(objs, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            *(lambda table_id=table_id: tables.build(table_id) for table_id in TableId),
+            lambda: tables.sweep_ln_rational(3, 7, [1, 5, 40, 1000]),
+            lambda: tables.sweep_ln_rational(7, 3, [1, 5, 40, 1000]),
+            lambda: tables.sweep_ln_rational(3, 3, [1, 2, 1000]),
+            *(lambda method=method: tables.sweep_factorial([2, 5, 45, 160, 300], method)
+              for method in FactorialMethod),
+            lambda: tables.sweep_nr([1, 10, 100]),
+            lambda: tables.TableReport("sweep", ("n",), "%.17g"),
+        ],
+        ids=[*(t.value for t in TableId), "ln-p<q", "ln-p>q", "ln-p=q",
+             *(f"factorial-{m.value}" for m in FactorialMethod), "nr", "empty"],
+    )
+    def test_csv_writer_is_the_csv_module(self, report):
+        # Table 2.3's "∞" and the errata notes with commas are among the cells.
+        report = report()
+        assert report.serialize("csv") == csv_module_text(report)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            # Without "\r": the csv module quotes it only from Python 3.13 on.
+            st.text(st.characters(exclude_characters="\r"), max_size=8)
+            | st.sampled_from(["", ",", '"', '""', "\n", 'a,"b"', " x ", "inf"]),
+            min_size=4, max_size=4,
+        )
+    )
+    def test_csv_cells_are_quoted_as_the_csv_module_quotes_them(self, texts):
+        column, printed, erratum, inputs = texts
+        report = tables.TableReport(
+            "sweep", (column, "n"), "%.17g",
+            (tables.Row({column: inputs, "n": 1}, 1.5, None, -math.inf, printed, None, erratum),),
+        )
+        assert report.serialize("csv") == csv_module_text(report)
+
+    @pytest.mark.parametrize(
+        "calculated, reference, percent, cells",
+        [
+            (None, None, None, ["", "", ""]),
+            (math.inf, -math.inf, math.inf, ["inf", "inf", "inf"]),
+            (math.nan, -0.0, 1e-300, ["nan", "-0", "1e-300"]),
+            (2.0 / 3.0, 1234567.0, -12, ["0.66667", "1234567", "-12"]),
+        ],
+    )
+    def test_number_cells(self, calculated, reference, percent, cells):
+        # Empty for None and "inf" for either infinity; the calculated cell
+        # takes the report's format, the others %.12g.
+        row = tables.Row({"x": 1}, calculated, reference, percent, None, None)
+        report = tables.TableReport("sweep", ("x",), "%.5g", (row,))
+        assert report._cells()[0][1:4] == cells
 
     @pytest.mark.parametrize("table_id", [TableId.T2_4, "2.4"])
     def test_generate_takes_an_id_or_its_value(self, table_id):
@@ -273,9 +335,13 @@ class TestSweeps:
             grid += [round(2 ** rng.uniform(0, 62)) % cap + 1 for _ in range(4)]
             rng.shuffle(grid)
             report = tables.sweep_ln_rational(p, q, grid)
+            reference = ln_value(p, q)
             for row, m in zip(report.rows, grid, strict=True):
                 value = ln_rational(ScaledRational(p, q, m), LogVariant.TRUNCATED)
                 assert row.calculated.hex() == value.hex(), (p, q, m)
+                # The row's percent error is percent_error's, bit for bit.
+                percent = oracle.percent_error(value, reference)
+                assert row.percent_error.hex() == percent.hex(), (p, q, m)
 
     def test_factorial_sweep_matches_table(self):
         grid = [2, 5, 45, 160]

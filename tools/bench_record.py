@@ -14,9 +14,12 @@ root by default) holds the median, quartiles and interquartile range of
 every end-to-end metric of BENCHMARK.json, each run's value, the ops attempted
 and failed, and what the runs depended on: the commit, whether src/ differs
 from it and a hash of src/, the Python version, the host, the seed, the run
-length and the PYTHONDONTWRITEBYTECODE setting.  With two trees it also
-prints, per metric, the runs of the second tree that beat their pair of the
-first.  Standard library only.
+length and the PYTHONDONTWRITEBYTECODE setting.  For cli-cold, whose ops
+are each a fresh CLI process, it also records the interpreter's floor next
+to the metrics: after each run, the median wall time of FLOOR_SPAWNS runs
+of `python3 -c pass` (this interpreter, from the tree's root), in ms.  With
+two trees it also prints, per metric, the runs of the second tree that beat
+their pair of the first.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,9 +32,12 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Processes of `python3 -c pass` timed after each cli-cold run.
+FLOOR_SPAWNS = 20
 
 
 def _git(tree: Path, *args: str) -> str | None:
@@ -63,6 +69,16 @@ def _run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def _interpreter_floor_ms(tree: Path) -> float:
+    """Median wall time, in ms, of FLOOR_SPAWNS fresh `python3 -c pass` processes."""
+    times = []
+    for _ in range(FLOOR_SPAWNS):
+        began = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], cwd=tree, check=True)
+        times.append((time.perf_counter() - began) * 1e3)
+    return statistics.median(times)
+
+
 def _summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
@@ -91,8 +107,12 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.runs):
         for label, tree in trees if i % 2 == 0 else trees[::-1]:
             result = _run(tree, args.workload, args.seed, args.seconds)
+            if args.workload == "cli-cold":
+                result["interpreter_floor_ms"] = _interpreter_floor_ms(tree)
             results[label].append(result)
             shown = {name: round(result["metrics"][name]["value"], 6) for name in metrics}
+            if "interpreter_floor_ms" in result:
+                shown["python3 -c pass ms"] = round(result["interpreter_floor_ms"], 3)
             print(f"run {i + 1}/{args.runs} {label}: {json.dumps(shown)}", flush=True)
 
     for label, tree in trees:
@@ -123,6 +143,11 @@ def main(argv: list[str] | None = None) -> int:
                 for name, m in metrics.items()
             },
         }
+        if args.workload == "cli-cold":
+            record["interpreter_floor_ms"] = {
+                "command": "python3 -c pass", "spawns_per_run": FLOOR_SPAWNS,
+                **_summary([r["interpreter_floor_ms"] for r in runs]),
+            }
         out = args.out_dir / f"BENCH_{label}-{args.workload}.json"
         out.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {out}")
