@@ -8,6 +8,7 @@ A record keeps all its field values in one tuple, stored once by its
 a sweep row more than the O(1) window it reports.  It is not a tuple
 subclass (nor a namedtuple): a record must not iterate, index or compare
 equal to a tuple, and its pickle must rebuild it through ``__init__``.
+`_record` makes a record of values already checked without that call.
 """
 
 
@@ -49,3 +50,15 @@ class Frozen:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which validates again
         return self.__class__, self._values
+
+
+_new = object.__new__
+_store = Frozen._values.__set__
+
+
+def _record(cls, values: tuple):
+    """cls(*values) without the call of its ``__init__``, for values it would store as
+    they are; pickle and copy of the record still rebuild through ``__init__``."""
+    record = _new(cls)
+    _store(record, values)
+    return record

@@ -86,7 +86,7 @@ def _finite(label: str, x: float, form: Callable[..., float], *args) -> float:
     A non-finite x or a division by zero raises DomainError, and an int x or
     a value past binary64 OverflowLimitError; each message names label and x.
     """
-    if not _is_finite(x, f"{label}: x"):
+    if not _is_finite(x, "x", label):
         raise DomainError(f"x must be finite, got {x}")
     try:
         value = form(*args)

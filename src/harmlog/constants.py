@@ -14,22 +14,22 @@ limit reproduces the true gamma = 0.577215664901...
 
 The empirical limit N(n) = ln n - 2 S(2, n) is evaluated from its limit,
 N(n) = N - 2 Q(n) - E(n) with N = 2 - 2 ln 2 - gamma one integer literal
-and 2 Q(n) one exact fraction, in 128-bit fixed point and rounded once (up
-to n = 40, from the exact S(2, n) and an integer ln n): it takes no
-logarithm of n and forms no float of size ln n, so nothing cancels, and it
-is the correctly rounded N(n) (see nr_empirical_limit).
+and 2 Q(n) one exact fraction of literal integer coefficients, in 128-bit
+fixed point and rounded once (up to n = 40, from the exact S(2, n) and an
+integer ln n): it takes no logarithm of n and forms no float of size ln n,
+so nothing cancels, and it is the correctly rounded N(n) (see
+nr_empirical_limit).
 """
 
 import math
 from enum import Enum
-from functools import cache
 from itertools import repeat
 from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, shown
 from .harmonic import _HEAD_LCM, _check_work, _window, correction_sum
-from .oracle import _BERNOULLI, LN2, _ln_fraction, ln_value
+from .oracle import LN2, _ln_fraction, ln_value
 
 # Closed-form pieces of the integral variant.
 INTEGRAL_OFFSET = 16.67560703904
@@ -107,19 +107,14 @@ _NR_LIMIT = 12416894714313472295520999196213069642
 _NR_FROM_LIMIT = 41
 
 
-@cache
-def _two_q_coefficients() -> tuple[tuple[int, ...], int]:
-    """Integers c_1..c_8 and D with 2 Q(n) = sum_k c_k / (D n**2k), built on first use.
-
-    c_k / D = (1 - 2**(1-2k)) B_2k / (2k), from oracle._BERNOULLI.
-    """
-    terms = [
-        ((half - 1) * b, half * 2 * k * d)
-        for k, (b, d) in _BERNOULLI.items()
-        for half in (1 << (2 * k - 1),)
-    ]
-    common = math.lcm(*(d for _, d in terms))
-    return tuple(b * (common // d) for b, d in terms), common
+# c_1..c_8 and D with 2 Q(n) = sum_k c_k / (D n**2k), c_k / D = (1 - 2**(1-2k))
+# B_2k / (2k), over the least common denominator; tests/test_constants.py
+# derives them from oracle._BERNOULLI.
+_TWO_Q_NUMERATORS = (
+    33456783360, -5854937088, 3086786560, -3319540224,
+    6071170560, -16928460736, 66905398560, -355910271717,
+)
+_TWO_Q_DENOMINATOR = 802962800640
 
 
 def _two_q_fixed(n: int) -> int:
@@ -128,12 +123,11 @@ def _two_q_fixed(n: int) -> int:
     2 Q(n) is one exact fraction, its numerator built by Horner's rule in
     n**2 from the c_k, and is floored once.
     """
-    numerators, common = _two_q_coefficients()
     m = n * n
     total = 0
-    for c in numerators:
+    for c in _TWO_Q_NUMERATORS:
         total = total * m + c
-    return (total << _NR_BITS) // (common * m ** len(numerators))
+    return (total << _NR_BITS) // (_TWO_Q_DENOMINATOR * m ** len(_TWO_Q_NUMERATORS))
 
 
 def nr_empirical_limit(n: int) -> float:

@@ -75,7 +75,7 @@ def _check_n(n: int, least: int, name: str) -> None:
     if n is past binary64's range."""
     if n < least:
         raise DomainError(f"{name} requires n >= {least}, got {shown(n)}")
-    if not _is_finite(n, f"{name}: n"):
+    if not _is_finite(n, "n", name):
         raise DomainError(f"{name} requires a finite n, got {n}")
 
 

@@ -30,8 +30,8 @@ enclosure round the sum to the same float, that float is the sum of every
 term, and otherwise the head doubles and the enclosure is tried again.
 Either way the result is bit-identical to summing every term.  One memo,
 `_head`, keeps each head, first or doubled, as its exact parts with the
-tail polynomial's value at its end, so a repeated window, such as one from
-the k = 2 of every series in the paper, sums no head term.
+tail polynomial's value at its end, so a repeated window sums no head term,
+and the heads from k = 2, where every series in the paper starts, are literals.
 """
 
 import math
@@ -241,13 +241,23 @@ def _exact_parts(terms: Iterator[float]) -> list[float]:
     return parts
 
 
+# The first head [2, 16] of each series, as `_head(2, 16, r)` would build it:
+# its exact parts and `_tail(17, r)`.  tests/test_harmonic.py derives both.
+_FIRST_HEADS = {
+    2: ((0.015864355255338754, -5.397717456378029e-19), 8.829478324700383e-07),
+    1: ((0.053214512047626034, 7.165898733771381e-19), 3.789557588928057e-05),
+}
+
+
 @lru_cache(maxsize=128)
 def _head(a: int, h: int, r: int) -> tuple[tuple[float, ...], float]:
     """The exact parts of the head [a, h], h = 8a 2**i, and `_tail(h + 1, r)`, memoised.
 
-    A doubled head is the parts of [a, h/2], themselves memoised, and the
-    terms (h/2, h].
+    The head [2, 16] is its literal; a doubled head is the parts of [a, h/2],
+    themselves memoised, and the terms (h/2, h].
     """
+    if h == 16 and a == 2:
+        return _FIRST_HEADS[r]
     start = h // 2 if h > 8 * a else a - 1
     below = _head(a, start, r)[0] if h > 8 * a else ()
     terms = chain(below, _terms(range(h, start, -1), r))
@@ -268,9 +278,9 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
     window are summed term by term.
 
     Every series of the paper starts at a = 2, so the same heads recur: each
-    head, first or doubled, is memoised with That at its end (`_head`,
-    one small LRU cache), and a repeated window sums no head term.  The work
-    limit is checked before each lookup, as before the sum.
+    head, first or doubled, is memoised with That at its end (`_head`; the
+    heads [2, 16] are literals), and a repeated window sums no head term.
+    The work limit is checked before each lookup, as before the sum.
     """
     _window(a, b, first=2)
     head, summed, h = (), a - 1, 8 * a
@@ -390,10 +400,11 @@ def _psi_series(x: int) -> float:
 
 # L = lcm(1, 3, ..., 79) and N_1 = sum_{k=1..40} L/(2k-1) as literals, which
 # tests/test_harmonic.py derives, so that a head's first build divides only
-# for its terms below a: the first head of every series from a = 2 is one
-# subtraction.
+# for its terms below a; the head from a = 2 of ln n's odd sum, S(2, 40), is
+# the literal pair `_hi_lo` gives it.
 _HEAD_LCM = 506779050856155982994105817275475
 _HEAD_FROM_1 = 1432262885870223732401714405337152
+_ODD_HEAD_FROM_2 = (1.8262077594773285, 3.58237352971354e-17)
 
 
 @cache
@@ -402,6 +413,8 @@ def _odd_head(a: int) -> tuple[float, float]:
 
     N_a is N_1 less L/(2k-1) for k = 1..a-1.
     """
+    if a == 2:
+        return _ODD_HEAD_FROM_2
     below = sum(_HEAD_LCM // d for d in range(1, 2 * a - 2, 2))
     return _hi_lo(_HEAD_FROM_1 - below, _HEAD_LCM)
 

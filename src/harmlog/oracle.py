@@ -320,12 +320,14 @@ def factorial_exact_ln(n: int) -> float:
     return value
 
 
-def _is_finite(x: float, name: str) -> bool:
-    """math.isfinite(x); OverflowLimitError naming x for an int past binary64."""
+def _is_finite(x: float, name: str, owner: str = "") -> bool:
+    """math.isfinite(x); OverflowLimitError naming x, as "owner: name" or as
+    name without an owner, for an int past binary64."""
     try:
         return math.isfinite(x)
     except OverflowError:
-        raise OverflowLimitError(f"{name} = {shown(x)} is past binary64") from None
+        label = f"{owner}: {name}" if owner else name
+        raise OverflowLimitError(f"{label} = {shown(x)} is past binary64") from None
 
 
 def percent_error(approx: float, reference: float) -> float:

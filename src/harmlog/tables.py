@@ -14,13 +14,15 @@ The modules only some tables, sweeps or formats use are imported where
 they are used: `json.encoder` for JSON, `cnr` for Tables 2.1-2.3,
 `factorial` for Table 2.6 and the factorial sweep, `constants` for
 nr-gamma and the nr sweep.  So `table 2.5 --format markdown` loads none of
-them.  CSV is written here, with the csv module's minimal quoting.
+them.  CSV is written here, with the csv module's minimal quoting.  Every
+report, and the rows of sweeps, nr-gamma and `_row`, hold values already
+checked, so `_frozen._record` makes them without a call of ``__init__``.
 """
 
 import math
 from enum import Enum
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _record
 from .errors import DomainError
 from .harmonic import (
     LogVariant,
@@ -71,14 +73,7 @@ class TableReport(Frozen):
 
     @property
     def columns(self) -> list[str]:
-        return list(self.input_columns) + [
-            "calculated",
-            "reference",
-            "percent_error",
-            "printed",
-            "match",
-            "erratum",
-        ]
+        return [*self.input_columns, *_RESULT_COLUMNS]
 
     def _cells(self) -> list[list[str]]:
         """Each row's cells, as strings in column order."""
@@ -108,13 +103,21 @@ class TableReport(Frozen):
         if fmt == "csv":
             # csv.writer(buf, lineterminator="\n")'s minimal quoting: a cell
             # that holds a comma, a quote or a line break is quoted, with its
-            # quotes doubled.
+            # quotes doubled.  No cell needs it when the joined text has no
+            # quote or \r and only the sum(len(row) - 1) commas and len(rows)
+            # line feeds of the joins; neither count can be lower, so their sum tells.
+            rows = [columns, *cells]
+            text = "".join([",".join(row) + "\n" for row in rows])
+            if '"' not in text and "\r" not in text and (
+                text.count(",") + text.count("\n") == sum(map(len, rows))
+            ):
+                return text
             return "".join([
                 ",".join([
                     cell if _CSV_QUOTED.isdisjoint(cell) else '"' + cell.replace('"', '""') + '"'
                     for cell in row
                 ]) + "\n"
-                for row in [columns, *cells]
+                for row in rows
             ])
         if fmt == "markdown":
             lines = [
@@ -126,6 +129,7 @@ class TableReport(Frozen):
         return _json(columns, cells)
 
 
+_RESULT_COLUMNS = ("calculated", "reference", "percent_error", "printed", "match", "erratum")
 _INFINITIES = (math.inf, -math.inf)
 # The characters that make a CSV cell quoted.
 _CSV_QUOTED = frozenset(',"\n\r')
@@ -221,9 +225,8 @@ def _row(
     """A computed row: its percent error against reference, and, when there
     is a print, match = |calculated - printed| <= tol; otherwise no match."""
     match = None if printed is None else abs(calculated - float(printed)) <= tol
-    return Row(
-        inputs, calculated, reference, percent_error(calculated, reference), printed, match, erratum
-    )
+    percent = percent_error(calculated, reference)
+    return _record(Row, (inputs, calculated, reference, percent, printed, match, erratum))
 
 
 # -- fixtures: the printed tables ------------------------------------------
@@ -397,40 +400,51 @@ def _log_match(ln_value: float, printed: str) -> bool:
 def _nr_gamma():
     from . import constants as consts
 
-    for kind in consts.NrKind:
+    kinds, reference = consts.NrKind, consts.EULER_GAMMA_REFERENCE
+    # NrKind's members in order, each with its print.  The reference is finite
+    # and not 0, so the percent error is percent_error's own quotient.
+    for kind, printed in (
+        (kinds.INTEGRAL, "0.5736309333"), (kinds.DIRECT_SERIES, None), (kinds.EMPIRICAL_LIMIT, None)
+    ):
         v = consts.variant(kind)
-        parameter = v.terms if kind is consts.NrKind.DIRECT_SERIES else v.n
-        printed = "0.5736309333" if kind is consts.NrKind.INTEGRAL else None
+        _, value, terms, n = v._values
+        parameter = n if terms is None else terms
         inputs = {
-            "variant": kind.value,
+            "variant": kind._value_,
             "parameter": "" if parameter is None else parameter,
-            "number_constant": "%.12g" % v.value,
+            "number_constant": "%.12g" % value,
         }
-        yield _row(inputs, consts.euler_gamma(v), consts.EULER_GAMMA_REFERENCE, printed, 1e-9)
+        gamma = consts.euler_gamma(v)
+        match = None if printed is None else abs(gamma - float(printed)) <= 1e-9
+        percent = (gamma - reference) / reference * 100.0
+        yield _record(Row, (inputs, gamma, reference, percent, printed, match, ""))
 
 
 # Each table's row builder, input columns and printf spec for the
-# calculated column (mirroring the source's printed digits).
+# calculated column (mirroring the source's printed digits), keyed by the
+# id's value: a str key hashes in C, where a TableId calls Enum.__hash__.
 _TABLES = {
-    TableId.T2_1: (_t2_1, ("x",), "%.10g"),
-    TableId.T2_2: (_t2_2, ("x", "formula"), "%.10g"),
-    TableId.T2_3: (_t2_3, ("x", "quantity"), "%.7g"),
-    TableId.T2_4: (_t2_4, ("x",), "%.5f"),
-    TableId.T2_5: (_t2_5, ("m", "p", "q"), "%.10g"),
-    TableId.T2_6: (_t2_6, ("n",), "%.9g"),
-    TableId.NR_GAMMA: (_nr_gamma, ("variant", "parameter", "number_constant"), "%.12g"),
+    TableId.T2_1.value: (_t2_1, ("x",), "%.10g"),
+    TableId.T2_2.value: (_t2_2, ("x", "formula"), "%.10g"),
+    TableId.T2_3.value: (_t2_3, ("x", "quantity"), "%.7g"),
+    TableId.T2_4.value: (_t2_4, ("x",), "%.5f"),
+    TableId.T2_5.value: (_t2_5, ("m", "p", "q"), "%.10g"),
+    TableId.T2_6.value: (_t2_6, ("n",), "%.9g"),
+    TableId.NR_GAMMA.value: (_nr_gamma, ("variant", "parameter", "number_constant"), "%.12g"),
 }
 
 
 def build(table_id: TableId | str) -> TableReport:
     """Report for one table, named by its TableId or the id's value ("2.1", "nr-gamma")."""
-    try:
-        table_id = TableId(table_id)
-    except ValueError:
-        names = ", ".join(table.value for table in TableId)
-        raise DomainError(f"unknown table {table_id!r}; use one of {names}") from None
-    builder, input_columns, calculated_format = _TABLES[table_id]
-    return TableReport(table_id.value, input_columns, calculated_format, tuple(builder()))
+    if table_id.__class__ is not TableId:  # a member is its own TableId(...)
+        try:
+            table_id = TableId(table_id)
+        except ValueError:
+            names = ", ".join(table.value for table in TableId)
+            raise DomainError(f"unknown table {table_id!r}; use one of {names}") from None
+    builder, input_columns, calculated_format = _TABLES[table_id._value_]
+    rows = tuple(builder())
+    return _record(TableReport, (table_id._value_, input_columns, calculated_format, rows))
 
 
 def generate(table_id: TableId | str, fmt: str = "csv") -> str:
@@ -469,8 +483,9 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     for m, s in zip(multipliers, _odd_sums(lo, hi, multipliers)):
         value = scale * s
         percent = (value - reference) / reference * 100.0 if reference else 0.0
-        rows.append(Row({"p": p, "q": q, "m": m}, value, reference, percent, None, None))
-    return TableReport("sweep", ("p", "q", "m"), "%.17g", tuple(rows))
+        inputs = {"p": p, "q": q, "m": m}
+        rows.append(_record(Row, (inputs, value, reference, percent, None, None, "")))
+    return _record(TableReport, ("sweep", ("p", "q", "m"), "%.17g", tuple(rows)))
 
 
 def sweep_factorial(grid: list[int], method="corrected") -> TableReport:
@@ -487,10 +502,9 @@ def sweep_factorial(grid: list[int], method="corrected") -> TableReport:
         est = factorial_estimate(n, method)
         ref_ln = factorial_exact_ln(n)
         percent = percent_error_from_ln(est.ln_value, ref_ln)
-        rows.append(
-            Row({"n": n, "method": est.method.value}, est.ln_value, ref_ln, percent, None, None)
-        )
-    return TableReport("sweep", ("n", "method"), "%.17g", tuple(rows))
+        inputs = {"n": n, "method": est.method.value}
+        rows.append(_record(Row, (inputs, est.ln_value, ref_ln, percent, None, None, "")))
+    return _record(TableReport, ("sweep", ("n", "method"), "%.17g", tuple(rows)))
 
 
 def sweep_nr(grid: list[int]) -> TableReport:
@@ -499,7 +513,7 @@ def sweep_nr(grid: list[int]) -> TableReport:
 
     _check_grid(grid)
     rows = [
-        Row({"n": n, "variant": v.kind.value}, v.value, None, None, None, None)
+        _record(Row, ({"n": n, "variant": v.kind.value}, v.value, None, None, None, None, ""))
         for n in grid
         for v in (
             consts.variant(consts.NrKind.INTEGRAL),
@@ -507,4 +521,4 @@ def sweep_nr(grid: list[int]) -> TableReport:
             consts.variant(consts.NrKind.EMPIRICAL_LIMIT, n=n),
         )
     ]
-    return TableReport("sweep", ("n", "variant"), "%.17g", tuple(rows))
+    return _record(TableReport, ("sweep", ("n", "variant"), "%.17g", tuple(rows)))

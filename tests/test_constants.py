@@ -84,6 +84,17 @@ class TestNrEmpiricalLimit:
         fixed = consts._NR_LIMIT - math.floor(two_q(n) * 2**consts._NR_BITS)
         assert consts.nr_empirical_limit(n) == float(Fraction(fixed, 2**consts._NR_BITS))
 
+    def test_two_q_coefficients_are_derived(self):
+        # c_k / D = (1 - 2**(1-2k)) B_2k / (2k) for k = 1..8, from the
+        # Bernoulli numbers of oracle._BERNOULLI, in Fraction.
+        # D is their least common denominator.
+        assert len(consts._TWO_Q_NUMERATORS) == len(_BERNOULLI) == 8
+        wants = [(1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*_BERNOULLI[k]) / (2 * k)
+                 for k in _BERNOULLI]
+        for k, c, want in zip(_BERNOULLI, consts._TWO_Q_NUMERATORS, wants):
+            assert Fraction(c, consts._TWO_Q_DENOMINATOR) == want, k
+        assert consts._TWO_Q_DENOMINATOR == math.lcm(*(want.denominator for want in wants))
+
     def test_two_q_is_the_exact_sum_floored_once(self):
         rng = random.Random("2 Q(n)")
         for n in [1, 2, 40, 41, 2**63 - 1] + [round(2 ** rng.uniform(0, 63)) for _ in range(200)]:

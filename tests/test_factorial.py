@@ -221,3 +221,17 @@ class TestNonFiniteAndHugeFloatN:
     def test_s_sum_closed_rejects_nan(self):
         with pytest.raises(DomainError, match="requires a finite n"):
             fact.s_sum_closed(math.nan)
+
+    @pytest.mark.parametrize(
+        "caller, name",
+        [
+            (fact.s_sum_closed, "s_sum_closed"),
+            (fact.ln_factorial_series, "ln_factorial_series"),
+            (fact.factorial_raw, "factorial_raw"),
+            (fact.factorial_corrected, "factorial_corrected"),
+        ],
+    )
+    def test_an_int_past_binary64_names_its_caller(self, caller, name):
+        with pytest.raises(OverflowLimitError) as raised:
+            caller(10**400)
+        assert str(raised.value) == f"{name}: n = an int of 1329 bits is past binary64"

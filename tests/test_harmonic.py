@@ -243,13 +243,14 @@ class TestDecayingSum:
         return len(counted)
 
     def test_the_first_head_ends_at_8a(self, monkeypatch):
-        assert self.terms_summed(monkeypatch, 2, 10**6, 2) == 15
+        # From a = 3, whose first head [3, 24] is not a literal.
+        assert self.terms_summed(monkeypatch, 3, 10**6, 2) == 22
 
     def test_a_straddle_doubles_the_head(self, monkeypatch):
         # The enclosures after [2, 16] and [2, 32] straddle, the one after
-        # [2, 64] settles: 63 terms, where growing the head eightfold sums
-        # [2, 128].
-        assert self.terms_summed(monkeypatch, 2, 674, 1) == 63
+        # [2, 64] settles: the literal [2, 16] and 48 terms, where growing the
+        # head eightfold sums [17, 128].
+        assert self.terms_summed(monkeypatch, 2, 674, 1) == 48
 
     @pytest.mark.parametrize(
         "b, r",
@@ -299,6 +300,16 @@ class TestDecayingSum:
             cleared = harmonic._decaying_sum(a, b, r)
             hit = harmonic._decaying_sum(a, b, r)
             assert cleared.hex() == hit.hex() == plain.hex(), (a, b)
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_the_first_heads_from_2_are_derived(self, r):
+        # The literal is what the memo's build would make of [2, 16]: its
+        # exact parts and the tail from 17, bit for bit; `_head` returns it.
+        parts, end = harmonic._FIRST_HEADS[r]
+        built = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), r))
+        assert [part.hex() for part in parts] == [part.hex() for part in built]
+        assert end.hex() == harmonic._tail(17, r).hex()
+        assert harmonic._head(2, 16, r) is harmonic._FIRST_HEADS[r]
 
     def test_the_memos_are_bounded(self):
         assert 0 < harmonic._head.cache_info().maxsize < 1000
@@ -455,6 +466,12 @@ class TestLongOddWindows:
         common = math.lcm(*range(1, last + 1, 2))
         assert harmonic._HEAD_LCM == common
         assert harmonic._HEAD_FROM_1 == sum(common // d for d in range(1, last + 1, 2))
+
+    def test_head_pair_from_2_is_derived(self):
+        # The literal S(2, 40) is `_hi_lo` of N_2 = N_1 - L/1, bit for bit.
+        pair = oracle._hi_lo(harmonic._HEAD_FROM_1 - harmonic._HEAD_LCM, harmonic._HEAD_LCM)
+        assert [x.hex() for x in harmonic._ODD_HEAD_FROM_2] == [x.hex() for x in pair]
+        assert harmonic._odd_head(2) is harmonic._ODD_HEAD_FROM_2
 
     def test_head_pairs_round_the_exact_head(self):
         # From every a <= 40, hi is S(a, 40) correctly rounded and lo the

@@ -196,6 +196,40 @@ class TestPublicNames:
         assert loaded is True
 
 
+class TestFirstCalls:
+    def test_the_paper_s_first_sums_derive_no_constant(self):
+        # The k = 2 heads, the S(2, 40) pair and the 2Q coefficients are
+        # literals: a fresh interpreter's first C(2, 10**6), s(2, 10**5),
+        # N(10**6) and S(2, 10**6) reach the functions that hold them and
+        # call none that sums a head term or builds a coefficient.
+        calls = fresh(
+            "import json, os, sys\n"
+            "from harmlog import constants, factorial, harmonic\n"
+            "calls = set()\n"
+            "def name(code):\n"
+            "    return os.path.basename(code.co_filename)[:-3] + '.' + code.co_name\n"
+            "def profile(frame, event, arg):\n"
+            "    code = frame.f_code\n"
+            "    if event == 'call' and os.sep + 'harmlog' + os.sep in code.co_filename:\n"
+            "        calls.add((name(frame.f_back.f_code), name(code)))\n"
+            "sys.setprofile(profile)\n"
+            "harmonic.correction_sum(2, 10**6)\n"
+            "factorial.s_sum_exact(10**5)\n"
+            "constants.nr_empirical_limit(10**6)\n"
+            "harmonic.odd_harmonic_sum(2, 10**6)\n"
+            "sys.setprofile(None)\n"
+            "print(json.dumps(sorted(calls)))\n"
+        )
+        called = {callee for _, callee in calls}
+        assert {"harmonic._head", "harmonic._odd_head", "constants._two_q_fixed"} <= called
+        assert not called & {"harmonic._exact_parts", "harmonic._terms"}
+        # _hi_lo still serves oracle._ln_ratio, but not the head S(2, 40).
+        assert not {callee for caller, callee in calls if caller == "harmonic._odd_head"}
+        assert {name for name in called if name.startswith("constants.")} == {
+            "constants.nr_empirical_limit", "constants._two_q_fixed"
+        }
+
+
 class TestImportFootprint:
     def test_bare_package_imports_no_submodule(self):
         new = imported_by("import harmlog")

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmlog import constants, harmonic, oracle
+from harmlog import constants, factorial, harmonic, oracle
 
 _PREC = 50
 
@@ -565,3 +565,50 @@ def test_nr_empirical_limit_correctly_rounded_for_log_uniform_n_to_10_18():
     ns = [round(10 ** rng.uniform(math.log10(201), 18)) for _ in range(150)]
     for n in ns + [_NR_DIRECT, _NR_DIRECT + 1, 10**4, 10**6, 10**18]:
         assert constants.nr_empirical_limit(n) == float(_nr_referee(n)), n
+
+
+# The errors of the two series estimates against their own formulas,
+# measured: ln_factorial_series(n) = (n + 1/2) ln n - (n - 1) - s(n), s(n)
+# the sum of 1/(x**3 (2x-1)) for x = 2..n, and ln_integer(n, FULL) =
+# 2 S(2, n) + 2 C(2, n).  Over every n up to 2 * 10**5 the worst were 2.37 ulp
+# at n = 4077 and 0.997 ulp at n = 7566; both are among the cases below.
+_LN_FACTORIAL_SERIES_ULPS = 2.4
+_LN_INTEGER_FULL_ULPS = 1.0
+
+
+@functools.cache
+def _formula_errors() -> tuple[dict[int, Decimal], dict[int, Decimal]]:
+    """ulps of ln_factorial_series(n) and ln_integer(n, FULL) off their
+    formulas, for n = 2..3000, the two worst n above and 40 seeded n up to
+    10**5, from incremental 50-digit prefix sums."""
+    rng = random.Random(1901)
+    cases = {*range(2, 3001), 4077, 7566}
+    cases |= {round(10 ** rng.uniform(math.log10(3001), 5)) for _ in range(40)}
+    series, full = {}, {}
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        s = c = odd = Decimal(0)
+        for n in range(2, max(cases) + 1):
+            cube = n * n * n
+            s += Decimal(1) / (cube * (2 * n - 1))
+            c += Decimal(1) / (cube * (2 * n - 1) ** 2)
+            odd += Decimal(1) / (2 * n - 1)
+            if n in cases:
+                formula = (n + Decimal("0.5")) * Decimal(n).ln() - (n - 1) - s
+                series[n] = _ulps(factorial.ln_factorial_series(n), formula)
+                full[n] = _ulps(harmonic.ln_integer(n, harmonic.LogVariant.FULL), 2 * (odd + c))
+    return series, full
+
+
+def test_ln_factorial_series_within_2_4_ulp_of_its_formula():
+    series, _ = _formula_errors()
+    worst = max(series, key=series.get)
+    assert series[worst] <= _LN_FACTORIAL_SERIES_ULPS, worst
+    assert (worst, round(series[worst], 2)) == (4077, Decimal("2.37"))
+
+
+def test_ln_integer_full_within_1_ulp_of_its_formula():
+    _, full = _formula_errors()
+    worst = max(full, key=full.get)
+    assert full[worst] <= _LN_INTEGER_FULL_ULPS, worst
+    assert (worst, round(full[worst], 3)) == (7566, Decimal("0.997"))

@@ -1,7 +1,9 @@
+import copy
 import csv
 import io
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -140,6 +142,73 @@ class TestErrata:
             assert any(note in erratum for erratum in notes), note
 
 
+# Every table and every kind of sweep, as functions that build the report.
+EVERY_REPORT = [
+    *(pytest.param(lambda table_id=table_id: tables.build(table_id), id=table_id.value)
+      for table_id in TableId),
+    pytest.param(lambda: tables.sweep_ln_rational(3, 7, [1, 5, 40, 1000]), id="ln-p<q"),
+    pytest.param(lambda: tables.sweep_ln_rational(7, 3, [1, 5, 40, 1000]), id="ln-p>q"),
+    pytest.param(lambda: tables.sweep_ln_rational(3, 3, [1, 2, 1000]), id="ln-p=q"),
+    *(pytest.param(lambda method=method: tables.sweep_factorial([2, 5, 45, 160], method),
+                   id=f"factorial-{method.value}") for method in FactorialMethod),
+    pytest.param(lambda: tables.sweep_nr([1, 10, 100]), id="nr"),
+]
+
+
+def hash_or_error(record) -> object:
+    """hash(record), or the message of the TypeError it raises (a row's inputs
+    are a dict)."""
+    try:
+        return hash(record)
+    except TypeError as error:
+        return str(error)
+
+
+class TestRecordsWithoutInit:
+    """tables makes its rows and reports with `_frozen._record`, not their __init__."""
+
+    @pytest.mark.parametrize("report", EVERY_REPORT)
+    def test_the_records_of_the_public_constructors(self, report):
+        report = report()
+        rows = tuple(tables.Row(*row._values) for row in report.rows)
+        public = tables.TableReport(report.table_id, report.input_columns,
+                                    report.calculated_format, rows)
+        for made, built in [(report, public), *zip(report.rows, public.rows)]:
+            assert made.__class__ is built.__class__
+            assert made == built and repr(made) == repr(built)
+            assert hash_or_error(made) == hash_or_error(built)
+            for again in (pickle.loads(pickle.dumps(made)), copy.copy(made)):
+                assert again.__class__ is made.__class__
+                assert again == made and repr(again) == repr(made)
+
+    def test_pickle_rebuilds_through_init(self, monkeypatch):
+        row = tables.sweep_nr([10]).rows[0]
+        data = pickle.dumps(row)
+        calls = []
+        init = tables.Row.__init__
+
+        def counting(self, *args):
+            calls.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(tables.Row, "__init__", counting)
+        assert pickle.loads(data) == row
+        assert calls == [row._values]
+
+    def test_nr_gamma_rows_are_those_of_row(self):
+        # Label, parameter, match and a percent error bit-equal to
+        # percent_error, as _row builds them.
+        from harmlog import constants
+
+        for row, kind in zip(tables.build(TableId.NR_GAMMA).rows, constants.NrKind):
+            assert row.inputs["variant"] == kind.value
+            printed = row.printed
+            built = tables._row(row.inputs, row.calculated, row.reference, printed, 1e-9)
+            assert repr(row) == repr(built)
+            assert row.percent_error.hex() == built.percent_error.hex()
+            assert (printed is None) == (kind is not constants.NrKind.INTEGRAL)
+
+
 def csv_module_text(report: tables.TableReport) -> str:
     """The report's columns and cells through csv.writer, the CSV writer's reference."""
     buf = io.StringIO()
@@ -222,9 +291,16 @@ class TestSerialization:
               for method in FactorialMethod),
             lambda: tables.sweep_nr([1, 10, 100]),
             lambda: tables.TableReport("sweep", ("n",), "%.17g"),
+            # Several rows, of which exactly one cell needs quoting: the one
+            # scan of the joined text must send the whole report to quoting.
+            *(lambda note=note: tables.TableReport("sweep", ("n", "note"), "%g", tuple(
+                tables.Row({"n": n, "note": note if n == 2 else "plain"}, 1.0, 2.0, 3.0, None, None)
+                for n in (1, 2, 3)
+            )) for note in ("a,b", 'say "x"', "two\nlines")),
         ],
         ids=[*(t.value for t in TableId), "ln-p<q", "ln-p>q", "ln-p=q",
-             *(f"factorial-{m.value}" for m in FactorialMethod), "nr", "empty"],
+             *(f"factorial-{m.value}" for m in FactorialMethod), "nr", "empty",
+             "one-comma", "one-quote", "one-line-feed"],
     )
     def test_csv_writer_is_the_csv_module(self, report):
         # Table 2.3's "∞" and the errata notes with commas are among the cells.
@@ -268,7 +344,7 @@ class TestSerialization:
     def test_generate_takes_an_id_or_its_value(self, table_id):
         assert tables.generate(table_id) == tables.generate(TableId.T2_4)
 
-    @pytest.mark.parametrize("table_id", ["2.9", 0, "sweep", None])
+    @pytest.mark.parametrize("table_id", ["2.9", 0, "sweep", None, [], "NR_GAMMA"])
     def test_generate_rejects_anything_else(self, table_id):
         message = (
             f"unknown table {table_id!r}; use one of 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, nr-gamma"
