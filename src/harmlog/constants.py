@@ -27,8 +27,8 @@ from itertools import repeat
 from operator import truediv
 
 from ._frozen import Frozen
-from .errors import DomainError, shown
-from .harmonic import _HEAD_LCM, _check_work, _window, correction_sum
+from .errors import DomainError, OverflowLimitError, shown
+from .harmonic import _HEAD_LCM, _window, correction_sum
 from .oracle import LN2, _ln_fraction, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -40,6 +40,11 @@ EULER_GAMMA_REFERENCE = 0.5772156649015329
 # Term count at which the direct series' tail bound 1/(8 N**4) drops
 # below 1e-12.
 DIRECT_SERIES_CONVERGED_TERMS = 595
+
+# Most terms H_p may add one by one (`gamma_definition_check`): ~4.5 s at the
+# ~45 ns per term of its C-level loop (CPython 3.11, shared 2-vCPU x86-64
+# host).  Every other sum takes O(1) past a few dozen terms.
+MAX_TERMS = 10**8
 
 
 class NrKind(Enum):
@@ -169,6 +174,15 @@ def euler_gamma(v: NrVariant) -> float:
     if not isinstance(v, NrVariant):
         raise TypeError(f"euler_gamma requires an NrVariant, got {type(v).__name__}")
     return 2.0 - 2.0 * LN2 - v.value
+
+
+def _check_work(a: int, b: int) -> None:
+    """OverflowLimitError if summing the terms a..b one by one passes MAX_TERMS."""
+    if b - a + 1 > MAX_TERMS:
+        raise OverflowLimitError(
+            f"summing [{shown(a)}, {shown(b)}] term by term adds {shown(b - a + 1)} terms, "
+            f"over the limit of {MAX_TERMS}"
+        )
 
 
 def gamma_definition_check(p: int) -> float:

@@ -45,12 +45,10 @@ class FactorialEstimate(Frozen):
 
 
 def s_sum_exact(n: int) -> float:
-    """Partial sum of 1/(x**3 (2x-1)) for x = 2..n, within 1 ulp of the exact sum.
+    """Partial sum of 1/(x**3 (2x-1)) for x = 2..n, the exact sum rounded once.
 
-    It is the correctly rounded sum of the float terms, not the correctly
-    rounded exact sum: each term rounds its big-int denominator and then its
-    reciprocal (`harmonic._terms`), so the two differ for some n, the first
-    n = 5 (worst 0.80 ulp for n up to 3,000, judged in Fraction).
+    T(2) - T(n+1) in fixed point (`harmonic._decaying_sum`): within half an
+    ulp plus 2**-92 of the exact sum, relative, in O(1) for any n.
     """
     if n < 2:
         raise DomainError(f"s_sum_exact requires n >= 2, got {shown(n)}")

@@ -7,12 +7,11 @@ differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
 Every sum checks its index window with `_window`, which builds nothing: only
-a sum that adds terms one by one builds a range over them, and only those
-terms count against the work limit, `MAX_TERMS`.  An odd window with up to
-48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the correctly
-rounded value of the exact sum of its float terms (`math.fsum`, Shewchuk's
-algorithm, in a C-level loop), so the order of the terms does not change
-it.  A longer odd window is the same finite sum, not a different
+a sum that adds terms one by one builds a range over them.  An odd window
+with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
+correctly rounded value of the exact sum of its float terms (`math.fsum`,
+Shewchuk's algorithm, in a C-level loop), so the order of the terms does not
+change it.  A longer odd window is the same finite sum, not a different
 approximation, evaluated in O(1) within 0.501 ulp, whatever its start:
 from k = c = max(a, 41) on as four floats from the digamma function's
 expansion about x + 1/2 (`_psi_series`, and the integer logarithm
@@ -23,23 +22,21 @@ of a multiplier grid in one pass; `odd_harmonic_sum` is its grid of one.
 For every m with m lo >= 40, b/(c-1) is hi/lo itself, so the whole grid
 takes that logarithm from one `_ln_ratio` call (memoised in lowest terms).
 The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
-and the factorial's tail sum, r = 1, `_decaying_sum`) sum a head exactly
-and enclose the rest from a 16-coefficient Hurwitz-zeta polynomial, whose
-relative error is one proven width per series; when both ends of the
-enclosure round the sum to the same float, that float is the sum of every
-term, and otherwise the head doubles and the enclosure is tried again.
-Either way the result is bit-identical to summing every term.  One memo,
-`_head`, keeps each head, first or doubled, as its exact parts with the
-tail polynomial's value at its end, so a repeated window sums no head term,
-and the heads from k = 2, where every series in the paper starts, are literals.
+and the factorial's tail sum, r = 1, `_decaying_sum`) are each one
+exact difference of tails T(a) - T(b+1), integers in fixed point sized to
+the window's first term: a tail from m >= 64 is a Horner polynomial in m
+over literal integer coefficients, one from m < 64 a literal T(2) less the
+terms below m.  Rounded once, each is the exact sum within half an ulp
+plus 2**-92 relative, in O(1) from any start, with no memo and no work
+limit.
 """
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from enum import Enum
-from functools import cache, lru_cache
-from itertools import chain, islice, repeat
-from operator import index, mul, neg, truediv
+from functools import cache
+from itertools import repeat
+from operator import index, truediv
 
 from ._frozen import Frozen
 from .errors import (
@@ -55,17 +52,8 @@ from .oracle import _hi_lo, _ln_ratio
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
 DEFAULT_THRESHOLD = 150
 
-# Window indices stay below 2**63 - 1, so that the big-int denominator
-# k**3 (2k-1)**2 of a correction term still converts to a float.
+# Window indices stay below 2**63 - 1, the range the proofs below cover.
 _INDEX_CAP = 2**63 - 1
-
-# Most terms one sum may add one by one: 30-60 s at the slowest kernel's
-# 310-560 ns per term (a correction window too short for the tail enclosure,
-# CPython 3.11 on x86-64 Xeon VMs).
-# Only `_check_work` compares against it, before any term is added; a
-# window's length alone is not limited, since the odd sum past 48 terms and
-# the fast-decaying sums past their head take O(1).
-MAX_TERMS = 10**8
 
 
 class LogVariant(Enum):
@@ -88,213 +76,108 @@ def _window(a: int, b: int, first: int = 1) -> None:
     index(a), index(b)
 
 
-def _check_work(a: int, b: int) -> None:
-    """OverflowLimitError if summing the terms a..b one by one passes MAX_TERMS."""
-    if b - a + 1 > MAX_TERMS:
-        raise OverflowLimitError(
-            f"summing [{shown(a)}, {shown(b)}] term by term adds {shown(b - a + 1)} terms, "
-            f"over the limit of {MAX_TERMS}"
-        )
-
-
-def _terms(ks: range, r: int) -> Iterator[float]:
-    """1.0 / (k**3 (2k-1)**r) for k in ks, in a C-level loop.
-
-    The big-int denominator is rounded to a float once and divided once, as
-    in `1.0 / int`.
-    """
-    odd = range(2 * ks.start - 1, 2 * ks.stop - 1, 2 * ks.step)  # 2k-1 for k in ks
-    denominators = map(mul, map(pow, ks, repeat(3)), map(pow, odd, repeat(r)))
-    return map(truediv, repeat(1.0), denominators)
-
-
 # -- fast-decaying sums ------------------------------------------------------
-# For t(k) = 1/(k**3 (2k-1)**r) with r in {1, 2} and s0 = 3 + r,
-#     t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j k**-(s0+j),
-#     w_j = C(r+j-1, j) / 2**(j+r),
-# so the tail T(m) = sum_{k>=m} t(k) = sum_j w_j zeta(s0+j, m) (Hurwitz zeta).
-# With j < _J_TERMS and each zeta from Euler-Maclaurin with _EM_TERMS
-# Bernoulli terms (DLMF 2.10.1 with n -> infinity, f(x) = x**-s),
-#     zeta(s, m) = x**(s-1)/(s-1) + x**s/2
-#                  + sum_{i<=P} B_2i/(2i)! (s)_{2i-1} x**(s+2i-1) + R_P,
-# x = 1/m and (s)_n the rising factorial, T(m) is x**(s0-1) sum_n a_n x**n
-# (n <= 25) plus remainders.  That(m) (`_tail`) keeps the degrees n < 16,
-# A(x) = sum_{n<16} a_n x**n, evaluated in binary64 by Horner's rule.
-# `_decaying_sum` sums a head [a, h] exactly and puts the rest [h+1, b] in
-# [tail - delta, tail + delta], tail = That(h+1) - That(b+1).
+# For t(k) = 1/(k**3 (2k-1)**r) with r in {1, 2} and s0 = 3 + r, the window
+# [a, b] is V = T(a) - T(b+1), T(m) = sum_{k>=m} t(k).  `_decaying_sum` takes
+# both tails in fixed point, as integers in units of 2**-w, and rounds their
+# difference once.
 #
-# The width.  For every m >= 17, |T(m) - That(m)| <= W_r That(m), with one
-# literal W_r per series (`_TAIL_WIDTHS`).  |T(m) - That(m)| is at most
-# x**(s0-1) N(x), where N sums four polynomials in x with nonnegative
-# coefficients:
-# 1. The j-series truncation.  With v = 1/(2k) <= x/2, the omitted part of
-#    (1 - v)**-r is v**J of it for r = 1 and (J+1-Jv) v**J <= (J+1) v**J of it
-#    for r = 2, so it is at most (J+1) (x/2)**J T(m); and T(m) <=
-#    (34/33)**r 2**-r x**(s0-1) (1/(s0-1) + x), from (1 - v)**-r <= (34/33)**r
-#    for k >= 17 and sum_{k>=m} k**-s <= x**s + x**(s-1)/(s-1).
-# 2. The Euler-Maclaurin remainders.  DLMF 2.10.2 writes R_P as an integral
-#    of (B_2(P+1) - B~_2(P+1)(x)) f^(2P+2)(x) / (2P+2)!, and |B~_2n(x)| <=
-#    |B_2n| (DLMF 24.9.1), so |R_P| <= 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1}
-#    x**(s+2P+1) (f^(2P+2) > 0 integrates to |f^(2P+1)(m)|).  Weighted by
-#    w_j, these are coefficients e_n >= 0 of degrees 2P+2 = 16 to 27.
-# 3. The dropped degrees, |a_n| x**n for n = 16..25.
-# 4. The float error of That(m).  x = 1.0/m is two roundings off 1/m; a_n is
-#    rounded once; Horner's rule gives a_n x**n a factor (1 + theta_{2n+1})
-#    (Higham, Accuracy and Stability, eq. 5.3); x**(s0-1) takes s0-2 products
-#    and the final product one more.  So the term of degree n is off by at
-#    most gamma_K |a_n| x**(s0-1+n), K = 3 s0 + 4n + 1, gamma_K = Ku/(1-Ku)
-#    (Higham lemma 3.1), u = 2**-53; call their sum x**(s0-1) G(x).
-# N grows with x, so N(x) <= N(1/17).  That(m) >= x**(s0-1) (A(x) - G(x)),
-# and A(x) is at least D = a_0 plus its negative terms taken at x = 1/17, so
-# That(m) >= x**(s0-1) (D - G(1/17)).  Hence the ratio at m = 17 bounds
-# every m >= 17: N(1/17) / (D - G(1/17)) is 24.04u for the correction sum
-# and 15.63u for the factorial's tail, rounded up to W_2 = 24.1u and
-# W_1 = 15.7u.  Item 4 is most of it (16.7u and 13.4u of That(17)).
+# Tails from m >= 64.  t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j
+# k**-(s0+j), w_j = C(r+j-1, j) / 2**(j+r), so T(m) = sum_j w_j zeta(s0+j, m)
+# (Hurwitz zeta), and Euler-Maclaurin on each zeta (DLMF 2.10.1)
+# gives T(m) = m**-(s0-1) sum_n a_n m**-n with exact rational a_n.  The
+# degrees n <= 20 are kept as integers c_n over one common denominator L,
+# a_n = c_n / L (`_TAIL_NUMERATORS`, `_TAIL_DENOMINATOR`).  Keeping only the
+# degrees n <= d leaves an error under R_d m**-(s0+d) for every m >= 64.
+# R_d takes the next three degrees at |a_n| and bounds the rest by parts
+# (the binomial series past the kept j, zeta(s, m) - m**(1-s)/(s-1) in
+# [0, m**-s], and each Euler-Maclaurin remainder, at most 2 |B_2(P+1)| /
+# (2P+2)! (s)_{2P+1} m**-(s+2P+1) by DLMF 2.10.2 and 24.9.1), all with
+# nonnegative coefficients in 1/m, so R_d taken at m = 64 holds for every
+# larger m.  For every d <= 20, R_d <= 2**(d-1), in both series.  With
+# e = m.bit_length() - 1, m >= 2**e, so the least d >= 0 with
+# e (s0 + d) >= w + d leaves an error under 2**-(w+1): half a unit.  The
+# widest w of a window makes that d at most 20 (at e = 6).  The kept part is the
+# exact fraction N / (L m**(s0-1+d)), N = sum_{n<=d} c_n m**(d-n) by Horner's
+# rule in m, floored once in units of 2**-w: the tail is within (-1.5, 0.5]
+# units of 2**w T(m).
 #
-# delta covers the gap between the tail and R, the exact sum of the float
-# terms fl(t(k)) for k = h+1..b that summing every term would add.  fl(t(k))
-# rounds the big-int denominator to a float and then its reciprocal, so
-# |R - R*| <= 2u/(1-u) R*, R* = T(h+1) - T(b+1) <= (1 + W) That(h+1) (no term
-# is subnormal: k < 2**63 keeps t(k) above 2**-320).  |R* - (That(h+1) -
-# That(b+1))| <= W (That(h+1) + That(b+1)), and the subtraction rounds once,
-# by at most u (1 + 3W) That(h+1).  So
-#     |R - tail| <= 1.001 (3u That(h+1) + W (That(h+1) + That(b+1))),
-# where the factor 1.001 covers the products of u and W with the rest and the
-# rounding of delta's own few operations (each well under 1e-12 relative).
-# The ends tail -+ delta round once more, so they are moved one float outward
-# with math.nextafter.  fsum is correctly rounded, hence monotone: when
-# fsum(head + [lo]) equals fsum(head + [hi]), it equals the sum of every term.
+# Tails from m < 64.  T(m) is T(2) less the terms k = 2..m-1.  T(2) is a
+# literal in units of 2**-136 (`_TAIL_FROM_2`; in closed form zeta(3) + 5 pi**2/3
+# - 24 ln 2 - 1 for r = 2 and 8 ln 2 - pi**2/3 - zeta(3) - 1 for r = 1); each term
+# is an int quotient in the same units, and the difference is shifted down
+# to units of 2**-w, w <= 125 here: within (-1.01, 0.03) units of 2**w T(m).
 #
-# The coefficients a_n are literals (`_TAIL_POLYNOMIALS`), each the correctly
-# rounded value of an exact rational, written as its shortest round-tripping
-# decimal, so no process spends time deriving them.
-# `fraction_tail_polynomials` in tests/test_harmonic.py derives them and
-# N(1/17) / (D - G(1/17)) from _EM_TERMS, _J_TERMS and the Bernoulli numbers
-# in Fraction arithmetic, and the tests check every coefficient against it bit
-# for bit and each W_r against the bound.
-_EM_TERMS = 7  # Bernoulli numbers B2..B14 kept; B16 bounds the remainder
-_J_TERMS = 12  # j = 0..11; item 1 is then under 0.06u of That(m) from m = 17
-_U = 2.0**-53
-# Terms a head holds in memory at a time; `_exact_parts` folds each chunk
-# into a few floats, so a head of any length takes little memory.
-_CHUNK = 1 << 14
-
-
-# a_n for n = 15 down to 0, keyed by r: 2 is the correction sum and 1 the
-# factorial's tail.
-_TAIL_POLYNOMIALS = {
+# The unit.  a**3 (2a-1)**r < 2**(s0 L + r) for L = a.bit_length(), so
+# w = s0 L + r + 53 + _GUARD_BITS puts 2**-w below 2**-93 t(a) <= 2**-93 V.
+# The two tails are each within (-1.5, 0.5] units, so their difference is
+# within 2 units, under 2**-92 V, of 2**w V.  math.ldexp rounds that integer
+# to a float once and scales it by 2**-w exactly (V is above 2**-320, far
+# from subnormal).  So the sum is within half an ulp plus 2**-92 V of V: the
+# correctly rounded V unless V lies that close to a midpoint of two floats.
+# tests/test_referee.py checks that bound and the rounding on every window
+# [2, n] to n = 3,000 and on sampled windows up to the index cap, and
+# tests/test_harmonic.py derives every literal and R_d in Fraction.
+_GUARD_BITS = 40
+_HEAD_BITS = 136
+_TAIL_DENOMINATOR = 3742877268049920
+# c_0 .. c_20 for r = 2 (the correction sum) and r = 1 (the factorial's tail).
+_TAIL_NUMERATORS = {
     2: (
-        109.94266183035714, 13.010367838541667, -14.184375, -1.88665771484375,
-        2.3363037109375, 0.3595226469494048, -0.49768522493131867, -0.07381184895833333,
-        0.17915482954545456, 0.078515625, 0.0109375, 0.10872395833333333,
-        0.23660714285714285, 0.2604166666666667, 0.175, 0.0625,
+        233929829253120, 655003521908736, 974707621888000, 885591496458240,
+        406940432138240, 40937720119296, 293874347999232, 670554538967040,
+        -276268691578880, -1862774715039744, 1345649142616064, 8744498050928640,
+        -7061342660211840, -53088795776400384, 48701264423908096, 411504740833655040,
+        -421905258282919840, -3960901509968754624, 4488598241054582928,
+        46352736416214468240, -57531134976832471955,
     ),
     1: (
-        35.851719835069446, 14.1841796875, -5.20391845703125, -2.3330973307291667,
-        0.9791003999255953, 0.5072036687271062, -0.24601236979166666, -0.14760890151515152,
-        0.097265625, 0.08229166666666667, -0.018880208333333332, 0.01488095238095238,
-        0.17708333333333334, 0.31666666666666665, 0.3125, 0.16666666666666666,
+        623812878008320, 1169649146265600, 1185244468215808, 662801182883840,
+        55697578393600, -70666302586880, 308007608516608, 364053296775168,
+        -552482002042880, -920794106552320, 1898401081950208, 3664652630020096,
+        -8732466503720960, -19477385372565120, 53090373853124608, 134188971109217024,
+        -411500687543728640, -1162450424460834080, 3960894212165607808,
+        12366930328894766352, -46352714242128213920,
     ),
 }
-# W_r, the proven bound on |T(m) - That(m)| / That(m) for m >= 17.
-_TAIL_WIDTHS = {2: 24.1 * _U, 1: 15.7 * _U}
-
-
-def _tail(m: int, r: int) -> float:
-    """That(m), the tail from k = m on, within W_r That(m) for m >= 17 (see above).
-
-    Horner's rule on A(x), written out from a_15 down to a_0, times
-    x**(s0-1) as a product of x's taken from the left.
-    """
-    a15, a14, a13, a12, a11, a10, a9, a8, a7, a6, a5, a4, a3, a2, a1, a0 = _TAIL_POLYNOMIALS[r]
-    x = 1.0 / m
-    value = (((((((((((((((a15 * x + a14) * x + a13) * x + a12) * x + a11) * x + a10) * x + a9)
-        * x + a8) * x + a7) * x + a6) * x + a5) * x + a4) * x + a3) * x + a2) * x + a1) * x + a0)
-    power = x * x * x
-    return value * (power * x if r == 2 else power)
-
-
-def _tail_enclosure(first: int, last: int, r: int, t_first: float) -> tuple[float, float]:
-    """Floats lo <= hi around the exact sum of the float terms for k = first..last.
-
-    t_first is `_tail(first, r)`, from the head that ends at first - 1.
-    Proven for first >= 17 (see above).
-    """
-    t_last = _tail(last + 1, r)
-    tail = t_first - t_last
-    delta = 1.001 * (3.0 * _U * t_first + _TAIL_WIDTHS[r] * (t_first + t_last))
-    return math.nextafter(tail - delta, -math.inf), math.nextafter(tail + delta, math.inf)
-
-
-def _exact_parts(terms: Iterator[float]) -> list[float]:
-    """A few floats whose exact sum is the exact sum of terms.
-
-    fsum rounds the exact sum correctly, so each part leaves a residual
-    2**-53 times smaller that is still a sum of floats, hence a multiple of
-    the smallest ulp among them: it reaches exactly zero after a few parts.
-    """
-    parts: list[float] = []
-    while chunk := list(islice(terms, _CHUNK)):
-        values, parts = parts + chunk, []
-        while part := math.fsum(chain(values, map(neg, parts))):
-            parts.append(part)
-    return parts
-
-
-# The first head [2, 16] of each series, as `_head(2, 16, r)` would build it:
-# its exact parts and `_tail(17, r)`.  tests/test_harmonic.py derives both.
-_FIRST_HEADS = {
-    2: ((0.015864355255338754, -5.397717456378029e-19), 8.829478324700383e-07),
-    1: ((0.053214512047626034, 7.165898733771381e-19), 3.789557588928057e-05),
+# floor(2**136 T(2)).
+_TAIL_FROM_2 = {
+    2: 1382057166730137839791232538631852659508,
+    1: 4638938959454315457597875505461123146776,
 }
 
 
-@lru_cache(maxsize=128)
-def _head(a: int, h: int, r: int) -> tuple[tuple[float, ...], float]:
-    """The exact parts of the head [a, h], h = 8a 2**i, and `_tail(h + 1, r)`, memoised.
+def _fixed_tail(m: int, w: int, r: int) -> int:
+    """T(m) in units of 2**-w, within (-1.5, 0.5] units (see above).
 
-    The head [2, 16] is its literal; a doubled head is the parts of [a, h/2],
-    themselves memoised, and the terms (h/2, h].
+    w is at most 125 for m < 64, as `_decaying_sum` sizes it.
     """
-    if h == 16 and a == 2:
-        return _FIRST_HEADS[r]
-    start = h // 2 if h > 8 * a else a - 1
-    below = _head(a, start, r)[0] if h > 8 * a else ()
-    terms = chain(below, _terms(range(h, start, -1), r))
-    return tuple(_exact_parts(terms)), _tail(h + 1, r)
+    if m < 64:
+        tail = _TAIL_FROM_2[r]
+        if m > 2:
+            one = 1 << _HEAD_BITS
+            tail -= sum(one // (k**3 * (2 * k - 1) ** r) for k in range(2, m))
+        return tail >> (_HEAD_BITS - w)
+    s0, e = 3 + r, m.bit_length() - 1
+    d = -((s0 * e - w) // (e - 1))  # the least d with e (s0 + d) >= w + d
+    if d < 0:
+        d = 0
+    numerator = 0
+    for c in _TAIL_NUMERATORS[r][: d + 1]:
+        numerator = numerator * m + c
+    return (numerator << w) // (_TAIL_DENOMINATOR * m ** (s0 - 1 + d))
 
 
 def _decaying_sum(a: int, b: int, r: int) -> float:
     """Sum of 1/(k**3 (2k-1)**r) for k = a..b, r in {1, 2}; b = a-1 is empty.
 
-    Bit-identical to math.fsum over every term.  The head [a, h] first ends at
-    h = 8a, so the tail starts at h + 1 >= 17 and, for a window far longer
-    than its head, is a share of about 8**-(s0-1) of the sum: small enough
-    that its enclosure rarely straddles a rounding boundary.  When it does,
-    the head doubles, which adds only h terms and shrinks the tail by a
-    factor of about 2**(s0-1); a growth of 8h cost more on average, timed
-    over the straddling windows of the factorial's tail (a = 2, b up to
-    10**18).  Once the window ends by 2h, the head and the rest of the
-    window are summed term by term.
-
-    Every series of the paper starts at a = 2, so the same heads recur: each
-    head, first or doubled, is memoised with That at its end (`_head`; the
-    heads [2, 16] are literals), and a repeated window sums no head term.
-    The work limit is checked before each lookup, as before the sum.
+    T(a) - T(b+1) in units of 2**-w, w sized to the first term, rounded
+    once: within half an ulp plus 2**-92 of the exact sum, relative (see
+    above), in O(1) from any a.
     """
     _window(a, b, first=2)
-    head, summed, h = (), a - 1, 8 * a
-    while b > 2 * h:
-        _check_work(a, h)
-        head, t_first = _head(a, h, r)
-        summed = h
-        lo, hi = _tail_enclosure(h + 1, b, r, t_first)
-        low = math.fsum(head + (lo,))
-        if low == math.fsum(head + (hi,)):
-            return low
-        h *= 2
-    _check_work(a, b)
-    return math.fsum(chain(head, _terms(range(b, summed, -1), r)))
+    w = (3 + r) * a.bit_length() + r + 53 + _GUARD_BITS
+    return math.ldexp(_fixed_tail(a, w, r) - _fixed_tail(b + 1, w, r), -w)
 
 
 # -- long odd windows --------------------------------------------------------
@@ -457,7 +340,11 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 
 
 def correction_sum(a: int, b: int) -> float:
-    """Sum of 1/(k**3 (2k-1)**2) for k = a..b; empty range is 0."""
+    """Sum of 1/(k**3 (2k-1)**2) for k = a..b, the exact sum rounded once; empty range is 0.
+
+    T(a) - T(b+1) in fixed point (`_decaying_sum`): within half an ulp plus
+    2**-92 of the exact sum, relative, in O(1) from any a.
+    """
     return _decaying_sum(a, b, 2)
 
 

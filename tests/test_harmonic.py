@@ -1,12 +1,14 @@
+import functools
 import math
 import random
 import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from harmlog import factorial, harmonic, oracle
+from harmlog import harmonic, oracle
 from harmlog.errors import (
     DomainError,
     NegativeInputError,
@@ -15,6 +17,7 @@ from harmlog.errors import (
 )
 from harmlog.harmonic import LogVariant, ScaledRational
 from harmlog.oracle import ln_value
+from test_cli import NR_SERIES, S_TAIL
 
 
 def brute_odd_harmonic(a: int, b: int, scale: int = 10**30) -> float:
@@ -101,303 +104,208 @@ class TestCorrectionSum:
         assert harmonic.correction_sum(5, 4) == 0.0
 
 
-def plain_correction(a: int, b: int) -> float:
-    """Every term of C(a, b), summed by math.fsum."""
-    return math.fsum(1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(a, b + 1))
-
-
-def plain_s_sum(n: int) -> float:
-    """Every term of the factorial's tail sum, summed by math.fsum."""
-    return math.fsum(1.0 / (x**3 * (2 * x - 1)) for x in range(2, n + 1))
-
-
 _CAP = 2**63 - 1
-# The 16 windows [2, b] of the factorial's tail, b = 33..4152, whose
-# enclosure straddles a rounding boundary more than once: (b, straddles).
-MULTI_STRADDLES = [
-    (674, 2), (860, 3), (895, 2), (1097, 2), (1123, 2), (1139, 2), (1185, 2), (1558, 2),
-    (1645, 2), (2188, 3), (2193, 2), (2762, 2), (3084, 2), (3508, 2), (3557, 3), (3782, 2),
-]
-
-
-def clear_head_memo() -> None:
-    harmonic._head.cache_clear()
-
 
 # The two decaying series by r, the exponent of 2k-1 in 1/(k**3 (2k-1)**r);
 # each id names the exponents of k and 2k-1.
 KERNELS = [pytest.param(2, id="3-2"), pytest.param(1, id="3-1")]
 
 
+def term(k: int, r: int) -> Fraction:
+    return Fraction(1, k**3 * (2 * k - 1) ** r)
+
+
+def unit_bits(a: int, r: int) -> int:
+    """w of the window [a, b], as `harmonic._decaying_sum` sizes it."""
+    return (3 + r) * a.bit_length() + r + 53 + harmonic._GUARD_BITS
+
+
 class TestDecayingSum:
-    """The tail shortcut of correction_sum and s_sum_exact changes no bit."""
+    """correction_sum and s_sum_exact: T(a) - T(b+1) in fixed point, rounded once."""
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        a_exp=st.floats(min_value=0.31, max_value=4.0),
-        width_exp=st.floats(min_value=0.0, max_value=6.0),
-    )
-    def test_correction_sum_is_the_plain_sum(self, a_exp, width_exp):
-        a = round(10**a_exp)
-        b = a + round(10**width_exp) - 1
-        assert harmonic.correction_sum(a, b) == plain_correction(a, b)
+    @pytest.mark.parametrize("r", KERNELS)
+    @pytest.mark.parametrize("a", [2, 3, 63, 64, 65, 10**6, _CAP])
+    def test_an_empty_window_is_positive_zero(self, r, a):
+        value = harmonic._decaying_sum(a, a - 1, r)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    @settings(max_examples=15, deadline=None)
-    @given(n_exp=st.floats(min_value=0.31, max_value=6.0))
-    def test_s_sum_exact_is_the_plain_sum(self, n_exp):
-        n = round(10**n_exp)
-        assert factorial.s_sum_exact(n) == plain_s_sum(n)
-
-    @pytest.mark.parametrize(
-        "a, b", [(_CAP - 3000, _CAP), (_CAP, _CAP), (2**62, 2**62 + 5000), (2**53 - 7, 2**53 + 7)]
-    )
-    def test_near_the_index_cap(self, a, b):
-        assert harmonic.correction_sum(a, b) == plain_correction(a, b)
+    @pytest.mark.parametrize("r", KERNELS)
+    @pytest.mark.parametrize("a", [2, 3, 40, 62, 63, 64, 65, 127, 128, 10**6, 2**53 + 1, _CAP])
+    def test_a_single_term_is_within_half_an_ulp_and_2_to_the_minus_92(self, r, a):
+        # Correctly rounded unless the term lies that close to a midpoint,
+        # as 1/(a**3 (2a-1)) does for a = 2**53 + 1: 2**-213 (1 - 3.5 2**-53
+        # + O(2**-104)).
+        value, exact = harmonic._decaying_sum(a, a, r), term(a, r)
+        assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2 + exact / 2**92
 
     @pytest.mark.parametrize("r", KERNELS)
     @pytest.mark.parametrize(
-        "first, last",
-        [(67, 300), (67, 4000), (700, 9000), (2**40, 2**40 + 2000), (_CAP - 2000, _CAP)]
-        # The first tail of a head [a, 8a] for a = 2, 3, 5 and 9, and the
-        # tails after the head [2, 16] doubled once, twice and three times.
-        + [(first, last) for first in (17, 25, 41, 73, 33, 65, 129) for last in (first + 40, 4000)],
-    )
-    def test_enclosure_holds_the_exact_sum_of_the_float_terms(self, r, first, last):
-        terms = harmonic._terms(range(first, last + 1), r)
-        exact = sum(map(Fraction, terms))
-        lo, hi = harmonic._tail_enclosure(first, last, r, harmonic._tail(first, r))
-        assert lo <= exact <= hi
-
-    def test_falls_back_when_the_enclosure_straddles_a_rounding_boundary(self, monkeypatch):
-        a, b = 2, 5000
-        proven = harmonic._tail_enclosure
-
-        def wide(*args):
-            lo, hi = proven(*args)
-            return lo / 2, hi * 2
-
-        monkeypatch.setattr(harmonic, "_tail_enclosure", wide)
-        head = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), 2))
-        lo, hi = wide(17, b, 2, harmonic._tail(17, 2))
-        assert math.fsum(head + [lo]) != math.fsum(head + [hi])
-        assert harmonic._decaying_sum(a, b, 2) == plain_correction(a, b)
-
-    @pytest.mark.parametrize(
-        "a, b", [(5015, 364619768921238531), (9069, 4536968482200627615)]
-    )
-    def test_a_straddling_enclosure_grows_the_head(self, a, b):
-        # At h = 8a the enclosure straddles a rounding boundary; one growth
-        # of the head settles it, where summing the window would never end.
-        h = 8 * a
-        head = harmonic._exact_parts(harmonic._terms(range(h, a - 1, -1), 2))
-        lo, hi = harmonic._tail_enclosure(h + 1, b, 2, harmonic._tail(h + 1, 2))
-        low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
-        assert low != high
-        start = time.perf_counter()
-        value = harmonic.correction_sum(a, b)
-        assert time.perf_counter() - start < 1.0
-        assert low <= value <= high
-
-    @pytest.mark.parametrize("b, straddles", MULTI_STRADDLES)
-    def test_windows_that_straddle_more_than_once(self, b, straddles):
-        # The factorial's tail from a = 2: the enclosures after the heads
-        # [2, 16], [2, 32] (and [2, 64]) straddle before one settles or the
-        # window ends within twice the head.
-        plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
-        for h in (16, 32, 64)[:straddles]:
-            head = harmonic._exact_parts(harmonic._terms(range(h, 1, -1), 1))
-            lo, hi = harmonic._tail_enclosure(h + 1, b, 1, harmonic._tail(h + 1, 1))
-            low, high = math.fsum(head + [lo]), math.fsum(head + [hi])
-            assert low != high
-            assert low <= plain <= high
-        assert harmonic._decaying_sum(2, b, 1) == plain
-        assert factorial.s_sum_exact(b) == plain
-
-    @pytest.mark.parametrize("a", range(2, 10))
-    def test_windows_past_the_first_head_of_a_small_start(self, a):
-        # b from 2h + 1, h = 8a, up to 2 max(a + 64, 8a): the windows that an
-        # earlier, longer first head [a, max(a + 64, 8a)] summed term by term.
-        for b in range(16 * a + 1, 2 * max(a + 64, 8 * a) + 1):
-            assert harmonic.correction_sum(a, b) == plain_correction(a, b)
-            assert harmonic._decaying_sum(a, b, 1) == math.fsum(
-                1.0 / (k**3 * (2 * k - 1)) for k in range(a, b + 1)
-            )
-
-    @staticmethod
-    def terms_summed(monkeypatch, a, b, r, memoised=False):
-        """Terms _decaying_sum(a, b, r) sums one by one: with the head memo
-        cleared, or, if memoised, after a first identical call has filled it."""
-        clear_head_memo()
-        if memoised:
-            harmonic._decaying_sum(a, b, r)
-        counted = []
-        terms = harmonic._terms
-
-        def counting(ks, r):
-            for term in terms(ks, r):
-                counted.append(term)
-                yield term
-
-        monkeypatch.setattr(harmonic, "_terms", counting)
-        harmonic._decaying_sum(a, b, r)
-        return len(counted)
-
-    def test_the_first_head_ends_at_8a(self, monkeypatch):
-        # From a = 3, whose first head [3, 24] is not a literal.
-        assert self.terms_summed(monkeypatch, 3, 10**6, 2) == 22
-
-    def test_a_straddle_doubles_the_head(self, monkeypatch):
-        # The enclosures after [2, 16] and [2, 32] straddle, the one after
-        # [2, 64] settles: the literal [2, 16] and 48 terms, where growing the
-        # head eightfold sums [17, 128].
-        assert self.terms_summed(monkeypatch, 2, 674, 1) == 48
-
-    @pytest.mark.parametrize(
-        "b, r",
+        "a, b",
         [
-            pytest.param(10**6, 2, id="1000000-3-2"),
-            pytest.param(10**5, 1, id="100000-3-1"),
-            pytest.param(10**18, 1, id="1000000000000000000-3-1"),
+            (10**6 + 1, 2 * 10**6),
+            (10**8 + 1, 4 * 10**8),
+            (5015, 364619768921238531),
+            (9069, 4536968482200627615),
+            (2, _CAP),
+            (2**62, _CAP),
         ],
     )
-    def test_a_repeated_start_sums_no_head_term(self, monkeypatch, b, r):
-        # The enclosure after the first head [2, 16] settles these windows.
-        assert self.terms_summed(monkeypatch, 2, b, r, memoised=True) == 0
-
-    def test_a_straddle_after_a_memo_hit_sums_no_head_term(self, monkeypatch):
-        # [2, 674] straddles after [2, 16] and [2, 32]: the doubled heads
-        # [2, 32] and [2, 64] are memoised too, so none of them is summed again.
-        assert self.terms_summed(monkeypatch, 2, 674, 1, memoised=True) == 0
-
-    @pytest.mark.parametrize("r", KERNELS)
-    @pytest.mark.parametrize("a", [2, 3, 7, 41])
-    def test_a_head_ends_in_the_tail_at_the_next_index(self, r, a):
-        # The first head [a, 8a] and the heads doubled from it.
-        clear_head_memo()
-        for h in (8 * a, 16 * a, 32 * a):
-            parts, end = harmonic._head(a, h, r)
-            assert end.hex() == harmonic._tail(h + 1, r).hex()
-            exact = sum(map(Fraction, harmonic._terms(range(a, h + 1), r)))
-            assert sum(map(Fraction, parts)) == exact
-
-    @pytest.mark.parametrize("b, straddles", MULTI_STRADDLES)
-    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_straddles(self, b, straddles):
-        plain = math.fsum(1.0 / (k**3 * (2 * k - 1)) for k in range(2, b + 1))
-        clear_head_memo()
-        cleared = harmonic._decaying_sum(2, b, 1)
-        hit = harmonic._decaying_sum(2, b, 1)
-        assert harmonic._head.cache_info().hits >= 1
-        assert cleared.hex() == hit.hex() == plain.hex()
-
-    @pytest.mark.parametrize("r", KERNELS)
-    def test_memo_hit_cleared_memo_and_plain_sum_agree_on_seeded_windows(self, r):
-        rng = random.Random(1409 + r)
-        windows = [(2, rng.randint(2, 5000)) for _ in range(60)]
-        windows += [(rng.randint(2, 200), rng.randint(2000, 6000)) for _ in range(60)]
-        for a, b in windows:
-            plain = math.fsum(1.0 / (k**3 * (2 * k - 1) ** r) for k in range(a, b + 1))
-            clear_head_memo()
-            cleared = harmonic._decaying_sum(a, b, r)
-            hit = harmonic._decaying_sum(a, b, r)
-            assert cleared.hex() == hit.hex() == plain.hex(), (a, b)
-
-    @pytest.mark.parametrize("r", KERNELS)
-    def test_the_first_heads_from_2_are_derived(self, r):
-        # The literal is what the memo's build would make of [2, 16]: its
-        # exact parts and the tail from 17, bit for bit; `_head` returns it.
-        parts, end = harmonic._FIRST_HEADS[r]
-        built = harmonic._exact_parts(harmonic._terms(range(16, 1, -1), r))
-        assert [part.hex() for part in parts] == [part.hex() for part in built]
-        assert end.hex() == harmonic._tail(17, r).hex()
-        assert harmonic._head(2, 16, r) is harmonic._FIRST_HEADS[r]
-
-    def test_the_memos_are_bounded(self):
-        assert 0 < harmonic._head.cache_info().maxsize < 1000
-
-    def test_the_work_limit_is_checked_before_the_memo(self, monkeypatch):
-        harmonic._decaying_sum(2, 10**6, 2)
-        monkeypatch.setattr(harmonic, "MAX_TERMS", 14)
-        with pytest.raises(OverflowLimitError):
-            harmonic._decaying_sum(2, 10**6, 2)
-
-    def test_exact_parts_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(harmonic, "_CHUNK", 7)
-        terms = [1.0 / (k**3 * (2 * k - 1) ** 2) for k in range(2, 100)] + [1e10, 3.0, -1e10]
-        parts = harmonic._exact_parts(iter(terms))
-        assert sum(map(Fraction, parts)) == sum(map(Fraction, terms))
-        assert len(parts) < 5
+    def test_a_long_window_from_any_start_takes_o1(self, r, a, b):
+        # Windows that summed their terms one by one, or their heads past
+        # the first doubling, before the tails were exact: a few µs each.
+        start = time.perf_counter()
+        value = harmonic._decaying_sum(a, b, r)
+        assert time.perf_counter() - start < 0.05
+        (first_lo, first_hi), (end_lo, end_hi) = exact_tail(a, r), exact_tail(b + 1, r)
+        assert float(first_lo - end_hi) == value == float(first_hi - end_lo)
 
 
-def fraction_tail_polynomials(r: int) -> tuple[tuple[float, ...], Fraction]:
-    """`harmonic._TAIL_POLYNOMIALS[r]` and the bound that `_TAIL_WIDTHS[r]` rounds up,
-    derived in `Fraction`.
+# -- the tail expansion ------------------------------------------------------
+# T(m) = sum_{k>=m} 1/(k**3 (2k-1)**r) = m**-(s0-1) sum_n a_n m**-n, s0 = 3 + r,
+# as harmonic derives it: the binomial series of (1 - 1/(2k))**-r, then
+# Euler-Maclaurin on each Hurwitz zeta, collected by degree.  Every bound is
+# taken at m = 64 and holds for every larger m, since its coefficients in 1/m
+# are nonnegative.
+_KEPT_DEGREES = 21  # degrees 0..20
+_FROM = 64
 
-    The bound is N(1/17) / (D - G(1/17)) of harmonic's proof.  N, the sum of
-    the j-series truncation, the Euler-Maclaurin remainders, the dropped
-    degrees and the Horner error G, has nonnegative coefficients, so it grows
-    with x = 1/m and its value at x = 1/17 bounds every m >= 17.  A(x), the
-    kept polynomial, is at least D = a_0 plus its negative terms at x = 1/17
-    for every x <= 1/17, so That(m) >= x**(s0-1) (D - G(1/17)).
+
+@functools.cache
+def bernoulli(count: int) -> tuple[Fraction, ...]:
+    """B_0 .. B_2count from sum_{j<=m} C(m+1, j) B_j = 0, in exact fractions."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return tuple(b)
+
+
+def binomial_weight(j: int, r: int) -> Fraction:
+    """w_j, the coefficient of k**-(s0+j) in 1/(k**3 (2k-1)**r)."""
+    return Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
+
+
+@functools.cache
+def tail_coefficients(r: int, top: int) -> tuple[Fraction, ...]:
+    """a_0 .. a_top in Fraction."""
+    b = bernoulli(top // 2 + 1)
+    a = [Fraction(0)] * (top + 1)
+    for j in range(top + 1):
+        w, s = binomial_weight(j, r), 3 + r + j
+        a[j] += w / (s - 1)  # the integral m**(1-s)/(s-1)
+        if j + 1 <= top:
+            a[j + 1] += w / 2  # half the first term
+        for i in range(1, (top - j) // 2 + 1):  # B_2i/(2i)! (s)_{2i-1} m**(1-s-2i)
+            rising = math.perm(s + 2 * i - 2, 2 * i - 1)
+            a[j + 2 * i] += w * b[2 * i] / math.factorial(2 * i) * rising
+    return tuple(a)
+
+
+def remainder_bound(r: int, d: int, m: int = _FROM) -> Fraction:
+    """R with |T(m') - sum_{n<=d} a_n m'**-(s0-1+n)| <= R m'**-(s0+d) for all m' >= m.
+
+    The parts: the binomial series past j = d, each zeta(s, m') at most
+    m'**(1-s) (1/(s-1) + 1/m') and the weights falling by at least half; for
+    each kept j, zeta(s, m') less its integral in [0, m'**-s] when only the
+    integral is kept, and otherwise the Euler-Maclaurin remainder after B_2P,
+    at most 2 |B_2(P+1)| / (2P+2)! (s)_{2P+1} m'**-(s+2P+1).
     """
-    bernoulli = {i: Fraction(*ratio) for i, ratio in oracle._BERNOULLI.items()}
-    s0, p, j_terms = 3 + r, harmonic._EM_TERMS, harmonic._J_TERMS
-    size = j_terms + 2 * p + 2
-    a = [Fraction(0)] * size
-    e = [Fraction(0)] * size
-    for j in range(j_terms):
-        w = Fraction(math.comb(r + j - 1, j), 2 ** (j + r))
-        s = s0 + j
-        a[j] += w / (s - 1)
-        a[j + 1] += w / 2
-        for i in range(1, p + 1):
-            rising = math.perm(s + 2 * i - 2, 2 * i - 1)  # (s)_{2i-1}
-            a[j + 2 * i] += w * bernoulli[i] / math.factorial(2 * i) * rising
-        rising = math.perm(s + 2 * p, 2 * p + 1)  # (s)_{2P+1}
-        e[j + 2 * p + 2] += 2 * w * abs(bernoulli[p + 1]) / math.factorial(2 * p + 2) * rising
-    kept = 16  # degrees 0..15
-    u, x = Fraction(harmonic._U), Fraction(1, 17)
-    gammas = [(3 * s0 + 4 * n + 1) * u / (1 - (3 * s0 + 4 * n + 1) * u) for n in range(kept)]
-    horner = sum(g * abs(a_n) * x**n for n, (g, a_n) in enumerate(zip(gammas, a)))
-    dropped = sum(abs(a_n) * x**n for n, a_n in enumerate(a) if n >= kept)
-    remainders = sum(e_n * x**n for n, e_n in enumerate(e))
-    tail_bound = (Fraction(34, 33) / 2) ** r * (1 / Fraction(s0 - 1) + x)  # T(m) / x**(s0-1)
-    truncation = (j_terms + 1) * (x / 2) ** j_terms * tail_bound
-    floor = a[0] + sum(a_n * x**n for n, a_n in enumerate(a[:kept]) if a_n < 0)
-    width = (truncation + remainders + dropped + horner) / (floor - horner)
-    return tuple(map(float, reversed(a[:kept]))), width
+    s0, x = 3 + r, Fraction(1, m)
+    b = bernoulli(d // 2 + 1)
+    total = binomial_weight(d + 1, r) * (Fraction(1, s0 + d) + x) / (1 - x)
+    for j in range(d + 1):
+        s, q = s0 + j, d - j
+        if q == 0:
+            degree, c = 1, Fraction(1)
+        else:
+            p = q // 2
+            degree = 2 * p + 2
+            c = 2 * abs(b[2 * p + 2]) / math.factorial(2 * p + 2) * math.perm(s + 2 * p, 2 * p + 1)
+        total += binomial_weight(j, r) * c * x ** (j + degree - d - 1)
+    return total
 
 
-def loop_tail(m: int, r: int) -> float:
-    """That(m) by Horner's rule as a loop from 0.0, the reference `_tail` writes out."""
-    x = 1.0 / m
-    value = 0.0
-    for coefficient in harmonic._TAIL_POLYNOMIALS[r]:
-        value = value * x + coefficient
-    return value * math.prod([x] * (2 + r))
+def truncation_bound(r: int, d: int) -> Fraction:
+    """R_d of harmonic's proof: the next three |a_n| at m = 64 and the bound past them."""
+    a, x = tail_coefficients(r, d + 3), Fraction(1, _FROM)
+    next_three = sum(abs(a[n]) * x ** (n - d - 1) for n in range(d + 1, d + 4))
+    return next_three + remainder_bound(r, d + 3) * x**3
 
 
-class TestTailPolynomials:
+def exact_tail(m: int, r: int) -> tuple[Fraction, Fraction]:
+    """T(m) within [lo, hi]: the terms m..M-1 exactly and the expansion from
+    M = max(m, 128) to degree 30 with its remainder bound."""
+    s0, top = 3 + r, 30
+    big = max(m, 128)
+    head = sum((term(k, r) for k in range(m, big)), Fraction(0))
+    a = tail_coefficients(r, top)
+    kept = sum(a[n] * Fraction(1, big) ** (s0 - 1 + n) for n in range(top + 1))
+    error = remainder_bound(r, top, big) * Fraction(1, big) ** (s0 + top)
+    return head + kept - error, head + kept + error
+
+
+class TestTailExpansion:
+    def test_the_numerators_are_the_fraction_derivation(self):
+        series = {r: tail_coefficients(r, _KEPT_DEGREES - 1) for r in (1, 2)}
+        denominator = math.lcm(*(c.denominator for a in series.values() for c in a))
+        assert harmonic._TAIL_DENOMINATOR == denominator
+        for r, a in series.items():
+            assert harmonic._TAIL_NUMERATORS[r] == tuple(c * denominator for c in a)
+
     @pytest.mark.parametrize("r", KERNELS)
-    def test_tail_is_the_horner_loop_bit_for_bit(self, r):
-        rng = random.Random(f"tail {r}")
-        ms = [17, 18, 2**53, 2**63 - 1] + [rng.randint(17, 2**63 - 1) for _ in range(3000)]
-        ms += [min(round(2 ** rng.uniform(math.log2(17), 63)), 2**63 - 1) for _ in range(3000)]
+    def test_every_kept_degree_meets_its_bound(self, r):
+        # R_d <= 2**(d-1): a degree d with e (s0 + d) >= w + d, m >= 2**e,
+        # leaves under half a unit of 2**-w.
+        for d in range(_KEPT_DEGREES):
+            assert truncation_bound(r, d) <= Fraction(2) ** (d - 1), d
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_the_degree_rule_uses_every_kept_degree_and_no_more(self, r):
+        # Over every a and every tail start m >= max(a, 64) the rule's
+        # degree, ceil((w - s0 e) / (e - 1)) with e = m.bit_length() - 1,
+        # reaches the last kept degree and never passes it.
+        s0, degrees = 3 + r, set()
+        for length in range(2, 64):
+            w = unit_bits(2 ** (length - 1), r)
+            for e in range(max(6, length - 1), 64):
+                degrees.add(max(0, -((s0 * e - w) // (e - 1))))
+        assert max(degrees) == _KEPT_DEGREES - 1
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_the_head_path_keeps_its_spare_bits(self, r):
+        # A tail from m < 64 comes from a window with a < 64: w <= 125, so
+        # 62 int quotients at 2**-136 add under 0.03 units of 2**-w.
+        assert unit_bits(63, r) <= harmonic._HEAD_BITS - 11
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_the_tail_from_2_is_derived(self, r):
+        lo, hi = exact_tail(2, r)
+        scale = 2**harmonic._HEAD_BITS
+        assert math.floor(lo * scale) == math.floor(hi * scale) == harmonic._TAIL_FROM_2[r]
+
+    def test_the_tails_from_2_match_their_closed_forms(self):
+        # zeta(3) + 5 pi**2/3 - 24 ln 2 - 1 (half the direct Number Constant)
+        # and 8 ln 2 - pi**2/3 - zeta(3) - 1, at 50 digits.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            closed = {2: NR_SERIES / 2, 1: S_TAIL}
+            for r, value in closed.items():
+                literal = Decimal(harmonic._TAIL_FROM_2[r]) / Decimal(2) ** harmonic._HEAD_BITS
+                assert abs(literal - value) < Decimal("1e-40"), r
+
+    @pytest.mark.parametrize("r", KERNELS)
+    def test_each_tail_is_within_its_units(self, r):
+        # (-1.5, 0.5] units of 2**-w for every w a window can give it: from
+        # m = 2 past the switch at 64, and in every bit-length band up to the cap.
+        rng = random.Random(2300 + r)
+        ms = list(range(2, 200)) + [2**e + rng.randint(0, 2**e - 1) for e in range(8, 63)]
         for m in ms:
-            assert harmonic._tail(m, r).hex() == loop_tail(m, r).hex(), m
-
-    @pytest.mark.parametrize("r", KERNELS)
-    def test_equal_to_the_fraction_derivation(self, r):
-        got = harmonic._TAIL_POLYNOMIALS[r]
-        expected, _ = fraction_tail_polynomials(r)
-        assert list(map(float.hex, got)) == list(map(float.hex, expected))
-
-    @pytest.mark.parametrize("r", KERNELS)
-    def test_the_width_is_the_proven_bound_rounded_up(self, r):
-        # Rounded up to a tenth of u: 24.04u -> 24.1u and 15.63u -> 15.7u.
-        _, bound = fraction_tail_polynomials(r)
-        width = harmonic._TAIL_WIDTHS[r]
-        assert Fraction(width) >= bound
-        assert width == math.ceil(bound / Fraction(harmonic._U) * 10) / 10 * harmonic._U
+            lo, hi = exact_tail(m, r)
+            for a in {2, 3, min(m, 63), m, rng.randint(2, m)}:
+                w = unit_bits(a, r)
+                if m < 64 and w > harmonic._HEAD_BITS - 11:
+                    continue
+                units = harmonic._fixed_tail(m, w, r)
+                assert lo * 2**w - Fraction(3, 2) < units <= hi * 2**w + Fraction(1, 2), (m, a)
 
 
 def plain_odd(a: int, b: int) -> float:
@@ -493,7 +401,7 @@ class TestLongOddWindows:
         # Items 1 to 3 of the long-window proof at their worst, d = 40 and
         # n = 41 terms, with item 4: the four tail floats and the two of the
         # head are off by under 0.0006 u S (item 5), so within 0.501 ulp.
-        u, d, n = Fraction(harmonic._U), harmonic._LOWEST_TAIL_START - 1, 41
+        u, d, n = Fraction(1, 2**53), harmonic._LOWEST_TAIL_START - 1, 41
         b12 = Fraction(*oracle._BERNOULLI[6])
         assert d == 40
         truncation = abs(b12) / 6 * (Fraction(1, n * d**11) + Fraction(1, d**12))
@@ -671,16 +579,17 @@ class TestLnRational:
         with pytest.raises(OverflowLimitError):
             ScaledRational(p=2**40, q=1, m=2**40)
 
-    def test_work_limit_at_construction(self):
-        # Window [m+1, 4m] has 3 * 10**8 terms: it constructs, and its odd
-        # sum takes O(1), but its correction sum would add every term.
+    def test_a_full_estimate_of_a_long_window_takes_o1(self):
+        # Window [m+1, 4m] has 3 * 10**8 terms: its odd sum and its
+        # correction sum each take O(1), and the full estimate is within the
+        # truncated one's bound.
         r = ScaledRational(p=4, q=1, m=10**8)
         bound = 1.01 / 24 * (1 / r.scaled_q**2 - 1 / r.scaled_p**2) + 1e-13
         assert abs(harmonic.ln_rational(r) - math.log(4)) <= bound
         start = time.perf_counter()
-        with pytest.raises(OverflowLimitError, match="over the limit"):
-            harmonic.ln_rational(r, LogVariant.FULL)
+        value = harmonic.ln_rational(r, LogVariant.FULL)
         assert time.perf_counter() - start < 1.0
+        assert abs(value - math.log(4)) <= bound
 
 
 class TestLnAuto:

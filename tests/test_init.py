@@ -198,10 +198,10 @@ class TestPublicNames:
 
 class TestFirstCalls:
     def test_the_paper_s_first_sums_derive_no_constant(self):
-        # The k = 2 heads, the S(2, 40) pair and the 2Q coefficients are
-        # literals: a fresh interpreter's first C(2, 10**6), s(2, 10**5),
-        # N(10**6) and S(2, 10**6) reach the functions that hold them and
-        # call none that sums a head term or builds a coefficient.
+        # The tails T(2), their coefficients, the S(2, 40) pair and the 2Q
+        # coefficients are literals: a fresh interpreter's first C(2, 10**6),
+        # s(2, 10**5), N(10**6) and S(2, 10**6) reach the functions that hold
+        # them and call none that sums a head term or builds a coefficient.
         calls = fresh(
             "import json, os, sys\n"
             "from harmlog import constants, factorial, harmonic\n"
@@ -221,13 +221,29 @@ class TestFirstCalls:
             "print(json.dumps(sorted(calls)))\n"
         )
         called = {callee for _, callee in calls}
-        assert {"harmonic._head", "harmonic._odd_head", "constants._two_q_fixed"} <= called
-        assert not called & {"harmonic._exact_parts", "harmonic._terms"}
+        assert {"harmonic._fixed_tail", "harmonic._odd_head", "constants._two_q_fixed"} <= called
+        # A tail from 2 < m < 64 would sum the terms below m in a generator.
+        assert {callee for caller, callee in calls if caller == "harmonic._fixed_tail"} == set()
         # _hi_lo still serves oracle._ln_ratio, but not the head S(2, 40).
         assert not {callee for caller, callee in calls if caller == "harmonic._odd_head"}
         assert {name for name in called if name.startswith("constants.")} == {
             "constants.nr_empirical_limit", "constants._two_q_fixed"
         }
+
+    def test_a_first_long_correction_window_takes_under_100_us(self):
+        # C(10**6 + 1, 2 * 10**6) is two Horner tails in a fresh process,
+        # where summing it term by term took ~0.4 s; least of three processes.
+        times = [
+            fresh(
+                "import json, time\n"
+                "from harmlog import harmonic\n"
+                "start = time.perf_counter()\n"
+                "harmonic.correction_sum(10**6 + 1, 2 * 10**6)\n"
+                "print(json.dumps(time.perf_counter() - start))\n"
+            )
+            for _ in range(3)
+        ]
+        assert min(times) < 100e-6
 
 
 class TestImportFootprint:

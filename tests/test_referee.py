@@ -228,6 +228,101 @@ def test_correction_sum_within_one_ulp(a, b):
     assert _ulps(harmonic.correction_sum(a, b), exact) <= 1
 
 
+# -- the fast-decaying sums --------------------------------------------------
+# C(a, b) and the factorial's tail s, the sums of 1/(k**3 (2k-1)**r) for r = 2
+# and r = 1, are T(a) - T(b+1) in units of 2**-w, rounded once (see
+# harmonic): before that rounding within 2 units, and under 2**-92 of the sum,
+# of the exact sum.  The referees are exact: incremental Fraction sums, and
+# 700-bit fixed-point sums whose floors leave each term under 2**-700 low.
+_DECAYING = [pytest.param(2, id="C"), pytest.param(1, id="s")]
+_BRUTE_BITS = 700
+
+
+def _assert_within_its_bound(a: int, b: int, r: int, lo: Fraction, hi: Fraction) -> None:
+    """The window before its one rounding, as _decaying_sum takes it, within
+    2 units of 2**-w and 2**-92 of the sum of an exact sum in [lo, hi]."""
+    w = (3 + r) * a.bit_length() + r + 53 + harmonic._GUARD_BITS
+    units = harmonic._fixed_tail(a, w, r) - harmonic._fixed_tail(b + 1, w, r)
+    assert math.ldexp(units, -w) == harmonic._decaying_sum(a, b, r)
+    fixed = Fraction(units, 2**w)
+    gap = max(fixed - lo, hi - fixed)
+    assert gap < Fraction(2, 2**w) and gap < lo / 2**92, (a, b)
+
+
+# The public sums from k = 2, by r.
+_FROM_2 = {2: lambda n: harmonic.correction_sum(2, n), 1: factorial.s_sum_exact}
+
+
+@pytest.mark.parametrize("r", _DECAYING)
+def test_every_window_from_2_to_3000_is_the_exact_sum_rounded_once(r):
+    total, mismatches = Fraction(0), []
+    for n in range(2, 3001):
+        total += Fraction(1, n**3 * (2 * n - 1) ** r)
+        if _FROM_2[r](n) != float(total):
+            mismatches.append(n)
+        _assert_within_its_bound(2, n, r, total, total)
+    assert mismatches == []
+
+
+def _brute(a: int, b: int, r: int) -> tuple[Fraction, Fraction]:
+    """The window's exact sum within [lo, hi], from 700-bit floors."""
+    one = 1 << _BRUTE_BITS
+    floors = sum(one // (k**3 * (2 * k - 1) ** r) for k in range(a, b + 1))
+    return Fraction(floors, one), Fraction(floors + b - a + 1, one)
+
+
+def _band_windows(length: int) -> list[tuple[int, int]]:
+    """Four windows of 1 to 2,000 terms from a of the bit length, below 2**63."""
+    rng, cap = random.Random(f"band {length}"), 2**63 - 1
+    windows = []
+    for _ in range(4):
+        a = rng.randint(max(2, 2 ** (length - 1)), 2**length - 1)
+        width = round(2000 ** rng.random())
+        windows.append((a, min(a + width - 1, cap)))
+    return windows
+
+
+def _assert_rounded_once(r: int, windows: list[tuple[int, int]]) -> None:
+    """Each window bit-equal to its 700-bit referee rounded once; a referee
+    whose ends round apart leaves its window undecided, and none may."""
+    undecided, mismatches = [], []
+    for a, b in windows:
+        lo, hi = _brute(a, b, r)
+        if float(lo) != float(hi):
+            undecided.append((a, b))
+            continue
+        if harmonic._decaying_sum(a, b, r) != float(lo):
+            mismatches.append((a, b))
+        _assert_within_its_bound(a, b, r, lo, hi)
+    assert (undecided, mismatches) == ([], [])
+
+
+@pytest.mark.parametrize("r", _DECAYING)
+@pytest.mark.parametrize("length", range(2, 64))
+def test_windows_from_every_bit_length_are_the_exact_sum_rounded_once(r, length):
+    _assert_rounded_once(r, _band_windows(length))
+
+
+# The windows of earlier tests: near the index cap and past 2**53, and the
+# factorial's tails [2, b] past 3,000 whose float enclosure once straddled
+# a rounding boundary more than once.
+_OLD_WINDOWS = [
+    (2**63 - 3001, 2**63 - 1),
+    (2**63 - 1, 2**63 - 1),
+    (2**62, 2**62 + 5000),
+    (2**53 - 7, 2**53 + 7),
+    (2, 3084),
+    (2, 3508),
+    (2, 3557),
+    (2, 3782),
+]
+
+
+@pytest.mark.parametrize("r", _DECAYING)
+def test_the_old_windows_are_the_exact_sum_rounded_once(r):
+    _assert_rounded_once(r, _OLD_WINDOWS)
+
+
 def _table_cases(rng: random.Random) -> list[tuple[int, int]]:
     """Ratios 2**k c/16 on each table entry c = 11..23 (z = 0), and on and
     on either side of each band edge 2**k (c + 1/2)/16, c = 10..23, at a
