@@ -13,12 +13,14 @@ Each variant's gamma estimate is 2 - 2 ln 2 - N_r, so only the empirical
 limit reproduces the true gamma = 0.577215664901...
 
 The empirical limit N(n) = ln n - 2 S(2, n) is evaluated from its limit,
-N(n) = N - 2 Q(n) - E(n) with N = 2 - 2 ln 2 - gamma one integer literal
-and 2 Q(n) one exact fraction of literal integer coefficients, in 128-bit
-fixed point and rounded once (up to n = 40, from the exact S(2, n) and an
-integer ln n): it takes no logarithm of n and forms no float of size ln n,
-so nothing cancels, and it is the correctly rounded N(n) (see
-nr_empirical_limit).
+N(n) = N - 2 Q(n) - E(n), in 128-bit fixed point and rounded once (up to
+n = 40, from the exact S(2, n) and an integer ln n).  N = 2 - 2 ln 2 -
+gamma is one integer literal and 2 Q(n) one exact fraction of literal
+integer coefficients; both live in `harmonic`, whose odd sums from k = 1
+(`harmonic._two_s_fixed`) rest on the same limit.  It takes no logarithm of
+n and forms no float of size ln n, so nothing cancels, and it is the
+correctly rounded N(n) (see nr_empirical_limit).  Each variant's gamma,
+2 - 2 ln 2 - N_r, is still formed in binary64.
 """
 
 import math
@@ -28,7 +30,7 @@ from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError, shown
-from .harmonic import _HEAD_LCM, _window, correction_sum
+from .harmonic import _NR_BITS, _NR_LIMIT, _two_q_fixed, _two_s_fixed, _window, correction_sum
 from .oracle import LN2, _ln_fraction, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -79,60 +81,27 @@ def nr_direct_series(terms: int) -> float:
 
 
 # -- the empirical limit -------------------------------------------------
-# harmonic's long odd windows rest on S(c, b) = ln(b/d)/2 + Q(b) - Q(d)
-# + (E(b) - E(d))/2 for d = c - 1 >= 40, with
-#     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
-#     E(x) = 2 R_K(2x) - R_K(x)
-# from the digamma function's expansion about x + 1/2 (see there).  With
-# S(2, n) = S(2, 40) + S(41, n), for n >= 41
-#     N(n) = ln n - 2 S(2, n) = N - 2 Q(n) - E(n),
-#     N = ln 40 - 2 S(2, 40) + 2 Q(40) + E(40) = 2 - 2 ln 2 - gamma,
-# the limit as n grows (both Q and E vanish).  K = 8 takes every B_2k of
-# oracle._BERNOULLI, and |E(x)| <= |B_18| / (18 x**18) (harmonic's item 1
-# with K = 8), under 2**-90.04 N(n) at n = 41, where N(n) > 0.03646, and
-# falling as n**-18: under 2**-119 N(n) from n = 128 and 2**-131 from
-# n = 200.  In units of 2**-W, W = 128, the value is _NR_LIMIT = floor(2**W
-# N) minus floor(2**W 2 Q(n)), each floor under one unit, so under 2**-123
-# N(n) together; divided by 2**W, it is rounded once as an int quotient.
-# So before that rounding it is within 2**-90 N(n) of N(n), and it is the
+# N(n) = ln n - 2 S(2, n) = ln n - (2 S(1, n) - 2).  harmonic's
+# `_two_s_fixed(n)` is 2 S(1, n) in units of 2**-W, W = 128: from n = 41 on
+# floor(2**W ln n) + 2 2**W - _NR_LIMIT + _two_q_fixed(n), from the limit
+#     N = 2 - 2 ln 2 - gamma,  N(n) = N - 2 Q(n) - E(n)
+# (see there).  So from n = 41 on the value is _NR_LIMIT - _two_q_fixed(n):
+# no logarithm of n and no float of size ln n, so nothing cancels.  E(n) is
+# under 2**-90.04 N(n) at n = 41, where N(n) > 0.03646, and falls as
+# n**-18: under 2**-119 N(n) from n = 128 and 2**-131 from n = 200.
+# _NR_LIMIT = floor(2**W N) and _two_q_fixed(n) = floor(2**W 2 Q(n)) are
+# each under one unit off, so under 2**-123 N(n) together.  Rounded once,
+# the value is within 2**-90 N(n) of N(n) before that rounding, the
 # correctly rounded N(n) unless N(n) lies that close to a midpoint of two
 # floats: tests/test_referee.py checks every n up to 200 and sampled n up
 # to 10**18 against a 50-digit referee, bit for bit.
-# Up to n = 40, N(n) = P/Q - 2 A/L, with A/L = S(2, n) exact over harmonic's
-# L = lcm(1, 3, ..., 79) and P/Q = _ln_fraction(n, 1), within 2**-85.1 ln n
-# of ln n for n >= 2 (its case k >= 1); ln n / N(n) is at most 101.2 (at
-# n = 40), so one int quotient rounds a value within 2**-78 N(n) of N(n).
-# n = 1 gives P = 0 and the empty sum: exactly +0.0.
-_NR_BITS = 128
-# floor(2**128 (2 - 2 ln 2 - gamma)).  tests/test_constants.py derives it
-# from ln A - 2 S(2, A) + 2 Q(A) at A = 1000 in 60-digit decimal, not from
-# gamma.
-_NR_LIMIT = 12416894714313472295520999196213069642
+# Up to n = 40, N(n) is floor(2**W P/Q) + 2 2**W - _two_s_fixed(n), with
+# P/Q = _ln_fraction(n, 1) within 2**-85.1 ln n of ln n for n >= 2 (its
+# case k >= 1) and _two_s_fixed(n) the exact head floored: two floors.  ln n
+# / N(n) is at most 101.2 (at n = 40), so one rounding takes a value within
+# 2**-78 N(n) of N(n).  n = 1 gives P = 0 and 2 S(1, 1) = 2: exactly +0.0.
 # From this n on, N(n) is taken from its limit.
 _NR_FROM_LIMIT = 41
-
-
-# c_1..c_8 and D with 2 Q(n) = sum_k c_k / (D n**2k), c_k / D = (1 - 2**(1-2k))
-# B_2k / (2k), over the least common denominator; tests/test_constants.py
-# derives them from oracle._BERNOULLI.
-_TWO_Q_NUMERATORS = (
-    33456783360, -5854937088, 3086786560, -3319540224,
-    6071170560, -16928460736, 66905398560, -355910271717,
-)
-_TWO_Q_DENOMINATOR = 802962800640
-
-
-def _two_q_fixed(n: int) -> int:
-    """floor(2**W 2 Q(n)), W = _NR_BITS, for n >= 1.
-
-    2 Q(n) is one exact fraction, its numerator built by Horner's rule in
-    n**2 from the c_k, and is floored once.
-    """
-    m = n * n
-    total = 0
-    for c in _TWO_Q_NUMERATORS:
-        total = total * m + c
-    return (total << _NR_BITS) // (_TWO_Q_DENOMINATOR * m ** len(_TWO_Q_NUMERATORS))
 
 
 def nr_empirical_limit(n: int) -> float:
@@ -149,10 +118,9 @@ def nr_empirical_limit(n: int) -> float:
         raise DomainError(f"nr_empirical_limit requires n >= 1, got {shown(n)}")
     _window(2, n)
     if n >= _NR_FROM_LIMIT:
-        return (_NR_LIMIT - _two_q_fixed(n)) / (1 << _NR_BITS)
+        return math.ldexp(_NR_LIMIT - _two_q_fixed(n), -_NR_BITS)
     p, q = _ln_fraction(n, 1)
-    head = sum(_HEAD_LCM // d for d in range(3, 2 * n, 2))  # S(2, n) = head / L
-    return (p * _HEAD_LCM - 2 * head * q) / (q * _HEAD_LCM)
+    return math.ldexp((p << _NR_BITS) // q + (2 << _NR_BITS) - _two_s_fixed(n), -_NR_BITS)
 
 
 def variant(kind: NrKind, terms: int | None = None, n: int | None = None) -> NrVariant:

@@ -7,36 +7,44 @@ differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
 Every sum checks its index window with `_window`, which builds nothing: only
-a sum that adds terms one by one builds a range over them.  An odd window
-with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is the
-correctly rounded value of the exact sum of its float terms (`math.fsum`,
+a sum that adds terms one by one builds a range over them.  The odd window
+from k = 2, ln n's, is always the fixed-point integer below.  Any other odd
+window with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is
+the correctly rounded value of the exact sum of its float terms (`math.fsum`,
 Shewchuk's algorithm, in a C-level loop), so the order of the terms does not
 change it.  A longer odd window is the same finite sum, not a different
-approximation, evaluated in O(1) within 0.501 ulp, whatever its start:
-from k = c = max(a, 41) on as four floats from the digamma function's
-expansion about x + 1/2 (`_psi_series`, and the integer logarithm
-`oracle._ln_ratio` of b/(c-1)), plus, for a window that starts below k = 41,
-its head S(a, 40) as two floats from exact integers (`_odd_head`, memoised
-per a).  One evaluator, `_odd_sums`, takes the windows S(m lo + 1, m hi)
-of a multiplier grid in one pass; `odd_harmonic_sum` is its grid of one.
-For every m with m lo >= 40, b/(c-1) is hi/lo itself, so the whole grid
-takes that logarithm from one `_ln_ratio` call (memoised in lowest terms).
+approximation, evaluated in O(1), whatever its start.  From a >= 41 it is
+four floats from the digamma function's expansion about x + 1/2
+(`_psi_series`, and the integer logarithm `oracle._ln_ratio` of b/(a-1)),
+within 0.501 ulp.  From a <= 40 it is one integer, `_two_s_fixed(b) -
+_two_s_fixed(a - 1)`, rounded once.  `_two_s_fixed(n)` is 2 S(1, n) in
+128-bit fixed point: the exact head over lcm(1, 3, ..., 79) up to n = 40,
+and from there ln n (`oracle._ln_fraction`) less the Number Constant's
+limit N plus 2 Q(n), with no float and no memo.  One evaluator, `_odd_sums`,
+takes the windows S(m lo + 1, m hi) of a multiplier grid in one pass;
+`odd_harmonic_sum` is its grid of one.  For every m with m lo >= 40, b/(a-1)
+is hi/lo itself, so the whole grid takes that logarithm from one
+`_ln_ratio` call (memoised in lowest terms).
 The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
-and the factorial's tail sum, r = 1, `_decaying_sum`) are each one
+and the factorial's tail sum, r = 1, `_decaying_fixed`) are each one
 exact difference of tails T(a) - T(b+1), integers in fixed point sized to
 the window's first term: a tail from m >= 64 is a Horner polynomial in m
 over literal integer coefficients, one from m < 64 a literal T(2) less the
 terms below m.  Rounded once, each is the exact sum within half an ulp
 plus 2**-92 relative, in O(1) from any start, with no memo and no work
 limit.
+The paper's estimate of ln n, 2 S(2, n) plus 2 C(2, n) for the full
+variant, is the sum of those integers, rounded once (`ln_integer`, and
+`ln_quotient` over any window from k = 2); `ln_product` rounds the sum of
+two such.  Each is within half an ulp plus 2**-82 of its exact value,
+relative.
 """
 
 import math
 from collections.abc import Iterable
 from enum import Enum
-from functools import cache
 from itertools import repeat
-from operator import index, truediv
+from operator import floordiv, index, truediv
 
 from ._frozen import Frozen
 from .errors import (
@@ -46,7 +54,7 @@ from .errors import (
     ZeroOrInfiniteError,
     shown,
 )
-from .oracle import _hi_lo, _ln_ratio
+from .oracle import _ln_fraction, _ln_ratio
 
 # Auto-scaling pushes both m*p and m*q above this; per-mille-level percent
 # errors need ~150, the documented alternative 100 gives multiples of 1e-4.
@@ -78,9 +86,9 @@ def _window(a: int, b: int, first: int = 1) -> None:
 
 # -- fast-decaying sums ------------------------------------------------------
 # For t(k) = 1/(k**3 (2k-1)**r) with r in {1, 2} and s0 = 3 + r, the window
-# [a, b] is V = T(a) - T(b+1), T(m) = sum_{k>=m} t(k).  `_decaying_sum` takes
-# both tails in fixed point, as integers in units of 2**-w, and rounds their
-# difference once.
+# [a, b] is V = T(a) - T(b+1), T(m) = sum_{k>=m} t(k).  `_decaying_fixed`
+# takes both tails in fixed point, as integers in units of 2**-w, and returns
+# their difference; each caller rounds one integer once.
 #
 # Tails from m >= 64.  t(k) = k**-s0 (1 - 1/(2k))**-r / 2**r = sum_j w_j
 # k**-(s0+j), w_j = C(r+j-1, j) / 2**(j+r), so T(m) = sum_j w_j zeta(s0+j, m)
@@ -113,8 +121,10 @@ def _window(a: int, b: int, first: int = 1) -> None:
 # The two tails are each within (-1.5, 0.5] units, so their difference is
 # within 2 units, under 2**-92 V, of 2**w V.  math.ldexp rounds that integer
 # to a float once and scales it by 2**-w exactly (V is above 2**-320, far
-# from subnormal).  So the sum is within half an ulp plus 2**-92 V of V: the
-# correctly rounded V unless V lies that close to a midpoint of two floats.
+# from subnormal); a caller that adds it to other integers first shifts it
+# to their unit, which is exact.  So the sum is within half an ulp plus
+# 2**-92 V of V: the correctly rounded V unless V lies that close to a
+# midpoint of two floats.
 # tests/test_referee.py checks that bound and the rounding on every window
 # [2, n] to n = 3,000 and on sampled windows up to the index cap, and
 # tests/test_harmonic.py derives every literal and R_d in Fraction.
@@ -150,7 +160,7 @@ _TAIL_FROM_2 = {
 def _fixed_tail(m: int, w: int, r: int) -> int:
     """T(m) in units of 2**-w, within (-1.5, 0.5] units (see above).
 
-    w is at most 125 for m < 64, as `_decaying_sum` sizes it.
+    w is at most 125 for m < 64, as `_decaying_fixed` sizes it.
     """
     if m < 64:
         tail = _TAIL_FROM_2[r]
@@ -168,16 +178,16 @@ def _fixed_tail(m: int, w: int, r: int) -> int:
     return (numerator << w) // (_TAIL_DENOMINATOR * m ** (s0 - 1 + d))
 
 
-def _decaying_sum(a: int, b: int, r: int) -> float:
-    """Sum of 1/(k**3 (2k-1)**r) for k = a..b, r in {1, 2}; b = a-1 is empty.
+def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
+    """Sum of 1/(k**3 (2k-1)**r) for k = a..b, r in {1, 2}, as (X, -w); b = a-1 is empty.
 
-    T(a) - T(b+1) in units of 2**-w, w sized to the first term, rounded
-    once: within half an ulp plus 2**-92 of the exact sum, relative (see
-    above), in O(1) from any a.
+    X is T(a) - T(b+1) in units of 2**-w, w sized to the first term: within
+    2 units and 2**-92 of the exact sum, relative (see above), in O(1) from
+    any a.  math.ldexp(X, -w) rounds it once.
     """
     _window(a, b, first=2)
     w = (3 + r) * a.bit_length() + r + 53 + _GUARD_BITS
-    return math.ldexp(_fixed_tail(a, w, r) - _fixed_tail(b + 1, w, r), -w)
+    return _fixed_tail(a, w, r) - _fixed_tail(b + 1, w, r), -w
 
 
 # -- long odd windows --------------------------------------------------------
@@ -199,12 +209,10 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
 # scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
 # `_odd_sums` takes it once, reduced by its gcd, for every such multiplier
 # of a sweep (`oracle._ln_ratio` is memoised across sweeps).  A window from
-# a <= 40 adds its head S(a, 40) = N_a / L, where L = lcm(1, 3, ..., 79) and
-# N_a = sum_{k=a..40} L/(2k-1) are integers, as the floats hi, lo of
-# `oracle._hi_lo`: hi = N_a / L and lo = N_a / L - hi, each an int quotient
-# rounded once.  So no window adds a term one by one past the crossover,
-# and the crossover counts only the terms from c on, since only those are
-# saved.
+# a <= 40 sums no float: it is the difference of two integers of
+# `_two_s_fixed` (see the next section), rounded once.  So no window adds a
+# term one by one past the crossover, and the crossover counts only the
+# terms from c on.
 #
 # Error bound, with u = 2**-53, d = c - 1 >= 40 and n > 40 the terms from c
 # on.  Each of them is above 1/(2b), and b = d + n, so S = S(a, b) >=
@@ -237,13 +245,13 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
 #    product's), so each of Q(b) and Q(d) is off by under 5u/(48 x**2), and
 #    together by under 5u/(24 d**2) < (5u/12) (1/(n d) + 1/d**2) S
 #    < u S/1900.
-# 4. The head.  From a <= 40, hi + lo is within 2**-105 S(a, 40) <= 2**-105 S
-#    of S(a, 40) (see `oracle._hi_lo`); from a >= 41 there is no head.
-# 5. So the four tail floats and the head's two sum to S within under
-#    2**-67 S + 1.0001 2**-75 S + (1/1900 + 2**-52) u S < 0.0006 u S.  fsum
-#    rounds that exact sum correctly, to R within half an ulp of it, and
-#    u R < ulp(R): R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S, from
-#    any a.
+# 4. The floats are the window itself: this path serves only a window from
+#    a >= 41, so c = a and no head below c is added.  A window from a <= 40
+#    is one integer of the next section, within half an ulp plus 2**-82 S.
+# 5. So the four tail floats sum to S within under
+#    2**-67 S + 1.0001 2**-75 S + u S/1900 < 0.0006 u S.  fsum rounds that
+#    exact sum correctly, to R within half an ulp of it, and u R < ulp(R):
+#    R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S.
 #    tests/test_referee.py checks this bound against a 50-digit sum, and
 #    tests/test_harmonic.py 2 ulp against the fsum of every float term.
 # The crossover is the measured break-even of this path.  Timed over 400
@@ -252,9 +260,12 @@ def _decaying_sum(a: int, b: int, r: int) -> float:
 # (median 7.1) and a direct term 77-222 ns (the wider the index, the
 # slower); the two cost the same at 49-56 terms (median ratio 0.99), and the
 # 400 windows took least with the crossover at 48: 2.88 ms, against 2.89 at
-# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  The head of a window
-# from a <= 40 adds two floats to the same fsum, so the crossover holds from
-# every a.  It is at least _LOWEST_TAIL_START - 1, so that n > 40.  Every
+# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  A long window from
+# 2 < a <= 40 takes two integers of `_two_s_fixed`, 4.8-7.7 us (more for a
+# larger a, whose head below a has more terms; CPython 3.11.7, pinned, best
+# of 15), about what its 50 to 88 shortest direct windows cost; no
+# benchmark workload runs them, so the crossover is not tuned to them.  It
+# is at least _LOWEST_TAIL_START - 1, so that n > 40.  Every
 # tests/golden/ file is the same with it at 48 as with every window of up to
 # 10**6 terms summed term by term.
 #
@@ -281,59 +292,127 @@ def _psi_series(x: int) -> float:
     return ((((511 / 135168 * y - 127 / 61440) * y + 31 / 16128) * y - 7 / 1920) * y + 1 / 48) * y
 
 
-# L = lcm(1, 3, ..., 79) and N_1 = sum_{k=1..40} L/(2k-1) as literals, which
-# tests/test_harmonic.py derives, so that a head's first build divides only
-# for its terms below a; the head from a = 2 of ln n's odd sum, S(2, 40), is
-# the literal pair `_hi_lo` gives it.
+# -- the odd sum from k = 1 in fixed point ----------------------------------
+# `_two_s_fixed(n)` is 2 S(1, n) in units of 2**-W, W = _NR_BITS = 128.
+# Up to n = 40 it is floor(2**W 2 N_n / L), exactly: L = lcm(1, 3, ..., 79)
+# and N_n = sum_{k=1..n} L/(2k-1) are integers (0 for n = 0).  From n = 41
+# on, the long windows' identity with c = 41 and K = 8 (every B_2k of
+# oracle._BERNOULLI) gives
+#     2 S(1, n) = 2 + 2 S(2, 40) + 2 S(41, n) = 2 + ln n - N + 2 Q(n) + E(n),
+#     N = ln 40 - 2 S(2, 40) + 2 Q(40) + E(40) = 2 - 2 ln 2 - gamma,
+# the limit of the Number Constant N(n) = ln n - 2 S(2, n) as n grows (both
+# Q and E vanish).  In units of 2**-W the kernel sums floor(2**W P/Q), with
+# P/Q = oracle._ln_fraction(n, 1) within 2**-85.1 ln n of ln n (its case
+# k >= 1), then 2 2**W, -_NR_LIMIT = -floor(2**W N) and _two_q_fixed(n) =
+# floor(2**W 2 Q(n)).  The three floors are off by under 3 units together,
+# and the E(n) it drops is under |B_18| / (18 n**18) < 2**-94 (item 1 above
+# with K = 8).  So for n >= 41 the integer is within 2**-85.1 ln n + 2**-93
+# of 2**W 2 S(1, n), and 2 S(1, n) > 2 + ln n - N > ln n.
+# - A window [a, b] from a <= 40 past the crossover has b >= 89, and
+#   2 S(a, b) > ln((2b + 1)/79), the integral of 1/x over [2a - 1, 2b + 1],
+#   at least ln b / 5.49 (at b = 89).  So _two_s_fixed(b) - _two_s_fixed(a-1),
+#   one more floor, is within 2**-82.5 of 2**W 2 S(a, b), relative.
+# - `ln_integer(n)` is 2 S(2, n) = 2 S(1, n) - 2, above ln n - N >
+#   (ln n)/1.01 from n = 41 on: within 2**-85 of it, relative.  Its full
+#   variant adds 2 C(2, n), `_decaying_fixed`'s integer at w = 105 shifted
+#   to 2**-W (exact), within 2**-92 of it, relative.
+# - `nr_empirical_limit(n)` up to n = 40 is floor(2**W P/Q) - 2 2**W 2 S(2, n)
+#   floored: see there.
+# Each caller rounds its integer once with math.ldexp, so each value is
+# within half an ulp plus 2**-82 of its exact sum, relative: the correctly
+# rounded sum unless it lies that close to a midpoint of two floats.
+# tests/test_referee.py checks every one bit for bit against a 50-digit sum.
+_NR_BITS = 128
+# floor(2**128 (2 - 2 ln 2 - gamma)).  tests/test_constants.py derives it
+# from ln A - 2 S(2, A) + 2 Q(A) at A = 1000 in 60-digit decimal, not from
+# gamma.
+_NR_LIMIT = 12416894714313472295520999196213069642
+# c_1..c_8 and D with 2 Q(n) = sum_k c_k / (D n**2k), c_k / D = (1 - 2**(1-2k))
+# B_2k / (2k), over the least common denominator; tests/test_constants.py
+# derives them from oracle._BERNOULLI.
+_TWO_Q_NUMERATORS = (
+    33456783360, -5854937088, 3086786560, -3319540224,
+    6071170560, -16928460736, 66905398560, -355910271717,
+)
+_TWO_Q_DENOMINATOR = 802962800640
+# L = lcm(1, 3, ..., 79), which tests/test_harmonic.py derives.
 _HEAD_LCM = 506779050856155982994105817275475
-_HEAD_FROM_1 = 1432262885870223732401714405337152
-_ODD_HEAD_FROM_2 = (1.8262077594773285, 3.58237352971354e-17)
 
 
-@cache
-def _odd_head(a: int) -> tuple[float, float]:
-    """S(a, 40) for 1 <= a <= 40 as floats hi, lo (see above), memoised.
+def _two_q_fixed(n: int) -> int:
+    """floor(2**W 2 Q(n)), W = _NR_BITS, for n >= 1.
 
-    N_a is N_1 less L/(2k-1) for k = 1..a-1.
+    2 Q(n) is one exact fraction, its numerator built by Horner's rule in
+    n**2 from the c_k, and is floored once.
     """
-    if a == 2:
-        return _ODD_HEAD_FROM_2
-    below = sum(_HEAD_LCM // d for d in range(1, 2 * a - 2, 2))
-    return _hi_lo(_HEAD_FROM_1 - below, _HEAD_LCM)
+    m = n * n
+    total = 0
+    for c in _TWO_Q_NUMERATORS:
+        total = total * m + c
+    return (total << _NR_BITS) // (_TWO_Q_DENOMINATOR * m ** len(_TWO_Q_NUMERATORS))
+
+
+def _two_s_fixed(n: int) -> int:
+    """2 S(1, n) in units of 2**-W, W = _NR_BITS, for n >= 0 (see above).
+
+    The floor of 2**W 2 S(1, n) up to n = 40, from the exact head; from
+    n = 41 on, ln n - N + 2 + 2 Q(n), within 2**-85 of it, relative.
+    """
+    if n < _LOWEST_TAIL_START:
+        head = sum(map(floordiv, repeat(_HEAD_LCM), range(1, 2 * n, 2)))
+        return (head << _NR_BITS + 1) // _HEAD_LCM
+    p, q = _ln_fraction(n, 1)
+    return (p << _NR_BITS) // q + (2 << _NR_BITS) - _NR_LIMIT + _two_q_fixed(n)
+
+
+def _ln_integer_fixed(n: int, variant: LogVariant) -> int:
+    """ln_integer(n) before its rounding, in units of 2**-W, for n >= 1 (see above).
+
+    2 S(2, n), plus 2 C(2, n) for the full variant.  `_window` checks n.
+    """
+    _window(2, n)
+    total = _two_s_fixed(n) - (2 << _NR_BITS)
+    if variant is LogVariant.FULL:
+        c, e = _decaying_fixed(2, n, 2)
+        total += c << _NR_BITS + 1 + e
+    return total
 
 
 def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
     """S(m lo + 1, m hi) for each m, over windows already checked (see above).
 
-    A window with up to _DIRECT_MAX_TERMS terms from k = c = max(m lo + 1,
-    41) on is the correctly rounded sum of its float terms.  A longer one is
-    the same finite sum, within 0.501 ulp, in O(1): from c on, four floats
-    from the digamma function, plus the two of the head S(m lo + 1, 40) of a
-    window that starts below c.  Every window from k = 41 on takes ln(hi/lo),
-    so one `_ln_ratio` call serves all of them.
+    A window from a = 2, ln n's, is one fixed-point integer rounded once,
+    whatever its length, so that 2 S(2, n) is ln_integer(n, TRUNCATED)
+    bit for bit.  Any other window with up to _DIRECT_MAX_TERMS terms from
+    k = c = max(a, 41) on is the correctly rounded sum of its float terms.
+    A longer one is the same finite sum in O(1): from a <= 40 one
+    fixed-point integer, rounded once, and from a >= 41 four floats from
+    the digamma function, within 0.501 ulp.  Every window from k = 41 on
+    takes ln(hi/lo), so one `_ln_ratio` call serves all of them.
     """
     sums, shared = [], None
     for m in multipliers:
         a, b = m * lo + 1, m * hi
-        d = a - 1 if a > _LOWEST_TAIL_START else _LOWEST_TAIL_START - 1
-        if b - d <= _DIRECT_MAX_TERMS:
+        d = max(a - 1, _LOWEST_TAIL_START - 1)
+        if a == 2 or a < _LOWEST_TAIL_START and b - d > _DIRECT_MAX_TERMS:
+            sums.append(math.ldexp(_two_s_fixed(b) - _two_s_fixed(a - 1), -_NR_BITS - 1))
+        elif b - d <= _DIRECT_MAX_TERMS:
             sums.append(math.fsum(map(truediv, repeat(1.0), range(2 * b - 1, 2 * a - 2, -2))))
-            continue
-        if a <= d or not shared:
-            ln = _ln_ratio(b // (g := math.gcd(b, d)), d // g)
-        if a > d:  # b/d is hi/lo: one logarithm serves every such m
-            ln = shared = shared or ln
-        head = _odd_head(a) if a <= d else ()
-        sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(d), *head)))
+        else:  # b/d is hi/lo: one logarithm serves every such m
+            ln = shared = shared or _ln_ratio(b // (g := math.gcd(b, d)), d // g)
+            sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(d))))
     return sums
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
 
-    A window with up to _DIRECT_MAX_TERMS terms from k = c = max(a, 41) on
-    is the correctly rounded sum of its float terms.  A longer one is the
-    same finite sum, within 0.501 ulp (see above), in O(1) (`_odd_sums`).
+    From a = 2, or from a <= 40 past the crossover, it is one fixed-point
+    integer rounded once, within half an ulp plus 2**-82 of the sum,
+    relative.  Any other window with up to _DIRECT_MAX_TERMS terms from
+    k = c = max(a, 41) on is the correctly rounded sum of its float terms,
+    and a longer one from a >= 41 the same finite sum within 0.501 ulp, in
+    O(1) (see above and `_odd_sums`).
     """
     _window(a, b)
     return _odd_sums(a - 1, b, (1,))[0]
@@ -342,10 +421,10 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 def correction_sum(a: int, b: int) -> float:
     """Sum of 1/(k**3 (2k-1)**2) for k = a..b, the exact sum rounded once; empty range is 0.
 
-    T(a) - T(b+1) in fixed point (`_decaying_sum`): within half an ulp plus
-    2**-92 of the exact sum, relative, in O(1) from any a.
+    T(a) - T(b+1) in fixed point (`_decaying_fixed`): within half an ulp
+    plus 2**-92 of the exact sum, relative, in O(1) from any a.
     """
-    return _decaying_sum(a, b, 2)
+    return math.ldexp(*_decaying_fixed(a, b, 2))
 
 
 def _check_scaled(p: int, q: int, multipliers: Iterable[int]) -> None:
@@ -389,22 +468,33 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) - ln(y) from the index window between y and x.
 
     The window is k = lo+1..hi, lo and hi the smaller and larger of x and y
-    (odd denominators 2lo+1..2hi-1).  For x < y its estimate is negated,
-    which is exact, so antisymmetry is exact.
+    (odd denominators 2lo+1..2hi-1).  From k = 2 (lo = 1) it is
+    `ln_integer(hi)`, one fixed-point integer rounded once; any other window
+    adds its rounded sums.  For x < y its estimate is negated, which is
+    exact, so antisymmetry is exact.  DomainError for x or y below 1, then
+    TypeError for an x or y that is not an int.
     """
     if x < 1 or y < 1:
         raise DomainError(f"ln_quotient requires positive integers, got {shown(x)}, {shown(y)}")
+    index(x), index(y)
     if x == y:
         return 0.0
     lo, hi = (y, x) if x > y else (x, y)
-    total = 2.0 * odd_harmonic_sum(lo + 1, hi)
-    if variant is LogVariant.FULL:
-        total += 2.0 * correction_sum(lo + 1, hi)
+    if lo == 1:
+        total = math.ldexp(_ln_integer_fixed(hi, variant), -_NR_BITS)
+    else:
+        total = 2.0 * odd_harmonic_sum(lo + 1, hi)
+        if variant is LogVariant.FULL:
+            total += 2.0 * correction_sum(lo + 1, hi)
     return total if x > y else -total
 
 
 def ln_integer(n: int, variant: LogVariant = LogVariant.FULL) -> float:
-    """Estimate of ln(n) for a positive integer; n = 1 gives exactly 0."""
+    """Estimate 2 S(2, n) of ln(n), plus 2 C(2, n) for FULL; n = 1 gives exactly 0.
+
+    The sum in fixed point, rounded once: within half an ulp plus 2**-82 of
+    it, relative (see above).
+    """
     return ln_quotient(n, 1, variant)
 
 
@@ -416,16 +506,13 @@ def exp_form(n: int, variant: LogVariant = LogVariant.FULL) -> float:
 def ln_product(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) + ln(y) via the regrouped shared-prefix form.
 
-    Equals ln_integer(x) + ln_integer(y) by term regrouping: the shared
-    window k = 2..min(x, y) is counted four times, the remainder twice.
+    The shared window k = 2..min(x, y) counted four times and the remainder
+    twice, which regroups the sum of the two estimates of ln_integer: the
+    sum of their fixed-point integers, rounded once (see above).
     """
     if x < 1 or y < 1:
         raise DomainError(f"ln_product requires positive integers, got {shown(x)}, {shown(y)}")
-    lo, hi = min(x, y), max(x, y)
-    total = 4.0 * odd_harmonic_sum(2, lo) + 2.0 * odd_harmonic_sum(lo + 1, hi)
-    if variant is LogVariant.FULL:
-        total += 4.0 * correction_sum(2, lo) + 2.0 * correction_sum(lo + 1, hi)
-    return total
+    return math.ldexp(_ln_integer_fixed(x, variant) + _ln_integer_fixed(y, variant), -_NR_BITS)
 
 
 def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -> float:

@@ -147,28 +147,21 @@ def _ln_fraction(n: int, d: int) -> tuple[int, int]:
     return p, s << _ATANH_BITS
 
 
-def _hi_lo(p: int, q: int) -> tuple[float, float]:
-    """Floats hi, lo with hi + lo within 2**-105 of p/q, relative, for q > 0.
-
-    hi is p/q and lo the rest p/q - hi, each rounded once as an int
-    quotient: |p/q - hi| <= u |hi| with u = 2**-53, so lo's rounding adds
-    under u**2 |hi| < 2**-105 |p/q|.
-    """
-    hi = p / q
-    hi_num, hi_den = hi.as_integer_ratio()
-    return hi, (p * hi_den - hi_num * q) / (q * hi_den)
-
-
 @lru_cache(maxsize=128)
 def _ln_ratio(n: int, d: int) -> tuple[float, float]:
     """Floats hi, lo with hi + lo within 2**-75 of ln(n/d), relative, memoised.
 
-    They are `_hi_lo` of P/Q of _ln_fraction, whose split adds under
-    2**-105 of it.  Every step of both depends only on the ratio n/d, so a
-    caller that reduces it to lowest terms gets the same floats and shares
-    one cache entry among all its multiples.
+    With P/Q of _ln_fraction, hi is P/Q and lo the rest P/Q - hi, each
+    rounded once as an int quotient: |P/Q - hi| <= u |hi| with u = 2**-53,
+    so lo's rounding adds under u**2 |hi| < 2**-105 |P/Q|.  Every step
+    depends only on the ratio n/d, so a caller that reduces it to lowest
+    terms gets the same floats and shares one cache entry among all its
+    multiples.
     """
-    return _hi_lo(*_ln_fraction(n, d))
+    p, q = _ln_fraction(n, d)
+    hi = p / q
+    hi_num, hi_den = hi.as_integer_ratio()
+    return hi, (p * hi_den - hi_num * q) / (q * hi_den)
 
 
 def _ln_tolerance(ln_x: float) -> float:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -726,37 +727,64 @@ def test_module_entry_point_in_a_subprocess():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
-# Replays every table golden file through cli.main; prints a marker line
-# first, so an interpreter that never runs it is told apart from a mismatch.
+def _replay(interpreter: str, script: str, args: list[str], stdin: str = ""):
+    """Run script under interpreter; skip where no such interpreter runs.
+
+    The script prints a marker line first, so an interpreter that never runs
+    it is told apart from a mismatch.  A pyenv shim on PATH answers "command
+    not found" for a version that is installed but not selected, and names
+    the versions that have the command: the script runs again with
+    PYENV_VERSION set to the first of them.
+    """
+    executable = shutil.which(interpreter)
+    if executable is None:
+        pytest.skip(f"{interpreter} is not on PATH")
+    env = _subprocess_env()
+    for _ in range(2):
+        proc = subprocess.run(
+            [executable, "-c", script, *args], input=stdin, env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        if proc.stdout.startswith("replaying"):
+            return proc
+        listed = proc.stderr.partition("exists in these Python versions:")[2]
+        versions = re.findall(r"^[ \t]+(\S+)$", listed, re.MULTILINE)
+        if not versions:
+            break
+        env["PYENV_VERSION"] = versions[0]
+    # A launcher on PATH with no interpreter installed behind it.
+    pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
+
+
+# Replays every table golden file and every record of cli.json through
+# cli.main, and prints the name of each that differs.
 _REPLAY = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from pathlib import Path
 print("replaying", flush=True)
 from harmlog import cli
 golden, tables = Path(sys.argv[1]), sys.argv[2:]
+def printed(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
 for table in tables:
     for fmt, ext in (("csv", "csv"), ("markdown", "md"), ("json", "json")):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["table", table, "--format", fmt])
         name = f"table_{table}.{ext}"
-        if code or out.getvalue() != (golden / name).read_text(encoding="utf-8"):
+        expected = (golden / name).read_text(encoding="utf-8")
+        if printed(["table", table, "--format", fmt]) != (0, expected):
             print("mismatch", name)
+for case in json.loads((golden / "cli.json").read_text(encoding="utf-8")):
+    if printed(case["argv"] + ["--format", "json"]) != (0, case["stdout"]):
+        print("mismatch", " ".join(case["argv"]))
 """
 
 
 @pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
 def test_table_goldens_under_each_interpreter(interpreter):
-    executable = shutil.which(interpreter)
-    if executable is None:
-        pytest.skip(f"{interpreter} is not on PATH")
-    proc = subprocess.run(
-        [executable, "-c", _REPLAY, str(GOLDEN), *PAPER_TABLES],
-        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
-    )
-    if not proc.stdout.startswith("replaying"):
-        # A launcher on PATH with no interpreter installed behind it.
-        pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
+    # The table goldens and the cli.json records.
+    proc = _replay(interpreter, _REPLAY, [str(GOLDEN), *PAPER_TABLES])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "replaying\n", "")
 
 
@@ -969,16 +997,8 @@ print(json.dumps(pairs))
 @pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
 def test_fast_parse_corpus_under_each_interpreter(interpreter):
     # argparse's handling of "-" tokens differs between CPython versions.
-    executable = shutil.which(interpreter)
-    if executable is None:
-        pytest.skip(f"{interpreter} is not on PATH")
     corpus = _PLAIN_ARGVS + _HOSTILE_ARGVS
-    proc = subprocess.run(
-        [executable, "-c", _PARSE_REPLAY], input=json.dumps(corpus),
-        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
-    )
-    if not proc.stdout.startswith("replaying"):
-        pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
+    proc = _replay(interpreter, _PARSE_REPLAY, [], json.dumps(corpus))
     assert (proc.returncode, proc.stderr) == (0, "")
     pairs = json.loads(proc.stdout.splitlines()[1])
     for argv, (fast, full) in zip(corpus, pairs):

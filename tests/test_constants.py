@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmlog import constants as consts
+from harmlog import constants as consts, harmonic
 from harmlog.errors import DomainError, OverflowLimitError
 from harmlog.harmonic import correction_sum
 from harmlog.oracle import _BERNOULLI, LN2, _ln_fraction, ln_value
@@ -87,13 +87,14 @@ class TestNrEmpiricalLimit:
     def test_two_q_coefficients_are_derived(self):
         # c_k / D = (1 - 2**(1-2k)) B_2k / (2k) for k = 1..8, from the
         # Bernoulli numbers of oracle._BERNOULLI, in Fraction.
-        # D is their least common denominator.
-        assert len(consts._TWO_Q_NUMERATORS) == len(_BERNOULLI) == 8
+        # D is their least common denominator.  They live in harmonic, whose
+        # odd sums from k = 1 share them.
+        assert len(harmonic._TWO_Q_NUMERATORS) == len(_BERNOULLI) == 8
         wants = [(1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*_BERNOULLI[k]) / (2 * k)
                  for k in _BERNOULLI]
-        for k, c, want in zip(_BERNOULLI, consts._TWO_Q_NUMERATORS, wants):
-            assert Fraction(c, consts._TWO_Q_DENOMINATOR) == want, k
-        assert consts._TWO_Q_DENOMINATOR == math.lcm(*(want.denominator for want in wants))
+        for k, c, want in zip(_BERNOULLI, harmonic._TWO_Q_NUMERATORS, wants):
+            assert Fraction(c, harmonic._TWO_Q_DENOMINATOR) == want, k
+        assert harmonic._TWO_Q_DENOMINATOR == math.lcm(*(want.denominator for want in wants))
 
     def test_two_q_is_the_exact_sum_floored_once(self):
         rng = random.Random("2 Q(n)")

@@ -68,12 +68,17 @@ class TestLnFactorialSeries:
         ref = factorial_exact_ln(160)
         assert fact.ln_factorial_series(160) == pytest.approx(ref, rel=1e-3)
 
-    def test_is_its_formula_on_the_memoised_log_bit_for_bit(self):
-        rng = random.Random(2417)
-        ns = list(range(2, 300)) + [round(10 ** rng.uniform(2.5, 18)) for _ in range(300)]
-        for n in ns:
-            expected = (n + 0.5) * ln_value(n) - (n - 1) - fact.s_sum_exact(n)
-            assert fact.ln_factorial_series(n).hex() == expected.hex(), n
+    @pytest.mark.parametrize("n", [1.0, 1.5, 2.0, 45.0])
+    def test_a_non_int_is_a_type_error(self, n):
+        # Also n = 1.0, which no longer returns early: the formula's integer
+        # takes n as an index, as s_sum_exact does.
+        with pytest.raises(TypeError):
+            fact.ln_factorial_series(n)
+
+    def test_one_is_positive_zero_from_the_formula(self):
+        # ln 1 = 0 and the empty tail: the integer is 0, with no branch for n = 1.
+        value = fact.ln_factorial_series(1)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_leaves_the_ln_value_memo_alone(self):
         ln_value(2.0)

@@ -116,8 +116,13 @@ def term(k: int, r: int) -> Fraction:
 
 
 def unit_bits(a: int, r: int) -> int:
-    """w of the window [a, b], as `harmonic._decaying_sum` sizes it."""
+    """w of the window [a, b], as `harmonic._decaying_fixed` sizes it."""
     return (3 + r) * a.bit_length() + r + 53 + harmonic._GUARD_BITS
+
+
+def decaying(a: int, b: int, r: int) -> float:
+    """The window's integer of `harmonic._decaying_fixed`, rounded once as its callers do."""
+    return math.ldexp(*harmonic._decaying_fixed(a, b, r))
 
 
 class TestDecayingSum:
@@ -126,7 +131,7 @@ class TestDecayingSum:
     @pytest.mark.parametrize("r", KERNELS)
     @pytest.mark.parametrize("a", [2, 3, 63, 64, 65, 10**6, _CAP])
     def test_an_empty_window_is_positive_zero(self, r, a):
-        value = harmonic._decaying_sum(a, a - 1, r)
+        value = decaying(a, a - 1, r)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     @pytest.mark.parametrize("r", KERNELS)
@@ -135,7 +140,7 @@ class TestDecayingSum:
         # Correctly rounded unless the term lies that close to a midpoint,
         # as 1/(a**3 (2a-1)) does for a = 2**53 + 1: 2**-213 (1 - 3.5 2**-53
         # + O(2**-104)).
-        value, exact = harmonic._decaying_sum(a, a, r), term(a, r)
+        value, exact = decaying(a, a, r), term(a, r)
         assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2 + exact / 2**92
 
     @pytest.mark.parametrize("r", KERNELS)
@@ -154,7 +159,7 @@ class TestDecayingSum:
         # Windows that summed their terms one by one, or their heads past
         # the first doubling, before the tails were exact: a few µs each.
         start = time.perf_counter()
-        value = harmonic._decaying_sum(a, b, r)
+        value = decaying(a, b, r)
         assert time.perf_counter() - start < 0.05
         (first_lo, first_hi), (end_lo, end_hi) = exact_tail(a, r), exact_tail(b + 1, r)
         assert float(first_lo - end_hi) == value == float(first_hi - end_lo)
@@ -318,18 +323,14 @@ def psi_coefficient(k: int) -> Fraction:
     return (1 - Fraction(1, 2 ** (2 * k - 1))) * Fraction(*oracle._BERNOULLI[k]) / (4 * k)
 
 
-def exact_odd_head(a: int) -> Fraction:
-    """S(a, 40), the head of a long window from a <= 40, exactly."""
-    return sum(Fraction(1, 2 * k - 1) for k in range(a, harmonic._LOWEST_TAIL_START))
-
-
 class TestLongOddWindows:
     """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
 
     def test_the_longest_direct_window_is_the_plain_sum(self):
-        # From a = 2: the 39 terms below k = 41 and _DIRECT_MAX_TERMS from it.
+        # From a = 3: the 38 terms below k = 41 and _DIRECT_MAX_TERMS from it.
+        # (From a = 2, ln n's window is always the fixed-point integer.)
         b = harmonic._LOWEST_TAIL_START - 1 + harmonic._DIRECT_MAX_TERMS
-        assert harmonic.odd_harmonic_sum(2, b) == plain_odd(2, b)
+        assert harmonic.odd_harmonic_sum(3, b) == plain_odd(3, b)
 
     def test_the_longest_direct_window_from_any_start_is_the_plain_sum(self):
         # One term more would take the O(1) path, whose float differs from
@@ -352,10 +353,10 @@ class TestLongOddWindows:
         # n > _DIRECT_MAX_TERMS >= 40 terms, as the long-window proof uses.
         assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
 
-    @pytest.mark.parametrize("a, summed", [(1, 6), (40, 6), (41, 4), (10**6, 4), (2**62, 4)])
+    @pytest.mark.parametrize("a, summed", [(1, 0), (40, 0), (41, 4), (10**6, 4), (2**62, 4)])
     def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
-        # A structural count, not a bound: the four tail floats, plus the
-        # two of the head S(a, 40) from a <= 40.
+        # A structural count, not a bound: the four tail floats from a >= 41;
+        # from a <= 40 no float at all, but one fixed-point integer.
         counted = []
         fsum = math.fsum
 
@@ -367,40 +368,42 @@ class TestLongOddWindows:
         monkeypatch.setattr(math, "fsum", counting)
         c = max(a, harmonic._LOWEST_TAIL_START)
         harmonic.odd_harmonic_sum(a, c + harmonic._DIRECT_MAX_TERMS)
-        assert counted == [summed]
+        assert counted == ([summed] if summed else [])
 
-    def test_head_integers_are_derived(self):
+    def test_head_lcm_is_derived(self):
         last = 2 * harmonic._LOWEST_TAIL_START - 3  # the odd denominator of k = 40
-        common = math.lcm(*range(1, last + 1, 2))
-        assert harmonic._HEAD_LCM == common
-        assert harmonic._HEAD_FROM_1 == sum(common // d for d in range(1, last + 1, 2))
+        assert harmonic._HEAD_LCM == math.lcm(*range(1, last + 1, 2))
 
-    def test_head_pair_from_2_is_derived(self):
-        # The literal S(2, 40) is `_hi_lo` of N_2 = N_1 - L/1, bit for bit.
-        pair = oracle._hi_lo(harmonic._HEAD_FROM_1 - harmonic._HEAD_LCM, harmonic._HEAD_LCM)
-        assert [x.hex() for x in harmonic._ODD_HEAD_FROM_2] == [x.hex() for x in pair]
-        assert harmonic._odd_head(2) is harmonic._ODD_HEAD_FROM_2
+    def test_two_s_fixed_up_to_40_is_the_exact_head_floored(self):
+        for n in range(harmonic._LOWEST_TAIL_START):
+            exact = 2 * sum((Fraction(1, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
+            assert harmonic._two_s_fixed(n) == math.floor(exact * 2**harmonic._NR_BITS), n
 
-    def test_head_pairs_round_the_exact_head(self):
-        # From every a <= 40, hi is S(a, 40) correctly rounded and lo the
-        # rest S(a, 40) - hi correctly rounded (float(Fraction) is).
-        for a in range(1, harmonic._LOWEST_TAIL_START):
-            head = exact_odd_head(a)
-            hi, lo = harmonic._odd_head(a)
-            assert (hi, lo) == (float(head), float(head - Fraction(hi))), a
+    @pytest.mark.parametrize("n", [41, 42, 88, 89, 100, 1000, 4999])
+    def test_two_s_fixed_from_41_within_2_pow_minus_85(self, n):
+        # The kernel's bound from the limit: 2**-85.1 ln n from ln n, 3 units
+        # from the floors and under 2**-94 from E(n), against 2 S(1, n) > ln n.
+        # The referee floors each term at 2**-200, so it is within n 2**-200
+        # below the exact sum.
+        one = 1 << 200
+        exact = Fraction(2 * sum(one // (2 * k - 1) for k in range(1, n + 1)), one)
+        error = abs(Fraction(harmonic._two_s_fixed(n), 2**harmonic._NR_BITS) - exact)
+        assert error < exact / 2**85 + Fraction(2 * n, one), n
 
-    def test_head_pair_within_2_pow_minus_105(self):
-        # Item 4 of the long-window proof: hi + lo is within 2**-105 of
-        # S(a, 40), relative, from every a <= 40.
-        for a in range(1, harmonic._LOWEST_TAIL_START):
-            head = exact_odd_head(a)
-            hi, lo = harmonic._odd_head(a)
-            assert abs(Fraction(hi) + Fraction(lo) - head) < head / 2**105, a
+    def test_the_fixed_point_bounds(self):
+        # The arithmetic of the fixed-point proof: E(n) from n = 41 on, and
+        # ln b against 2 S(a, b) > ln((2b + 1)/79) for a window from a <= 40
+        # past the crossover (b >= 89), where the ratio is largest.
+        assert Fraction(43867, 798) / (18 * 41**18) < Fraction(1, 2**94)
+        b = harmonic._LOWEST_TAIL_START + harmonic._DIRECT_MAX_TERMS
+        assert b == 89
+        assert all(math.log(x) / math.log((2 * x + 1) / 79) < 5.49 for x in range(b, 10**4))
+        assert 2**-85.1 * 5.49 < 2**-82.5
 
-    def test_tail_and_head_floats_within_0_055_u(self):
+    def test_tail_floats_within_0_0006_u(self):
         # Items 1 to 3 of the long-window proof at their worst, d = 40 and
-        # n = 41 terms, with item 4: the four tail floats and the two of the
-        # head are off by under 0.0006 u S (item 5), so within 0.501 ulp.
+        # n = 41 terms: the four tail floats are off by under 0.0006 u S
+        # (item 5), so within 0.501 ulp.
         u, d, n = Fraction(1, 2**53), harmonic._LOWEST_TAIL_START - 1, 41
         b12 = Fraction(*oracle._BERNOULLI[6])
         assert d == 40
@@ -410,8 +413,7 @@ class TestLongOddWindows:
         rounding = Fraction(5, 12) * u * (Fraction(1, n * d) + Fraction(1, d**2))
         assert rounding < u / 1900
         log = Fraction(10001, 10**4) / 2**75
-        head = u / 2**52  # 2**-105
-        bound = truncation + log + u / 1900 + head
+        bound = truncation + log + u / 1900
         assert bound < Fraction(6, 10**4) * u
         assert Fraction(1, 2) + Fraction(6, 10**4) * (1 + 2 * u) < Fraction(501, 1000)
 
@@ -506,6 +508,23 @@ class TestLnProduct:
 class TestLnQuotient:
     def test_equal_is_zero(self):
         assert harmonic.ln_quotient(5, 5) == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: harmonic.ln_quotient(2.5, 2.5),
+            lambda: harmonic.ln_quotient(2.5, 3),
+            lambda: harmonic.ln_quotient(4, 4.0),
+            lambda: harmonic.ln_integer(1.0),
+            lambda: harmonic.ln_integer(2.0),
+            lambda: harmonic.exp_form(1.0),
+        ],
+        ids=["2.5/2.5", "2.5/3", "4/4.0", "ln_integer(1.0)", "ln_integer(2.0)", "exp_form(1.0)"],
+    )
+    def test_a_non_int_is_a_type_error_even_for_an_empty_window(self, call):
+        # Both arguments are checked before x == y, or x = 1, returns early.
+        with pytest.raises(TypeError):
+            call()
 
     @pytest.mark.parametrize("variant", [LogVariant.FULL, LogVariant.TRUNCATED])
     def test_equal_is_positive_zero(self, variant):

@@ -196,39 +196,65 @@ class TestPublicNames:
         assert loaded is True
 
 
+# Runs the calls of `body` in a fresh interpreter under a profiler, and
+# prints the (caller, callee) pairs of harmlog's functions and the n of
+# every `harmonic._two_s_fixed` call.
+_PROFILED = (
+    "import json, os, sys\n"
+    "from harmlog import constants, factorial, harmonic\n"
+    "calls, kernel = set(), []\n"
+    "def name(code):\n"
+    "    return os.path.basename(code.co_filename)[:-3] + '.' + code.co_name\n"
+    "def profile(frame, event, arg):\n"
+    "    code = frame.f_code\n"
+    "    if event == 'call' and os.sep + 'harmlog' + os.sep in code.co_filename:\n"
+    "        calls.add((name(frame.f_back.f_code), name(code)))\n"
+    "        if code.co_name == '_two_s_fixed':\n"
+    "            kernel.append(frame.f_locals['n'])\n"
+    "sys.setprofile(profile)\n"
+    "{body}"
+    "sys.setprofile(None)\n"
+    "print(json.dumps([sorted(calls), kernel]))\n"
+)
+
+
 class TestFirstCalls:
     def test_the_paper_s_first_sums_derive_no_constant(self):
-        # The tails T(2), their coefficients, the S(2, 40) pair and the 2Q
+        # The tails T(2), their coefficients, the limit N and the 2Q
         # coefficients are literals: a fresh interpreter's first C(2, 10**6),
         # s(2, 10**5), N(10**6) and S(2, 10**6) reach the functions that hold
         # them and call none that sums a head term or builds a coefficient.
-        calls = fresh(
-            "import json, os, sys\n"
-            "from harmlog import constants, factorial, harmonic\n"
-            "calls = set()\n"
-            "def name(code):\n"
-            "    return os.path.basename(code.co_filename)[:-3] + '.' + code.co_name\n"
-            "def profile(frame, event, arg):\n"
-            "    code = frame.f_code\n"
-            "    if event == 'call' and os.sep + 'harmlog' + os.sep in code.co_filename:\n"
-            "        calls.add((name(frame.f_back.f_code), name(code)))\n"
-            "sys.setprofile(profile)\n"
+        calls, kernel = fresh(_PROFILED.format(body=(
             "harmonic.correction_sum(2, 10**6)\n"
             "factorial.s_sum_exact(10**5)\n"
             "constants.nr_empirical_limit(10**6)\n"
             "harmonic.odd_harmonic_sum(2, 10**6)\n"
-            "sys.setprofile(None)\n"
-            "print(json.dumps(sorted(calls)))\n"
-        )
+        )))
         called = {callee for _, callee in calls}
-        assert {"harmonic._fixed_tail", "harmonic._odd_head", "constants._two_q_fixed"} <= called
+        assert {"harmonic._fixed_tail", "harmonic._two_s_fixed", "harmonic._two_q_fixed"} <= called
         # A tail from 2 < m < 64 would sum the terms below m in a generator.
         assert {callee for caller, callee in calls if caller == "harmonic._fixed_tail"} == set()
-        # _hi_lo still serves oracle._ln_ratio, but not the head S(2, 40).
-        assert not {callee for caller, callee in calls if caller == "harmonic._odd_head"}
+        # S(2, 10**6) is 2 S(1, 10**6) less 2 S(1, 1) = 2: no head term past k = 1.
+        assert kernel == [10**6, 1]
         assert {name for name in called if name.startswith("constants.")} == {
-            "constants.nr_empirical_limit", "constants._two_q_fixed"
+            "constants.nr_empirical_limit"
         }
+
+    def test_ln_n_and_ln_n_factorial_take_no_float_logarithm_and_no_head(self):
+        # ln n, ln n! and the odd sum from k = 2 are fixed-point integers on
+        # ln n = P/Q of oracle._ln_fraction: a fresh interpreter's first
+        # ln_integer(10**6), ln_factorial_series(10**5) and S(2, 10**6) call
+        # neither the float pair of oracle._ln_ratio nor the checked
+        # oracle.ln_value, and sum no head term past k = 1.
+        calls, kernel = fresh(_PROFILED.format(body=(
+            "harmonic.ln_integer(10**6)\n"
+            "factorial.ln_factorial_series(10**5)\n"
+            "harmonic.odd_harmonic_sum(2, 10**6)\n"
+        )))
+        called = {callee for _, callee in calls}
+        assert not called & {"oracle._ln_ratio", "oracle.ln_value"}
+        assert {"oracle._ln_fraction", "harmonic._two_s_fixed", "harmonic._fixed_tail"} <= called
+        assert kernel == [10**6, 10**6, 1]
 
     def test_a_first_long_correction_window_takes_under_100_us(self):
         # C(10**6 + 1, 2 * 10**6) is two Horner tails in a fresh process,

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from harmlog import constants, factorial, harmonic, oracle
+from harmlog.harmonic import LogVariant
 
 _PREC = 50
 
@@ -173,20 +174,6 @@ def test_every_head_one_term_past_the_crossover_within_0_501_ulp(a):
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
-@functools.cache
-def _odd_sum_from_the_tail_start_to_a_million() -> Decimal:
-    return _decimal_sum(lambda k: 2 * k - 1, harmonic._LOWEST_TAIL_START, 10**6)
-
-
-@pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
-def test_every_head_to_a_million_within_0_501_ulp(a):
-    head = _decimal_sum(lambda k: 2 * k - 1, a, harmonic._LOWEST_TAIL_START - 1)
-    with localcontext() as ctx:
-        ctx.prec = _PREC
-        exact = head + _odd_sum_from_the_tail_start_to_a_million()
-    assert _ulps(harmonic.odd_harmonic_sum(a, 10**6), exact) <= _PROVEN_ULPS
-
-
 def _scaled_windows(seed: int) -> list[tuple[int, int, int]]:
     """(p, q, m) with coprime p > q and mq >= 40, whose window mq+1..mp of
     49 to 3,000 terms takes the O(1) path from d = mq: d = 40 exactly, p and
@@ -239,11 +226,11 @@ _BRUTE_BITS = 700
 
 
 def _assert_within_its_bound(a: int, b: int, r: int, lo: Fraction, hi: Fraction) -> None:
-    """The window before its one rounding, as _decaying_sum takes it, within
-    2 units of 2**-w and 2**-92 of the sum of an exact sum in [lo, hi]."""
+    """The window before its one rounding, as _decaying_fixed takes it,
+    within 2 units of 2**-w and 2**-92 of the sum of an exact sum in [lo, hi]."""
     w = (3 + r) * a.bit_length() + r + 53 + harmonic._GUARD_BITS
     units = harmonic._fixed_tail(a, w, r) - harmonic._fixed_tail(b + 1, w, r)
-    assert math.ldexp(units, -w) == harmonic._decaying_sum(a, b, r)
+    assert harmonic._decaying_fixed(a, b, r) == (units, -w)
     fixed = Fraction(units, 2**w)
     gap = max(fixed - lo, hi - fixed)
     assert gap < Fraction(2, 2**w) and gap < lo / 2**92, (a, b)
@@ -291,7 +278,7 @@ def _assert_rounded_once(r: int, windows: list[tuple[int, int]]) -> None:
         if float(lo) != float(hi):
             undecided.append((a, b))
             continue
-        if harmonic._decaying_sum(a, b, r) != float(lo):
+        if math.ldexp(*harmonic._decaying_fixed(a, b, r)) != float(lo):
             mismatches.append((a, b))
         _assert_within_its_bound(a, b, r, lo, hi)
     assert (undecided, mismatches) == ([], [])
@@ -627,17 +614,23 @@ def _odd_sums_to_the_direct_end() -> list[Decimal]:
     return sums
 
 
-def _nr_referee(n: int) -> Decimal:
-    """ln n - 2 S(2, n) to 50 digits."""
+def _odd_from_2(n: int) -> Decimal:
+    """S(2, n) to 60 digits for n >= 0: term by term up to _NR_DIRECT, then
+    by Euler-Maclaurin."""
     if n <= _NR_DIRECT:
-        s = _odd_sums_to_the_direct_end()[n]
-    else:
-        s = _odd_sums_to_the_direct_end()[_NR_DIRECT] + _odd_sum_by_euler_maclaurin(
-            _NR_DIRECT + 1, n
-        )
+        return _odd_sums_to_the_direct_end()[n]
     with localcontext() as ctx:
         ctx.prec = _PREC + 10
-        exact = Decimal(n).ln() - 2 * s
+        return _odd_sums_to_the_direct_end()[_NR_DIRECT] + _odd_sum_by_euler_maclaurin(
+            _NR_DIRECT + 1, n
+        )
+
+
+def _nr_referee(n: int) -> Decimal:
+    """ln n - 2 S(2, n) to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = _PREC + 10
+        exact = Decimal(n).ln() - 2 * _odd_from_2(n)
         ctx.prec = _PREC
         return +exact
 
@@ -662,24 +655,61 @@ def test_nr_empirical_limit_correctly_rounded_for_log_uniform_n_to_10_18():
         assert constants.nr_empirical_limit(n) == float(_nr_referee(n)), n
 
 
-# The errors of the two series estimates against their own formulas,
-# measured: ln_factorial_series(n) = (n + 1/2) ln n - (n - 1) - s(n), s(n)
-# the sum of 1/(x**3 (2x-1)) for x = 2..n, and ln_integer(n, FULL) =
-# 2 S(2, n) + 2 C(2, n).  Over every n up to 2 * 10**5 the worst were 2.37 ulp
-# at n = 4077 and 0.997 ulp at n = 7566; both are among the cases below.
-_LN_FACTORIAL_SERIES_ULPS = 2.4
-_LN_INTEGER_FULL_ULPS = 1.0
+# -- long odd windows from a <= 40 ---------------------------------------------
+# Each is one fixed-point integer rounded once (harmonic's `_two_s_fixed`),
+# within half an ulp plus 2**-82 S: the exact sum correctly rounded.
+_HEAD_WINDOW_ENDS = [89, 10**6, 2**63 - 1] + [
+    round(2 ** random.Random(1903).uniform(math.log2(90), 62.9)) for _ in range(3)
+]
 
 
-@functools.cache
-def _formula_errors() -> tuple[dict[int, Decimal], dict[int, Decimal]]:
-    """ulps of ln_factorial_series(n) and ln_integer(n, FULL) off their
-    formulas, for n = 2..3000, the two worst n above and 40 seeded n up to
-    10**5, from incremental 50-digit prefix sums."""
+@pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
+def test_every_long_window_from_a_up_to_40_is_correctly_rounded(a):
+    for b in _HEAD_WINDOW_ENDS:
+        assert _past_the_crossover(a, b)
+        with localcontext() as ctx:
+            ctx.prec = _PREC + 10
+            exact = _odd_from_2(b) - _odd_from_2(a - 1) + (1 if a == 1 else 0)
+        assert harmonic.odd_harmonic_sum(a, b) == float(exact), (a, b)
+
+
+# -- the estimates from k = 2, rounded once ------------------------------------
+# ln_integer(n) = 2 S(2, n), plus 2 C(2, n) for the full variant, ln_product
+# (x, y) the sum of two of those, and ln_factorial_series(n) = (n + 1/2) ln n
+# - (n - 1) - s(n), s(n) the sum of 1/(x**3 (2x-1)) for x = 2..n, are each
+# one fixed-point integer rounded once, within half an ulp plus 2**-82 of the
+# exact value: each must be the exact value correctly rounded.  The float
+# sums they replaced were up to 0.997 ulp (ln_integer FULL, n = 7566) and
+# 2.37 ulp (ln_factorial_series, n = 4077) off; both n are cases below.
+_ESTIMATES = {
+    "truncated": lambda n: harmonic.ln_integer(n, LogVariant.TRUNCATED),
+    "full": lambda n: harmonic.ln_integer(n, LogVariant.FULL),
+    "series": factorial.ln_factorial_series,
+}
+
+
+def _misses(n: int, m: int, exact: dict[str, Decimal], exact_m: dict[str, Decimal]) -> list:
+    """The estimates at n, and ln_product(n, m), that are not their exact
+    values (by estimate name, to 50 digits) correctly rounded."""
+    misses = [
+        (name, n) for name, estimate in _ESTIMATES.items() if estimate(n) != float(exact[name])
+    ]
+    for name, variant in (("truncated", LogVariant.TRUNCATED), ("full", LogVariant.FULL)):
+        with localcontext() as ctx:
+            ctx.prec = _PREC
+            product = exact[name] + exact_m[name]
+        if harmonic.ln_product(n, m, variant) != float(product):
+            misses.append(("product " + name, n, m))
+    return misses
+
+
+def test_estimates_from_2_to_3000_are_correctly_rounded():
+    # One pass of incremental 50-digit prefix sums, for n = 2..3000, 4077
+    # and 7566, and ln_product(n, m) with a seeded m in 1..n.
     rng = random.Random(1901)
     cases = {*range(2, 3001), 4077, 7566}
-    cases |= {round(10 ** rng.uniform(math.log10(3001), 5)) for _ in range(40)}
-    series, full = {}, {}
+    zero = {"truncated": Decimal(0), "full": Decimal(0)}
+    exact, misses = {1: zero}, []
     with localcontext() as ctx:
         ctx.prec = _PREC
         s = c = odd = Decimal(0)
@@ -688,22 +718,98 @@ def _formula_errors() -> tuple[dict[int, Decimal], dict[int, Decimal]]:
             s += Decimal(1) / (cube * (2 * n - 1))
             c += Decimal(1) / (cube * (2 * n - 1) ** 2)
             odd += Decimal(1) / (2 * n - 1)
+            exact[n] = {"truncated": 2 * odd, "full": 2 * (odd + c)}
             if n in cases:
-                formula = (n + Decimal("0.5")) * Decimal(n).ln() - (n - 1) - s
-                series[n] = _ulps(factorial.ln_factorial_series(n), formula)
-                full[n] = _ulps(harmonic.ln_integer(n, harmonic.LogVariant.FULL), 2 * (odd + c))
-    return series, full
+                exact[n]["series"] = (n + Decimal("0.5")) * Decimal(n).ln() - (n - 1) - s
+                m = rng.randint(1, n)
+                misses += _misses(n, m, exact[n], exact[m])
+    assert misses == []
 
 
-def test_ln_factorial_series_within_2_4_ulp_of_its_formula():
-    series, _ = _formula_errors()
-    worst = max(series, key=series.get)
-    assert series[worst] <= _LN_FACTORIAL_SERIES_ULPS, worst
-    assert (worst, round(series[worst], 2)) == (4077, Decimal("2.37"))
+# Past n = 3000 the referee takes the decaying sums from their tails: with
+# partial fractions
+#     1/(k**3 (2k-1)) = 8/(2k-1) - 4/k - 2/k**2 - 1/k**3,
+#     1/(k**3 (2k-1)**2) = 1/k**3 + 4/k**2 + 12/k - 24/(2k-1) + 8/(2k-1)**2,
+# the tail T(m) from k = m is a sum of Hurwitz zetas zeta(s, m) and
+# zeta(2, m - 1/2)/4, and of psi(m) - psi(m - 1/2) = sum_{k>=m} (2/(2k-1) -
+# 1/k), each by its asymptotic series (DLMF 25.11.43 and 5.11.2) with
+# _NR_EM_TERMS Bernoulli terms, at 80 digits, from m = 3001 on, where the
+# first omitted term is under 1e-80.  The sum from k = 2 to 3000 is added
+# term by term.
+_TAIL_REFEREE_FROM = 3001
+_TAIL_PREC = 80
 
 
-def test_ln_integer_full_within_1_ulp_of_its_formula():
-    _, full = _formula_errors()
-    worst = max(full, key=full.get)
-    assert full[worst] <= _LN_INTEGER_FULL_ULPS, worst
-    assert (worst, round(full[worst], 3)) == (7566, Decimal("0.997"))
+def _hurwitz_zeta(s: int, x: Decimal) -> Decimal:
+    bernoulli = _bernoulli(_NR_EM_TERMS)
+    total = x ** (1 - s) / (s - 1) + x**-s / 2
+    for j in range(1, _NR_EM_TERMS + 1):
+        c = bernoulli[2 * j] / math.factorial(2 * j) * math.perm(s + 2 * j - 2, 2 * j - 1)
+        total += Decimal(c.numerator) / c.denominator * x ** (1 - s - 2 * j)
+    return total
+
+
+def _digamma(x: Decimal) -> Decimal:
+    bernoulli = _bernoulli(_NR_EM_TERMS)
+    total = x.ln() - 1 / (2 * x)
+    for j in range(1, _NR_EM_TERMS + 1):
+        c = bernoulli[2 * j] / (2 * j)
+        total -= Decimal(c.numerator) / c.denominator * x ** (-2 * j)
+    return total
+
+
+def _decaying_tail(r: int, m: int) -> Decimal:
+    """T(m) = sum_{k>=m} 1/(k**3 (2k-1)**r) for m >= _TAIL_REFEREE_FROM."""
+    x, half = Decimal(m), Decimal("0.5")
+    odd_less_inverse = _digamma(x) - _digamma(x - half)
+    zeta3, zeta2 = _hurwitz_zeta(3, x), _hurwitz_zeta(2, x)
+    if r == 1:
+        return 4 * odd_less_inverse - 2 * zeta2 - zeta3
+    return zeta3 + 4 * zeta2 - 12 * odd_less_inverse + 2 * _hurwitz_zeta(2, x - half)
+
+
+@functools.cache
+def _decaying_head(r: int) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = _TAIL_PREC
+        return sum(
+            Decimal(1) / (k**3 * (2 * k - 1) ** r) for k in range(2, _TAIL_REFEREE_FROM)
+        )
+
+
+def _decaying_from_2(r: int, n: int) -> Decimal:
+    """The sum of 1/(k**3 (2k-1)**r) for k = 2..n, n >= 3000, to 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = _TAIL_PREC
+        tail = _decaying_tail(r, _TAIL_REFEREE_FROM) - _decaying_tail(r, n + 1)
+        return _decaying_head(r) + tail
+
+
+@pytest.mark.parametrize("r", _DECAYING)
+def test_decaying_referee_by_its_tails_agrees_with_the_term_by_term_sum(r):
+    n = 7566
+    direct = _decimal_sum(lambda k: k**3 * (2 * k - 1) ** r, 2, n)
+    assert abs(_decaying_from_2(r, n) - direct) < Decimal("1e-48")
+
+
+def _exact_estimates(n: int) -> dict[str, Decimal]:
+    with localcontext() as ctx:
+        ctx.prec = _TAIL_PREC
+        odd, x = _odd_from_2(n), Decimal(n)
+        return {
+            "truncated": 2 * odd,
+            "full": 2 * (odd + _decaying_from_2(2, n)),
+            "series": (x + Decimal("0.5")) * x.ln() - (x - 1) - _decaying_from_2(1, n),
+        }
+
+
+def test_estimates_from_2_are_correctly_rounded_for_seeded_n_to_10_18():
+    # 150 log-uniform n from 3001 to 10**18, and 10**18; ln_product pairs
+    # each n with the one before it.
+    rng = random.Random(1902)
+    ns = [round(10 ** rng.uniform(math.log10(3001), 18)) for _ in range(150)] + [10**18]
+    exact = {n: _exact_estimates(n) for n in ns}
+    misses = []
+    for n, m in zip(ns, ns[-1:] + ns[:-1]):
+        misses += _misses(n, m, exact[n], exact[m])
+    assert misses == []

@@ -371,9 +371,10 @@ class TestSweeps:
         [
             # p/q not in lowest terms, and a direct row between O(1) ones
             (14, 10, [10**6, 9, 2**58], 1),
-            # Head windows (m q < 40, m p > 88) take ln(mp/40) each: 5/2, 15/2
-            # and 195/2, besides the one ln(100) of every row from k = 41 on.
-            (100, 1, [50, 3, 39, 7000, 1], 4),
+            # Head windows (m q < 40, m p > 88) are fixed-point integers that
+            # take no _ln_ratio: only the one ln(100) of every row from k = 41
+            # on is taken.
+            (100, 1, [50, 3, 39, 7000, 1], 1),
         ],
     )
     def test_ln_rational_sweep_shares_its_logarithm_whatever_the_grid(
