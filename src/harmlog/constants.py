@@ -30,7 +30,7 @@ from operator import truediv
 
 from ._frozen import Frozen
 from .errors import DomainError, OverflowLimitError, shown
-from .harmonic import _NR_BITS, _NR_LIMIT, _two_q_fixed, _two_s_fixed, _window, correction_sum
+from .harmonic import _HEAD_FIXED, _NR_BITS, _NR_LIMIT, _two_q_fixed, _window, correction_sum
 from .oracle import LN2, _ln_fraction, ln_value
 
 # Closed-form pieces of the integral variant.
@@ -95,13 +95,13 @@ def nr_direct_series(terms: int) -> float:
 # correctly rounded N(n) unless N(n) lies that close to a midpoint of two
 # floats: tests/test_referee.py checks every n up to 200 and sampled n up
 # to 10**18 against a 50-digit referee, bit for bit.
-# Up to n = 40, N(n) is floor(2**W P/Q) + 2 2**W - _two_s_fixed(n), with
-# P/Q = _ln_fraction(n, 1) within 2**-85.1 ln n of ln n for n >= 2 (its
-# case k >= 1) and _two_s_fixed(n) the exact head floored: two floors.  ln n
-# / N(n) is at most 101.2 (at n = 40), so one rounding takes a value within
-# 2**-78 N(n) of N(n).  n = 1 gives P = 0 and 2 S(1, 1) = 2: exactly +0.0.
-# From this n on, N(n) is taken from its limit.
-_NR_FROM_LIMIT = 41
+# Up to n = 40, the last n of harmonic's head table, N(n) is floor(2**W
+# P/Q) + 2 2**W - _HEAD_FIXED[n], with P/Q = _ln_fraction(n, 1) within
+# 2**-85.1 ln n of ln n for n >= 2 (its case k >= 1) and _HEAD_FIXED[n] the
+# exact head floored: two floors.  ln n / N(n) is at most 101.2 (at n = 40),
+# so one rounding takes a value within 2**-78 N(n) of N(n).  n = 1 gives
+# P = 0 and 2 S(1, 1) = 2: exactly +0.0.  Past the table, N(n) is taken
+# from its limit.
 
 
 def nr_empirical_limit(n: int) -> float:
@@ -117,10 +117,10 @@ def nr_empirical_limit(n: int) -> float:
     if n < 1:
         raise DomainError(f"nr_empirical_limit requires n >= 1, got {shown(n)}")
     _window(2, n)
-    if n >= _NR_FROM_LIMIT:
+    if n >= len(_HEAD_FIXED):
         return math.ldexp(_NR_LIMIT - _two_q_fixed(n), -_NR_BITS)
     p, q = _ln_fraction(n, 1)
-    return math.ldexp((p << _NR_BITS) // q + (2 << _NR_BITS) - _two_s_fixed(n), -_NR_BITS)
+    return math.ldexp((p << _NR_BITS) // q + (2 << _NR_BITS) - _HEAD_FIXED[n], -_NR_BITS)
 
 
 def variant(kind: NrKind, terms: int | None = None, n: int | None = None) -> NrVariant:

@@ -7,21 +7,21 @@ differencing two full sums, and a rational p/q is scaled to mp/mq so the
 window sits where the correction terms are negligible.
 
 Every sum checks its index window with `_window`, which builds nothing: only
-a sum that adds terms one by one builds a range over them.  The odd window
-from k = 2, ln n's, is always the fixed-point integer below.  Any other odd
-window with up to 48 terms (`_DIRECT_MAX_TERMS`) from k = max(a, 41) on is
-the correctly rounded value of the exact sum of its float terms (`math.fsum`,
-Shewchuk's algorithm, in a C-level loop), so the order of the terms does not
-change it.  A longer odd window is the same finite sum, not a different
-approximation, evaluated in O(1), whatever its start.  From a >= 41 it is
-four floats from the digamma function's expansion about x + 1/2
-(`_psi_series`, and the integer logarithm `oracle._ln_ratio` of b/(a-1)),
-within 0.501 ulp.  From a <= 40 it is one integer, `_two_s_fixed(b) -
-_two_s_fixed(a - 1)`, rounded once.  `_two_s_fixed(n)` is 2 S(1, n) in
-128-bit fixed point: the exact head over lcm(1, 3, ..., 79) up to n = 40,
+a sum that adds terms one by one builds a range over them.  An odd window's
+first index a alone picks its evaluator.  From a <= 40 it is one integer,
+`_two_s_fixed(b) - _HEAD_FIXED[a - 1]`, rounded once, whatever its length.
+`_two_s_fixed(n)` is 2 S(1, n) in 128-bit fixed point: up to n = 40 the
+head table `_HEAD_FIXED`, exact over lcm(1, 3, ..., 79) and built once,
 and from there ln n (`oracle._ln_fraction`) less the Number Constant's
-limit N plus 2 Q(n), with no float and no memo.  One evaluator, `_odd_sums`,
-takes the windows S(m lo + 1, m hi) of a multiplier grid in one pass;
+limit N plus 2 Q(n), with no float and no memo.  From a >= 41 a window of up
+to 48 terms (`_DIRECT_MAX_TERMS`) is the correctly rounded value of the
+exact sum of its terms, each an int quotient rounded once (`math.fsum`,
+Shewchuk's algorithm, in a C-level loop), so the order of the terms does
+not change it.  A longer one is the same finite sum, not a different
+approximation, in O(1): four floats from the digamma function's expansion
+about x + 1/2 (`_psi_series`, and the integer logarithm `oracle._ln_ratio`
+of b/(a-1)), within 0.501 ulp.  One evaluator, `_odd_sums`, takes the
+windows S(m lo + 1, m hi) of a multiplier grid in one pass;
 `odd_harmonic_sum` is its grid of one.  For every m with m lo >= 40, b/(a-1)
 is hi/lo itself, so the whole grid takes that logarithm from one
 `_ln_ratio` call (memoised in lowest terms).
@@ -33,17 +33,18 @@ over literal integer coefficients, one from m < 64 a literal T(2) less the
 terms below m.  Rounded once, each is the exact sum within half an ulp
 plus 2**-92 relative, in O(1) from any start, with no memo and no work
 limit.
-The paper's estimate of ln n, 2 S(2, n) plus 2 C(2, n) for the full
-variant, is the sum of those integers, rounded once (`ln_integer`, and
-`ln_quotient` over any window from k = 2); `ln_product` rounds the sum of
-two such.  Each is within half an ulp plus 2**-82 of its exact value,
-relative.
+The paper's estimate of ln(hi/lo), 2 S(lo + 1, hi) plus 2 C(lo + 1, hi) for
+the full variant, is for lo <= 39 the sum of those integers, rounded once
+(`ln_quotient`, and `ln_integer`, its lo = 1); `ln_product` rounds the sum
+of two from lo = 1.  Each is within half an ulp plus 2**-78.8 of its exact
+value, relative, and 2**-82 from lo = 1.  From lo >= 40, `ln_quotient`
+adds the rounded odd and correction sums.
 """
 
 import math
 from collections.abc import Iterable
 from enum import Enum
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import floordiv, index, truediv
 
 from ._frozen import Frozen
@@ -191,32 +192,30 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 
 
 # -- long odd windows --------------------------------------------------------
-# psi(x+1) - psi(x) = 1/x for the digamma function psi, so for a <= c <= b
-# and d = c - 1
-#     S(a, b) = S(a, d) + (psi(b + 1/2) - psi(d + 1/2)) / 2.
+# psi(x+1) - psi(x) = 1/x for the digamma function psi, so with d = a - 1
+#     S(a, b) = (psi(b + 1/2) - psi(d + 1/2)) / 2.
 # DLMF 5.11.2 gives, for real x > 0,
 #     psi(x) = ln x - 1/(2x) - sum_{k=1..K} B_2k / (2k x**2k) + R_K(x),
 # and the duplication formula psi(2x) = (psi(x) + psi(x + 1/2))/2 + ln 2
 # (DLMF 5.5.8) turns it into the expansion about x + 1/2,
 #     psi(x + 1/2) = ln x + sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (2k x**2k)
 #                    + 2 R_K(2x) - R_K(x).
-# A window with more than _DIRECT_MAX_TERMS terms from c = max(a,
-# _LOWEST_TAIL_START) on takes that part as
-#     S(c, b) = ln(b/d)/2 + Q(b) - Q(d) + (E(b) - E(d))/2,
+# A window from a >= _LOWEST_TAIL_START with more than _DIRECT_MAX_TERMS
+# terms is taken as
+#     S(a, b) = ln(b/d)/2 + Q(b) - Q(d) + (E(b) - E(d))/2,
 #     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
 #     E(x) = 2 R_K(2x) - R_K(x),
 # from the window's own integers: no gamma and no float constant.  For a
 # scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
 # `_odd_sums` takes it once, reduced by its gcd, for every such multiplier
 # of a sweep (`oracle._ln_ratio` is memoised across sweeps).  A window from
-# a <= 40 sums no float: it is the difference of two integers of
-# `_two_s_fixed` (see the next section), rounded once.  So no window adds a
-# term one by one past the crossover, and the crossover counts only the
-# terms from c on.
+# a <= 40 sums no float, whatever its length: it is one integer of the next
+# section, rounded once.  So only a window from a >= 41 adds terms one by
+# one, and the crossover counts its terms from a.
 #
-# Error bound, with u = 2**-53, d = c - 1 >= 40 and n > 40 the terms from c
-# on.  Each of them is above 1/(2b), and b = d + n, so S = S(a, b) >=
-# S(c, b) > n/(2(d+n)).
+# Error bound, with u = 2**-53, d = a - 1 >= 40 and n > 40 the window's
+# terms.  Each of them is above 1/(2b), and b = d + n, so S = S(a, b) >
+# n/(2(d+n)).
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
 #    - 2 int_0^inf t dt / ((t**2 + x**2)(e**(2 pi t) - 1)).  Expanding
 #    1/(t**2 + x**2) to K terms and using int_0^inf t**(2n-1) dt /
@@ -230,12 +229,11 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 # 2. The logarithm.  oracle._ln_ratio returns hi + lo within 2**-75 of
 #    ln(b/d), relative to it, from integer arithmetic alone (see there);
 #    halving them is exact.  ln(b/d)/2 is the sum of ln(k/(k-1))/2, the
-#    integral of 1/(2x) over [k-1, k], for k = c..b, so by midpoint convexity
-#    it is at least S(c, b).  It exceeds S(c, b) by Q(d) - Q(b) + (E(d) -
-#    E(b))/2, under 1/(48 d**2): Q(b) > 0, and Q(d) falls short of its first
-#    term by over 3e-3/d**4 (item 3), far more than item 1's E terms.  As
-#    1/(48 d**2) < (1/24) (1/(n d) + 1/d**2) S(c, b) < 1e-4 S(c, b), this
-#    is under 1.0001 2**-75 S.
+#    integral of 1/(2x) over [k-1, k], for k = a..b, so by midpoint convexity
+#    it is at least S.  It exceeds S by Q(d) - Q(b) + (E(d) - E(b))/2, under
+#    1/(48 d**2): Q(b) > 0, and Q(d) falls short of its first term by over
+#    3e-3/d**4 (item 3), far more than item 1's E terms.  As 1/(48 d**2)
+#    < (1/24) (1/(n d) + 1/d**2) S < 1e-4 S, this is under 1.0001 2**-75 S.
 # 3. y = 1/(x*x) is an int quotient, rounded once.  Q(x) is positive and
 #    below its first term 1/(48 x**2): the terms alternate and shrink for
 #    x >= 40, the second is -7/(1920 x**4), and all but the first together
@@ -245,41 +243,35 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #    product's), so each of Q(b) and Q(d) is off by under 5u/(48 x**2), and
 #    together by under 5u/(24 d**2) < (5u/12) (1/(n d) + 1/d**2) S
 #    < u S/1900.
-# 4. The floats are the window itself: this path serves only a window from
-#    a >= 41, so c = a and no head below c is added.  A window from a <= 40
-#    is one integer of the next section, within half an ulp plus 2**-82 S.
-# 5. So the four tail floats sum to S within under
+# 4. The four floats are the whole window: no term below a is added.
+# 5. So the four floats sum to S within under
 #    2**-67 S + 1.0001 2**-75 S + u S/1900 < 0.0006 u S.  fsum rounds that
 #    exact sum correctly, to R within half an ulp of it, and u R < ulp(R):
 #    R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S.
 #    tests/test_referee.py checks this bound against a 50-digit sum, and
-#    tests/test_harmonic.py 2 ulp against the fsum of every float term.
+#    tests/test_harmonic.py 2 ulp against the fsum of every term.
 # The crossover is the measured break-even of this path.  Timed over 400
 # windows of 41 to 128 terms, log-uniform in a from 41 to 2**62 (CPython
 # 3.11, x86-64 Xeon, least of 15 runs of 50), the O(1) path took 4.2-13 us
 # (median 7.1) and a direct term 77-222 ns (the wider the index, the
 # slower); the two cost the same at 49-56 terms (median ratio 0.99), and the
 # 400 windows took least with the crossover at 48: 2.88 ms, against 2.89 at
-# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  A long window from
-# 2 < a <= 40 takes two integers of `_two_s_fixed`, 4.8-7.7 us (more for a
-# larger a, whose head below a has more terms; CPython 3.11.7, pinned, best
-# of 15), about what its 50 to 88 shortest direct windows cost; no
-# benchmark workload runs them, so the crossover is not tuned to them.  It
-# is at least _LOWEST_TAIL_START - 1, so that n > 40.  Every
-# tests/golden/ file is the same with it at 48 as with every window of up to
-# 10**6 terms summed term by term.
+# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  Those direct terms
+# were 1.0 over a float denominator; int quotients cost less below 2**53
+# and about twice as much past it, where 48 of them take over twice the
+# O(1) path's time.  No benchmark workload runs such windows, so the
+# crossover is not retuned to them.  It is at least _LOWEST_TAIL_START - 1,
+# so that n > 40.  Every tests/golden/ file is the same with it at 48 as
+# with every window from a >= 41 of up to 10**6 terms summed term by term.
 #
 # A direct window whose 2k-1 passes 2**53, of at most 48 terms, has each
-# term rounded twice: 2k-1 to a float, then 1.0 divided by it.  Each rounding
-# is a factor 1 + d with |d| <= u/(1+u), so a term is within 2u of 1/(2k-1),
-# the exact sum of the float terms is within 2u S of S, and fsum adds half an
-# ulp of its result R.  As ulp(R) > u R, R is within 2 S/R + 1/2 ulp of S:
-# about 2.5 ulp.  Neighbouring terms share the rounding of their
-# denominators, so it does not cancel, and such windows do pass 1 ulp;
-# tests/test_referee.py checks 2.5 ulp there.  The O(1) path's floats are
-# int quotients, rounded once, so past 2**53 its bound above still holds.
+# term the int quotient 1/(2k-1) rounded once, a factor 1 + d from it with
+# |d| <= u/(1+u).  So the exact sum of the float terms is within u S of S,
+# and fsum adds half an ulp of its result R.  As ulp(R) > u R, R is within
+# S/R + 1/2 ulp of S: about 1.5 ulp, which tests/test_referee.py checks.
+# Below 2**53, 2k-1 is exact as a float, and the term is 1.0/(2k-1) itself.
 _DIRECT_MAX_TERMS = 48
-_LOWEST_TAIL_START = 41  # so that d >= 40 in items 1, 2, 3 and 5
+_LOWEST_TAIL_START = 41  # past the head table, so that d >= 40 in items 1, 2, 3 and 5
 
 
 def _psi_series(x: int) -> float:
@@ -295,8 +287,9 @@ def _psi_series(x: int) -> float:
 # -- the odd sum from k = 1 in fixed point ----------------------------------
 # `_two_s_fixed(n)` is 2 S(1, n) in units of 2**-W, W = _NR_BITS = 128.
 # Up to n = 40 it is floor(2**W 2 N_n / L), exactly: L = lcm(1, 3, ..., 79)
-# and N_n = sum_{k=1..n} L/(2k-1) are integers (0 for n = 0).  From n = 41
-# on, the long windows' identity with c = 41 and K = 8 (every B_2k of
+# and N_n = sum_{k=1..n} L/(2k-1) are integers (0 for n = 0); the head
+# table `_HEAD_FIXED` holds those 41 floors, built once.  From n = 41 on,
+# the long windows' identity from a = 41 with K = 8 (every B_2k of
 # oracle._BERNOULLI) gives
 #     2 S(1, n) = 2 + 2 S(2, 40) + 2 S(41, n) = 2 + ln n - N + 2 Q(n) + E(n),
 #     N = ln 40 - 2 S(2, 40) + 2 Q(40) + E(40) = 2 - 2 ln 2 - gamma,
@@ -308,19 +301,26 @@ def _psi_series(x: int) -> float:
 # and the E(n) it drops is under |B_18| / (18 n**18) < 2**-94 (item 1 above
 # with K = 8).  So for n >= 41 the integer is within 2**-85.1 ln n + 2**-93
 # of 2**W 2 S(1, n), and 2 S(1, n) > 2 + ln n - N > ln n.
-# - A window [a, b] from a <= 40 past the crossover has b >= 89, and
-#   2 S(a, b) > ln((2b + 1)/79), the integral of 1/x over [2a - 1, 2b + 1],
-#   at least ln b / 5.49 (at b = 89).  So _two_s_fixed(b) - _two_s_fixed(a-1),
-#   one more floor, is within 2**-82.5 of 2**W 2 S(a, b), relative.
-# - `ln_integer(n)` is 2 S(2, n) = 2 S(1, n) - 2, above ln n - N >
-#   (ln n)/1.01 from n = 41 on: within 2**-85 of it, relative.  Its full
-#   variant adds 2 C(2, n), `_decaying_fixed`'s integer at w = 105 shifted
-#   to 2**-W (exact), within 2**-92 of it, relative.
-# - `nr_empirical_limit(n)` up to n = 40 is floor(2**W P/Q) - 2 2**W 2 S(2, n)
-#   floored: see there.
+# - A window [a, b] from a <= 40 is _two_s_fixed(b) - _HEAD_FIXED[a - 1].
+#   Up to b = 40 both are exact heads floored: within 2 units, under 2**-120
+#   of 2**W 2 S(a, b) >= 2**W 2/79, relative.  Past b = 40, 2 S(a, b) >=
+#   2 S(40, b), and ln b / 2 S(40, b) is largest at b = 41, under 74.3; past
+#   b = 10**4, where 2 S(40, b) > ln((2b + 1)/79) > ln b - 3.68, it is under
+#   1.7.  With 2 S(40, 41) > 0.05, the difference, one more floor, is within
+#   2**-85.1 74.3 + (2**-93 + 2**-128)/0.05 < 2**-78.8 of 2**W 2 S(a, b),
+#   relative; the window [40, 41] is the worst case.
+# - `ln_quotient(hi, lo)` for lo <= 39 is that window from a = lo + 1, and
+#   its full variant adds 2 C(lo + 1, hi), `_decaying_fixed`'s integer at
+#   w <= 125 shifted to 2**-W (exact), within 2**-92 of it, relative, so
+#   the sum stays within 2**-78.8.  `ln_integer(n)` is lo = 1: 2 S(2, n) =
+#   2 S(1, n) - 2, above ln n - N > (ln n)/1.01 from n = 41 on, within
+#   2**-85 of it, relative.
+# - `nr_empirical_limit(n)` up to n = 40 is floor(2**W P/Q) + 2 2**W -
+#   _HEAD_FIXED[n]: see there.
 # Each caller rounds its integer once with math.ldexp, so each value is
-# within half an ulp plus 2**-82 of its exact sum, relative: the correctly
-# rounded sum unless it lies that close to a midpoint of two floats.
+# within half an ulp plus 2**-78.8 of its exact sum, relative (2**-82 from
+# a = 2): the correctly rounded sum unless it lies that close to a midpoint
+# of two floats.
 # tests/test_referee.py checks every one bit for bit against a 50-digit sum.
 _NR_BITS = 128
 # floor(2**128 (2 - 2 ln 2 - gamma)).  tests/test_constants.py derives it
@@ -337,6 +337,9 @@ _TWO_Q_NUMERATORS = (
 _TWO_Q_DENOMINATOR = 802962800640
 # L = lcm(1, 3, ..., 79), which tests/test_harmonic.py derives.
 _HEAD_LCM = 506779050856155982994105817275475
+# floor(2**W 2 N_n / L) for n = 0..40, built once from the running sums N_n.
+_HEAD_FIXED = tuple((head << _NR_BITS + 1) // _HEAD_LCM for head in accumulate(
+    map(floordiv, repeat(_HEAD_LCM), range(1, 80, 2)), initial=0))
 
 
 def _two_q_fixed(n: int) -> int:
@@ -355,25 +358,24 @@ def _two_q_fixed(n: int) -> int:
 def _two_s_fixed(n: int) -> int:
     """2 S(1, n) in units of 2**-W, W = _NR_BITS, for n >= 0 (see above).
 
-    The floor of 2**W 2 S(1, n) up to n = 40, from the exact head; from
+    The floor of 2**W 2 S(1, n) up to n = 40, from the head table; from
     n = 41 on, ln n - N + 2 + 2 Q(n), within 2**-85 of it, relative.
     """
     if n < _LOWEST_TAIL_START:
-        head = sum(map(floordiv, repeat(_HEAD_LCM), range(1, 2 * n, 2)))
-        return (head << _NR_BITS + 1) // _HEAD_LCM
+        return _HEAD_FIXED[n]
     p, q = _ln_fraction(n, 1)
     return (p << _NR_BITS) // q + (2 << _NR_BITS) - _NR_LIMIT + _two_q_fixed(n)
 
 
-def _ln_integer_fixed(n: int, variant: LogVariant) -> int:
-    """ln_integer(n) before its rounding, in units of 2**-W, for n >= 1 (see above).
+def _ln_fixed(lo: int, hi: int, variant: LogVariant) -> int:
+    """2 S(lo + 1, hi), plus 2 C(lo + 1, hi) for FULL, in units of 2**-W, for 1 <= lo <= 39.
 
-    2 S(2, n), plus 2 C(2, n) for the full variant.  `_window` checks n.
+    `_window` checks hi; C's integer, at w <= 125, shifts to 2**-W exactly.
     """
-    _window(2, n)
-    total = _two_s_fixed(n) - (2 << _NR_BITS)
+    _window(lo + 1, hi)
+    total = _two_s_fixed(hi) - _HEAD_FIXED[lo]
     if variant is LogVariant.FULL:
-        c, e = _decaying_fixed(2, n, 2)
+        c, e = _decaying_fixed(lo + 1, hi, 2)
         total += c << _NR_BITS + 1 + e
     return total
 
@@ -381,38 +383,37 @@ def _ln_integer_fixed(n: int, variant: LogVariant) -> int:
 def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
     """S(m lo + 1, m hi) for each m, over windows already checked (see above).
 
-    A window from a = 2, ln n's, is one fixed-point integer rounded once,
-    whatever its length, so that 2 S(2, n) is ln_integer(n, TRUNCATED)
-    bit for bit.  Any other window with up to _DIRECT_MAX_TERMS terms from
-    k = c = max(a, 41) on is the correctly rounded sum of its float terms.
-    A longer one is the same finite sum in O(1): from a <= 40 one
-    fixed-point integer, rounded once, and from a >= 41 four floats from
-    the digamma function, within 0.501 ulp.  Every window from k = 41 on
-    takes ln(hi/lo), so one `_ln_ratio` call serves all of them.
+    The window's first index a alone picks its evaluator.  From a <= 40 it
+    is one fixed-point integer rounded once, whatever its length, so that
+    2 S(lo + 1, hi) is ln_quotient(hi, lo, TRUNCATED) bit for bit.  From
+    a >= 41 a window of up to _DIRECT_MAX_TERMS terms is the correctly
+    rounded sum of its terms, each an int quotient rounded once, and a
+    longer one the same finite sum in O(1), four floats from the digamma
+    function, within 0.501 ulp.  Each of those takes ln(b/(a-1)) = ln(hi/lo),
+    so one `_ln_ratio` call serves all of them.
     """
     sums, shared = [], None
     for m in multipliers:
         a, b = m * lo + 1, m * hi
-        d = max(a - 1, _LOWEST_TAIL_START - 1)
-        if a == 2 or a < _LOWEST_TAIL_START and b - d > _DIRECT_MAX_TERMS:
-            sums.append(math.ldexp(_two_s_fixed(b) - _two_s_fixed(a - 1), -_NR_BITS - 1))
-        elif b - d <= _DIRECT_MAX_TERMS:
-            sums.append(math.fsum(map(truediv, repeat(1.0), range(2 * b - 1, 2 * a - 2, -2))))
-        else:  # b/d is hi/lo: one logarithm serves every such m
-            ln = shared = shared or _ln_ratio(b // (g := math.gcd(b, d)), d // g)
-            sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(d))))
+        if a < _LOWEST_TAIL_START:
+            sums.append(math.ldexp(_two_s_fixed(b) - _HEAD_FIXED[a - 1], -_NR_BITS - 1))
+        elif b - a < _DIRECT_MAX_TERMS:
+            sums.append(math.fsum(map(truediv, repeat(1), range(2 * b - 1, 2 * a - 2, -2))))
+        else:  # b/(a-1) is hi/lo: one logarithm serves every such m
+            ln = shared = shared or _ln_ratio(hi // (g := math.gcd(hi, lo)), lo // g)
+            sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(a - 1))))
     return sums
 
 
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
 
-    From a = 2, or from a <= 40 past the crossover, it is one fixed-point
-    integer rounded once, within half an ulp plus 2**-82 of the sum,
-    relative.  Any other window with up to _DIRECT_MAX_TERMS terms from
-    k = c = max(a, 41) on is the correctly rounded sum of its float terms,
-    and a longer one from a >= 41 the same finite sum within 0.501 ulp, in
-    O(1) (see above and `_odd_sums`).
+    From a <= 40 it is one fixed-point integer rounded once, whatever its
+    length, within half an ulp plus 2**-78.8 of the sum, relative.  From
+    a >= 41 a window of up to _DIRECT_MAX_TERMS terms is the correctly
+    rounded sum of its terms, each an int quotient rounded once, and a
+    longer one the same finite sum within 0.501 ulp, in O(1) (see above
+    and `_odd_sums`).
     """
     _window(a, b)
     return _odd_sums(a - 1, b, (1,))[0]
@@ -468,11 +469,13 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate of ln(x) - ln(y) from the index window between y and x.
 
     The window is k = lo+1..hi, lo and hi the smaller and larger of x and y
-    (odd denominators 2lo+1..2hi-1).  From k = 2 (lo = 1) it is
-    `ln_integer(hi)`, one fixed-point integer rounded once; any other window
-    adds its rounded sums.  For x < y its estimate is negated, which is
-    exact, so antisymmetry is exact.  DomainError for x or y below 1, then
-    TypeError for an x or y that is not an int.
+    (odd denominators 2lo+1..2hi-1).  For lo <= 39 it is one fixed-point
+    integer rounded once, within half an ulp plus 2**-78.8 of the exact
+    value, relative; from lo >= 40 it adds the rounded sums of
+    `odd_harmonic_sum` and, for FULL, `correction_sum`.  For x < y its
+    estimate is negated, which is exact, so antisymmetry is exact.
+    DomainError for x or y below 1, then TypeError for an x or y that is
+    not an int.
     """
     if x < 1 or y < 1:
         raise DomainError(f"ln_quotient requires positive integers, got {shown(x)}, {shown(y)}")
@@ -480,8 +483,8 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     if x == y:
         return 0.0
     lo, hi = (y, x) if x > y else (x, y)
-    if lo == 1:
-        total = math.ldexp(_ln_integer_fixed(hi, variant), -_NR_BITS)
+    if lo + 1 < _LOWEST_TAIL_START:
+        total = math.ldexp(_ln_fixed(lo, hi, variant), -_NR_BITS)
     else:
         total = 2.0 * odd_harmonic_sum(lo + 1, hi)
         if variant is LogVariant.FULL:
@@ -512,7 +515,7 @@ def ln_product(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     """
     if x < 1 or y < 1:
         raise DomainError(f"ln_product requires positive integers, got {shown(x)}, {shown(y)}")
-    return math.ldexp(_ln_integer_fixed(x, variant) + _ln_integer_fixed(y, variant), -_NR_BITS)
+    return math.ldexp(_ln_fixed(1, x, variant) + _ln_fixed(1, y, variant), -_NR_BITS)
 
 
 def ln_rational(r: ScaledRational, variant: LogVariant = LogVariant.TRUNCATED) -> float:

@@ -728,7 +728,7 @@ def test_module_entry_point_in_a_subprocess():
 
 
 def _replay(interpreter: str, script: str, args: list[str], stdin: str = ""):
-    """Run script under interpreter; skip where no such interpreter runs.
+    """Run script under interpreter with -W error; skip where no such interpreter runs.
 
     The script prints a marker line first, so an interpreter that never runs
     it is told apart from a mismatch.  A pyenv shim on PATH answers "command
@@ -742,8 +742,8 @@ def _replay(interpreter: str, script: str, args: list[str], stdin: str = ""):
     env = _subprocess_env()
     for _ in range(2):
         proc = subprocess.run(
-            [executable, "-c", script, *args], input=stdin, env=env, capture_output=True,
-            text=True, timeout=120,
+            [executable, "-W", "error", "-c", script, *args], input=stdin, env=env,
+            capture_output=True, text=True, timeout=120,
         )
         if proc.stdout.startswith("replaying"):
             return proc
@@ -756,8 +756,19 @@ def _replay(interpreter: str, script: str, args: list[str], stdin: str = ""):
     pytest.skip(f"{interpreter} does not run: {proc.stderr.partition(chr(10))[0]}")
 
 
-# Replays every table golden file and every record of cli.json through
-# cli.main, and prints the name of each that differs.
+# The sweep goldens of tests/test_golden.py, as `harmlog sweep` arguments.
+_SWEEP_ARGVS = {
+    "sweep_ln_1_2": ["ln", "--p", "1", "--q", "2", "--m", "25,50,100,200,400"],
+    "sweep_ln_7_4": ["ln", "--p", "7", "--q", "4", "--m", "1,3,22"],
+    "sweep_factorial_corrected": ["factorial", "--n", "2,5,45,160,300"],
+    "sweep_factorial_raw": ["factorial", "--n", "2,5,45,160,300", "--method", "raw"],
+    "sweep_factorial_series": ["factorial", "--n", "1,2,45", "--method", "series"],
+    "sweep_nr": ["nr", "--n", "1,10,100"],
+}
+
+# Replays every table and sweep golden file (the sweeps' arguments on stdin)
+# and every record of cli.json through cli.main, and prints the name of each
+# that differs.
 _REPLAY = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -769,12 +780,13 @@ def printed(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
-for table in tables:
+reports = [(f"table_{table}", ["table", table]) for table in tables]
+reports += [(name, ["sweep", *argv]) for name, argv in json.loads(sys.stdin.read()).items()]
+for stem, argv in reports:
     for fmt, ext in (("csv", "csv"), ("markdown", "md"), ("json", "json")):
-        name = f"table_{table}.{ext}"
-        expected = (golden / name).read_text(encoding="utf-8")
-        if printed(["table", table, "--format", fmt]) != (0, expected):
-            print("mismatch", name)
+        expected = (golden / f"{stem}.{ext}").read_text(encoding="utf-8")
+        if printed(argv + ["--format", fmt]) != (0, expected):
+            print("mismatch", f"{stem}.{ext}")
 for case in json.loads((golden / "cli.json").read_text(encoding="utf-8")):
     if printed(case["argv"] + ["--format", "json"]) != (0, case["stdout"]):
         print("mismatch", " ".join(case["argv"]))
@@ -783,8 +795,10 @@ for case in json.loads((golden / "cli.json").read_text(encoding="utf-8")):
 
 @pytest.mark.parametrize("interpreter", ["python3.10", "python3.12", "python3.13"])
 def test_table_goldens_under_each_interpreter(interpreter):
-    # The table goldens and the cli.json records.
-    proc = _replay(interpreter, _REPLAY, [str(GOLDEN), *PAPER_TABLES])
+    # The table and sweep goldens and the cli.json records, with every
+    # warning an error.
+    argv = [str(GOLDEN), *PAPER_TABLES]
+    proc = _replay(interpreter, _REPLAY, argv, json.dumps(_SWEEP_ARGVS))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "replaying\n", "")
 
 

@@ -73,7 +73,7 @@ class TestNrEmpiricalLimit:
             consts.nr_empirical_limit(10**6) - consts.nr_empirical_limit(10**5)
         ) < 1e-6
 
-    @pytest.mark.parametrize("n", range(1, consts._NR_FROM_LIMIT))
+    @pytest.mark.parametrize("n", range(1, len(harmonic._HEAD_FIXED)))
     def test_up_to_40_the_exact_sum_and_the_integer_logarithm_rounded_once(self, n):
         p, q = _ln_fraction(n, 1)
         exact = Fraction(p, q) - 2 * sum(Fraction(1, 2 * k - 1) for k in range(2, n + 1))
@@ -124,7 +124,7 @@ class TestNrEmpiricalLimit:
 
     def test_remainder_from_41_under_2_pow_minus_90_of_the_value(self):
         # |E(n)| <= |B_18| / (18 n**18), B_18 = 43867/798; N(41) > 0.03646.
-        n = consts._NR_FROM_LIMIT
+        n = len(harmonic._HEAD_FIXED)  # the first n past the head table
         assert Fraction(43867, 798) / (18 * n**18) < Fraction(1, 2**90) * Fraction(3646, 10**5)
         assert consts.nr_empirical_limit(n) > 0.03646
 

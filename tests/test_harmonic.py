@@ -314,8 +314,8 @@ class TestTailExpansion:
 
 
 def plain_odd(a: int, b: int) -> float:
-    """Every term of S(a, b), summed by math.fsum."""
-    return math.fsum(1.0 / (2 * k - 1) for k in range(a, b + 1))
+    """Every term of S(a, b), each an int quotient rounded once, summed by math.fsum."""
+    return math.fsum(1 / (2 * k - 1) for k in range(a, b + 1))
 
 
 def psi_coefficient(k: int) -> Fraction:
@@ -327,36 +327,37 @@ class TestLongOddWindows:
     """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
 
     def test_the_longest_direct_window_is_the_plain_sum(self):
-        # From a = 3: the 38 terms below k = 41 and _DIRECT_MAX_TERMS from it.
-        # (From a = 2, ln n's window is always the fixed-point integer.)
-        b = harmonic._LOWEST_TAIL_START - 1 + harmonic._DIRECT_MAX_TERMS
-        assert harmonic.odd_harmonic_sum(3, b) == plain_odd(3, b)
+        # From a = 41, the first start that sums its terms one by one.
+        a = harmonic._LOWEST_TAIL_START
+        b = a - 1 + harmonic._DIRECT_MAX_TERMS
+        assert harmonic.odd_harmonic_sum(a, b) == plain_odd(a, b)
 
     def test_the_longest_direct_window_from_any_start_is_the_plain_sum(self):
-        # One term more would take the O(1) path, whose float differs from
-        # the plain sum's for about a third of these windows.
+        # Counted from a >= 41.  One term more would take the O(1) path,
+        # whose float differs from the plain sum's for about a third of
+        # these windows.
         rng = random.Random(41)
-        for a in [1, 40, 41, 42] + [round(2 ** rng.uniform(5.4, 62)) for _ in range(200)]:
-            b = max(a, harmonic._LOWEST_TAIL_START) - 1 + harmonic._DIRECT_MAX_TERMS
+        for a in [41, 42] + [round(2 ** rng.uniform(5.4, 62)) for _ in range(200)]:
+            b = a - 1 + harmonic._DIRECT_MAX_TERMS
             assert harmonic.odd_harmonic_sum(a, b) == plain_odd(a, b), a
 
     @pytest.mark.parametrize("a", [2, 41, 1009, 2**40 + 3, 2**62 - 10**4])
     def test_just_past_the_crossover_within_2_ulp_of_the_plain_sum(self, a):
-        c = max(a, harmonic._LOWEST_TAIL_START)
-        b = c + harmonic._DIRECT_MAX_TERMS + 16
-        assert b - c + 1 > harmonic._DIRECT_MAX_TERMS
+        b = a + harmonic._DIRECT_MAX_TERMS + 16
+        assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
         value = harmonic.odd_harmonic_sum(a, b)
         assert abs(value - plain_odd(a, b)) <= 2 * math.ulp(value)
 
     def test_every_long_window_reaches_past_the_tail_start(self):
-        # A window past the crossover has b >= c + _DIRECT_MAX_TERMS and
-        # n > _DIRECT_MAX_TERMS >= 40 terms, as the long-window proof uses.
+        # A window from a >= 41 past the crossover has n > _DIRECT_MAX_TERMS
+        # >= 40 terms, as the long-window proof uses.
         assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
 
     @pytest.mark.parametrize("a, summed", [(1, 0), (40, 0), (41, 4), (10**6, 4), (2**62, 4)])
     def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
         # A structural count, not a bound: the four tail floats from a >= 41;
-        # from a <= 40 no float at all, but one fixed-point integer.
+        # from a <= 40 no float at all, but one fixed-point integer.  The
+        # window has one term more than the crossover, counted from a.
         counted = []
         fsum = math.fsum
 
@@ -366,18 +367,35 @@ class TestLongOddWindows:
             return fsum(values)
 
         monkeypatch.setattr(math, "fsum", counting)
-        c = max(a, harmonic._LOWEST_TAIL_START)
-        harmonic.odd_harmonic_sum(a, c + harmonic._DIRECT_MAX_TERMS)
+        harmonic.odd_harmonic_sum(a, a + harmonic._DIRECT_MAX_TERMS)
         assert counted == ([summed] if summed else [])
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 20, 39, 40])
+    def test_a_window_from_a_up_to_40_is_one_integer_whatever_its_length(self, monkeypatch, a):
+        # The window's start alone picks its evaluator: from a <= 40 it sums
+        # no float and takes no float logarithm, short or long.
+        def refuse(*args):
+            raise AssertionError("a float kernel ran")
+
+        monkeypatch.setattr(math, "fsum", refuse)
+        monkeypatch.setattr(harmonic, "_ln_ratio", refuse)
+        for b in [a - 1, a, a + 7, 40, 41, a + harmonic._DIRECT_MAX_TERMS, 10**6, 2**63 - 1]:
+            fixed = harmonic._two_s_fixed(b) - harmonic._HEAD_FIXED[a - 1]
+            assert harmonic.odd_harmonic_sum(a, b) == math.ldexp(fixed, -harmonic._NR_BITS - 1), b
 
     def test_head_lcm_is_derived(self):
         last = 2 * harmonic._LOWEST_TAIL_START - 3  # the odd denominator of k = 40
         assert harmonic._HEAD_LCM == math.lcm(*range(1, last + 1, 2))
 
     def test_two_s_fixed_up_to_40_is_the_exact_head_floored(self):
+        # The head table, derived in Fraction: floor(2**W 2 S(1, n)) for
+        # n = 0..40, which _two_s_fixed returns below k = 41.
+        assert len(harmonic._HEAD_FIXED) == harmonic._LOWEST_TAIL_START
+        exact = Fraction(0)
         for n in range(harmonic._LOWEST_TAIL_START):
-            exact = 2 * sum((Fraction(1, 2 * k - 1) for k in range(1, n + 1)), Fraction(0))
-            assert harmonic._two_s_fixed(n) == math.floor(exact * 2**harmonic._NR_BITS), n
+            exact += Fraction(2, 2 * n - 1) if n else 0
+            floored = math.floor(exact * 2**harmonic._NR_BITS)
+            assert harmonic._HEAD_FIXED[n] == harmonic._two_s_fixed(n) == floored, n
 
     @pytest.mark.parametrize("n", [41, 42, 88, 89, 100, 1000, 4999])
     def test_two_s_fixed_from_41_within_2_pow_minus_85(self, n):
@@ -392,13 +410,21 @@ class TestLongOddWindows:
 
     def test_the_fixed_point_bounds(self):
         # The arithmetic of the fixed-point proof: E(n) from n = 41 on, and
-        # ln b against 2 S(a, b) > ln((2b + 1)/79) for a window from a <= 40
-        # past the crossover (b >= 89), where the ratio is largest.
+        # for a window [a, b] from a <= 40 that crosses 40, ln b against
+        # 2 S(a, b) >= 2 S(40, b), largest at [40, 41]; past b = 10**4,
+        # 2 S(40, b) > ln((2b + 1)/79) > ln b - 3.68 keeps it under 1.7.
         assert Fraction(43867, 798) / (18 * 41**18) < Fraction(1, 2**94)
-        b = harmonic._LOWEST_TAIL_START + harmonic._DIRECT_MAX_TERMS
-        assert b == 89
-        assert all(math.log(x) / math.log((2 * x + 1) / 79) < 5.49 for x in range(b, 10**4))
-        assert 2**-85.1 * 5.49 < 2**-82.5
+        ratios, head = [], 0.0
+        for b in range(40, 10**4):
+            head += 2 / (2 * b - 1)
+            if b > 40:
+                ratios.append(math.log(b) / head)
+        assert max(ratios) == ratios[0] < 74.3
+        assert math.log(10**4) / (math.log(10**4) - 3.68) < 1.7
+        # 2**-85.1 ln b from ln b, 2**-93 from E(b) and the floors, and one
+        # unit of 2**-128 from the head's floor, against 2 S(40, 41) > 0.05.
+        assert Fraction(2, 79) + Fraction(2, 81) > Fraction(1, 20)
+        assert 2**-85.1 * 74.3 + (2**-93 + 2**-128) / 0.05 < 2**-78.8
 
     def test_tail_floats_within_0_0006_u(self):
         # Items 1 to 3 of the long-window proof at their worst, d = 40 and

@@ -234,8 +234,9 @@ class TestFirstCalls:
         assert {"harmonic._fixed_tail", "harmonic._two_s_fixed", "harmonic._two_q_fixed"} <= called
         # A tail from 2 < m < 64 would sum the terms below m in a generator.
         assert {callee for caller, callee in calls if caller == "harmonic._fixed_tail"} == set()
-        # S(2, 10**6) is 2 S(1, 10**6) less 2 S(1, 1) = 2: no head term past k = 1.
-        assert kernel == [10**6, 1]
+        # S(2, 10**6) is 2 S(1, 10**6) less the head table's 2 S(1, 1) = 2:
+        # no head term is summed.
+        assert kernel == [10**6]
         assert {name for name in called if name.startswith("constants.")} == {
             "constants.nr_empirical_limit"
         }
@@ -245,7 +246,7 @@ class TestFirstCalls:
         # ln n = P/Q of oracle._ln_fraction: a fresh interpreter's first
         # ln_integer(10**6), ln_factorial_series(10**5) and S(2, 10**6) call
         # neither the float pair of oracle._ln_ratio nor the checked
-        # oracle.ln_value, and sum no head term past k = 1.
+        # oracle.ln_value, and sum no head term.
         calls, kernel = fresh(_PROFILED.format(body=(
             "harmonic.ln_integer(10**6)\n"
             "factorial.ln_factorial_series(10**5)\n"
@@ -254,7 +255,7 @@ class TestFirstCalls:
         called = {callee for _, callee in calls}
         assert not called & {"oracle._ln_ratio", "oracle.ln_value"}
         assert {"oracle._ln_fraction", "harmonic._two_s_fixed", "harmonic._fixed_tail"} <= called
-        assert kernel == [10**6, 10**6, 1]
+        assert kernel == [10**6, 10**6]
 
     def test_a_first_long_correction_window_takes_under_100_us(self):
         # C(10**6 + 1, 2 * 10**6) is two Horner tails in a fresh process,

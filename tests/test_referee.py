@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from harmlog import constants, factorial, harmonic, oracle
+from harmlog import constants, factorial, harmonic, oracle, tables
 from harmlog.harmonic import LogVariant
 
 _PREC = 50
@@ -50,14 +50,14 @@ def test_odd_harmonic_sum_within_one_ulp(a, b):
 
 
 def test_odd_harmonic_sum_past_2_53_within_its_bound():
-    # Past 2**53 each term's denominator is rounded to a float before its
-    # reciprocal, so a direct window is within 2.5 ulp (see harmonic), not 1.
+    # Past 2**53 each term is an int quotient rounded once, and fsum rounds
+    # their exact sum, so a direct window is within 1.5 ulp (see harmonic).
     rng = random.Random(12)
     for _ in range(200):
         a = rng.randint(2**53, 2**63 - 40)
         b = a + rng.randint(1, 40) - 1
         exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-        assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 2.5 + 1e-9, (a, b)
+        assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1.5 + 1e-9, (a, b)
 
 
 def _start(rng: random.Random, width: int) -> int:
@@ -78,19 +78,21 @@ def _long_windows(seed: int) -> list[tuple[int, int]]:
 
 
 def _past_the_crossover(a: int, b: int) -> bool:
-    """Whether odd_harmonic_sum(a, b) takes the O(1) digamma path."""
-    return b - max(a, harmonic._LOWEST_TAIL_START) + 1 > harmonic._DIRECT_MAX_TERMS
+    """Whether the window [a, b] is longer than the crossover, counted from a:
+    odd_harmonic_sum(a, b) takes the O(1) digamma path from a >= 41, and
+    the fixed-point integer, as every window, from a <= 40."""
+    return b - a + 1 > harmonic._DIRECT_MAX_TERMS
 
 
-# The O(1) path's proven bound, from every a (item 5 of harmonic's
-# long-window proof).
+# The O(1) paths' proven bound: item 5 of harmonic's long-window proof from
+# a >= 41, and half an ulp plus 2**-78.8 from a <= 40.
 _PROVEN_ULPS = 0.501
 
 
 @pytest.mark.parametrize("a, b", _long_windows(seed=3))
 def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(a, b):
-    # At the shipped crossover every one of these windows takes the O(1)
-    # digamma path.
+    # At the shipped crossover every one of these windows takes an O(1)
+    # path.
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
@@ -120,8 +122,8 @@ def test_odd_harmonic_sum_just_past_the_crossover_within_one_ulp(a, b):
     "a, b", _crossover_windows(seed=7, shortest=harmonic._DIRECT_MAX_TERMS + 1)
 )
 def test_odd_harmonic_sum_past_the_shipped_crossover_within_the_proven_bound(a, b):
-    # From one term past the shipped crossover: these windows take the O(1)
-    # digamma path.
+    # From one term past the shipped crossover: these windows take an O(1)
+    # path.
     assert _past_the_crossover(a, b)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
@@ -148,7 +150,7 @@ def test_head_free_windows_just_past_the_crossover_within_0_501_ulp(a, b):
 
 def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
     """From a = 1 to 40, with 1 to 16 terms more from k = 41 on than the
-    crossover: the head S(a, 40) plus the shortest O(1) tails."""
+    crossover: each one fixed-point integer, as every window from a <= 40."""
     rng = random.Random(seed)
     first = harmonic._LOWEST_TAIL_START
     windows = []
@@ -168,7 +170,7 @@ def test_head_and_short_tail_windows_within_0_501_ulp(a, b):
 
 @pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
 def test_every_head_one_term_past_the_crossover_within_0_501_ulp(a):
-    b = harmonic._LOWEST_TAIL_START + harmonic._DIRECT_MAX_TERMS
+    b = a + harmonic._DIRECT_MAX_TERMS
     assert _past_the_crossover(a, b) and not _past_the_crossover(a, b - 1)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
@@ -655,9 +657,31 @@ def test_nr_empirical_limit_correctly_rounded_for_log_uniform_n_to_10_18():
         assert constants.nr_empirical_limit(n) == float(_nr_referee(n)), n
 
 
-# -- long odd windows from a <= 40 ---------------------------------------------
-# Each is one fixed-point integer rounded once (harmonic's `_two_s_fixed`),
-# within half an ulp plus 2**-82 S: the exact sum correctly rounded.
+# -- odd windows from a <= 40 -------------------------------------------------
+# Each, short or long, is one fixed-point integer rounded once (harmonic's
+# `_two_s_fixed` less its head table), within half an ulp plus 2**-78.8 S:
+# the exact sum correctly rounded.
+def _odd_prefix(n: int) -> list[Fraction]:
+    """S(1, k) for k = 0..n, exact."""
+    sums = [Fraction(0)]
+    for k in range(1, n + 1):
+        sums.append(sums[-1] + Fraction(1, 2 * k - 1))
+    return sums
+
+
+def test_every_window_from_a_up_to_40_to_b_130_is_correctly_rounded():
+    # The 4,460 windows S(a, b), a <= 40 and a - 1 <= b <= 130, against
+    # exact sums.  Summed float by float when short, 149 missed.
+    odd = _odd_prefix(130)
+    misses = [
+        (a, b)
+        for a in range(1, harmonic._LOWEST_TAIL_START)
+        for b in range(a - 1, 131)
+        if harmonic.odd_harmonic_sum(a, b) != float(odd[b] - odd[a - 1])
+    ]
+    assert misses == []
+
+
 _HEAD_WINDOW_ENDS = [89, 10**6, 2**63 - 1] + [
     round(2 ** random.Random(1903).uniform(math.log2(90), 62.9)) for _ in range(3)
 ]
@@ -813,3 +837,77 @@ def test_estimates_from_2_are_correctly_rounded_for_seeded_n_to_10_18():
     for n, m in zip(ns, ns[-1:] + ns[:-1]):
         misses += _misses(n, m, exact[n], exact[m])
     assert misses == []
+
+
+# -- log windows from lo + 1 <= 40 ----------------------------------------------
+# ln_quotient(hi, lo) for lo <= 39 is 2 S(lo + 1, hi), plus 2 C(lo + 1, hi)
+# for the full variant, one fixed-point integer rounded once: the exact value
+# correctly rounded.  A sweep row is ln_rational's float bit for bit on
+# either side of that boundary.
+def test_ln_quotient_from_lo_up_to_39_to_hi_below_200_is_correctly_rounded():
+    # Every lo <= 39 and lo <= hi < 200, 7,020 pairs per variant, against
+    # exact sums.  As two rounded sums, 1,800 full and 140 truncated missed.
+    odd, corr = _odd_prefix(199), [Fraction(0)]
+    for k in range(1, 200):
+        corr.append(corr[-1] + Fraction(1, k**3 * (2 * k - 1) ** 2))
+    misses = []
+    for lo in range(1, harmonic._LOWEST_TAIL_START - 1):
+        for hi in range(lo, 200):
+            truncated = 2 * (odd[hi] - odd[lo])
+            full = truncated + 2 * (corr[hi] - corr[lo])
+            for variant, exact in ((LogVariant.TRUNCATED, truncated), (LogVariant.FULL, full)):
+                if harmonic.ln_quotient(hi, lo, variant) != float(exact):
+                    misses.append((variant.value, lo, hi))
+    assert misses == []
+
+
+def _correction_from_2(n: int) -> Decimal:
+    """C(2, n) to 50 digits: term by term below _TAIL_REFEREE_FROM, then by its tails."""
+    if n < _TAIL_REFEREE_FROM:
+        return _decimal_sum(lambda k: k**3 * (2 * k - 1) ** 2, 2, n)
+    return _decaying_from_2(2, n)
+
+
+def test_ln_quotient_from_lo_up_to_39_is_correctly_rounded_for_seeded_hi_to_10_18():
+    # 30 log-uniform hi from 200 to 10**18, and 10**18, each with every lo <= 39.
+    rng = random.Random(1904)
+    his = [round(10 ** rng.uniform(math.log10(200), 18)) for _ in range(30)] + [10**18]
+    misses = []
+    for hi in his:
+        odd_hi, corr_hi = _odd_from_2(hi), _correction_from_2(hi)
+        for lo in range(1, harmonic._LOWEST_TAIL_START - 1):
+            with localcontext() as ctx:
+                ctx.prec = _PREC + 10
+                truncated = 2 * (odd_hi - _odd_from_2(lo))
+                full = truncated + 2 * (corr_hi - _correction_from_2(lo))
+            for variant, exact in ((LogVariant.TRUNCATED, truncated), (LogVariant.FULL, full)):
+                if harmonic.ln_quotient(hi, lo, variant) != float(exact):
+                    misses.append((variant.value, lo, hi))
+    assert misses == []
+
+
+def _boundary_sweeps(seed: int) -> list:
+    """(p, q, grid): every grid m with m min(p, q) in {39, 40, 41}, for each
+    divisor min(p, q) of those, p/q above and below 1, and windows of 1 to
+    about 150 terms, so that rows from lo = 40 take both the direct and the
+    O(1) digamma path."""
+    rng = random.Random(seed)
+    cases = []
+    for low in sorted({d for t in (39, 40, 41) for d in range(1, t + 1) if t % d == 0}):
+        grid = [t // low for t in (39, 40, 41) if t % low == 0]
+        for k in sorted({1, 2, -(-49 // grid[0]), rng.randint(1, 150 // grid[0] + 1)}):
+            for p, q in ((low + k, low), (low, low + k)):
+                cases.append(pytest.param(p, q, grid, id=f"{p}/{q} m={','.join(map(str, grid))}"))
+    return cases
+
+
+@pytest.mark.parametrize("p, q, grid", _boundary_sweeps(seed=1905))
+def test_sweep_rows_at_the_boundary_are_ln_rational(p, q, grid):
+    report = tables.sweep_ln_rational(p, q, grid)
+    for m, row in zip(grid, report.rows):
+        value = harmonic.ln_rational(harmonic.ScaledRational(p, q, m))
+        assert row.calculated == value, m
+        if m * min(p, q) == 39:
+            # 2 S(mq + 1, mp) for p > q, and its negation for p < q.
+            odd = _odd_prefix(m * max(p, q))
+            assert value == float(2 * (odd[m * p] - odd[m * q])), m
