@@ -13,14 +13,12 @@ first index a alone picks its evaluator.  From a <= 40 it is one integer,
 `_two_s_fixed(n)` is 2 S(1, n) in 128-bit fixed point: up to n = 40 the
 head table `_HEAD_FIXED`, exact over lcm(1, 3, ..., 79) and built once,
 and from there ln n (`oracle._ln_fraction`) less the Number Constant's
-limit N plus 2 Q(n), with no float and no memo.  From a >= 41 a window of up
-to 48 terms (`_DIRECT_MAX_TERMS`) is the correctly rounded value of the
-exact sum of its terms, each an int quotient rounded once (`math.fsum`,
-Shewchuk's algorithm, in a C-level loop), so the order of the terms does
-not change it.  A longer one is the same finite sum, not a different
-approximation, in O(1): four floats from the digamma function's expansion
-about x + 1/2 (`_psi_series`, and the integer logarithm `oracle._ln_ratio`
-of b/(a-1)), within 0.501 ulp.  One evaluator, `_odd_sums`, takes the
+limit N plus 2 Q(n), with no float and no memo.  From a >= 41 it is the
+same finite sum, not a different approximation, in O(1) whatever its
+length: four floats from the digamma function's expansion about x + 1/2
+(`_psi_series`, and the integer logarithm `oracle._ln_ratio` of b/(a-1)),
+summed by `math.fsum`, within 0.512 ulp (0.501 past 40 terms).  No odd
+window adds its terms one by one.  One evaluator, `_odd_sums`, takes the
 windows S(m lo + 1, m hi) of a multiplier grid in one pass;
 `odd_harmonic_sum` is its grid of one.  For every m with m lo >= 40, b/(a-1)
 is hi/lo itself, so the whole grid takes that logarithm from one
@@ -45,7 +43,7 @@ import math
 from collections.abc import Iterable
 from enum import Enum
 from itertools import accumulate, repeat
-from operator import floordiv, index, truediv
+from operator import floordiv, index
 
 from ._frozen import Frozen
 from .errors import (
@@ -191,7 +189,7 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
     return _fixed_tail(a, w, r) - _fixed_tail(b + 1, w, r), -w
 
 
-# -- long odd windows --------------------------------------------------------
+# -- odd windows from a >= 41 -------------------------------------------------
 # psi(x+1) - psi(x) = 1/x for the digamma function psi, so with d = a - 1
 #     S(a, b) = (psi(b + 1/2) - psi(d + 1/2)) / 2.
 # DLMF 5.11.2 gives, for real x > 0,
@@ -200,8 +198,7 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 # (DLMF 5.5.8) turns it into the expansion about x + 1/2,
 #     psi(x + 1/2) = ln x + sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (2k x**2k)
 #                    + 2 R_K(2x) - R_K(x).
-# A window from a >= _LOWEST_TAIL_START with more than _DIRECT_MAX_TERMS
-# terms is taken as
+# Every window from a >= _LOWEST_TAIL_START, of any length, is taken as
 #     S(a, b) = ln(b/d)/2 + Q(b) - Q(d) + (E(b) - E(d))/2,
 #     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
 #     E(x) = 2 R_K(2x) - R_K(x),
@@ -209,13 +206,14 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 # scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
 # `_odd_sums` takes it once, reduced by its gcd, for every such multiplier
 # of a sweep (`oracle._ln_ratio` is memoised across sweeps).  A window from
-# a <= 40 sums no float, whatever its length: it is one integer of the next
-# section, rounded once.  So only a window from a >= 41 adds terms one by
-# one, and the crossover counts its terms from a.
+# a <= 40 is one integer of the next section, rounded once.  So a window's
+# start picks its evaluator, and its length never does.
 #
-# Error bound, with u = 2**-53, d = a - 1 >= 40 and n > 40 the window's
-# terms.  Each of them is above 1/(2b), and b = d + n, so S = S(a, b) >
-# n/(2(d+n)).
+# Error bound, with u = 2**-53, d = a - 1 >= 40 and n >= 1 the window's
+# terms (the empty window, b = d, is exactly 0: ln 1 = 0 and Q(b) - Q(d)
+# cancels).  Each term is above 1/(2b), and b = d + n, so S = S(a, b) >
+# n/(2(d+n)), and 1/d**2 < 2 h S with h = 1/(n d) + 1/d**2, at most
+# 1/40 + 1/1600 (n = 1, d = 40), and at most 1/1640 + 1/1600 for n > 40.
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
 #    - 2 int_0^inf t dt / ((t**2 + x**2)(e**(2 pi t) - 1)).  Expanding
 #    1/(t**2 + x**2) to K terms and using int_0^inf t**(2n-1) dt /
@@ -225,7 +223,7 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #    so |E(x)| is at most the larger of them, |B_12| / (12 x**12) with K = 5.
 #    E(b) and E(d) need not share a sign, so their halved difference is
 #    bounded by the sum of both, under |B_12| / (12 d**12)
-#    < |B_12|/6 (1/(n d**11) + 1/d**12) S < 2**-67 S.
+#    < |B_12| h S / (6 d**10): under 2**-63 S, and 2**-67 S for n > 40.
 # 2. The logarithm.  oracle._ln_ratio returns hi + lo within 2**-75 of
 #    ln(b/d), relative to it, from integer arithmetic alone (see there);
 #    halving them is exact.  ln(b/d)/2 is the sum of ln(k/(k-1))/2, the
@@ -233,7 +231,8 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #    it is at least S.  It exceeds S by Q(d) - Q(b) + (E(d) - E(b))/2, under
 #    1/(48 d**2): Q(b) > 0, and Q(d) falls short of its first term by over
 #    3e-3/d**4 (item 3), far more than item 1's E terms.  As 1/(48 d**2)
-#    < (1/24) (1/(n d) + 1/d**2) S < 1e-4 S, this is under 1.0001 2**-75 S.
+#    < h S / 24 < 0.0011 S (1e-4 S for n > 40), this is under
+#    1.0011 2**-75 S (1.0001 2**-75 S).
 # 3. y = 1/(x*x) is an int quotient, rounded once.  Q(x) is positive and
 #    below its first term 1/(48 x**2): the terms alternate and shrink for
 #    x >= 40, the second is -7/(1920 x**4), and all but the first together
@@ -241,37 +240,22 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #    coefficients gives the term of degree k at most 3k + 1 roundings
 #    (Higham, Accuracy and Stability, eq. 5.3, with y's own and the final
 #    product's), so each of Q(b) and Q(d) is off by under 5u/(48 x**2), and
-#    together by under 5u/(24 d**2) < (5u/12) (1/(n d) + 1/d**2) S
-#    < u S/1900.
+#    together by under 5u/(24 d**2) < (5u/12) h S: under 0.0107 u S, and
+#    u S/1900 for n > 40.  This item dominates the bound at n = 1.
 # 4. The four floats are the whole window: no term below a is added.
 # 5. So the four floats sum to S within under
-#    2**-67 S + 1.0001 2**-75 S + u S/1900 < 0.0006 u S.  fsum rounds that
+#    2**-63 S + 1.0011 2**-75 S + 0.0107 u S < 0.0117 u S.  fsum rounds that
 #    exact sum correctly, to R within half an ulp of it, and u R < ulp(R):
-#    R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S.
-#    tests/test_referee.py checks this bound against a 50-digit sum, and
-#    tests/test_harmonic.py 2 ulp against the fsum of every term.
-# The crossover is the measured break-even of this path.  Timed over 400
-# windows of 41 to 128 terms, log-uniform in a from 41 to 2**62 (CPython
-# 3.11, x86-64 Xeon, least of 15 runs of 50), the O(1) path took 4.2-13 us
-# (median 7.1) and a direct term 77-222 ns (the wider the index, the
-# slower); the two cost the same at 49-56 terms (median ratio 0.99), and the
-# 400 windows took least with the crossover at 48: 2.88 ms, against 2.89 at
-# 40 and 56, 2.94 at 64, 3.54 at 96 and 4.60 at 128.  Those direct terms
-# were 1.0 over a float denominator; int quotients cost less below 2**53
-# and about twice as much past it, where 48 of them take over twice the
-# O(1) path's time.  No benchmark workload runs such windows, so the
-# crossover is not retuned to them.  It is at least _LOWEST_TAIL_START - 1,
-# so that n > 40.  Every tests/golden/ file is the same with it at 48 as
-# with every window from a >= 41 of up to 10**6 terms summed term by term.
-#
-# A direct window whose 2k-1 passes 2**53, of at most 48 terms, has each
-# term the int quotient 1/(2k-1) rounded once, a factor 1 + d from it with
-# |d| <= u/(1+u).  So the exact sum of the float terms is within u S of S,
-# and fsum adds half an ulp of its result R.  As ulp(R) > u R, R is within
-# S/R + 1/2 ulp of S: about 1.5 ulp, which tests/test_referee.py checks.
-# Below 2**53, 2k-1 is exact as a float, and the term is 1.0/(2k-1) itself.
-_DIRECT_MAX_TERMS = 48
-_LOWEST_TAIL_START = 41  # past the head table, so that d >= 40 in items 1, 2, 3 and 5
+#    R is within 0.5 + 0.0117 (1 + 2u) < 0.512 ulp of S.  For n > 40 the
+#    same items give 2**-67 S + 1.0001 2**-75 S + u S/1900 < 0.0006 u S,
+#    so R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S.
+# 6. `ln_quotient(hi, lo)` from lo >= 40 doubles R, exactly, for TRUNCATED.
+#    FULL adds 2 c, c the rounded C(a, b), and rounds once more, to F.  Term
+#    by term C is at most S/(a**3 (2a-1)) < 1.8e-7 S, and 2 R <= F, so F is
+#    within 0.5 + 0.512 + 2e-7 < 1.013 ulp of 2 (S + C).
+# tests/test_referee.py checks these bounds against a 50-digit sum, and
+# tests/test_harmonic.py derives their constants in Fraction.
+_LOWEST_TAIL_START = 41  # past the head table, so that d >= 40 in items 1 to 6
 
 
 def _psi_series(x: int) -> float:
@@ -383,22 +367,17 @@ def _ln_fixed(lo: int, hi: int, variant: LogVariant) -> int:
 def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
     """S(m lo + 1, m hi) for each m, over windows already checked (see above).
 
-    The window's first index a alone picks its evaluator.  From a <= 40 it
-    is one fixed-point integer rounded once, whatever its length, so that
-    2 S(lo + 1, hi) is ln_quotient(hi, lo, TRUNCATED) bit for bit.  From
-    a >= 41 a window of up to _DIRECT_MAX_TERMS terms is the correctly
-    rounded sum of its terms, each an int quotient rounded once, and a
-    longer one the same finite sum in O(1), four floats from the digamma
-    function, within 0.501 ulp.  Each of those takes ln(b/(a-1)) = ln(hi/lo),
-    so one `_ln_ratio` call serves all of them.
+    The window's first index a alone picks its evaluator, whatever its
+    length.  From a <= 40 it is one fixed-point integer rounded once, so
+    that 2 S(lo + 1, hi) is ln_quotient(hi, lo, TRUNCATED) bit for bit.
+    From a >= 41 it is four floats from the digamma function, within 0.512
+    ulp, each window taking ln(b/(a-1)) = ln(hi/lo) from one `_ln_ratio` call.
     """
     sums, shared = [], None
     for m in multipliers:
         a, b = m * lo + 1, m * hi
         if a < _LOWEST_TAIL_START:
             sums.append(math.ldexp(_two_s_fixed(b) - _HEAD_FIXED[a - 1], -_NR_BITS - 1))
-        elif b - a < _DIRECT_MAX_TERMS:
-            sums.append(math.fsum(map(truediv, repeat(1), range(2 * b - 1, 2 * a - 2, -2))))
         else:  # b/(a-1) is hi/lo: one logarithm serves every such m
             ln = shared = shared or _ln_ratio(hi // (g := math.gcd(hi, lo)), lo // g)
             sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(a - 1))))
@@ -408,12 +387,9 @@ def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
 def odd_harmonic_sum(a: int, b: int) -> float:
     """Sum of 1/(2k-1) for k = a..b; b = a-1 encodes the empty range.
 
-    From a <= 40 it is one fixed-point integer rounded once, whatever its
-    length, within half an ulp plus 2**-78.8 of the sum, relative.  From
-    a >= 41 a window of up to _DIRECT_MAX_TERMS terms is the correctly
-    rounded sum of its terms, each an int quotient rounded once, and a
-    longer one the same finite sum within 0.501 ulp, in O(1) (see above
-    and `_odd_sums`).
+    In O(1) whatever its length: from a <= 40 one fixed-point integer
+    rounded once, within half an ulp plus 2**-78.8 of the sum, relative, and
+    from a >= 41 four floats within 0.512 ulp (see above and `_odd_sums`).
     """
     _window(a, b)
     return _odd_sums(a - 1, b, (1,))[0]
@@ -472,7 +448,8 @@ def ln_quotient(x: int, y: int, variant: LogVariant = LogVariant.FULL) -> float:
     (odd denominators 2lo+1..2hi-1).  For lo <= 39 it is one fixed-point
     integer rounded once, within half an ulp plus 2**-78.8 of the exact
     value, relative; from lo >= 40 it adds the rounded sums of
-    `odd_harmonic_sum` and, for FULL, `correction_sum`.  For x < y its
+    `odd_harmonic_sum` and, for FULL, `correction_sum`: within 0.512 ulp
+    for TRUNCATED and 1.013 ulp for FULL (item 6 above).  For x < y its
     estimate is negated, which is exact, so antisymmetry is exact.
     DomainError for x or y below 1, then TypeError for an x or y that is
     not an int.

@@ -324,40 +324,19 @@ def psi_coefficient(k: int) -> Fraction:
 
 
 class TestLongOddWindows:
-    """Past _DIRECT_MAX_TERMS terms, S is the same finite sum, evaluated in O(1)."""
-
-    def test_the_longest_direct_window_is_the_plain_sum(self):
-        # From a = 41, the first start that sums its terms one by one.
-        a = harmonic._LOWEST_TAIL_START
-        b = a - 1 + harmonic._DIRECT_MAX_TERMS
-        assert harmonic.odd_harmonic_sum(a, b) == plain_odd(a, b)
-
-    def test_the_longest_direct_window_from_any_start_is_the_plain_sum(self):
-        # Counted from a >= 41.  One term more would take the O(1) path,
-        # whose float differs from the plain sum's for about a third of
-        # these windows.
-        rng = random.Random(41)
-        for a in [41, 42] + [round(2 ** rng.uniform(5.4, 62)) for _ in range(200)]:
-            b = a - 1 + harmonic._DIRECT_MAX_TERMS
-            assert harmonic.odd_harmonic_sum(a, b) == plain_odd(a, b), a
+    """From a >= 41, S is the same finite sum at any length, evaluated in O(1)."""
 
     @pytest.mark.parametrize("a", [2, 41, 1009, 2**40 + 3, 2**62 - 10**4])
-    def test_just_past_the_crossover_within_2_ulp_of_the_plain_sum(self, a):
-        b = a + harmonic._DIRECT_MAX_TERMS + 16
-        assert b - a + 1 > harmonic._DIRECT_MAX_TERMS
+    def test_a_window_of_65_terms_within_2_ulp_of_the_plain_sum(self, a):
+        b = a + 64
         value = harmonic.odd_harmonic_sum(a, b)
         assert abs(value - plain_odd(a, b)) <= 2 * math.ulp(value)
 
-    def test_every_long_window_reaches_past_the_tail_start(self):
-        # A window from a >= 41 past the crossover has n > _DIRECT_MAX_TERMS
-        # >= 40 terms, as the long-window proof uses.
-        assert harmonic._DIRECT_MAX_TERMS >= harmonic._LOWEST_TAIL_START - 1
-
     @pytest.mark.parametrize("a, summed", [(1, 0), (40, 0), (41, 4), (10**6, 4), (2**62, 4)])
-    def test_floats_summed_past_the_crossover(self, monkeypatch, a, summed):
-        # A structural count, not a bound: the four tail floats from a >= 41;
-        # from a <= 40 no float at all, but one fixed-point integer.  The
-        # window has one term more than the crossover, counted from a.
+    def test_floats_summed_by_window_start(self, monkeypatch, a, summed):
+        # A structural count, not a bound: the four tail floats from a >= 41
+        # at every length, the empty window too; from a <= 40 no float at
+        # all, but one fixed-point integer.
         counted = []
         fsum = math.fsum
 
@@ -367,8 +346,10 @@ class TestLongOddWindows:
             return fsum(values)
 
         monkeypatch.setattr(math, "fsum", counting)
-        harmonic.odd_harmonic_sum(a, a + harmonic._DIRECT_MAX_TERMS)
-        assert counted == ([summed] if summed else [])
+        for terms in [0, 1, 48, 49, 10**6]:
+            counted.clear()
+            harmonic.odd_harmonic_sum(a, a + terms - 1)
+            assert counted == ([summed] if summed else []), terms
 
     @pytest.mark.parametrize("a", [1, 2, 3, 20, 39, 40])
     def test_a_window_from_a_up_to_40_is_one_integer_whatever_its_length(self, monkeypatch, a):
@@ -379,7 +360,7 @@ class TestLongOddWindows:
 
         monkeypatch.setattr(math, "fsum", refuse)
         monkeypatch.setattr(harmonic, "_ln_ratio", refuse)
-        for b in [a - 1, a, a + 7, 40, 41, a + harmonic._DIRECT_MAX_TERMS, 10**6, 2**63 - 1]:
+        for b in [a - 1, a, a + 7, 40, 41, a + 48, 10**6, 2**63 - 1]:
             fixed = harmonic._two_s_fixed(b) - harmonic._HEAD_FIXED[a - 1]
             assert harmonic.odd_harmonic_sum(a, b) == math.ldexp(fixed, -harmonic._NR_BITS - 1), b
 
@@ -426,22 +407,36 @@ class TestLongOddWindows:
         assert Fraction(2, 79) + Fraction(2, 81) > Fraction(1, 20)
         assert 2**-85.1 * 74.3 + (2**-93 + 2**-128) / 0.05 < 2**-78.8
 
-    def test_tail_floats_within_0_0006_u(self):
-        # Items 1 to 3 of the long-window proof at their worst, d = 40 and
-        # n = 41 terms: the four tail floats are off by under 0.0006 u S
-        # (item 5), so within 0.501 ulp.
-        u, d, n = Fraction(1, 2**53), harmonic._LOWEST_TAIL_START - 1, 41
+    @pytest.mark.parametrize(
+        "n, truncation, log, rounding, total, ulps",
+        [
+            (1, Fraction(1, 2**63), Fraction(11, 10**4), Fraction(107, 10**4),
+             Fraction(117, 10**4), Fraction(512, 1000)),
+            (41, Fraction(1, 2**67), Fraction(1, 10**4), Fraction(1, 1900),
+             Fraction(6, 10**4), Fraction(501, 1000)),
+        ],
+    )
+    def test_tail_floats_within_their_bound(self, n, truncation, log, rounding, total, ulps):
+        # Items 1 to 5 of the odd-window proof at their worst, d = 40, for
+        # n = 1 term (any length) and n = 41 terms (past 40): h = 1/(n d) +
+        # 1/d**2 is largest at the least n and d, and the four tail floats
+        # are off by under `total` u S, so within `ulps` ulp.
+        u, d = Fraction(1, 2**53), harmonic._LOWEST_TAIL_START - 1
         b12 = Fraction(*oracle._BERNOULLI[6])
         assert d == 40
-        truncation = abs(b12) / 6 * (Fraction(1, n * d**11) + Fraction(1, d**12))
-        assert truncation < Fraction(1, 2**67)
-        assert Fraction(1, 24) * (Fraction(1, n * d) + Fraction(1, d**2)) < Fraction(1, 10**4)
-        rounding = Fraction(5, 12) * u * (Fraction(1, n * d) + Fraction(1, d**2))
-        assert rounding < u / 1900
-        log = Fraction(10001, 10**4) / 2**75
-        bound = truncation + log + u / 1900
-        assert bound < Fraction(6, 10**4) * u
-        assert Fraction(1, 2) + Fraction(6, 10**4) * (1 + 2 * u) < Fraction(501, 1000)
+        h = Fraction(1, n * d) + Fraction(1, d**2)
+        assert abs(b12) / 6 * h / d**10 < truncation
+        assert h / 24 < log
+        assert Fraction(5, 12) * h < rounding
+        assert truncation + (1 + log) / 2**75 + rounding * u < total * u
+        assert Fraction(1, 2) + total * (1 + 2 * u) < ulps
+
+    def test_full_quotient_from_lo_40_within_1_013_ulp(self):
+        # Item 6: C is under 1.8e-7 S term by term from a = 41, so its
+        # rounding adds under 2e-7 ulp to S's 0.512 and the final half.
+        a = harmonic._LOWEST_TAIL_START
+        assert Fraction(1, a**3 * (2 * a - 1)) < Fraction(18, 10**8)
+        assert Fraction(1, 2) + Fraction(512, 1000) + Fraction(2, 10**7) < Fraction(1013, 1000)
 
     def test_psi_series_is_horner_on_the_rounded_bernoulli_quotients(self):
         # The literal coefficients of _psi_series are (1 - 2**(1-2k)) B_2k/(4k),

@@ -43,21 +43,46 @@ def _windows(seed: int, first: int) -> list[tuple[int, int]]:
     return windows
 
 
+# The proven bounds of harmonic's odd-window proof (item 5): from a >= 41,
+# 0.512 ulp at any length and 0.501 ulp past 40 terms; from a <= 40 half an
+# ulp plus 2**-78.8 at any length, within both.
+_PROVEN_ULPS_ANY_LENGTH = 0.512
+_PROVEN_ULPS = 0.501
+
+
 @pytest.mark.parametrize("a, b", _windows(seed=1, first=1))
 def test_odd_harmonic_sum_within_one_ulp(a, b):
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1
+    assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS_ANY_LENGTH
 
 
 def test_odd_harmonic_sum_past_2_53_within_its_bound():
-    # Past 2**53 each term is an int quotient rounded once, and fsum rounds
-    # their exact sum, so a direct window is within 1.5 ulp (see harmonic).
-    rng = random.Random(12)
-    for _ in range(200):
-        a = rng.randint(2**53, 2**63 - 40)
-        b = a + rng.randint(1, 40) - 1
+    # Short windows whose 2k-1 passes 2**53: 200 of 1 to 40 terms, and 200
+    # of 1 to 48.
+    windows = []
+    for seed, longest in ((12, 40), (33, 48)):
+        rng = random.Random(seed)
+        for _ in range(200):
+            a = rng.randint(2**53, 2**63 - longest)
+            windows.append((a, a + rng.randint(1, longest) - 1))
+    for a, b in windows:
         exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
-        assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= 1.5 + 1e-9, (a, b)
+        assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS_ANY_LENGTH, (a, b)
+
+
+def test_every_short_window_from_41_to_100_within_its_bound():
+    # Every window of 1 to 64 terms from a = 41..100, the starts nearest the
+    # bound's worst case d = 40, n = 1; one running sum per start.
+    misses = []
+    with localcontext() as ctx:
+        ctx.prec = _PREC
+        for a in range(harmonic._LOWEST_TAIL_START, 101):
+            exact = Decimal(0)
+            for b in range(a, a + 64):
+                exact += Decimal(1) / (2 * b - 1)
+                if _ulps(harmonic.odd_harmonic_sum(a, b), exact) > _PROVEN_ULPS_ANY_LENGTH:
+                    misses.append((a, b))
+    assert misses == []
 
 
 def _start(rng: random.Random, width: int) -> int:
@@ -77,28 +102,19 @@ def _long_windows(seed: int) -> list[tuple[int, int]]:
     return windows
 
 
-def _past_the_crossover(a: int, b: int) -> bool:
-    """Whether the window [a, b] is longer than the crossover, counted from a:
-    odd_harmonic_sum(a, b) takes the O(1) digamma path from a >= 41, and
-    the fixed-point integer, as every window, from a <= 40."""
-    return b - a + 1 > harmonic._DIRECT_MAX_TERMS
-
-
-# The O(1) paths' proven bound: item 5 of harmonic's long-window proof from
-# a >= 41, and half an ulp plus 2**-78.8 from a <= 40.
-_PROVEN_ULPS = 0.501
+def _from_the_tail(a: int) -> bool:
+    """Whether odd_harmonic_sum(a, b) takes the O(1) digamma path, at any
+    length: from a >= 41, and the fixed-point integer from a <= 40."""
+    return a >= harmonic._LOWEST_TAIL_START
 
 
 @pytest.mark.parametrize("a, b", _long_windows(seed=3))
-def test_odd_harmonic_sum_past_the_crossover_within_one_ulp(a, b):
-    # At the shipped crossover every one of these windows takes an O(1)
-    # path.
-    assert _past_the_crossover(a, b)
+def test_odd_harmonic_sum_of_long_windows_within_the_proven_bound(a, b):
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
-def _crossover_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
+def _sized_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
     """Windows of `shortest` to 3,000 terms, from a = 1 to the 2**63 index cap."""
     rng = random.Random(seed)
     windows = []
@@ -109,69 +125,57 @@ def _crossover_windows(seed: int, shortest: int) -> list[tuple[int, int]]:
     return windows
 
 
-# Drawn past an earlier crossover of 256 terms; they stay as 40 more O(1)
-# windows.
-@pytest.mark.parametrize("a, b", _crossover_windows(seed=4, shortest=257))
-def test_odd_harmonic_sum_just_past_the_crossover_within_one_ulp(a, b):
-    assert _past_the_crossover(a, b)
+@pytest.mark.parametrize("a, b", _sized_windows(seed=4, shortest=257))
+def test_odd_harmonic_sum_of_257_to_3000_terms_within_the_proven_bound(a, b):
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
-@pytest.mark.parametrize(
-    "a, b", _crossover_windows(seed=7, shortest=harmonic._DIRECT_MAX_TERMS + 1)
-)
-def test_odd_harmonic_sum_past_the_shipped_crossover_within_the_proven_bound(a, b):
-    # From one term past the shipped crossover: these windows take an O(1)
-    # path.
-    assert _past_the_crossover(a, b)
+@pytest.mark.parametrize("a, b", _sized_windows(seed=7, shortest=49))
+def test_odd_harmonic_sum_of_49_to_3000_terms_within_the_proven_bound(a, b):
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 def _head_free_windows(seed: int) -> list[tuple[int, int]]:
-    """From a = 41 to 100, 1 to 64 terms longer than the crossover: windows
-    with no float term summed one by one."""
+    """From a = 41 to 100, windows of 49 to 112 terms."""
     rng = random.Random(seed)
     windows = []
     for _ in range(60):
         a = rng.randint(harmonic._LOWEST_TAIL_START, 100)
-        windows.append((a, a + harmonic._DIRECT_MAX_TERMS + rng.randint(1, 64) - 1))
+        windows.append((a, a + 48 + rng.randint(1, 64) - 1))
     return windows
 
 
 @pytest.mark.parametrize("a, b", _head_free_windows(seed=5))
-def test_head_free_windows_just_past_the_crossover_within_0_501_ulp(a, b):
-    assert a >= harmonic._LOWEST_TAIL_START
-    assert _past_the_crossover(a, b)
+def test_head_free_windows_of_49_to_112_terms_within_0_501_ulp(a, b):
+    assert _from_the_tail(a)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 def _head_and_short_tail_windows(seed: int) -> list[tuple[int, int]]:
-    """From a = 1 to 40, with 1 to 16 terms more from k = 41 on than the
-    crossover: each one fixed-point integer, as every window from a <= 40."""
+    """From a = 1 to 40, to b = 89 to 104: each one fixed-point integer, as
+    every window from a <= 40."""
     rng = random.Random(seed)
-    first = harmonic._LOWEST_TAIL_START
     windows = []
     for _ in range(60):
-        a = rng.randint(1, first - 1)
-        windows.append((a, first + harmonic._DIRECT_MAX_TERMS + rng.randint(1, 16) - 1))
+        a = rng.randint(1, harmonic._LOWEST_TAIL_START - 1)
+        windows.append((a, 88 + rng.randint(1, 16)))
     return windows
 
 
 @pytest.mark.parametrize("a, b", _head_and_short_tail_windows(seed=6))
 def test_head_and_short_tail_windows_within_0_501_ulp(a, b):
-    assert a < harmonic._LOWEST_TAIL_START
-    assert _past_the_crossover(a, b)
+    assert not _from_the_tail(a)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
 
 @pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
-def test_every_head_one_term_past_the_crossover_within_0_501_ulp(a):
-    b = a + harmonic._DIRECT_MAX_TERMS
-    assert _past_the_crossover(a, b) and not _past_the_crossover(a, b - 1)
+def test_every_head_window_of_49_terms_within_0_501_ulp(a):
+    b = a + 48
+    assert not _from_the_tail(a)
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
@@ -204,7 +208,7 @@ def _scaled_windows(seed: int) -> list[tuple[int, int, int]]:
 def test_scaled_windows_within_the_proven_bound(p, q, m):
     # A scaled estimate 2 S(mq+1, mp) takes ln(b/d) = ln(p/q) itself.
     a, b = m * q + 1, m * p
-    assert a > harmonic._LOWEST_TAIL_START - 1 and _past_the_crossover(a, b)
+    assert _from_the_tail(a) and b - a + 1 > 48
     exact = _decimal_sum(lambda k: 2 * k - 1, a, b)
     assert _ulps(harmonic.odd_harmonic_sum(a, b), exact) <= _PROVEN_ULPS
 
@@ -690,7 +694,6 @@ _HEAD_WINDOW_ENDS = [89, 10**6, 2**63 - 1] + [
 @pytest.mark.parametrize("a", range(1, harmonic._LOWEST_TAIL_START))
 def test_every_long_window_from_a_up_to_40_is_correctly_rounded(a):
     for b in _HEAD_WINDOW_ENDS:
-        assert _past_the_crossover(a, b)
         with localcontext() as ctx:
             ctx.prec = _PREC + 10
             exact = _odd_from_2(b) - _odd_from_2(a - 1) + (1 if a == 1 else 0)
@@ -889,8 +892,8 @@ def test_ln_quotient_from_lo_up_to_39_is_correctly_rounded_for_seeded_hi_to_10_1
 def _boundary_sweeps(seed: int) -> list:
     """(p, q, grid): every grid m with m min(p, q) in {39, 40, 41}, for each
     divisor min(p, q) of those, p/q above and below 1, and windows of 1 to
-    about 150 terms, so that rows from lo = 40 take both the direct and the
-    O(1) digamma path."""
+    about 150 terms, short and long, each row from lo = 40 taking the O(1)
+    digamma path."""
     rng = random.Random(seed)
     cases = []
     for low in sorted({d for t in (39, 40, 41) for d in range(1, t + 1) if t % d == 0}):
@@ -911,3 +914,43 @@ def test_sweep_rows_at_the_boundary_are_ln_rational(p, q, grid):
             # 2 S(mq + 1, mp) for p > q, and its negation for p < q.
             odd = _odd_prefix(m * max(p, q))
             assert value == float(2 * (odd[m * p] - odd[m * q])), m
+
+
+# -- log windows from lo >= 40 -------------------------------------------------
+# ln_quotient(hi, lo) for lo >= 40 doubles the rounded S(lo + 1, hi), which
+# is exact, and for FULL adds the rounded 2 C(lo + 1, hi) and rounds once
+# more (item 6 of harmonic's odd-window proof): TRUNCATED is within S's
+# 0.512 ulp, and FULL within 0.5 + 0.512 + 2e-7 < 1.013 ulp, not always
+# correctly rounded.  Rounding FULL once is still open (ROADMAP item 13).
+_FULL_QUOTIENT_ULPS = 1.013
+
+
+def _quotient_windows(seed: int) -> list[tuple[int, int]]:
+    """(lo, hi), windows of 1 to 300 terms from lo = 40..200, from a
+    log-uniform lo up to 10**12, and from lo near the 2**63 index cap."""
+    rng = random.Random(seed)
+    windows = []
+    for _ in range(600):
+        width = rng.randint(1, 300)
+        lo = rng.choice([
+            rng.randint(harmonic._LOWEST_TAIL_START - 1, 200),
+            round(10 ** rng.uniform(math.log10(200), 12)),
+            rng.randint(2**63 - 2**40, 2**63 - 1 - width),
+        ])
+        windows.append((lo, lo + width))
+    return windows
+
+
+def test_ln_quotient_from_lo_40_within_its_bounds():
+    bounds = {LogVariant.TRUNCATED: _PROVEN_ULPS_ANY_LENGTH, LogVariant.FULL: _FULL_QUOTIENT_ULPS}
+    misses = []
+    for lo, hi in _quotient_windows(seed=1906):
+        odd = _decimal_sum(lambda k: 2 * k - 1, lo + 1, hi)
+        correction = _decimal_sum(lambda k: k**3 * (2 * k - 1) ** 2, lo + 1, hi)
+        with localcontext() as ctx:
+            ctx.prec = _PREC
+            exact = {LogVariant.TRUNCATED: 2 * odd, LogVariant.FULL: 2 * (odd + correction)}
+        for variant, bound in bounds.items():
+            if _ulps(harmonic.ln_quotient(hi, lo, variant), exact[variant]) > bound:
+                misses.append((variant.value, lo, hi))
+    assert misses == []

@@ -369,7 +369,7 @@ class TestSweeps:
     @pytest.mark.parametrize(
         "p, q, grid, logs",
         [
-            # p/q not in lowest terms, and a direct row between O(1) ones
+            # p/q not in lowest terms, and a short row between long ones
             (14, 10, [10**6, 9, 2**58], 1),
             # Head windows (m q < 40, m p > 88) are fixed-point integers that
             # take no _ln_ratio: only the one ln(100) of every row from k = 41
@@ -394,11 +394,12 @@ class TestSweeps:
     @pytest.mark.parametrize("relation", ["p<q", "p>q", "p=q"])
     def test_ln_rational_rows_are_the_scaled_rational_estimates_on_seeded_grids(self, relation):
         # Every kind of window in a shuffled grid: head windows (m min < 40),
-        # windows at and just past the crossover, both from k = 41 on and
-        # from a head (1/88 and 1/89 with m = 1, 6/7 with m = 48 and 49),
-        # and m next to the 2**63 cap.
+        # head windows past k = 88 (1/88 and 1/89 with m = 1), the first two
+        # rows from k = 41 on (of 1 and 2 terms for 40/41 and 41/43, of 7
+        # and 8 for 6/7), and m next to the 2**63 cap.
         rng = random.Random(f"sweep {relation}")
-        pairs = [(1, 88), (1, 89), (6, 7)] + [rng.sample(range(1, 61), 2) for _ in range(40)]
+        pairs = [(1, 88), (1, 89), (6, 7), (40, 41), (41, 43)]
+        pairs += [rng.sample(range(1, 61), 2) for _ in range(40)]
         for p, q in pairs:
             if relation == "p=q":
                 q = p
@@ -406,9 +407,9 @@ class TestSweeps:
                 p, q = q, p
             lo, hi = min(p, q), max(p, q)
             cap = (2**63 - 1) // hi
-            crossover = [48 // (hi - lo) if hi > lo else 1, 88 // hi]
+            edges = [-(-40 // lo), 88 // hi]  # the first row from k = 41, and b near 88
             grid = [rng.randint(1, 40 // lo + 1), cap, cap - rng.randint(1, 1000)]
-            grid += [m + step for m in crossover for step in (0, 1) if m + step >= 1]
+            grid += [m + step for m in edges for step in (0, 1) if m + step >= 1]
             grid += [round(2 ** rng.uniform(0, 62)) % cap + 1 for _ in range(4)]
             rng.shuffle(grid)
             report = tables.sweep_ln_rational(p, q, grid)
