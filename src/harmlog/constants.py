@@ -43,6 +43,12 @@ EULER_GAMMA_REFERENCE = 0.5772156649015329
 # below 1e-12.
 DIRECT_SERIES_CONVERGED_TERMS = 595
 
+# The n of the empirical limit when none is given.
+EMPIRICAL_LIMIT_N = 10**6
+
+# 2 - 2 ln 2 in binary64: each variant's gamma estimate is this less N_r.
+GAMMA_OFFSET = 2.0 - 2.0 * LN2
+
 # Most terms H_p may add one by one (`gamma_definition_check`): ~4.5 s at the
 # ~45 ns per term of its C-level loop (CPython 3.11, shared 2-vCPU x86-64
 # host).  Every other sum takes O(1) past a few dozen terms.
@@ -130,7 +136,7 @@ def variant(kind: NrKind, terms: int | None = None, n: int | None = None) -> NrV
     if kind is NrKind.DIRECT_SERIES:
         terms = DIRECT_SERIES_CONVERGED_TERMS if terms is None else terms
         return NrVariant(kind=kind, value=nr_direct_series(terms), terms=terms)
-    n = 10**6 if n is None else n
+    n = EMPIRICAL_LIMIT_N if n is None else n
     return NrVariant(kind=kind, value=nr_empirical_limit(n), n=n)
 
 
@@ -141,7 +147,7 @@ def euler_gamma(v: NrVariant) -> float:
     """
     if not isinstance(v, NrVariant):
         raise TypeError(f"euler_gamma requires an NrVariant, got {type(v).__name__}")
-    return 2.0 - 2.0 * LN2 - v.value
+    return GAMMA_OFFSET - v.value
 
 
 def _check_work(a: int, b: int) -> None:

@@ -15,14 +15,15 @@ head table `_HEAD_FIXED`, exact over lcm(1, 3, ..., 79) and built once,
 and from there ln n (`oracle._ln_fraction`) less the Number Constant's
 limit N plus 2 Q(n), with no float and no memo.  From a >= 41 it is the
 same finite sum, not a different approximation, in O(1) whatever its
-length: four floats from the digamma function's expansion about x + 1/2
-(`_psi_series`, and the integer logarithm `oracle._ln_ratio` of b/(a-1)),
-summed by `math.fsum`, within 0.512 ulp (0.501 past 40 terms).  No odd
-window adds its terms one by one.  One evaluator, `_odd_sums`, takes the
-windows S(m lo + 1, m hi) of a multiplier grid in one pass;
-`odd_harmonic_sum` is its grid of one.  For every m with m lo >= 40, b/(a-1)
-is hi/lo itself, so the whole grid takes that logarithm from one
-`_ln_ratio` call (memoised in lowest terms).
+length: three floats from the digamma function's expansion about x + 1/2
+(the integer logarithm `oracle._ln_ratio` of b/(a-1) as two floats, and
+2 Q(b) - 2 Q(a-1), one polynomial in 1/(a-1)**2), summed by `math.fsum`,
+within 0.512 ulp (0.501 past 40 terms).  No odd window adds its terms one
+by one.  One evaluator, `_odd_sums`, takes twice the windows S(m lo + 1,
+m hi) of a multiplier grid in one pass; `odd_harmonic_sum` is its grid of
+one.  For every m with m lo >= 40, b/(a-1) is hi/lo itself, so the whole
+grid takes that logarithm from one `_ln_ratio` call (memoised in lowest
+terms) and the polynomial's coefficients from hi/lo once.
 The fast-decaying series 1/(k**3 (2k-1)**r) (the correction sum, r = 2,
 and the factorial's tail sum, r = 1, `_decaying_fixed`) are each one
 exact difference of tails T(a) - T(b+1), integers in fixed point sized to
@@ -200,18 +201,24 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #                    + 2 R_K(2x) - R_K(x).
 # Every window from a >= _LOWEST_TAIL_START, of any length, is taken as
 #     S(a, b) = ln(b/d)/2 + Q(b) - Q(d) + (E(b) - E(d))/2,
-#     Q(x) = sum_{k=1..K} (1 - 2**(1-2k)) B_2k / (4k x**2k),
+#     Q(x) = sum_{k=1..K} q_k / x**2k,  q_k = (1 - 2**(1-2k)) B_2k / (4k),
 #     E(x) = 2 R_K(2x) - R_K(x),
-# from the window's own integers: no gamma and no float constant.  For a
-# scaled estimate 2 S(mq+1, mp) with mq >= 40, ln(b/d) is ln(p/q) itself, so
-# `_odd_sums` takes it once, reduced by its gcd, for every such multiplier
-# of a sweep (`oracle._ln_ratio` is memoised across sweeps).  A window from
-# a <= 40 is one integer of the next section, rounded once.  So a window's
-# start picks its evaluator, and its length never does.
+# from the window's own integers: no gamma and no float constant.  With
+# rho = (d/b)**2, sigma = rho - 1 and s_k = 1 + rho + ... + rho**(k-1),
+#     2 Q(b) - 2 Q(d) = sigma w sum_{k=1..K} 2 q_k s_k w**(k-1),  w = 1/d**2,
+# as 2 q_k (rho**k - 1) = 2 q_k sigma s_k: one polynomial in w whose
+# coefficients depend on b/d alone, and no difference of two Q to cancel.
+# For a scaled estimate 2 S(mq+1, mp) with mq >= 40, b/d is p/q itself, so
+# `_odd_sums` takes ln(p/q) once, reduced by its gcd (`oracle._ln_ratio` is
+# memoised across sweeps), and the coefficients once, for every such
+# multiplier of a sweep: each row then sums three floats, ln(b/d) as hi +
+# lo and 2 Q(b) - 2 Q(d), to 2 S.  A window from a <= 40 is one integer of
+# the next section, rounded once.  So a window's start picks its evaluator,
+# and its length never does.
 #
 # Error bound, with u = 2**-53, d = a - 1 >= 40 and n >= 1 the window's
-# terms (the empty window, b = d, is exactly 0: ln 1 = 0 and Q(b) - Q(d)
-# cancels).  Each term is above 1/(2b), and b = d + n, so S = S(a, b) >
+# terms (the empty window, b = d, is exactly 0: ln 1 = 0 and sigma = 0).
+# Each term is above 1/(2b), and b = d + n, so S = S(a, b) >
 # n/(2(d+n)), and 1/d**2 < 2 h S with h = 1/(n d) + 1/d**2, at most
 # 1/40 + 1/1600 (n = 1, d = 40), and at most 1/1640 + 1/1600 for n > 40.
 # 1. Truncation.  Binet's formula (DLMF 5.9.13) is psi(x) = ln x - 1/(2x)
@@ -225,30 +232,39 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 #    bounded by the sum of both, under |B_12| / (12 d**12)
 #    < |B_12| h S / (6 d**10): under 2**-63 S, and 2**-67 S for n > 40.
 # 2. The logarithm.  oracle._ln_ratio returns hi + lo within 2**-75 of
-#    ln(b/d), relative to it, from integer arithmetic alone (see there);
-#    halving them is exact.  ln(b/d)/2 is the sum of ln(k/(k-1))/2, the
-#    integral of 1/(2x) over [k-1, k], for k = a..b, so by midpoint convexity
-#    it is at least S.  It exceeds S by Q(d) - Q(b) + (E(d) - E(b))/2, under
-#    1/(48 d**2): Q(b) > 0, and Q(d) falls short of its first term by over
-#    3e-3/d**4 (item 3), far more than item 1's E terms.  As 1/(48 d**2)
-#    < h S / 24 < 0.0011 S (1e-4 S for n > 40), this is under
-#    1.0011 2**-75 S (1.0001 2**-75 S).
-# 3. y = 1/(x*x) is an int quotient, rounded once.  Q(x) is positive and
-#    below its first term 1/(48 x**2): the terms alternate and shrink for
-#    x >= 40, the second is -7/(1920 x**4), and all but the first together
-#    are under 2e-4 of it.  Horner's rule on the five rounded
-#    coefficients gives the term of degree k at most 3k + 1 roundings
-#    (Higham, Accuracy and Stability, eq. 5.3, with y's own and the final
-#    product's), so each of Q(b) and Q(d) is off by under 5u/(48 x**2), and
-#    together by under 5u/(24 d**2) < (5u/12) h S: under 0.0107 u S, and
-#    u S/1900 for n > 40.  This item dominates the bound at n = 1.
-# 4. The four floats are the whole window: no term below a is added.
-# 5. So the four floats sum to S within under
-#    2**-63 S + 1.0011 2**-75 S + 0.0107 u S < 0.0117 u S.  fsum rounds that
-#    exact sum correctly, to R within half an ulp of it, and u R < ulp(R):
-#    R is within 0.5 + 0.0117 (1 + 2u) < 0.512 ulp of S.  For n > 40 the
-#    same items give 2**-67 S + 1.0001 2**-75 S + u S/1900 < 0.0006 u S,
-#    so R is within 0.5 + 0.0006 (1 + 2u) < 0.501 ulp of S.
+#    ln(b/d), relative to it, from integer arithmetic alone (see there).
+#    ln(b/d)/2 is the sum of ln(k/(k-1))/2, the integral of 1/(2x) over
+#    [k-1, k], for k = a..b, so by midpoint convexity it is at least S.
+#    It exceeds S by Q(d) - Q(b) + (E(d) - E(b))/2, under 1/(48 d**2):
+#    Q(b) > 0, and Q(d) falls short of its first term by over 3e-3/d**4
+#    (item 3), far more than item 1's E terms.  As 1/(48 d**2) < h S / 24
+#    < 0.0011 S (1e-4 S for n > 40), hi + lo is off by under
+#    1.0011 2**-75 2 S (1.0001 2**-75 2 S).
+# 3. Q(x) is positive and below its first term 1/(48 x**2): the terms
+#    alternate and shrink for x >= 40, the second is -7/(1920 x**4), and all
+#    but the first together are under 2e-4 of it.  The polynomial's error:
+#    sigma is an int quotient rounded once, and rho its float sum with 1,
+#    within u (|sigma| + rho) (1 + u) = u (1 + u) of rho.  So s_k, summed
+#    by Horner's rule over positive terms, is within (k - 1)(k + 4)/2
+#    u (1 + 2**-40) of s_k, relative (s_k >= 1); each c_k = 2 q_k s_k takes
+#    its literal, correctly rounded, and one product.  w = 1/(d*d) is an
+#    int quotient rounded once, and Horner's rule in w, with the final
+#    products by w and sigma, rounds the term of degree k at most 2k + 1
+#    more times (Higham, Accuracy and Stability, eq. 5.3).  In all, the term of degree k is
+#    within under gamma_(k (k + 5)) of its value 2 |q_k| (d**-2k - b**-2k),
+#    relative, gamma_j = j u / (1 - j u), and d**-2k - b**-2k <=
+#    k d**(2-2k) (d**-2 - b**-2), so 2 Q(b) - 2 Q(d) is off by under
+#    0.2502 u (d**-2 - b**-2), nearly all of it the 6u/24 of k = 1.  As
+#    S > n/(2b), d**-2 - b**-2 = n (b + d) / (b**2 d**2) < 4 S / d**2, so
+#    this is under 1.0008 u S / d**2 < 0.0004 u 2 S, for every n.
+# 4. The three floats are the whole window: no term below a is added.
+# 5. So the three floats sum to 2 S within under
+#    2**-63 2 S + 1.0011 2**-75 2 S + 0.0004 u 2 S < 0.0014 u 2 S.  fsum
+#    rounds that exact sum correctly, to 2 R within half an ulp of it, and
+#    u R < ulp(R): R is within 0.5 + 0.0014 (1 + 2u) < 0.502 ulp of S,
+#    inside the 0.512 ulp stated here and checked by the tests.  For n > 40
+#    the same items give 2**-67 + 1.0001 2**-75 + 0.0004 u < 0.0005 u,
+#    relative, so R is within 0.5 + 0.0005 (1 + 2u) < 0.501 ulp of S.
 # 6. `ln_quotient(hi, lo)` from lo >= 40 doubles R, exactly, for TRUNCATED.
 #    FULL adds 2 c, c the rounded C(a, b), and rounds once more, to F.  Term
 #    by term C is at most S/(a**3 (2a-1)) < 1.8e-7 S, and 2 R <= F, so F is
@@ -257,15 +273,6 @@ def _decaying_fixed(a: int, b: int, r: int) -> tuple[int, int]:
 # tests/test_harmonic.py derives their constants in Fraction.
 _LOWEST_TAIL_START = 41  # past the head table, so that d >= 40 in items 1 to 6
 
-
-def _psi_series(x: int) -> float:
-    """Q(x) = sum_{k=1..5} (1 - 2**(1-2k)) B_2k / (4k x**2k), by Horner's rule in 1/x**2.
-
-    The coefficients, k = 5 down to 1, are int quotients, each correctly
-    rounded; B_12 bounds the remainder (item 1 above).
-    """
-    y = 1 / (x * x)
-    return ((((511 / 135168 * y - 127 / 61440) * y + 31 / 16128) * y - 7 / 1920) * y + 1 / 48) * y
 
 
 # -- the odd sum from k = 1 in fixed point ----------------------------------
@@ -365,22 +372,35 @@ def _ln_fixed(lo: int, hi: int, variant: LogVariant) -> int:
 
 
 def _odd_sums(lo: int, hi: int, multipliers: Iterable[int]) -> list[float]:
-    """S(m lo + 1, m hi) for each m, over windows already checked (see above).
+    """2 S(m lo + 1, m hi) for each m, over windows already checked (see above).
 
     The window's first index a alone picks its evaluator, whatever its
     length.  From a <= 40 it is one fixed-point integer rounded once, so
     that 2 S(lo + 1, hi) is ln_quotient(hi, lo, TRUNCATED) bit for bit.
-    From a >= 41 it is four floats from the digamma function, within 0.512
-    ulp, each window taking ln(b/(a-1)) = ln(hi/lo) from one `_ln_ratio` call.
+    From a >= 41 it is three floats from the digamma function, within 0.512
+    ulp: ln(b/(a-1)) = ln(hi/lo) as hi + lo, from one `_ln_ratio` call, and
+    2 (Q(b) - Q(a-1)), by Horner's rule in 1/(a-1)**2 over coefficients
+    formed once from hi/lo.
     """
-    sums, shared = [], None
+    sums, sigma = [], None
     for m in multipliers:
-        a, b = m * lo + 1, m * hi
-        if a < _LOWEST_TAIL_START:
-            sums.append(math.ldexp(_two_s_fixed(b) - _HEAD_FIXED[a - 1], -_NR_BITS - 1))
-        else:  # b/(a-1) is hi/lo: one logarithm serves every such m
-            ln = shared = shared or _ln_ratio(hi // (g := math.gcd(hi, lo)), lo // g)
-            sums.append(math.fsum((ln[0] / 2, ln[1] / 2, _psi_series(b), -_psi_series(a - 1))))
+        d = m * lo
+        if d < _LOWEST_TAIL_START - 1:
+            sums.append(math.ldexp(_two_s_fixed(m * hi) - _HEAD_FIXED[d], -_NR_BITS))
+            continue
+        if sigma is None:  # b/d is hi/lo: one logarithm and one polynomial for every such m
+            ln_hi, ln_lo = _ln_ratio(hi // (g := math.gcd(hi, lo)), lo // g)
+            hh = hi * hi
+            sigma = (lo * lo - hh) / hh
+            rho = sigma + 1.0
+            s2 = rho + 1.0
+            s3 = s2 * rho + 1.0
+            s4 = s3 * rho + 1.0
+            c2, c3, c4 = -7 / 960 * s2, 31 / 8064 * s3, -127 / 30720 * s4
+            c5 = 511 / 67584 * (s4 * rho + 1.0)
+        w = 1 / (d * d)
+        psi = ((((c5 * w + c4) * w + c3) * w + c2) * w + 1 / 24) * w * sigma
+        sums.append(math.fsum((ln_hi, ln_lo, psi)))
     return sums
 
 
@@ -389,10 +409,10 @@ def odd_harmonic_sum(a: int, b: int) -> float:
 
     In O(1) whatever its length: from a <= 40 one fixed-point integer
     rounded once, within half an ulp plus 2**-78.8 of the sum, relative, and
-    from a >= 41 four floats within 0.512 ulp (see above and `_odd_sums`).
+    from a >= 41 three floats within 0.512 ulp (see above and `_odd_sums`).
     """
     _window(a, b)
-    return _odd_sums(a - 1, b, (1,))[0]
+    return _odd_sums(a - 1, b, (1,))[0] / 2
 
 
 def correction_sum(a: int, b: int) -> float:
@@ -473,9 +493,13 @@ def ln_integer(n: int, variant: LogVariant = LogVariant.FULL) -> float:
     """Estimate 2 S(2, n) of ln(n), plus 2 C(2, n) for FULL; n = 1 gives exactly 0.
 
     The sum in fixed point, rounded once: within half an ulp plus 2**-82 of
-    it, relative (see above).
+    it, relative (see above).  DomainError for n below 1, then TypeError
+    for an n that is not an int and OverflowLimitError past the index cap,
+    as `ln_quotient(n, 1)` raises them.
     """
-    return ln_quotient(n, 1, variant)
+    if n < 1:
+        raise DomainError(f"ln_integer requires a positive integer, got {shown(n)}")
+    return math.ldexp(_ln_fixed(1, index(n), variant), -_NR_BITS)
 
 
 def exp_form(n: int, variant: LogVariant = LogVariant.FULL) -> float:

@@ -83,7 +83,8 @@ class TableReport(Frozen):
             # one read of the row's values, not a property call per field
             inputs, calculated, reference, percent, printed, match, erratum = row._values
             # A number cell is empty for None and "inf" for either infinity.
-            cells.append([str(inputs[k]) for k in input_columns] + [
+            cells.append([
+                *[str(inputs[k]) for k in input_columns],
                 "" if calculated is None else "inf" if calculated in _INFINITIES
                 else calculated_format % calculated,
                 "" if reference is None else "inf" if reference in _INFINITIES
@@ -150,13 +151,14 @@ def _json(columns: list[str], cells: list[list[str]]) -> str:
     if not cells:
         return "[]\n"
     # As in dict(zip(...)), a column named twice keeps its first place and
-    # its last cell.
+    # its last cell.  One template of the quoted keys serves every row; a
+    # quoted key holds no line feed, so the joins can split on it.
     last = {column: i for i, column in enumerate(columns)}
-    keys = [(f"    {_quote(column)}: ", i) for column, i in last.items()]
-    objects = [
-        "  {\n" + ",\n".join([key + _quote(row[i]) for key, i in keys]) + "\n  }"
-        for row in cells
-    ]
+    template = "  {\n    " + "\n".join(map(_quote, last)).replace("%", "%%").replace(
+        "\n", ": %s,\n    "
+    ) + ": %s\n  }"
+    indices = list(last.values())
+    objects = [template % tuple([_quote(row[i]) for i in indices]) for row in cells]
     return "[\n" + ",\n".join(objects) + "\n]\n"
 
 
@@ -401,20 +403,19 @@ def _nr_gamma():
     from . import constants as consts
 
     kinds, reference = consts.NrKind, consts.EULER_GAMMA_REFERENCE
-    # NrKind's members in order, each with its print.  The reference is finite
+    terms, n = consts.DIRECT_SERIES_CONVERGED_TERMS, consts.EMPIRICAL_LIMIT_N
+    # NrKind's members in order, each with the value and parameter that
+    # consts.variant(kind) gives it, and its print.  The reference is finite
     # and not 0, so the percent error is percent_error's own quotient.
-    for kind, printed in (
-        (kinds.INTEGRAL, "0.5736309333"), (kinds.DIRECT_SERIES, None), (kinds.EMPIRICAL_LIMIT, None)
+    for kind, parameter, value, printed in (
+        (kinds.INTEGRAL, "", consts.nr_integral(), "0.5736309333"),
+        (kinds.DIRECT_SERIES, terms, consts.nr_direct_series(terms), None),
+        (kinds.EMPIRICAL_LIMIT, n, consts.nr_empirical_limit(n), None),
     ):
-        v = consts.variant(kind)
-        _, value, terms, n = v._values
-        parameter = n if terms is None else terms
         inputs = {
-            "variant": kind._value_,
-            "parameter": "" if parameter is None else parameter,
-            "number_constant": "%.12g" % value,
+            "variant": kind._value_, "parameter": parameter, "number_constant": "%.12g" % value
         }
-        gamma = consts.euler_gamma(v)
+        gamma = consts.GAMMA_OFFSET - value
         match = None if printed is None else abs(gamma - float(printed)) <= 1e-9
         percent = (gamma - reference) / reference * 100.0
         yield _record(Row, (inputs, gamma, reference, percent, printed, match, ""))
@@ -468,20 +469,21 @@ def sweep_ln_rational(p: int, q: int, multipliers: list[int]) -> TableReport:
     # The whole grid is checked, in grid order and as ScaledRational checks
     # it, before the oracle takes the logarithm of p/q.  Each row is then
     # ln_rational(ScaledRational(p, q, m)), without the object: 2 S(m lo + 1,
-    # m hi), negated when p < q (negation is exact; p = q gives 2 * 0.0 =
-    # +0.0), and every row's window comes from one `_odd_sums` call, so the
-    # rows share one logarithm of hi/lo.  A row has no print to match, so it
-    # is built straight from its value, without _row.
+    # m hi), negated when p < q (negation is exact; p = q gives +0.0), and
+    # every row's window comes from one `_odd_sums` call, so the rows share
+    # one logarithm of hi/lo.  The reference is ln_value(hi, lo), negated
+    # when p < q, which is ln_value(p, q) bit for bit (the kernel negates
+    # exactly), so p/q and q/p share one memo entry.  A row has no print to
+    # match, so it is built straight from its value, without _row.
     _check_scaled(p, q, multipliers)
-    reference = ln_value(p, q)
-    lo, hi = min(p, q), max(p, q)
-    scale = -2.0 if p < q else 2.0
+    lo, hi = (p, q) if p < q else (q, p)
+    reference = -ln_value(hi, lo) if p < q else ln_value(hi, lo)
     # The one reference is finite, and 0 only for p == q, where every row is
     # 0.0 and its percent error 0 %; so each row's percent error is
     # percent_error's own quotient, without its checks.
     rows = []
     for m, s in zip(multipliers, _odd_sums(lo, hi, multipliers)):
-        value = scale * s
+        value = -s if p < q else s
         percent = (value - reference) / reference * 100.0 if reference else 0.0
         inputs = {"p": p, "q": q, "m": m}
         rows.append(_record(Row, (inputs, value, reference, percent, None, None, "")))

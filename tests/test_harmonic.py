@@ -332,11 +332,12 @@ class TestLongOddWindows:
         value = harmonic.odd_harmonic_sum(a, b)
         assert abs(value - plain_odd(a, b)) <= 2 * math.ulp(value)
 
-    @pytest.mark.parametrize("a, summed", [(1, 0), (40, 0), (41, 4), (10**6, 4), (2**62, 4)])
+    @pytest.mark.parametrize("a, summed", [(1, 0), (40, 0), (41, 3), (10**6, 3), (2**62, 3)])
     def test_floats_summed_by_window_start(self, monkeypatch, a, summed):
-        # A structural count, not a bound: the four tail floats from a >= 41
-        # at every length, the empty window too; from a <= 40 no float at
-        # all, but one fixed-point integer.
+        # A structural count, not a bound: the three tail floats from a >= 41
+        # (the logarithm's two and the psi polynomial) at every length, the
+        # empty window too; from a <= 40 no float at all, but one fixed-point
+        # integer.
         counted = []
         fsum = math.fsum
 
@@ -408,28 +409,37 @@ class TestLongOddWindows:
         assert 2**-85.1 * 74.3 + (2**-93 + 2**-128) / 0.05 < 2**-78.8
 
     @pytest.mark.parametrize(
-        "n, truncation, log, rounding, total, ulps",
+        "n, truncation, log, total, ulps",
         [
-            (1, Fraction(1, 2**63), Fraction(11, 10**4), Fraction(107, 10**4),
-             Fraction(117, 10**4), Fraction(512, 1000)),
-            (41, Fraction(1, 2**67), Fraction(1, 10**4), Fraction(1, 1900),
-             Fraction(6, 10**4), Fraction(501, 1000)),
+            (1, Fraction(1, 2**63), Fraction(11, 10**4), Fraction(14, 10**4), Fraction(502, 1000)),
+            (41, Fraction(1, 2**67), Fraction(1, 10**4), Fraction(5, 10**4), Fraction(501, 1000)),
         ],
     )
-    def test_tail_floats_within_their_bound(self, n, truncation, log, rounding, total, ulps):
+    def test_tail_floats_within_their_bound(self, n, truncation, log, total, ulps):
         # Items 1 to 5 of the odd-window proof at their worst, d = 40, for
         # n = 1 term (any length) and n = 41 terms (past 40): h = 1/(n d) +
-        # 1/d**2 is largest at the least n and d, and the four tail floats
-        # are off by under `total` u S, so within `ulps` ulp.
+        # 1/d**2 is largest at the least n and d, and the three tail floats
+        # are off by under `total` u 2 S, so within `ulps` ulp, inside the
+        # 0.512 and 0.501 ulp that tests/test_referee.py checks.
         u, d = Fraction(1, 2**53), harmonic._LOWEST_TAIL_START - 1
         b12 = Fraction(*oracle._BERNOULLI[6])
         assert d == 40
         h = Fraction(1, n * d) + Fraction(1, d**2)
         assert abs(b12) / 6 * h / d**10 < truncation
         assert h / 24 < log
-        assert Fraction(5, 12) * h < rounding
-        assert truncation + (1 + log) / 2**75 + rounding * u < total * u
-        assert Fraction(1, 2) + total * (1 + 2 * u) < ulps
+        # Item 3, for every n: the term of degree k within gamma_(k (k + 5))
+        # of 2 |q_k| (d**-2k - b**-2k) <= 2 k |q_k| d**(2-2k) (d**-2 - b**-2),
+        # and d**-2 - b**-2 < 4 S / d**2.
+        gamma = [j * u / (1 - j * u) for j in range(51)]
+        share = sum(
+            gamma[k * (k + 5)] * 2 * k * abs(psi_coefficient(k)) / Fraction(d) ** (2 * k - 2)
+            for k in range(1, 6)
+        )
+        assert share < Fraction(2502, 10**4) * u
+        rounding = Fraction(2502, 10**4) * 4 / d**2 / 2  # of 2 S, in units of u
+        assert rounding < Fraction(4, 10**4)
+        assert truncation + (1 + log) / 2**75 + Fraction(4, 10**4) * u < total * u
+        assert Fraction(1, 2) + total * (1 + 2 * u) < ulps <= Fraction(512, 1000)
 
     def test_full_quotient_from_lo_40_within_1_013_ulp(self):
         # Item 6: C is under 1.8e-7 S term by term from a = 41, so its
@@ -438,17 +448,46 @@ class TestLongOddWindows:
         assert Fraction(1, a**3 * (2 * a - 1)) < Fraction(18, 10**8)
         assert Fraction(1, 2) + Fraction(512, 1000) + Fraction(2, 10**7) < Fraction(1013, 1000)
 
-    def test_psi_series_is_horner_on_the_rounded_bernoulli_quotients(self):
-        # The literal coefficients of _psi_series are (1 - 2**(1-2k)) B_2k/(4k),
-        # k = 5..1, each correctly rounded, and y = 1/(x*x) is rounded once.
-        # Below x = 40 the later coefficients still weigh: x = 1 sums them.
-        coefficients = [float(psi_coefficient(k)) for k in range(5, 0, -1)]
-        for x in [1, 2, 3, 40, 41, 100, 10**6 + 1, 2**53 + 1, 2**63 - 1, 2**64 + 1]:
-            y = float(Fraction(1, x * x))
-            value = 0.0
-            for coefficient in coefficients:
-                value = value * y + coefficient
-            assert harmonic._psi_series(x) == value * y, x
+    @pytest.mark.parametrize(
+        "lo, hi", [(40, 40), (40, 41), (40, 100), (1, 2), (2, 3), (3, 4), (7, 1000),
+                   (10**6 - 1, 10**6 + 999), (2**62 - 10**4, 2**62), (2**31 - 1, 2**31 + 1)]
+    )
+    def test_psi_polynomial_on_the_grid_coefficients(self, lo, hi):
+        # Item 3: 2 Q(b) - 2 Q(d) = sigma w sum_k 2 q_k s_k w**(k-1), w = 1/d**2,
+        # from sigma = (lo/hi)**2 - 1 rounded once, rho = sigma + 1 and the
+        # literals 2 q_k correctly rounded.  Each s_k is within
+        # (k - 1)(k + 4)/2 u (1 + 2**-40) of its value, and the polynomial
+        # within 0.2502 u (d**-2 - b**-2) of 2 Q(b) - 2 Q(d), for every
+        # multiplier of the grid: d = m lo and b = m hi.
+        u = Fraction(1, 2**53)
+        sigma = float(Fraction(lo * lo - hi * hi, hi * hi))
+        rho, exact_rho = sigma + 1.0, Fraction(lo * lo, hi * hi)
+        s = [1.0]
+        for k in range(2, 6):
+            s.append(s[-1] * rho + 1.0)
+        for k in range(1, 6):
+            exact = sum(exact_rho**j for j in range(k))
+            bound = Fraction((k - 1) * (k + 4), 2) * u * (1 + Fraction(1, 2**40))
+            assert abs(Fraction(s[k - 1]) - exact) <= bound * exact, k
+        two_q = [float(2 * psi_coefficient(k)) for k in range(1, 6)]
+        coefficients = [two_q[0]] + [q * s_k for q, s_k in zip(two_q[1:], s[1:])]
+        g = math.gcd(hi, lo)
+        ln_hi, ln_lo = oracle._ln_ratio(hi // g, lo // g)
+        first, cap = -(-40 // lo), (2**63 - 1) // hi  # d >= 40 and b below the index cap
+        for m in sorted({min(m, cap) for m in (first, first + 1, 7 * first, cap)}):
+            d, b = m * lo, m * hi
+            w = 1 / (d * d)
+            psi = 0.0
+            for c in reversed(coefficients):
+                psi = psi * w + c
+            psi = psi * w * sigma
+            assert harmonic._odd_sums(lo, hi, [m]) == [math.fsum((ln_hi, ln_lo, psi))], m
+            exact = sum(
+                2 * psi_coefficient(k) * (Fraction(1, b ** (2 * k)) - Fraction(1, d ** (2 * k)))
+                for k in range(1, 6)
+            )
+            spread = Fraction(1, d * d) - Fraction(1, b * b)
+            assert abs(Fraction(psi) - exact) <= Fraction(2502, 10**4) * u * spread, m
 
     def test_psi_series_terms_after_the_first_under_2e_4_of_it(self):
         # Item 3 of the long-window proof: from x = 40 on, the terms of Q
@@ -485,6 +524,30 @@ class TestLnInteger:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             harmonic.ln_integer(0)
+
+    @pytest.mark.parametrize(
+        "n, error",
+        [
+            (0, DomainError), (-1, DomainError), (0.5, DomainError), (-math.inf, DomainError),
+            (math.inf, TypeError), (math.nan, TypeError), (1.0, TypeError), (2.0, TypeError),
+            (2**63, OverflowLimitError), (2**64, OverflowLimitError),
+        ],
+    )
+    def test_errors_are_those_of_ln_quotient_n_1(self, n, error):
+        # DomainError below 1 first, then TypeError for a non-int (the
+        # infinities and nan too), then OverflowLimitError past the index
+        # cap: the classes and the order of ln_quotient(n, 1).
+        for variant in LogVariant:
+            for call in (harmonic.ln_integer, lambda n, v: harmonic.ln_quotient(n, 1, v)):
+                with pytest.raises(error) as raised:
+                    call(n, variant)
+                assert type(raised.value) is error, (call, variant)
+
+    @pytest.mark.parametrize("n", [1, 2, 39, 40, 41, 1000, 10**6 + 1, 2**53 + 1, 2**63 - 1])
+    def test_values_are_those_of_ln_quotient_n_1(self, n):
+        for variant in LogVariant:
+            value = harmonic.ln_integer(n, variant)
+            assert value.hex() == harmonic.ln_quotient(n, 1, variant).hex(), variant
 
 
 class TestExpForm:

@@ -195,6 +195,22 @@ class TestRecordsWithoutInit:
         assert pickle.loads(data) == row
         assert calls == [row._values]
 
+    def test_nr_gamma_rows_are_those_of_each_variant(self):
+        # Each row's Number Constant, parameter and gamma are those of
+        # constants.variant(kind) with its defaults, bit for bit.
+        from harmlog import constants
+
+        for row, kind in zip(tables.build(TableId.NR_GAMMA).rows, constants.NrKind, strict=True):
+            v = constants.variant(kind)
+            parameter = v.n if v.terms is None else v.terms
+            assert row.inputs == {
+                "variant": kind.value,
+                "parameter": "" if parameter is None else parameter,
+                "number_constant": "%.12g" % v.value,
+            }
+            assert row.calculated.hex() == constants.euler_gamma(v).hex(), kind
+            assert row.reference == constants.EULER_GAMMA_REFERENCE
+
     def test_nr_gamma_rows_are_those_of_row(self):
         # Label, parameter, match and a percent error bit-equal to
         # percent_error, as _row builds them.
@@ -269,8 +285,16 @@ class TestSerialization:
                 "sweep", ("match", "n"), "%g",
                 (tables.Row({"match": "x", "n": 1}, 1.0, None, None, None, True),),
             ),
+            # keys and cells with a % sign, a line feed and a quote
+            lambda: tables.TableReport(
+                "sweep", ("%s %d", 'two\n"lines"'), "%g",
+                (tables.Row(
+                    {"%s %d": "100%", 'two\n"lines"': "a\nb"}, 1.0, 2.0, None, "%s", None, "5%"
+                ),),
+            ),
         ],
-        ids=[*(t.value for t in TableId), "ln-p<q", "ln-p=q", "factorial", "nr", "empty", "dup"],
+        ids=[*(t.value for t in TableId), "ln-p<q", "ln-p=q", "factorial", "nr", "empty", "dup",
+             "percent"],
     )
     def test_json_writer_is_json_dumps(self, report):
         # Table 2.3's "∞" (escaped as \u221e) and the quoted errata notes
@@ -381,6 +405,35 @@ class TestSweeps:
         self, request, p, q, grid, logs
     ):
         self._assert_logarithms(request, p, q, grid, logs)
+
+    def test_a_ratio_and_its_reciprocal_share_one_logarithm(self, request, monkeypatch):
+        # The reference is +-ln_value(hi, lo), so q/p hits the memo entry p/q
+        # filled, and both sweeps share one _ln_ratio: two _ln_fraction calls
+        # in all.  The q/p rows are the negated p/q rows and ln_rational's.
+        def clear():
+            ln_value.cache_clear()
+            oracle._ln_ratio.cache_clear()
+
+        request.addfinalizer(clear)
+        clear()
+        calls = []
+        kernel = oracle._ln_fraction
+
+        def counting(n, d):
+            calls.append((n, d))
+            return kernel(n, d)
+
+        monkeypatch.setattr(oracle, "_ln_fraction", counting)
+        grid = [1, 13, 25, 400, 10**6]
+        above = tables.sweep_ln_rational(3, 2, grid)
+        below = tables.sweep_ln_rational(2, 3, grid)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert below.rows[0].reference == -above.rows[0].reference == ln_value(2, 3)
+        for m, up, down in zip(grid, above.rows, below.rows, strict=True):
+            value = ln_rational(ScaledRational(2, 3, m), LogVariant.TRUNCATED)
+            assert down.calculated.hex() == value.hex() == (-up.calculated).hex(), m
+            assert down.reference.hex() == ln_value(2, 3).hex(), m
 
     @staticmethod
     def _assert_logarithms(request, p, q, grid, logs):

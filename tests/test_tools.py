@@ -1,10 +1,21 @@
 """Smoke tests of the measuring tools under tools/."""
 
+import importlib.util
+import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def load(path: Path):
+    """The module of a script that is not in a package."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_kinds_sums_each_kind_of_two_trees():
@@ -15,7 +26,7 @@ def test_bench_kinds_sums_each_kind_of_two_trees():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    header, columns, *rows, total, rate, ratio = proc.stdout.splitlines()
+    header, columns, *rows, total, rate, p50, p90, ratio = proc.stdout.splitlines()
     assert header == "series-long, seed 7: least of 1 passes per tree, µs per pass"
     assert columns.split() == ["kind", "ops", "base", "change"]
     kinds = {row.split()[0]: row.split()[1:] for row in rows}
@@ -26,7 +37,18 @@ def test_bench_kinds_sums_each_kind_of_two_trees():
         summed = sum(float(cells[i]) for cells in kinds.values())
         assert abs(summed - float(total.split()[i + 1])) < 0.1 * len(kinds)
         assert float(rate.split()[i]) > 0
+        assert 0 < float(p50.split()[i]) <= float(p90.split()[i])
+    assert p50.split()[0] == "latency_p50_ms" and p90.split()[0] == "latency_p90_ms"
     assert ratio.startswith("change against base: ")
+    assert ratio.endswith(" p90")
+
+
+def test_bench_kinds_latencies_are_those_of_perfbench_run():
+    kinds, run = load(ROOT / "tools" / "bench_kinds.py"), load(ROOT / "perfbench" / "run.py")
+    rng = random.Random(5)
+    for n in [1, 2, 9, 10, 11, 100, 101]:
+        times = [rng.uniform(1e-6, 1e-3) for _ in range(n)]
+        assert kinds.latencies_ms(times) == (statistics.median(times) * 1e3, run._p90(times) * 1e3)
 
 
 def test_code_lines_counts_no_blank_comment_or_docstring_line(tmp_path):

@@ -12,16 +12,20 @@ op's time is the least of its times over a tree's passes, as in run.py.
 The ops are mapped to their kinds by rebuilding the same seeded stream from
 the first tree's perfbench/workloads.py, so both trees must run the same op
 list.  It prints, per kind and tree, the op count and the sum of the ops'
-least times in µs, then each tree's total per pass and its ops/s (ops over
-that total).  Standard library only.
+least times in µs, then each tree's total per pass, its ops/s (ops over
+that total) and its latency_p50_ms and latency_p90_ms, the median and the
+90th percentile of the least times as run.py takes them.  Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +49,11 @@ def _pass(tree: Path, seed: int, tiny: bool) -> list[float]:
     if result["failed"]:
         raise SystemExit(f"error: {result['failed']} ops failed in {tree}: {result['failures']}")
     return result["times"]
+
+
+def latencies_ms(times: list[float]) -> tuple[float, float]:
+    """latency_p50_ms and latency_p90_ms of op times in seconds, as perfbench/run.py takes them."""
+    return statistics.median(times) * 1e3, sorted(times)[math.ceil(0.9 * len(times)) - 1] * 1e3
 
 
 def op_kinds(tree: Path, seed: int, tiny: bool) -> list[str]:
@@ -91,8 +100,13 @@ def main(argv: list[str] | None = None) -> int:
     totals = [sum(least[label]) for label in labels]
     print(f"{'total':<24}{len(kinds):>5}" + "".join(f"{t * 1e6:>14.1f}" for t in totals))
     print(f"{'ops/s':<29}" + "".join(f"{len(kinds) / t:>14.0f}" for t in totals))
+    latencies = [latencies_ms(least[label]) for label in labels]
+    for i, name in enumerate(("latency_p50_ms", "latency_p90_ms")):
+        print(f"{name:<29}" + "".join(f"{pair[i]:>14.5f}" for pair in latencies))
     if len(trees) == 2:
-        print(f"{labels[1]} against {labels[0]}: {totals[0] / totals[1] - 1:+.1%} ops/s")
+        (p50_0, p90_0), (p50_1, p90_1) = latencies
+        print(f"{labels[1]} against {labels[0]}: {totals[0] / totals[1] - 1:+.1%} ops/s, "
+              f"{p50_1 / p50_0 - 1:+.1%} p50, {p90_1 / p90_0 - 1:+.1%} p90")
     return 0
 
 
